@@ -5,7 +5,7 @@ linearize-and-iterate fixed point, and empirical verification of the
 structural identities, coercivity, contraction and linear stability scaling.
 """
 
-from .gas import GasLaw, FlowState, bernoulli, density_from_state
+from .gas import GasLaw, bernoulli
 from .grid import Nozzle, build_grid
 from .ode1d import BackgroundSolution, OneDParams, integrate_ivp, shoot_bvp
 from .driver import (
@@ -27,7 +27,6 @@ __all__ = [
     "BackgroundSolution",
     "DomainMap",
     "FieldPair",
-    "FlowState",
     "GasLaw",
     "IterationConfig",
     "Nozzle",
@@ -36,7 +35,6 @@ __all__ = [
     "SolveReport",
     "bernoulli",
     "build_grid",
-    "density_from_state",
     "identity_map",
     "integrate_ivp",
     "perturb_data",

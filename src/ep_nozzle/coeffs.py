@@ -1,60 +1,18 @@
 """Flux/charge maps of the potential system and their linearization data.
 
-flux_A(z, q) = rho(z, |q|^2) q and charge_B(z, q) = rho(z, |q|^2) close the
-first-order structure; the frozen coefficients, Taylor remainders and the
-exit-pressure datum below are everything the linearized solves consume.
+The momentum flux A(z, q) = rho(z, |q|^2) q and the charge B(z, q) =
+rho(z, |q|^2) close the first-order structure; their exact derivatives and
+the Taylor remainders about the frozen background are what the linearized
+solves consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError, NotSubsonicError
 from .gas import GasLaw
-
-# chord-slope denominators closer than this fall back to p'(rho_bg)
-CHORD_FALLBACK = 1e-12
-
-
-@dataclass(frozen=True)
-class LinPoint:
-    """Background state at one node: potential, velocity, derived density."""
-
-    Phi0: float
-    Dphi0: np.ndarray
-    rho_bg: float
-
-    @classmethod
-    def from_state(cls, law: GasLaw, Phi0, Dphi0):
-        Dphi0 = np.asarray(Dphi0, dtype=float)
-        rho = float(law.density(Phi0, float(Dphi0 @ Dphi0)))
-        if float(Dphi0 @ Dphi0) >= float(law.dpressure(rho)):
-            raise NotSubsonicError("background state is not subsonic")
-        return cls(Phi0=float(Phi0), Dphi0=Dphi0, rho_bg=rho)
-
-
-@dataclass(frozen=True)
-class ExitData:
-    """Exit-facing data bundle: pressure and potential-difference traces."""
-
-    pex: np.ndarray      # on the exit plane
-    Psi_ex: np.ndarray   # on the exit plane
-    Psi_en: np.ndarray   # on the entrance plane
-
-
-def flux_A(law: GasLaw, z, q):
-    """Momentum-flux map A = rho q; raises on vacuum arguments."""
-    q = np.asarray(q, dtype=float)
-    rho = law.density(z, np.einsum("...i,...i->...", q, q))
-    return np.asarray(rho)[..., None] * q
-
-
-def charge_B(law: GasLaw, z, q):
-    q = np.asarray(q, dtype=float)
-    return law.density(z, np.einsum("...i,...i->...", q, q))
 
 
 class FluxDerivatives(NamedTuple):
@@ -71,7 +29,7 @@ def derivatives(law: GasLaw, z, q) -> FluxDerivatives:
     dA_dz + dB_dq = 0 holds exactly in floating point.
     """
     q = np.asarray(q, dtype=float)
-    B = charge_B(law, z, q)
+    B = law.density(z, np.einsum("...i,...i->...", q, q))
     pp = law.dpressure(B)
     dB_dz = np.asarray(B / pp)
     dA_dz = dB_dz[..., None] * q
@@ -83,114 +41,24 @@ def derivatives(law: GasLaw, z, q) -> FluxDerivatives:
     return FluxDerivatives(dA_dz, dB_dz, dA_dq, dB_dq)
 
 
-def aij_at(law: GasLaw, point: LinPoint):
-    """Diagonal coefficient matrix at a background point, plus its bounds."""
-    n = point.Dphi0.shape[0]
-    speed_sq = float(point.Dphi0 @ point.Dphi0)
-    pp = float(law.dpressure(point.rho_bg))
-    ann = point.rho_bg * (1.0 - speed_sq / pp)
-    if ann <= 0.0:
-        raise NotSubsonicError("a_nn nonpositive: state at or beyond sonic")
-    diag = np.full(n, point.rho_bg)
-    diag[-1] = ann
-    lam = float(np.min(diag))
-    return np.diag(diag), lam, 1.0 / lam
+def remainder_fields(law: GasLaw, Phi0, q0, rho0, base: FluxDerivatives, Psi, Dpsi):
+    """Quadratic Taylor remainders (F, f) of (A, B) at every node.
 
-
-def _check_ball(z, q, delta, factor, what):
-    if delta is None:
-        return
-    size = np.abs(z) + np.linalg.norm(np.atleast_1d(q), axis=-1)
-    if np.any(size >= factor * delta):
-        raise AdmissibilityError(f"{what}: |z| + |q| outside the admissible ball")
-
-
-def remainder_F(law: GasLaw, point: LinPoint, z, q, delta1=None) -> np.ndarray:
-    """Quadratic Taylor remainder of A about the background point."""
-    _check_ball(z, q, delta1, 3.0, "remainder_F")
-    q = np.asarray(q, dtype=float)
-    base = derivatives(law, point.Phi0, point.Dphi0)
-    a_pert = flux_A(law, point.Phi0 + z, point.Dphi0 + q)
-    a_base = flux_A(law, point.Phi0, point.Dphi0)
-    linear = np.asarray(z)[..., None] * base.dA_dz + np.einsum(
-        "...ij,...j->...i", base.dA_dq, q
-    )
-    return -(a_pert - a_base - linear)
-
-
-def remainder_f(law: GasLaw, point: LinPoint, z, q, delta1=None):
-    """Quadratic Taylor remainder of B about the background point."""
-    _check_ball(z, q, delta1, 3.0, "remainder_f")
-    q = np.asarray(q, dtype=float)
-    base = derivatives(law, point.Phi0, point.Dphi0)
-    b_pert = charge_B(law, point.Phi0 + z, point.Dphi0 + q)
-    b_base = charge_B(law, point.Phi0, point.Dphi0)
-    linear = np.asarray(z) * base.dB_dz + np.einsum("...j,...j->...", base.dB_dq, q)
-    return b_pert - b_base - linear
-
-
-def exit_g1(law: GasLaw, point: LinPoint, q, Psi_ex):
-    """Chord slope of the pressure between perturbed and background density."""
-    rho_t = np.asarray(
-        charge_B(law, point.Phi0 + Psi_ex, point.Dphi0 + np.asarray(q, float))
-    )
-    drho = rho_t - point.rho_bg
-    chord = np.full(rho_t.shape, float(law.dpressure(point.rho_bg)))
-    safe = np.abs(drho) >= CHORD_FALLBACK
-    if np.any(safe):
-        chord[safe] = (
-            law.pressure(rho_t[safe]) - law.pressure(point.rho_bg)
-        ) / drho[safe]
-    return chord, rho_t
-
-
-def exit_g(law: GasLaw, point: LinPoint, q, pex, Psi_ex, delta2=None):
-    """Exit datum for the conormal condition on the velocity perturbation."""
-    q = np.asarray(q, dtype=float)
-    if delta2 is not None and np.linalg.norm(np.atleast_1d(q), axis=-1).max() >= 2.0 * delta2:
-        raise AdmissibilityError("exit_g: |q| outside the admissible ball")
-    pex0 = law.pressure(point.rho_bg)
-    base = derivatives(law, point.Phi0, point.Dphi0)
-    g1, rho_t = exit_g1(law, point, q, Psi_ex)
-    ghat2 = np.einsum("...j,...j->...", base.dB_dq, q) - (rho_t - point.rho_bg)
-    return (np.asarray(pex, float) - pex0) / g1 + ghat2
-
-
-def conormal_scale(law: GasLaw, point: LinPoint, j0_floor: float = 1e-8):
-    """Factor converting the exit datum into the conormal flux datum."""
-    J0 = point.rho_bg * float(point.Dphi0[-1])
-    if J0 < j0_floor:
-        raise DomainError(f"mass flux below {j0_floor}: conormal scale undefined")
-    pp = float(law.dpressure(point.rho_bg))
-    ann = point.rho_bg * (1.0 - float(point.Dphi0 @ point.Dphi0) / pp)
-    return ann * pp / J0
-
-
-# ---------------------------------------------------------------------------
-# vectorized evaluation over background arrays (used by the drivers)
-
-
-def remainder_fields(law: GasLaw, Phi0, u_axial, Psi, Dpsi):
-    """Remainders (F, f) of the two equations at every node.
-
-    Phi0, u_axial are background arrays; Psi is the potential perturbation and
-    Dpsi its nodal gradient (N, d). Returns F (N, d), f (N,) and the perturbed
-    density (N,).
+    Phi0 (N,) and q0 (N, d) are the background potential and velocity,
+    rho0 = law.density(Phi0, |q0|^2) the background density and
+    base = derivatives(law, Phi0, q0) the frozen linearization; Psi is the
+    potential perturbation and Dpsi its nodal gradient (N, d). Returns F (N, d),
+    f (N,) and the perturbed density (N,).
     """
     Dpsi = np.asarray(Dpsi, dtype=float)
-    n_nodes, d = Dpsi.shape
-    q0 = np.zeros((n_nodes, d))
-    q0[:, -1] = u_axial
-    base = derivatives(law, Phi0, q0)
     q_tot = Dpsi + q0
     rho_pert = law.density(Phi0 + Psi, np.einsum("ni,ni->n", q_tot, q_tot))
-    rho_bg = law.density(Phi0, u_axial * u_axial)
     a_pert = rho_pert[:, None] * q_tot
-    a_base = rho_bg[:, None] * q0
+    a_base = rho0[:, None] * q0
     lin_A = np.asarray(Psi)[:, None] * base.dA_dz + np.einsum(
         "nij,nj->ni", base.dA_dq, Dpsi
     )
     F = -(a_pert - a_base - lin_A)
     lin_B = np.asarray(Psi) * base.dB_dz + np.einsum("nj,nj->n", base.dB_dq, Dpsi)
-    f = rho_pert - rho_bg - lin_B
+    f = rho_pert - rho0 - lin_B
     return F, f, rho_pert

@@ -25,6 +25,9 @@ from .gas import GasLaw
 from .grid import Nozzle
 from .ode1d import BackgroundSolution
 
+# chord-slope denominators closer than this fall back to p'(rho_bg)
+CHORD_FALLBACK = 1e-12
+
 
 @dataclass(frozen=True)
 class IterationConfig:
@@ -58,7 +61,6 @@ class BoundaryData:
     b: np.ndarray             # charge on all nodes
     Psi_en: np.ndarray
     Psi_ex: np.ndarray
-    exit: cf.ExitData
 
 
 @dataclass
@@ -145,15 +147,14 @@ def perturb_data(
 
     Psi_en = (B0 - B00) + (phi_en - phi_en0)
     Psi_ex = (B0 - B00) + phi_ex
-    exit_data = cf.ExitData(pex=pex.ravel(), Psi_ex=Psi_ex.ravel(), Psi_en=Psi_en.ravel())
     return BoundaryData(
         sigma=float(sigma), B0=float(B0), phi_en=phi_en, phi_ex=phi_ex,
-        pex=pex, b=b, Psi_en=Psi_en, Psi_ex=Psi_ex, exit=exit_data,
+        pex=pex, b=b, Psi_en=Psi_en, Psi_ex=Psi_ex,
     )
 
 
 class PicardState:
-    """Frozen background, quadrature and factorized operator for one grid."""
+    """Frozen background, linearization and factorized operator for one grid."""
 
     def __init__(self, law: GasLaw, background: BackgroundSolution, grid: Nozzle):
         self.law = law
@@ -166,6 +167,10 @@ class PicardState:
         q0 = np.zeros((grid.n_nodes, d))
         q0[:, -1] = self.coeffs.u
         self._q0 = q0
+        # closure density of the background; it differs from coeffs.rho_bg,
+        # the ODE density, in the last bits
+        self._rho0 = law.density(self.coeffs.Phi0, self.coeffs.u * self.coeffs.u)
+        self._base = cf.derivatives(law, self.coeffs.Phi0, q0)
         self._h_min = min(grid.spacing)
 
     def exit_datum(self, Dpsi, data: BoundaryData, pex_shift=None):
@@ -178,7 +183,7 @@ class PicardState:
         rho_t = self.law.density(z_tot, np.einsum("ni,ni->n", q_tot, q_tot))
         drho = rho_t - c.rho_bg[idx]
         chord = c.pprime[idx].copy()
-        safe = np.abs(drho) >= cf.CHORD_FALLBACK
+        safe = np.abs(drho) >= CHORD_FALLBACK
         chord[safe] = (
             self.law.pressure(rho_t[safe]) - self.law.pressure(c.rho_bg[idx][safe])
         ) / drho[safe]
@@ -201,7 +206,9 @@ class PicardState:
         if np.max(np.linalg.norm(Dpsi[self.exit_idx], axis=1)) >= 2.0 * c.delta2:
             raise AdmissibilityError("exit gradient outside the admissible ball")
 
-        F, f, _ = cf.remainder_fields(self.law, c.Phi0, c.u, pair.Psi, Dpsi)
+        F, f, _ = cf.remainder_fields(
+            self.law, c.Phi0, self._q0, self._rho0, self._base, pair.Psi, Dpsi
+        )
         f_tot = f + (c.b_bg - data.b)
         extra = None
         if corrections is not None:
@@ -224,11 +231,8 @@ class PicardState:
                 sign * extra.H2[fidx, axis]
                 for (axis, sign, fidx, fw) in self.op.quad.wall_faces
             ]
-        rhs, lift = elliptic.assemble_rhs(self.op, lin)
-        U = self.op.lu.solve(rhs)
-        U[np.concatenate([self.op.dirichlet_v, self.op.dirichlet_W])] = 0.0
-        N = self.grid.n_nodes
-        return FieldPair(psi=U[:N], Psi=U[N:] + lift.values)
+        psi, Psi, _ = elliptic.solve(self.op, lin)
+        return FieldPair(psi=psi, Psi=Psi)
 
     def subsonic_margin(self, pair: FieldPair) -> float:
         q_tot = self._q0 + gridmod.gradient(self.grid, pair.psi)
@@ -238,10 +242,6 @@ class PicardState:
 
     def tolerance(self, scale: float, config: IterationConfig) -> float:
         return max(config.tol_floor, config.tol_scale * scale * self._h_min ** 2)
-
-
-def iteration_step(state: PicardState, pair: FieldPair, data: BoundaryData) -> FieldPair:
-    return state.step(pair, data)
 
 
 def run_fixed_point(
@@ -305,7 +305,7 @@ def run_fixed_point(
         subsonic_margin=margin,
         nonlinear_residual=resid,
         residual_components=components,
-        norm_summary=pair_norms(pair, state.grid, seed=config.seed),
+        norm_summary=pair_norms(pair, state.grid, state.op.quad, seed=config.seed),
         sigma=data.sigma,
         tol=tol,
         meta={"grid": list(state.grid.shape)},
@@ -451,10 +451,10 @@ def residual_floor(state: PicardState, amplitudes: Amplitudes | None = None):
 # diagnostics: norms and sweeps
 
 
-def field_norms(f, grid: Nozzle, alpha: float = 0.5, seed: int = 42, n_pairs: int = 2000):
+def field_norms(f, grid: Nozzle, quad: elliptic.Quadrature, alpha: float = 0.5,
+                seed: int = 42, n_pairs: int = 2000):
     """Diagnostic norms: sup, discrete H1 seminorm, sampled Holder seminorms."""
     f = np.asarray(f, dtype=float)
-    quad = elliptic.build_quadrature(grid)
     h1_sq = 0.0
     for a in range(grid.dim):
         gf = quad.G[a] @ f
@@ -477,10 +477,11 @@ def field_norms(f, grid: Nozzle, alpha: float = 0.5, seed: int = 42, n_pairs: in
     }
 
 
-def pair_norms(pair: FieldPair, grid: Nozzle, alpha: float = 0.5, seed: int = 42):
+def pair_norms(pair: FieldPair, grid: Nozzle, quad: elliptic.Quadrature,
+               alpha: float = 0.5, seed: int = 42):
     return {
-        "psi": field_norms(pair.psi, grid, alpha, seed),
-        "Psi": field_norms(pair.Psi, grid, alpha, seed),
+        "psi": field_norms(pair.psi, grid, quad, alpha, seed),
+        "Psi": field_norms(pair.Psi, grid, quad, alpha, seed),
     }
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -276,20 +276,6 @@ class LinearData:
     wall_flux_W: list | None = None
 
 
-@dataclass
-class WeakSystem:
-    operator: sp.csr_matrix
-    rhs: np.ndarray
-    blocks: dict
-    lift: LiftField
-    dirichlet_v: np.ndarray
-    dirichlet_W: np.ndarray
-    grid: Nozzle
-    coeffs: BackgroundCoeffs
-    quad: Quadrature
-    lu: object = None
-
-
 class DiscreteOperator:
     """Cacheable operator part of the weak system (background-dependent only)."""
 
@@ -402,38 +388,27 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData):
     return rhs, lift
 
 
-def assemble(coeffs: BackgroundCoeffs, grid: Nozzle, data: LinearData,
-             op: DiscreteOperator | None = None) -> WeakSystem:
-    """Build the full weak system (operator, right-hand side, lift)."""
-    op = op or DiscreteOperator(coeffs, grid)
+def solve(op: DiscreteOperator, data: LinearData):
+    """Direct solve of one linearized problem against the factorized operator.
+
+    Returns v and W with the boundary lift added back, and the algebraic
+    residual max|K U - rhs| / max|rhs| of the solve.
+    """
     rhs, lift = assemble_rhs(op, data)
-    return WeakSystem(
-        operator=op.K, rhs=rhs, blocks=op.blocks, lift=lift,
-        dirichlet_v=op.dirichlet_v, dirichlet_W=op.dirichlet_W,
-        grid=grid, coeffs=coeffs, quad=op.quad, lu=op.lu,
-    )
-
-
-def solve(system: WeakSystem):
-    """Direct sparse solve; returns (v, W) with the lift added back, and stats."""
-    lu = system.lu if system.lu is not None else splu(system.operator.tocsc())
-    U = lu.solve(system.rhs)
-    res = system.operator @ U - system.rhs
-    scale = max(float(np.max(np.abs(system.rhs))), 1e-300)
-    rel = float(np.max(np.abs(res))) / scale
+    U = op.lu.solve(rhs)
     if not np.all(np.isfinite(U)):
         raise SingularAssemblyError("non-finite solution from the factorization")
+    res = op.K @ U - rhs
+    rel = float(np.max(np.abs(res))) / max(float(np.max(np.abs(rhs))), 1e-300)
     # identity rows hold exactly; scrub factorization dust
-    U[np.concatenate([system.dirichlet_v, system.dirichlet_W])] = 0.0
-    N = system.grid.n_nodes
-    v = U[:N]
-    W = U[N:] + system.lift.values
-    return v, W, {"algebraic_residual": rel, "unknowns": 2 * N}
+    U[np.concatenate([op.dirichlet_v, op.dirichlet_W])] = 0.0
+    N = op.grid.n_nodes
+    return U[:N], U[N:] + lift.values, rel
 
 
-def quadratic_form(system_or_op, xi, eta):
+def quadratic_form(op: DiscreteOperator, xi, eta):
     """Discrete bilinear form at a test pair and its seminorm denominator."""
-    blocks = system_or_op.blocks
+    blocks = op.blocks
     cross_1 = float(xi @ (blocks["KvW"] @ eta))
     cross_2 = float(eta @ (blocks["KWv"] @ xi))
     Q = (
@@ -446,12 +421,13 @@ def quadratic_form(system_or_op, xi, eta):
     return Q, D, cross_1, cross_2
 
 
-def cross_term_sum(system_or_op, quad: Quadrature, coeffs: BackgroundCoeffs, xi, eta):
+def cross_term_sum(op: DiscreteOperator, xi, eta):
     """Coupling contributions evaluated with identical quadrature weights.
 
     Returns (sum, |first| + |second|); the two terms are exact negations of
     each other whenever the pointwise identity holds.
     """
+    quad, coeffs = op.quad, op.coeffs
     wq, qn = quad.w, quad.qnode
     eta_q = eta[qn]
     total_1 = 0.0
@@ -463,30 +439,18 @@ def cross_term_sum(system_or_op, quad: Quadrature, coeffs: BackgroundCoeffs, xi,
     return total_1 + total_2, abs(total_1) + abs(total_2)
 
 
-def coercivity_check(system: WeakSystem, trials: int = 100, seed: int = 42):
+def coercivity_check(op: DiscreteOperator, trials: int = 100, seed: int = 42):
     """Min Rayleigh ratio of the quadratic form over random admissible pairs."""
     rng = np.random.default_rng(seed)
-    N = system.grid.n_nodes
+    N = op.grid.n_nodes
     best = np.inf
     for _ in range(trials):
         xi = rng.standard_normal(N)
         eta = rng.standard_normal(N)
-        xi[system.dirichlet_v] = 0.0
-        eta[system.dirichlet_W] = 0.0
-        Q, D, _, _ = quadratic_form(system, xi, eta)
+        xi[op.dirichlet_v] = 0.0
+        eta[op.dirichlet_W] = 0.0
+        Q, D, _, _ = quadratic_form(op, xi, eta)
         if D <= 0.0:
             raise DomainError("degenerate (zero) test pair")
         best = min(best, Q / D)
     return best
-
-
-def dump_coo(system: WeakSystem, path):
-    """Operator and right-hand side in coordinate text format."""
-    coo = system.operator.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, val in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {val:.17g}\n")
-        fh.write("# rhs\n")
-        for i, val in enumerate(system.rhs):
-            fh.write(f"{i} {val:.17g}\n")

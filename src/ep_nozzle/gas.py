@@ -60,9 +60,6 @@ class GasLaw:
         g = self.gamma
         return g * (g - 1.0) * rho ** (g - 2.0)
 
-    def sound_speed_sq(self, rho):
-        return self.dpressure(rho)
-
     # enthalpy -----------------------------------------------------------
     def enthalpy(self, rho):
         rho = _require_positive(rho, "rho")
@@ -94,26 +91,6 @@ class GasLaw:
         if np.any(speed_sq < 0.0):
             raise DomainError("speed_sq must be nonnegative")
         return self.enthalpy_inverse(np.asarray(phi_potential, float) - 0.5 * speed_sq)
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Pointwise state derived from the potentials."""
-
-    phi_potential: float
-    speed_sq: float
-    density: float
-    subsonic: bool
-
-
-def density_from_state(law: GasLaw, phi_potential: float, speed_sq: float) -> FlowState:
-    rho = float(law.density(phi_potential, speed_sq))
-    return FlowState(
-        phi_potential=float(phi_potential),
-        speed_sq=float(speed_sq),
-        density=rho,
-        subsonic=bool(speed_sq < law.dpressure(rho)),
-    )
 
 
 def bernoulli(law: GasLaw, speed_sq, rho):

@@ -164,15 +164,6 @@ def build_background(law: GasLaw, xs, rho, E, J0):
     return phi0, Phi0, (phi_en0, B00, pex0)
 
 
-def params_to_boundary_data(sol: BackgroundSolution):
-    """(entrance potential difference, exit Bernoulli value, exit pressure)."""
-    law = sol.law
-    B00 = float(0.5 * sol.u[-1] ** 2 + law.enthalpy(sol.rho[-1]))
-    pex0 = float(law.pressure(sol.rho[-1]))
-    phi_en0 = float(0.5 * sol.u[0] ** 2 + law.enthalpy(sol.rho[0])) - B00
-    return phi_en0, B00, pex0
-
-
 def shoot_bvp(
     law: GasLaw,
     b,

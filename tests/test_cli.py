@@ -1,9 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from ep_nozzle import cli
+from ep_nozzle import cli, elliptic
 from ep_nozzle.config import (
     TEMPLATE,
     default_config,
@@ -162,13 +164,37 @@ class TestPerturbDomain:
         assert "pushforward_residual" in report
 
 
+@pytest.fixture(scope="class")
+def verify_run(tmp_path_factory):
+    """One `verify` run: exit code, stdout and the number of factorizations."""
+    factorizations = []
+    splu = elliptic.splu
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(1)
+        return splu(*args, **kwargs)
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(elliptic, "splu", counting_splu)
+        code = run_cli("verify", "--out", str(tmp_path_factory.mktemp("verify")))
+    return code, out.getvalue(), len(factorizations)
+
+
 class TestVerify:
-    def test_battery_passes(self, tmp_path, capsys):
-        code = run_cli("verify", "--out", str(tmp_path / "o"))
-        out = capsys.readouterr().out
+    def test_battery_passes(self, verify_run):
+        code, out, _ = verify_run
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
+
+    def test_runs_the_shared_checks_with_one_factorization(self, verify_run):
+        # only the trivial fixed point factorizes; the forms read the blocks
+        code, out, factorizations = verify_run
+        assert factorizations == 1
+        lines = out.splitlines()
+        assert lines == [line for line in lines if line.startswith("PASS ")]
+        assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in cli.CHECKS]
 
 
 class TestSnapshots:

@@ -187,14 +187,14 @@ class TestResidual:
 class TestNorms:
     def test_constant_field(self, state_small):
         g = state_small.grid
-        n = field_norms(np.full(g.n_nodes, 3.0), g)
+        n = field_norms(np.full(g.n_nodes, 3.0), g, state_small.op.quad)
         assert n["sup"] == 3.0
         assert n["h1_seminorm"] < 1e-12
         assert n["calpha_sampled"] < 1e-12
 
     def test_linear_axial_field_h1(self, state_small):
         g = state_small.grid
-        n = field_norms(g.coords[:, -1].copy(), g)
+        n = field_norms(g.coords[:, -1].copy(), g, state_small.op.quad)
         volume = 1.0  # unit cross-section times unit length
         assert n["h1_seminorm"] ** 2 == pytest.approx(volume, rel=1e-12)
 
@@ -204,7 +204,7 @@ class TestNorms:
         lip = np.sqrt(5.0)
         alpha = 0.5
         diam = np.sqrt(2.0)
-        n = field_norms(f, g, alpha=alpha)
+        n = field_norms(f, g, state_small.op.quad, alpha=alpha)
         assert n["calpha_sampled"] <= lip * diam ** (1 - alpha) + 1e-12
 
 

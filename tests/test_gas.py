@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ep_nozzle.errors import DomainError, VacuumError
-from ep_nozzle.gas import GasLaw, bernoulli, density_from_state
+from ep_nozzle.gas import GasLaw, bernoulli
 
 
 def enthalpy_quadrature(law, rho):
@@ -94,21 +94,21 @@ class TestEnthalpyInverse:
 
 class TestDensityFromState:
     def test_closed_form_state(self):
-        st_ = density_from_state(GasLaw(2.0, 1.0), 3.0, 2.0)
-        assert st_.density == pytest.approx(2.0, rel=1e-14)
-        assert st_.subsonic  # 2 < p'(2) = 4
+        law = GasLaw(2.0, 1.0)
+        rho = law.density(3.0, 2.0)
+        assert rho == pytest.approx(2.0, rel=1e-14)
+        assert 2.0 < law.dpressure(rho)  # subsonic: 2 < p'(2) = 4
 
     def test_reference_state(self):
-        st_ = density_from_state(GasLaw(2.0, 1.0), 0.0, 0.0)
-        assert st_.density == 1.0
+        assert GasLaw(2.0, 1.0).density(0.0, 0.0) == 1.0
 
     def test_vacuum(self):
         with pytest.raises(VacuumError):
-            density_from_state(GasLaw(2.0, 1.0), -3.0, 0.0)
+            GasLaw(2.0, 1.0).density(-3.0, 0.0)
 
     def test_negative_speed_rejected(self):
         with pytest.raises(DomainError):
-            density_from_state(GasLaw(2.0, 1.0), 1.0, -0.1)
+            GasLaw(2.0, 1.0).density(1.0, -0.1)
 
 
 class TestBernoulli:
@@ -120,8 +120,7 @@ class TestBernoulli:
 
     def test_equals_potential_for_derived_state(self):
         law = GasLaw(2.0, 1.0)
-        st_ = density_from_state(law, 3.0, 2.0)
-        assert bernoulli(law, st_.speed_sq, st_.density) == pytest.approx(3.0, abs=1e-10)
+        assert bernoulli(law, 2.0, law.density(3.0, 2.0)) == pytest.approx(3.0, abs=1e-10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,8 +157,7 @@ def test_monotonicity(gamma):
 )
 def test_bernoulli_equals_potential(Phi, speed_sq):
     law = GasLaw(2.0, 1.0)
-    st_ = density_from_state(law, Phi, speed_sq)
-    assert abs(bernoulli(law, st_.speed_sq, st_.density) - Phi) < 1e-10
+    assert abs(bernoulli(law, speed_sq, law.density(Phi, speed_sq)) - Phi) < 1e-10
 
 
 def test_invalid_law_parameters():

@@ -16,7 +16,6 @@ from ep_nozzle.ode1d import (
     build_background,
     integrate_ivp,
     ode_rhs,
-    params_to_boundary_data,
     shoot_bvp,
     sonic_density,
     write_atlas,
@@ -85,7 +84,7 @@ class TestIntegration:
 class TestBoundaryData:
     def test_constant_solution_triple(self):
         sol = integrate_ivp(LAW, OneDParams(0.5, 1.0, 0.0, 1.0, 1.0), 256)
-        phi_en0, B00, pex0 = params_to_boundary_data(sol)
+        phi_en0, B00, pex0 = sol.boundary_triple
         assert B00 == pytest.approx(0.125, abs=1e-13)
         assert pex0 == pytest.approx(1.0, abs=1e-13)
         assert phi_en0 == pytest.approx(0.0, abs=1e-13)
