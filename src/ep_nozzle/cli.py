@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: background | solve | sweep | perturb-domain | verify.
-Exit codes: 0 success, 1 failed verification/usage, 2 background breakdown,
-3 non-contraction or iteration budget, 4 admissibility refusal/exit.
+Exit codes: 0 success, 1 failed verification, usage or config error, 2 background
+breakdown, 3 non-contraction or iteration budget, 4 admissibility (see `FAILURES`).
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import hashlib
 import json
 import sys
@@ -20,11 +21,13 @@ from . import config as cfgmod
 from . import coeffs, domainmap, driver, elliptic, export, grid as gridmod, ode1d
 from .errors import (
     AdmissibilityError,
+    BreakdownError,
     EPError,
+    FoldOverError,
     MaxIterationsError,
     NonContractionError,
-    SonicBreakdown,
-    VacuumBreakdown,
+    NotSubsonicError,
+    VacuumError,
 )
 from .gas import GasLaw
 
@@ -33,6 +36,14 @@ EXIT_FAIL = 1
 EXIT_BREAKDOWN = 2
 EXIT_NONCONTRACTION = 3
 EXIT_ADMISSIBILITY = 4
+
+# (exception classes, exit code, stderr label); the first matching row wins
+FAILURES = (
+    ((BreakdownError, NotSubsonicError), EXIT_BREAKDOWN, "background breakdown"),
+    ((NonContractionError, MaxIterationsError), EXIT_NONCONTRACTION, "iteration failure"),
+    ((AdmissibilityError, VacuumError, FoldOverError), EXIT_ADMISSIBILITY, "admissibility"),
+    ((EPError, configparser.Error, OSError), EXIT_FAIL, "error"),
+)
 
 
 def _add_common(parser):
@@ -123,16 +134,11 @@ def _echo_config(cfg, outdir):
     (outdir / "config_echo.ini").write_text(cfgmod.serialize_config(cfg))
 
 
-def cmd_background(args) -> int:
-    cfg = _load(args)
+def cmd_background(cfg) -> int:
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
     law = _law(cfg)
-    try:
-        sol = _background(cfg)
-    except (SonicBreakdown, VacuumBreakdown) as exc:
-        print(f"background breakdown: {exc}", file=sys.stderr)
-        return EXIT_BREAKDOWN
+    sol = _background(cfg)
     rows = {
         "x": sol.xs, "rho": sol.rho, "u": sol.u, "E": sol.E,
         "phi0": sol.phi0, "Phi0": sol.Phi0,
@@ -151,7 +157,7 @@ def cmd_background(args) -> int:
     }
     (outdir / "background.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return EXIT_OK if sol.nu0 > 0.0 else EXIT_BREAKDOWN
+    return EXIT_OK
 
 
 def _solve_common(cfg, corrections_map=None, outdir=None):
@@ -174,27 +180,10 @@ def _solve_common(cfg, corrections_map=None, outdir=None):
     return law, grid, state, data, pair, report
 
 
-def _report_exit(exc) -> int:
-    if isinstance(exc, (NonContractionError, MaxIterationsError)):
-        print(f"iteration failure: {exc}", file=sys.stderr)
-        return EXIT_NONCONTRACTION
-    if isinstance(exc, AdmissibilityError):
-        print(f"admissibility: {exc}", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    if isinstance(exc, (SonicBreakdown, VacuumBreakdown)):
-        print(f"background breakdown: {exc}", file=sys.stderr)
-        return EXIT_BREAKDOWN
-    raise exc
-
-
-def cmd_solve(args) -> int:
-    cfg = _load(args)
+def cmd_solve(cfg) -> int:
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
-    try:
-        law, grid, state, data, pair, report = _solve_common(cfg, outdir=outdir)
-    except EPError as exc:
-        return _report_exit(exc)
+    law, grid, state, data, pair, report = _solve_common(cfg, outdir=outdir)
     fields = {
         "psi": pair.psi, "Psi": pair.Psi,
         "phi": state.coeffs.phi0 + pair.psi, "Phi": state.coeffs.Phi0 + pair.Psi,
@@ -202,22 +191,18 @@ def cmd_solve(args) -> int:
     _write_fields(cfg, grid, fields, outdir / "fields")
     (outdir / "report.json").write_text(report.to_json())
     print(report.to_json())
-    return EXIT_OK if report.converged and report.subsonic_margin > 0.0 else EXIT_NONCONTRACTION
+    return EXIT_OK if report.subsonic_margin > 0.0 else EXIT_NONCONTRACTION
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
+def cmd_sweep(cfg) -> int:
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
     law = _law(cfg)
     grid = _grid(cfg)
-    try:
-        background = _background(cfg, grid)
-        state = driver.PicardState(law, background, grid)
-        sweep = driver.stability_sweep(_iteration_config(cfg), state,
-                                       cfg.values["sweep"]["sigmas"], _amplitudes(cfg))
-    except EPError as exc:
-        return _report_exit(exc)
+    background = _background(cfg, grid)
+    state = driver.PicardState(law, background, grid)
+    sweep = driver.stability_sweep(_iteration_config(cfg), state,
+                                   cfg.values["sweep"]["sigmas"], _amplitudes(cfg))
     payload = {
         "sigmas": sweep.sigmas,
         "sup_norms": sweep.sup_norms,
@@ -231,8 +216,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_perturb_domain(args) -> int:
-    cfg = _load(args)
+def cmd_perturb_domain(cfg) -> int:
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
     grid = _grid(cfg)
@@ -241,10 +225,7 @@ def cmd_perturb_domain(args) -> int:
         eps, cfg.values["nozzle"]["length"], dim=grid.dim,
         cross_extents=grid.cross_extents,
     )
-    try:
-        law, grid, state, data, pair, report = _solve_common(cfg, corrections_map=dmap)
-    except EPError as exc:
-        return _report_exit(exc)
+    law, grid, state, data, pair, report = _solve_common(cfg, corrections_map=dmap)
     resid, parts = domainmap.pushforward_residual(dmap, state, pair, data)
     report.meta["pushforward_residual"] = parts
     coords = dmap.map_coords(grid.coords)
@@ -367,8 +348,8 @@ CHECKS = {
 }
 
 
-def cmd_verify(args) -> int:
-    _load(args)  # the checks use fixed data; this still validates --config
+def cmd_verify(cfg) -> int:
+    # the checks use fixed data; `main` still validates --config
     failed = 0
     for name, check in CHECKS.items():
         ok, detail = check()
@@ -393,11 +374,20 @@ def main(argv=None) -> int:
     }
     for name in handlers:
         _add_common(sub.add_parser(name))
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on usage errors
+        return EXIT_OK if exc.code == 0 else EXIT_FAIL
     if args.emit_template:
         print(cfgmod.TEMPLATE, end="")
         return EXIT_OK
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](_load(args))
+    except FAILURES[-1][0] as exc:  # the last row's classes cover every row
+        code, label = next((code, label) for classes, code, label in FAILURES
+                           if isinstance(exc, classes))
+        print(f"{label}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ import configparser
 import io
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError
 
 TEMPLATE = """\
@@ -60,7 +62,6 @@ sigmas = 0.0001,0.0002,0.0004,0.0008
 
 [domain_map]
 eps = 0.002
-eps_sweep = 0.001,0.002,0.004,0.008
 
 [output]
 directory = out
@@ -85,7 +86,7 @@ _SCHEMA = {
     },
     "iteration": {"ball_multiplier": float, "max_iter": int, "tol_floor": float, "tol_scale": float},
     "sweep": {"sigmas": "floats"},
-    "domain_map": {"eps": float, "eps_sweep": "floats"},
+    "domain_map": {"eps": float},
     "output": {"directory": str, "format": str, "seed": int, "snapshots": "bool"},
 }
 
@@ -93,13 +94,6 @@ _SCHEMA = {
 @dataclass
 class RunConfig:
     values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        section, name = key
-        return self.values[section][name]
-
-    def get(self, section, name):
-        return self.values[section][name]
 
 
 def _convert(kind, raw):
@@ -171,6 +165,10 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def _validate(values):
+    for section, schema in _SCHEMA.items():
+        for name, kind in schema.items():
+            if kind in (float, "floats") and not np.all(np.isfinite(values[section][name])):
+                raise DomainError(f"[{section}] {name} must be finite")
     if values["gas"]["gamma"] < 1.0:
         raise DomainError("gamma must be >= 1")
     if values["nozzle"]["dim"] not in (2, 3):
@@ -182,3 +180,15 @@ def _validate(values):
             raise DomainError(f"{key} must be at least 8")
     if values["perturbation"]["sigma"] < 0.0:
         raise DomainError("sigma must be nonnegative")
+    it = values["iteration"]
+    for rule, ok in (("ball_multiplier > 0", it["ball_multiplier"] > 0.0),
+                     ("max_iter >= 1", it["max_iter"] >= 1),
+                     ("tol_floor > 0", it["tol_floor"] > 0.0),
+                     ("tol_scale >= 0", it["tol_scale"] >= 0.0)):
+        if not ok:
+            raise DomainError(f"[iteration] needs {rule}")
+    sigmas = values["sweep"]["sigmas"]
+    if len(sigmas) < 2 or min(sigmas) <= 0.0:
+        raise DomainError("sweep sigmas need at least two values, all positive")
+    if values["output"]["seed"] < 0:
+        raise DomainError("seed must be nonnegative")

@@ -143,7 +143,6 @@ class BackgroundCoeffs:
     b_bg: np.ndarray         # background charge on the nodes
     J0: float
     lam: float
-    nu_bg: float
     delta1: float
     delta2: float
     delta3: float
@@ -198,7 +197,7 @@ def make_coeffs(law: GasLaw, sol: BackgroundSolution, grid: Nozzle) -> Backgroun
     return BackgroundCoeffs(
         law=law, Phi0=Phi0, u=u, E=E, phi0=phi0, rho_bg=rho_bg, pprime=pprime,
         aii=aii, dzA=dzA, dqB=dqB, dzB=dzB, b_bg=b_bg,
-        J0=float(sol.J0), lam=float(np.min(aii)), nu_bg=nu_bg,
+        J0=float(sol.J0), lam=float(np.min(aii)),
         delta1=float(delta1), delta2=float(delta2), delta3=float(delta3),
         exit_scale=exit_scale, exit_wflux=exit_wflux,
     )
@@ -208,22 +207,15 @@ def make_coeffs(law: GasLaw, sol: BackgroundSolution, grid: Nozzle) -> Backgroun
 # boundary lift
 
 
-@dataclass(frozen=True)
-class LiftField:
-    values: np.ndarray
-    compat_violation: float
-
-
-def lift_boundary(W_en, W_ex, grid: Nozzle, warn_tol: float | None = None) -> LiftField:
+def lift_boundary(W_en, W_ex, grid: Nozzle) -> np.ndarray:
     """Linear-in-axial interpolant of the end-plane Dirichlet data."""
     cross_shape = grid.cross_shape()
     W_en = np.asarray(W_en, dtype=float).reshape(cross_shape)
     W_ex = np.asarray(W_ex, dtype=float).reshape(cross_shape)
-    if warn_tol is None:
-        # one-sided edge stencils see O(h^3) on compatible smooth data
-        h = max(grid.spacing[:-1])
-        scale = 1.0 + float(np.max(np.abs(W_en))) + float(np.max(np.abs(W_ex)))
-        warn_tol = 50.0 * h ** 3 * scale
+    # one-sided edge stencils see O(h^3) on compatible smooth data
+    h = max(grid.spacing[:-1])
+    scale = 1.0 + float(np.max(np.abs(W_en))) + float(np.max(np.abs(W_ex)))
+    warn_tol = 50.0 * h ** 3 * scale
     t = (grid.axes[-1] / grid.L).reshape((1,) * (grid.dim - 1) + (-1,))
     values = (1.0 - t) * W_en[..., None] + t * W_ex[..., None]
 
@@ -247,7 +239,7 @@ def lift_boundary(W_en, W_ex, grid: Nozzle, warn_tol: float | None = None) -> Li
             f"(max wall-normal derivative {violation:.3e})",
             stacklevel=2,
         )
-    return LiftField(values=values.ravel(), compat_violation=float(violation))
+    return values.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +336,7 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData):
     bv = np.zeros(N)
     bW = np.zeros(N)
 
-    lift = lift_boundary(data.W_en, data.W_ex, grid)
-    Wbd = lift.values
+    Wbd = lift_boundary(data.W_en, data.W_ex, grid)
 
     if data.F is not None:
         F = np.asarray(data.F, dtype=float)
@@ -385,7 +376,7 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData):
 
     rhs = np.concatenate([bv, bW])
     rhs[np.concatenate([op.dirichlet_v, op.dirichlet_W])] = 0.0
-    return rhs, lift
+    return rhs, Wbd
 
 
 def solve(op: DiscreteOperator, data: LinearData):
@@ -403,7 +394,7 @@ def solve(op: DiscreteOperator, data: LinearData):
     # identity rows hold exactly; scrub factorization dust
     U[np.concatenate([op.dirichlet_v, op.dirichlet_W])] = 0.0
     N = op.grid.n_nodes
-    return U[:N], U[N:] + lift.values, rel
+    return U[:N], U[N:] + lift, rel
 
 
 def quadratic_form(op: DiscreteOperator, xi, eta):

@@ -1,4 +1,4 @@
-"""Field and report writers: CSV, legacy VTK, and the COO system dump."""
+"""Field writers: CSV and legacy VTK."""
 
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ def _vtk_dims(grid: Nozzle):
     return (grid.shape[0], grid.shape[1], grid.shape[2])
 
 
-def export_field_vtk(grid: Nozzle, fields: dict, path, title="nozzle fields"):
+def export_field_vtk(grid: Nozzle, fields: dict, path):
     """Legacy ASCII structured-points file on the reference grid."""
     dims = _vtk_dims(grid)
     origin = [grid.axes[a][0] for a in range(grid.dim)] + [0.0] * (3 - grid.dim)
@@ -48,7 +48,7 @@ def export_field_vtk(grid: Nozzle, fields: dict, path, title="nozzle fields"):
     n = grid.n_nodes
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{title}\n")
+        fh.write("nozzle fields\n")
         fh.write("ASCII\n")
         fh.write("DATASET STRUCTURED_POINTS\n")
         fh.write(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n")
@@ -65,14 +65,14 @@ def export_field_vtk(grid: Nozzle, fields: dict, path, title="nozzle fields"):
                 fh.write(_fmt(v) + "\n")
 
 
-def export_deformed_vtk(grid: Nozzle, coords, fields: dict, path, title="deformed nozzle"):
+def export_deformed_vtk(grid: Nozzle, coords, fields: dict, path):
     """Legacy ASCII structured-grid file with deformed node positions."""
     dims = _vtk_dims(grid)
     pts = np.asarray(coords, dtype=float)
     n = grid.n_nodes
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{title}\n")
+        fh.write("deformed nozzle\n")
         fh.write("ASCII\n")
         fh.write("DATASET STRUCTURED_GRID\n")
         fh.write(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n")

@@ -45,9 +45,6 @@ class Nozzle:
     def cross_shape(self):
         return self.shape[:-1]
 
-    def cross_axes(self):
-        return self.axes[:-1]
-
 
 def build_grid(dim=2, cross_extents=((0.0, 1.0),), L=1.0, shape=(33, 65)) -> Nozzle:
     if dim not in (2, 3):

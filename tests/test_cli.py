@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ep_nozzle import cli, elliptic
 from ep_nozzle.config import (
@@ -28,6 +31,15 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def edited(section, key, value):
+    """SMALL with one key set (or added)."""
+    sections = {"nozzle": {"nodes_cross": "17", "nodes_axial": "33"},
+                "perturbation": {"sigma": "0.0005"}}
+    sections.setdefault(section, {})[key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
 class TestConfig:
     def test_roundtrip_fixed_point(self):
         cfg = parse_config(TEMPLATE)
@@ -38,9 +50,9 @@ class TestConfig:
 
     def test_partial_file_gets_defaults(self):
         cfg = parse_config(SMALL)
-        assert cfg.get("nozzle", "nodes_cross") == 17
-        assert cfg.get("gas", "gamma") == 2.0
-        assert cfg.get("perturbation", "sigma") == 0.0005
+        assert cfg.values["nozzle"]["nodes_cross"] == 17
+        assert cfg.values["gas"]["gamma"] == 2.0
+        assert cfg.values["perturbation"]["sigma"] == 0.0005
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -208,3 +220,113 @@ class TestSnapshots:
         assert len(snaps) == report["iterations"]
         head = snaps[0].read_text().splitlines()[0]
         assert head == "x,y,psi,Psi"
+
+
+# (command, config text or None for a missing file, extra args, exit code,
+# stderr label or None where argparse writes its own usage message)
+PROBES = [
+    pytest.param("solve", edited("perturbation", "sigma", "nan"), (), 1, "error", id="sigma-nan"),
+    pytest.param("solve", edited("gas", "gamma", "nan"), (), 1, "error", id="gamma-nan"),
+    pytest.param("solve", edited("gas", "gamma", "abc"), (), 1, "error", id="gamma-abc"),
+    pytest.param("solve", edited("gas", "k0", "0"), (), 1, "error", id="k0-zero"),
+    pytest.param("solve", edited("nozzle", "length", "-1"), (), 1, "error", id="length-negative"),
+    pytest.param("solve", edited("nozzle", "cross_max", "-1"), (), 1, "error",
+                 id="cross-max-negative"),
+    pytest.param("solve", edited("background", "J0", "-1"), (), 1, "error", id="J0-negative"),
+    pytest.param("perturb-domain", edited("domain_map", "eps", "0.5"), (), 4, "admissibility",
+                 id="fold-over"),
+    pytest.param("perturb-domain", edited("domain_map", "eps", "nan"), (), 1, "error",
+                 id="eps-nan"),
+    pytest.param("sweep", edited("sweep", "sigmas", "0"), (), 1, "error", id="sigmas-zero"),
+    pytest.param("solve", edited("output", "seed", "-5"), (), 1, "error", id="seed-negative"),
+    pytest.param("solve", edited("iteration", "ball_multiplier", "-1"), (), 1, "error",
+                 id="ball-multiplier-negative"),
+    pytest.param("solve", edited("iteration", "max_iter", "0"), (), 1, "error",
+                 id="max-iter-zero"),
+    pytest.param("solve", SMALL + "\n[nozzle]\nnodes_cross = 17\n", (), 1, "error",
+                 id="duplicate-section"),
+    pytest.param("solve", None, (), 1, "error", id="missing-config"),
+    pytest.param("solve", SMALL, ("--bogus",), 1, None, id="unknown-flag"),
+    pytest.param("solve", SMALL, ("--seed", "abc"), 1, None, id="bad-seed-flag"),
+    pytest.param("solve", SMALL, ("--help",), 0, None, id="help"),
+    pytest.param("background", edited("background", "rho0", "0.3"), (), 2,
+                 "background breakdown", id="sonic-background"),
+    pytest.param("solve", edited("perturbation", "sigma", "0.05"), (), 4, "admissibility",
+                 id="oversized-sigma"),
+    pytest.param("solve", edited("perturbation", "c_pex", "2"), (), 4, "admissibility",
+                 id="amplitude-above-one"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command, text, extra, code, label", PROBES)
+    def test_probe(self, tmp_path, capsys, command, text, extra, code, label):
+        cfgfile = tmp_path / "run.ini"
+        if text is not None:
+            cfgfile.write_text(text)
+        got = run_cli(command, "--config", str(cfgfile), "--out", str(tmp_path / "o"), *extra)
+        assert got == code
+        if label is not None:
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"{label}: "), err
+
+    def test_memory_error_propagates(self, tmp_path, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(elliptic, "splu", out_of_memory)
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(SMALL)
+        with pytest.raises(MemoryError):
+            run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o"))
+
+
+# node counts and ODE steps stay small so a drawn run takes milliseconds
+CAPS = {"nodes_cross": 40, "nodes_cross2": 40, "nodes_axial": 40, "ode_steps": 4096}
+COMMANDS = {"background": "background", "sweep": "sweep", "domain_map": "perturb-domain"}
+DEFAULTS = default_config().values
+FUZZ_KEYS = [(section, name) for section, keys in DEFAULTS.items()
+             for name in keys if (section, name) != ("output", "directory")]
+
+
+def near_default(name, default):
+    """Well-formed values near a template default."""
+    if isinstance(default, bool):
+        return st.sampled_from(("true", "false"))
+    if isinstance(default, int):
+        return st.integers(default // 2, 2 * default).map(
+            lambda n: str(min(n, CAPS.get(name, n))))
+    if isinstance(default, float):
+        lo, hi = sorted((0.5 * default, 2.0 * default)) if default else (-0.5, 0.5)
+        return st.floats(lo, hi).map(repr)
+    if isinstance(default, tuple):
+        return st.lists(st.floats(1e-5, 1e-3), min_size=1, max_size=3).map(
+            lambda vals: ",".join(map(repr, vals)))
+    return st.sampled_from(("csv", "vtk"))
+
+
+@st.composite
+def single_key_edits(draw):
+    section, name = draw(st.sampled_from(FUZZ_KEYS))
+    value = draw(st.sampled_from(("nan", "inf", "-inf", "-1", "0", "abc", ""))
+                 | near_default(name, DEFAULTS[section][name]))
+    return section, name, value
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(single_key_edits())
+    def test_single_key_edit_gives_documented_exit(self, edit):
+        section, name, value = edit
+        with tempfile.TemporaryDirectory() as tmp:
+            cfgfile = f"{tmp}/run.ini"
+            with open(cfgfile, "w") as fh:
+                fh.write(edited(section, name, value))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli(COMMANDS.get(section, "solve"), "--config", cfgfile,
+                               "--out", f"{tmp}/o")
+        assert code in range(5)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -86,7 +86,7 @@ class TestLift:
     def test_linear_interpolation(self):
         g = build_grid(dim=2, shape=(9, 17))
         lift = lift_boundary(np.full(9, 0.1), np.full(9, 0.2), g)
-        vals = g.reshape(lift.values)
+        vals = g.reshape(lift)
         mid = np.argmin(np.abs(g.axes[1] - 0.5))
         assert vals[:, 0] == pytest.approx(0.1)
         assert vals[:, -1] == pytest.approx(0.2)
@@ -94,7 +94,7 @@ class TestLift:
 
     def test_zero_data(self):
         g = build_grid(dim=2, shape=(9, 17))
-        assert np.all(lift_boundary(np.zeros(9), np.zeros(9), g).values == 0.0)
+        assert np.all(lift_boundary(np.zeros(9), np.zeros(9), g) == 0.0)
 
     def test_compatible_mode_no_warning(self, recwarn):
         g = build_grid(dim=2, shape=(33, 17))
@@ -285,7 +285,7 @@ class TestManufactured:
 
             rhs, lift = assemble_rhs(op, data)
             v_exact, W_exact = manufactured(g.coords[:, 0], g.coords[:, 1])
-            U = np.concatenate([v_exact, W_exact - lift.values])
+            U = np.concatenate([v_exact, W_exact - lift])
             r = op.K @ U - rhs
             interior = g.tags == 0
             cellvol = np.prod(g.spacing)
