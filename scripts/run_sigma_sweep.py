@@ -13,6 +13,7 @@ from pathlib import Path
 
 from ep_nozzle import GasLaw, IterationConfig, OneDParams, PicardState, build_grid
 from ep_nozzle import integrate_ivp, stability_sweep
+from ep_nozzle.ode1d import aligned_steps
 
 
 def main():
@@ -29,8 +30,7 @@ def main():
 
     law = GasLaw(gamma=2.0, k0=1.0)
     grid = build_grid(dim=2, shape=(args.nodes_cross, args.nodes_axial))
-    intervals = args.nodes_axial - 1
-    n_steps = intervals * max(1, round(1024 / intervals))
+    n_steps = aligned_steps(1024, args.nodes_axial - 1)
     background = integrate_ivp(law, OneDParams(args.J0, args.rho0, args.E0, 1.0, 1.0), n_steps)
     state = PicardState(law, background, grid)
 

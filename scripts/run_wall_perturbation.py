@@ -26,6 +26,7 @@ from ep_nozzle import (
     solve_perturbed,
 )
 from ep_nozzle.domainmap import correction_terms, jacobian_JT, pushforward_residual
+from ep_nozzle.ode1d import aligned_steps
 
 
 def main():
@@ -39,8 +40,7 @@ def main():
 
     law = GasLaw(gamma=2.0, k0=1.0)
     grid = build_grid(dim=2, shape=(args.nodes_cross, args.nodes_axial))
-    intervals = args.nodes_axial - 1
-    n_steps = intervals * max(1, round(1024 / intervals))
+    n_steps = aligned_steps(1024, args.nodes_axial - 1)
     background = integrate_ivp(law, OneDParams(0.5, 1.2, 0.1, 1.0, 1.0), n_steps)
     state = PicardState(law, background, grid)
     data = perturb_data(background, grid, args.sigma)

@@ -82,20 +82,22 @@ def _grid(cfg):
     return gridmod.build_grid(dim=n["dim"], cross_extents=extents, L=n["length"], shape=shape)
 
 
-def _ode_steps(cfg, grid):
-    # the PDE grid's axial stations must land on ODE nodes
-    base = cfg.values["background"]["ode_steps"]
-    intervals = grid.shape[-1] - 1
-    return intervals * max(1, round(base / intervals))
-
-
 def _background(cfg, grid=None):
     b = cfg.values["background"]
-    law = _law(cfg)
-    n_steps = _ode_steps(cfg, grid) if grid is not None else b["ode_steps"]
+    n_steps = b["ode_steps"]
+    if grid is not None:
+        n_steps = ode1d.aligned_steps(n_steps, grid.shape[-1] - 1)
     params = ode1d.OneDParams(J0=b["J0"], rho0=b["rho0"], E0=b["E0"],
                               L=cfg.values["nozzle"]["length"], b=b["b0"])
-    return ode1d.integrate_ivp(law, params, n_steps)
+    return ode1d.integrate_ivp(_law(cfg), params, n_steps)
+
+
+def _inputs(cfg):
+    """Gas law, grid and background: every library range check and a background
+    breakdown fire here, before any file is written."""
+    law = _law(cfg)
+    grid = _grid(cfg)
+    return law, grid, _background(cfg, grid)
 
 
 def _amplitudes(cfg):
@@ -135,18 +137,14 @@ def _echo_config(cfg, outdir):
 
 
 def cmd_background(cfg) -> int:
-    outdir = _outdir(cfg)
-    _echo_config(cfg, outdir)
     law = _law(cfg)
     sol = _background(cfg)
-    rows = {
-        "x": sol.xs, "rho": sol.rho, "u": sol.u, "E": sol.E,
-        "phi0": sol.phi0, "Phi0": sol.Phi0,
-    }
-    with open(outdir / "profiles.csv", "w") as fh:
-        fh.write(",".join(rows) + "\n")
-        for vals in zip(*rows.values()):
-            fh.write(",".join(format(v, ".17g") for v in vals) + "\n")
+    outdir = _outdir(cfg)
+    _echo_config(cfg, outdir)
+    export.write_csv(outdir / "profiles.csv", [
+        ("x", sol.xs), ("rho", sol.rho), ("u", sol.u), ("E", sol.E),
+        ("phi0", sol.phi0), ("Phi0", sol.Phi0),
+    ])
     ok, margins = ode1d.appendixA_admissible(
         law, sol.params.b, sol.params.rho0, sol.params.E0, sol.J0,
         cfg.values["nozzle"]["length"],
@@ -160,10 +158,7 @@ def cmd_background(cfg) -> int:
     return EXIT_OK
 
 
-def _solve_common(cfg, corrections_map=None, outdir=None):
-    law = _law(cfg)
-    grid = _grid(cfg)
-    background = _background(cfg, grid)
+def _solve_common(cfg, law, grid, background, corrections_map=None, outdir=None):
     state = driver.PicardState(law, background, grid)
     data = driver.perturb_data(background, grid,
                                cfg.values["perturbation"]["sigma"], _amplitudes(cfg))
@@ -177,13 +172,14 @@ def _solve_common(cfg, corrections_map=None, outdir=None):
         pair, report = driver.run_fixed_point(itcfg, data, state, on_iterate=on_iterate)
     else:
         pair, report = domainmap.solve_perturbed(corrections_map, itcfg, data, state)
-    return law, grid, state, data, pair, report
+    return state, data, pair, report
 
 
 def cmd_solve(cfg) -> int:
+    law, grid, background = _inputs(cfg)
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
-    law, grid, state, data, pair, report = _solve_common(cfg, outdir=outdir)
+    state, data, pair, report = _solve_common(cfg, law, grid, background, outdir=outdir)
     fields = {
         "psi": pair.psi, "Psi": pair.Psi,
         "phi": state.coeffs.phi0 + pair.psi, "Phi": state.coeffs.Phi0 + pair.Psi,
@@ -195,11 +191,9 @@ def cmd_solve(cfg) -> int:
 
 
 def cmd_sweep(cfg) -> int:
+    law, grid, background = _inputs(cfg)
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
-    law = _law(cfg)
-    grid = _grid(cfg)
-    background = _background(cfg, grid)
     state = driver.PicardState(law, background, grid)
     sweep = driver.stability_sweep(_iteration_config(cfg), state,
                                    cfg.values["sweep"]["sigmas"], _amplitudes(cfg))
@@ -217,15 +211,15 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_perturb_domain(cfg) -> int:
-    outdir = _outdir(cfg)
-    _echo_config(cfg, outdir)
-    grid = _grid(cfg)
-    eps = cfg.values["domain_map"]["eps"]
+    law, grid, background = _inputs(cfg)
     dmap = domainmap.shear_map(
-        eps, cfg.values["nozzle"]["length"], dim=grid.dim,
+        cfg.values["domain_map"]["eps"], cfg.values["nozzle"]["length"], dim=grid.dim,
         cross_extents=grid.cross_extents,
     )
-    law, grid, state, data, pair, report = _solve_common(cfg, corrections_map=dmap)
+    outdir = _outdir(cfg)
+    _echo_config(cfg, outdir)
+    state, data, pair, report = _solve_common(cfg, law, grid, background,
+                                              corrections_map=dmap)
     resid, parts = domainmap.pushforward_residual(dmap, state, pair, data)
     report.meta["pushforward_residual"] = parts
     coords = dmap.map_coords(grid.coords)

@@ -188,7 +188,7 @@ def _validate(values):
         if not ok:
             raise DomainError(f"[iteration] needs {rule}")
     sigmas = values["sweep"]["sigmas"]
-    if len(sigmas) < 2 or min(sigmas) <= 0.0:
-        raise DomainError("sweep sigmas need at least two values, all positive")
+    if len(set(sigmas)) < 2 or min(sigmas) <= 0.0:
+        raise DomainError("sweep sigmas need at least two distinct values, all positive")
     if values["output"]["seed"] < 0:
         raise DomainError("seed must be nonnegative")

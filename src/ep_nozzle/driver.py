@@ -18,6 +18,7 @@ from . import coeffs as cf
 from . import elliptic, grid as gridmod
 from .errors import (
     AdmissibilityError,
+    DomainError,
     MaxIterationsError,
     NonContractionError,
 )
@@ -503,6 +504,8 @@ def stability_sweep(
 ) -> SweepReport:
     """Fixed-point solves over a sigma ladder with log-log slope fits."""
     sigmas = [s for s in sigmas if s > 0.0]
+    if len(set(sigmas)) < 2:
+        raise DomainError("a slope fit needs at least two distinct positive sigmas")
     sups, contractions, reports = [], [], []
     for s in sigmas:
         data = perturb_data(state.background, state.grid, s, amplitudes)

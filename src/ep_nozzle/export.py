@@ -1,4 +1,4 @@
-"""Field writers: CSV and legacy VTK."""
+"""Field writers: CSV and legacy VTK, all through one 17-digit table writer."""
 
 from __future__ import annotations
 
@@ -7,11 +7,33 @@ import numpy as np
 from .errors import DomainError
 from .grid import Nozzle
 
-FLOAT_FMT = ".17g"
+# rows per `%` call: bounds the size of the temporary strings
+BLOCK_ROWS = 4096
 
 
-def _fmt(x):
-    return format(float(x), FLOAT_FMT)
+def _write_table(fh, columns, sep):
+    """Columns of equal length as rows of "%.17g" values joined by sep."""
+    columns = [np.asarray(c, dtype=float).ravel() for c in columns]
+    row = sep.join(["%.17g"] * len(columns)) + "\n"
+    for start in range(0, columns[0].size, BLOCK_ROWS):
+        block = np.column_stack([c[start:start + BLOCK_ROWS] for c in columns])
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _conforming(grid: Nozzle, name, values, order="C"):
+    """One value per node, flattened in the given node order."""
+    values = np.asarray(values, dtype=float)
+    if values.size != grid.n_nodes:
+        raise DomainError(f"field {name} does not conform to the grid")
+    return values.reshape(grid.shape).ravel(order=order)
+
+
+def write_csv(path, columns):
+    """(name, values) pairs of equal length as a CSV table with a header row."""
+    names, values = zip(*columns)
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        _write_table(fh, values, ",")
 
 
 def export_field_csv(grid: Nozzle, fields: dict, path, coords=None):
@@ -20,70 +42,45 @@ def export_field_csv(grid: Nozzle, fields: dict, path, coords=None):
     coords overrides the grid coordinates (used for deformed-domain output).
     """
     pts = grid.coords if coords is None else np.asarray(coords, dtype=float)
-    names = ["x", "y", "z"][: grid.dim]
-    cols = [pts[:, a] for a in range(grid.dim)]
-    for name, values in fields.items():
-        values = np.asarray(values, dtype=float)
-        if values.size != grid.n_nodes:
-            raise DomainError(f"field {name} does not conform to the grid")
-        names.append(name)
-        cols.append(values.ravel())
+    columns = [*zip("xyz", pts.T[: grid.dim]), *fields.items()]
+    write_csv(path, [(name, _conforming(grid, name, v)) for name, v in columns])
+
+
+def _write_vtk(grid: Nozzle, path, title, dataset, geometry, fields):
+    """Legacy ASCII file: header, geometry, then one scalar block per field.
+
+    geometry is a list of (leading text, columns) sections. Every field is
+    checked before the file is opened.
+    """
+    # VTK wants the first axis varying fastest
+    scalars = {name: _conforming(grid, name, v, order="F") for name, v in fields.items()}
+    dims = " ".join(map(str, tuple(grid.shape) + (1,) * (3 - grid.dim)))
     with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _vtk_dims(grid: Nozzle):
-    if grid.dim == 2:
-        return (grid.shape[0], grid.shape[1], 1)
-    return (grid.shape[0], grid.shape[1], grid.shape[2])
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+                 f"DATASET {dataset}\nDIMENSIONS {dims}\n")
+        for text, columns in geometry:
+            fh.write(text)
+            _write_table(fh, columns, " ")
+        fh.write(f"POINT_DATA {grid.n_nodes}\n")
+        for name, column in scalars.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            _write_table(fh, [column], " ")
 
 
 def export_field_vtk(grid: Nozzle, fields: dict, path):
     """Legacy ASCII structured-points file on the reference grid."""
-    dims = _vtk_dims(grid)
-    origin = [grid.axes[a][0] for a in range(grid.dim)] + [0.0] * (3 - grid.dim)
-    spacing = list(grid.spacing) + [1.0] * (3 - grid.dim)
-    n = grid.n_nodes
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("nozzle fields\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET STRUCTURED_POINTS\n")
-        fh.write(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n")
-        fh.write(f"ORIGIN {_fmt(origin[0])} {_fmt(origin[1])} {_fmt(origin[2])}\n")
-        fh.write(f"SPACING {_fmt(spacing[0])} {_fmt(spacing[1])} {_fmt(spacing[2])}\n")
-        fh.write(f"POINT_DATA {n}\n")
-        for name, values in fields.items():
-            values = np.asarray(values, dtype=float)
-            if values.size != n:
-                raise DomainError(f"field {name} does not conform to the grid")
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            # VTK wants the first axis varying fastest
-            for v in values.reshape(grid.shape).ravel(order="F"):
-                fh.write(_fmt(v) + "\n")
+    pad = 3 - grid.dim
+    origin = [axis[0] for axis in grid.axes] + [0.0] * pad
+    spacing = list(grid.spacing) + [1.0] * pad
+    _write_vtk(grid, path, "nozzle fields", "STRUCTURED_POINTS",
+               [("ORIGIN ", origin), ("SPACING ", spacing)], fields)
 
 
 def export_deformed_vtk(grid: Nozzle, coords, fields: dict, path):
     """Legacy ASCII structured-grid file with deformed node positions."""
-    dims = _vtk_dims(grid)
     pts = np.asarray(coords, dtype=float)
-    n = grid.n_nodes
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("deformed nozzle\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET STRUCTURED_GRID\n")
-        fh.write(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n")
-        fh.write(f"POINTS {n} double\n")
-        order = np.arange(n).reshape(grid.shape).ravel(order="F")
-        for k in order:
-            xyz = list(pts[k]) + [0.0] * (3 - grid.dim)
-            fh.write(" ".join(_fmt(v) for v in xyz) + "\n")
-        fh.write(f"POINT_DATA {n}\n")
-        for name, values in fields.items():
-            values = np.asarray(values, dtype=float).ravel()
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for k in order:
-                fh.write(_fmt(values[k]) + "\n")
+    points = [_conforming(grid, name, col, order="F")
+              for name, col in zip("xyz", pts.T[: grid.dim])]
+    points += [np.zeros(grid.n_nodes)] * (3 - grid.dim)
+    _write_vtk(grid, path, "deformed nozzle", "STRUCTURED_GRID",
+               [(f"POINTS {grid.n_nodes} double\n", points)], fields)

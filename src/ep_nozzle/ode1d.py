@@ -117,6 +117,11 @@ def ode_rhs(law: GasLaw, params: OneDParams, x: float, rho: float, E: float):
     return _scalar_rhs(law, params)(x, rho, E)
 
 
+def aligned_steps(base: int, intervals: int) -> int:
+    """Step count nearest base that puts `intervals` equal axial cells on ODE nodes."""
+    return intervals * max(1, round(base / intervals))
+
+
 def integrate_ivp(law: GasLaw, params: OneDParams, n_steps: int = 1024) -> BackgroundSolution:
     """Classical RK4 on (rho, E) with sonic/vacuum guards at every stage."""
     if n_steps < 16:

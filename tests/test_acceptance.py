@@ -20,7 +20,7 @@ from ep_nozzle.domainmap import (
 )
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
-from ep_nozzle.ode1d import OneDParams, integrate_ivp, shoot_bvp
+from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp, shoot_bvp
 
 from test_elliptic import _mms_solve
 
@@ -29,7 +29,7 @@ APPA = OneDParams(J0=0.5, rho0=1.2, E0=0.1, L=1.0, b=1.0)
 
 
 def _background(n_axial_intervals, params=APPA):
-    n = n_axial_intervals * max(1, round(1024 / n_axial_intervals))
+    n = aligned_steps(1024, n_axial_intervals)
     return integrate_ivp(LAW, params, n)
 
 

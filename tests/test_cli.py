@@ -238,6 +238,8 @@ PROBES = [
     pytest.param("perturb-domain", edited("domain_map", "eps", "nan"), (), 1, "error",
                  id="eps-nan"),
     pytest.param("sweep", edited("sweep", "sigmas", "0"), (), 1, "error", id="sigmas-zero"),
+    pytest.param("sweep", edited("sweep", "sigmas", "0.001,0.001"), (), 1, "error",
+                 id="sigmas-repeated"),
     pytest.param("solve", edited("output", "seed", "-5"), (), 1, "error", id="seed-negative"),
     pytest.param("solve", edited("iteration", "ball_multiplier", "-1"), (), 1, "error",
                  id="ball-multiplier-negative"),
@@ -266,6 +268,9 @@ class TestExitCodes:
             cfgfile.write_text(text)
         got = run_cli(command, "--config", str(cfgfile), "--out", str(tmp_path / "o"), *extra)
         assert got == code
+        # refused input writes nothing; iteration and admissibility failures
+        # leave the config echo for diagnosis
+        assert (tmp_path / "o").exists() == (code in (3, 4))
         if label is not None:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"{label}: "), err

@@ -16,13 +16,13 @@ from ep_nozzle.domainmap import (
 from ep_nozzle.errors import FoldOverError
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
-from ep_nozzle.ode1d import OneDParams, integrate_ivp
+from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
 
 LAW = GasLaw(gamma=2.0, k0=1.0)
 
 
 def _background(n_axial_intervals):
-    n = n_axial_intervals * max(1, round(1024 / n_axial_intervals))
+    n = aligned_steps(1024, n_axial_intervals)
     return integrate_ivp(LAW, OneDParams(0.5, 1.2, 0.1, 1.0, 1.0), n)
 
 

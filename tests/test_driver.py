@@ -14,16 +14,16 @@ from ep_nozzle.driver import (
     run_fixed_point,
     stability_sweep,
 )
-from ep_nozzle.errors import AdmissibilityError
+from ep_nozzle.errors import AdmissibilityError, DomainError
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
-from ep_nozzle.ode1d import OneDParams, integrate_ivp
+from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
 
 LAW = GasLaw(gamma=2.0, k0=1.0)
 
 
 def _background(n_axial_intervals, params=OneDParams(0.5, 1.2, 0.1, 1.0, 1.0)):
-    n = n_axial_intervals * max(1, round(1024 / n_axial_intervals))
+    n = aligned_steps(1024, n_axial_intervals)
     return integrate_ivp(LAW, params, n)
 
 
@@ -219,6 +219,11 @@ class TestSweep:
     def test_zero_sigma_excluded(self, state_small):
         sweep = stability_sweep(IterationConfig(), state_small, [0.0, 1e-4, 2e-4])
         assert sweep.sigmas == [1e-4, 2e-4]
+
+    @pytest.mark.parametrize("sigmas", [[1e-3, 1e-3], [0.0, 1e-4], []])
+    def test_fewer_than_two_distinct_sigmas_refused(self, state_small, sigmas):
+        with pytest.raises(DomainError):
+            stability_sweep(IterationConfig(), state_small, sigmas)
 
 
 def test_3d_fixed_point_smoke():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ep_nozzle.errors import DomainError
-from ep_nozzle.export import export_field_csv, export_field_vtk
+from ep_nozzle.export import export_deformed_vtk, export_field_csv, export_field_vtk
 from ep_nozzle.grid import (
     TAG_CORNER,
     TAG_GAMMA0,
@@ -14,6 +14,36 @@ from ep_nozzle.grid import (
     divergence,
     gradient,
 )
+
+AWKWARD = np.array([-0.0, 5e-324, np.inf, -np.inf, np.nan, 1.7976931348623157e308, 0.1, -1 / 3])
+
+# the 2D grid has more nodes than one block of rows and a partial last block;
+# a subnormal cross_min reaches the ORIGIN line
+GRIDS = {
+    "2d": dict(dim=2, cross_extents=((5e-324, 0.1),), L=1 / 3, shape=(65, 129)),
+    "3d": dict(dim=3, cross_extents=((5e-324, 0.1), (-1 / 3, 1.0)), L=0.7, shape=(9, 8, 17)),
+}
+
+
+def _awkward(n, shift=0):
+    """n values cycling through AWKWARD, starting at index shift."""
+    return np.roll(AWKWARD, -shift)[np.arange(n) % AWKWARD.size]
+
+
+def _rows(columns, sep):
+    """Per-value oracle of the 17-digit table format."""
+    return "".join(sep.join(format(float(v), ".17g") for v in row) + "\n"
+                   for row in zip(*columns))
+
+
+def _vtk_oracle(g, title, dataset, geometry, fields):
+    dims = list(g.shape) + [1] * (3 - g.dim)
+    order = np.arange(g.n_nodes).reshape(g.shape).ravel(order="F")
+    text = (f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET {dataset}\n"
+            f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n{geometry}POINT_DATA {g.n_nodes}\n")
+    for name, values in fields.items():
+        text += f"SCALARS {name} double 1\nLOOKUP_TABLE default\n" + _rows([values[order]], " ")
+    return text
 
 
 class TestBuild:
@@ -155,6 +185,54 @@ class TestExport:
         vals = np.array([float(v) for v in lines[start : start + g.n_nodes]])
         # first axis varies fastest in the VTK ordering
         assert vals == pytest.approx(f.reshape(g.shape).ravel(order="F"))
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_csv_bytes_match_oracle(self, tmp_path, kind, deformed):
+        g = build_grid(**GRIDS[kind])
+        coords = np.column_stack([_awkward(g.n_nodes, a + 3) for a in range(g.dim)])
+        fields = {"f": _awkward(g.n_nodes), "Psi": _awkward(g.n_nodes, 1)}
+        path = tmp_path / "field.csv"
+        export_field_csv(g, fields, path, coords=coords if deformed else None)
+        pts = coords if deformed else g.coords
+        header = ",".join(["x", "y", "z"][: g.dim] + list(fields)) + "\n"
+        expected = header + _rows([*pts.T, *fields.values()], ",")
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_structured_points_bytes_match_oracle(self, tmp_path, kind):
+        g = build_grid(**GRIDS[kind])
+        fields = {"f": _awkward(g.n_nodes), "Psi": _awkward(g.n_nodes, 5)}
+        path = tmp_path / "field.vtk"
+        export_field_vtk(g, fields, path)
+        pad = 3 - g.dim
+        origin = [ax[0] for ax in g.axes] + [0.0] * pad
+        spacing = list(g.spacing) + [1.0] * pad
+        geometry = "ORIGIN " + _rows([[v] for v in origin], " ")
+        geometry += "SPACING " + _rows([[v] for v in spacing], " ")
+        expected = _vtk_oracle(g, "nozzle fields", "STRUCTURED_POINTS", geometry, fields)
+        assert path.read_bytes() == expected.encode()
+        assert "\nORIGIN 4.9406564584124654e-324 " in expected
+
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_structured_grid_bytes_match_oracle(self, tmp_path, kind):
+        g = build_grid(**GRIDS[kind])
+        coords = np.column_stack([_awkward(g.n_nodes, a + 3) for a in range(g.dim)])
+        fields = {"psi": _awkward(g.n_nodes, 2)}
+        path = tmp_path / "field.vtk"
+        export_deformed_vtk(g, coords, fields, path)
+        order = np.arange(g.n_nodes).reshape(g.shape).ravel(order="F")
+        points = [coords[order, a] for a in range(g.dim)] + [np.zeros(g.n_nodes)] * (3 - g.dim)
+        geometry = f"POINTS {g.n_nodes} double\n" + _rows(points, " ")
+        expected = _vtk_oracle(g, "deformed nozzle", "STRUCTURED_GRID", geometry, fields)
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_deformed_vtk_refuses_wrong_field_length(self, tmp_path, extra):
+        g = build_grid(dim=2, shape=(9, 17))
+        f = np.zeros(g.n_nodes + extra)
+        with pytest.raises(DomainError):
+            export_deformed_vtk(g, g.coords, {"f": f}, tmp_path / "field.vtk")
 
     def test_deterministic_bytes(self, tmp_path):
         g = build_grid(dim=2, shape=(9, 17))
