@@ -96,6 +96,10 @@ class RunConfig:
     values: dict = field(default_factory=dict)
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _convert(kind, raw):
     if kind is float:
         return float(raw)
@@ -106,7 +110,7 @@ def _convert(kind, raw):
     if kind == "floats":
         return tuple(float(tok) for tok in raw.split(",") if tok.strip())
     if kind == "bool":
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        return _BOOLS[raw.strip().lower()]
     raise DomainError(f"unknown config field kind {kind}")
 
 
@@ -143,7 +147,7 @@ def parse_config(text: str) -> RunConfig:
                 raw = defaults.get(section, name)
             try:
                 values[section][name] = _convert(kind, raw)
-            except ValueError as exc:
+            except (ValueError, KeyError) as exc:
                 raise DomainError(f"bad config value [{section}] {name} = {raw}") from exc
     _validate(values)
     return RunConfig(values=values)

@@ -22,11 +22,11 @@ from .grid import Nozzle
 
 @dataclass(frozen=True)
 class DomainMap:
-    """Cross-section deformation x' -> G(x', x_n) with optional exact partials."""
+    """Cross-section deformation x' -> G(x', x_n) with its exact partials."""
 
     gfun: object                 # (xprime (..., dc), xn (...)) -> (..., dc)
-    dg_dxprime: object = None    # -> (..., dc, dc)
-    dg_dxn: object = None        # -> (..., dc)
+    dg_dxprime: object           # -> (..., dc, dc)
+    dg_dxn: object               # -> (..., dc)
     sigmaG: float = 0.0
 
     def map_coords(self, coords):
@@ -95,7 +95,7 @@ def shear_map(eps: float, L: float, dim: int = 2, cross_extents=((0.0, 1.0),)) -
     return DomainMap(gfun=gfun, dg_dxprime=dgx, dg_dxn=dgn, sigmaG=abs(eps))
 
 
-def forward_jacobian_at(dmap: DomainMap, coords, fd_step: float | None = None):
+def forward_jacobian_at(dmap: DomainMap, coords):
     """Jacobian of the full map at given points, axial row appended."""
     coords = np.asarray(coords, dtype=float)
     xprime = coords[:, :-1]
@@ -104,21 +104,13 @@ def forward_jacobian_at(dmap: DomainMap, coords, fd_step: float | None = None):
     dc = d - 1
     M = np.zeros((coords.shape[0], d, d))
     M[:, -1, -1] = 1.0
-    if dmap.dg_dxprime is not None and dmap.dg_dxn is not None:
-        M[:, :dc, :dc] = dmap.dg_dxprime(xprime, xn)
-        M[:, :dc, -1] = dmap.dg_dxn(xprime, xn)
-    else:
-        h = fd_step or 1e-6
-        for a in range(dc):
-            shift = np.zeros_like(xprime)
-            shift[:, a] = h
-            M[:, :dc, a] = (dmap.gfun(xprime + shift, xn) - dmap.gfun(xprime - shift, xn)) / (2 * h)
-        M[:, :dc, -1] = (dmap.gfun(xprime, xn + h) - dmap.gfun(xprime, xn - h)) / (2 * h)
+    M[:, :dc, :dc] = dmap.dg_dxprime(xprime, xn)
+    M[:, :dc, -1] = dmap.dg_dxn(xprime, xn)
     return M
 
 
-def jacobian_JT_at(dmap: DomainMap, coords, fd_step: float | None = None):
-    M = forward_jacobian_at(dmap, coords, fd_step)
+def jacobian_JT_at(dmap: DomainMap, coords):
+    M = forward_jacobian_at(dmap, coords)
     detM = np.linalg.det(M)
     if np.any(detM <= 0.0):
         raise FoldOverError("deformation folds over: nonpositive Jacobian determinant")
@@ -126,9 +118,9 @@ def jacobian_JT_at(dmap: DomainMap, coords, fd_step: float | None = None):
     return JT, 1.0 / detM
 
 
-def jacobian_JT(dmap: DomainMap, grid: Nozzle, fd_step: float | None = None):
+def jacobian_JT(dmap: DomainMap, grid: Nozzle):
     """Inverse-map derivative matrix J_T = M^{-T} and det J_T at every node."""
-    return jacobian_JT_at(dmap, grid.coords, fd_step)
+    return jacobian_JT_at(dmap, grid.coords)
 
 
 def pullback_operators(law: GasLaw, z, q1, q2, M):

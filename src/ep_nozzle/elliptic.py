@@ -6,9 +6,10 @@ at the quadrature points, which coincide with grid nodes, so the coupling
 cancellation between the two equations and the coercivity bound hold
 algebraically on the discrete level, not just in the refinement limit.
 
-Unknown layout: stacked vector [v_tilde; W_tilde] over all nodes. Dirichlet
-rows (v on the entrance plane, W on both end planes) are identity rows with
-zero right-hand side; the full solution W adds the boundary lift back.
+Unknown layout: stacked vector [v; W] over all nodes. Dirichlet rows (v on
+the entrance plane, W on both end planes) are identity rows whose right-hand
+side holds the data: 0 for v, the end-plane values for W. Their columns stay
+in the operator, so the data reach the free rows through the solve itself.
 """
 
 from __future__ import annotations
@@ -204,11 +205,11 @@ def make_coeffs(law: GasLaw, sol: BackgroundSolution, grid: Nozzle) -> Backgroun
 
 
 # ---------------------------------------------------------------------------
-# boundary lift
+# end-plane Dirichlet data
 
 
-def lift_boundary(W_en, W_ex, grid: Nozzle) -> np.ndarray:
-    """Linear-in-axial interpolant of the end-plane Dirichlet data."""
+def check_wall_compatibility(W_en, W_ex, grid: Nozzle) -> None:
+    """Warn when the end-plane data have a wall-normal derivative at the wall."""
     cross_shape = grid.cross_shape()
     W_en = np.asarray(W_en, dtype=float).reshape(cross_shape)
     W_ex = np.asarray(W_ex, dtype=float).reshape(cross_shape)
@@ -216,10 +217,7 @@ def lift_boundary(W_en, W_ex, grid: Nozzle) -> np.ndarray:
     h = max(grid.spacing[:-1])
     scale = 1.0 + float(np.max(np.abs(W_en))) + float(np.max(np.abs(W_ex)))
     warn_tol = 50.0 * h ** 3 * scale
-    t = (grid.axes[-1] / grid.L).reshape((1,) * (grid.dim - 1) + (-1,))
-    values = (1.0 - t) * W_en[..., None] + t * W_ex[..., None]
 
-    # wall-normal derivative of the end data at the wall edges
     violation = 0.0
     for data in (W_en, W_ex):
         if grid.dim == 2:
@@ -239,7 +237,6 @@ def lift_boundary(W_en, W_ex, grid: Nozzle) -> np.ndarray:
             f"(max wall-normal derivative {violation:.3e})",
             stacklevel=2,
         )
-    return values.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +251,9 @@ class LinearData:
     volume sources; g_exit is the exit datum converted to a conormal flux by
     the background scale; F2 is a divergence-form source of the second
     equation. Wall fluxes are outward-oriented extra conormal data, given per
-    wall face in the order of Quadrature.wall_faces.
+    wall face in the order of Quadrature.wall_faces. W_en/W_ex are the
+    Dirichlet values of W on the entrance/exit planes, written straight into
+    the identity rows of the right-hand side.
     """
 
     W_en: np.ndarray
@@ -305,9 +304,8 @@ class DiscreteOperator:
         self.blocks = {"Kvv": Kvv.tocsr(), "KvW": KvW.tocsr(),
                        "KWv": KWv.tocsr(), "KWW": KWW.tocsr(), "Dsemi": Dsemi.tocsr()}
 
-        idx = np.indices(grid.shape)
-        self.dirichlet_v = (idx[-1] == 0).ravel()
-        self.dirichlet_W = ((idx[-1] == 0) | (idx[-1] == grid.shape[-1] - 1)).ravel()
+        self.dirichlet_v = grid.gamma0
+        self.dirichlet_W = grid.gamma0 | grid.gammaL
         dir_mask = np.concatenate([self.dirichlet_v, self.dirichlet_W])
         K = sp.bmat(
             [[self.blocks["Kvv"], self.blocks["KvW"]],
@@ -328,7 +326,8 @@ class DiscreteOperator:
         return self._lu
 
 
-def assemble_rhs(op: DiscreteOperator, data: LinearData):
+def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
+    """Right-hand side of K U = rhs; the Dirichlet rows carry the data."""
     grid, q, coeffs = op.grid, op.quad, op.coeffs
     N = grid.n_nodes
     d = grid.dim
@@ -336,7 +335,8 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData):
     bv = np.zeros(N)
     bW = np.zeros(N)
 
-    Wbd = lift_boundary(data.W_en, data.W_ex, grid)
+    check_wall_compatibility(data.W_en, data.W_ex, grid)
+    W_ex = np.asarray(data.W_ex, dtype=float).ravel()
 
     if data.F is not None:
         F = np.asarray(data.F, dtype=float)
@@ -350,12 +350,7 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData):
     if data.g_exit is not None:
         bv[q.exit_idx] -= q.exit_w * coeffs.exit_scale * np.asarray(data.g_exit)
     # exit surface term of the coupling flux, determined by the exit trace of W
-    bv[q.exit_idx] += q.exit_w * coeffs.exit_wflux * Wbd[q.exit_idx]
-    # lift contributions moved to the right-hand side
-    for a in range(d):
-        bv -= q.G[a].T @ (wq * coeffs.dzA[a][qn] * Wbd[qn])
-        bW -= q.G[a].T @ (wq * (q.G[a] @ Wbd))
-    bW -= np.bincount(qn, weights=wq * coeffs.dzB[qn] * Wbd[qn], minlength=N)
+    bv[q.exit_idx] += q.exit_w * coeffs.exit_wflux * W_ex
 
     if data.f is not None:
         bW -= np.bincount(qn, weights=wq * np.asarray(data.f)[qn], minlength=N)
@@ -374,27 +369,29 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData):
             if flux is not None:
                 bW[fidx] += fw * np.asarray(flux)
 
-    rhs = np.concatenate([bv, bW])
-    rhs[np.concatenate([op.dirichlet_v, op.dirichlet_W])] = 0.0
-    return rhs, Wbd
+    bv[op.dirichlet_v] = 0.0
+    bW[grid.gamma0] = np.asarray(data.W_en, dtype=float).ravel()
+    bW[grid.gammaL] = W_ex
+    return np.concatenate([bv, bW])
 
 
 def solve(op: DiscreteOperator, data: LinearData):
     """Direct solve of one linearized problem against the factorized operator.
 
-    Returns v and W with the boundary lift added back, and the algebraic
-    residual max|K U - rhs| / max|rhs| of the solve.
+    Returns v, W and the algebraic residual max|K U - rhs| / max|rhs| of the
+    solve. The Dirichlet entries of v and W equal the data exactly.
     """
-    rhs, lift = assemble_rhs(op, data)
+    rhs = assemble_rhs(op, data)
     U = op.lu.solve(rhs)
     if not np.all(np.isfinite(U)):
         raise SingularAssemblyError("non-finite solution from the factorization")
     res = op.K @ U - rhs
     rel = float(np.max(np.abs(res))) / max(float(np.max(np.abs(rhs))), 1e-300)
     # identity rows hold exactly; scrub factorization dust
-    U[np.concatenate([op.dirichlet_v, op.dirichlet_W])] = 0.0
+    dir_mask = np.concatenate([op.dirichlet_v, op.dirichlet_W])
+    U[dir_mask] = rhs[dir_mask]
     N = op.grid.n_nodes
-    return U[:N], U[N:] + lift, rel
+    return U[:N], U[N:], rel
 
 
 def quadratic_form(op: DiscreteOperator, xi, eta):

@@ -7,7 +7,6 @@ for the two-point density problem, and the monotone-orbit admissibility test.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,9 +257,8 @@ def appendixA_admissible(
 
 def write_atlas(path, law: GasLaw, L: float, b, cases, n_steps: int = 1024):
     """CSV atlas of boundary data and margins over (J0, rho0, E0) cases."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["J0", "rho0", "E0", "Phi_en0", "B00", "pex0", "nu0", "status"])
+    with open(path, "w") as fh:
+        fh.write("J0,rho0,E0,Phi_en0,B00,pex0,nu0,status\n")
         for J0, rho0, E0 in cases:
             try:
                 sol = integrate_ivp(law, OneDParams(J0, rho0, E0, L, b), n_steps)
@@ -269,6 +267,5 @@ def write_atlas(path, law: GasLaw, L: float, b, cases, n_steps: int = 1024):
                 row = [J0, rho0, E0, "nan", "nan", "nan", "nan", f"sonic@x={exc.x:.6g}"]
             except VacuumBreakdown as exc:
                 row = [J0, rho0, E0, "nan", "nan", "nan", "nan", f"vacuum@x={exc.x:.6g}"]
-            writer.writerow(
-                [v if isinstance(v, str) else format(v, ".17g") for v in row]
-            )
+            fh.write(",".join(v if isinstance(v, str) else format(v, ".17g") for v in row))
+            fh.write("\n")

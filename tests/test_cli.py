@@ -245,6 +245,8 @@ PROBES = [
                  id="ball-multiplier-negative"),
     pytest.param("solve", edited("iteration", "max_iter", "0"), (), 1, "error",
                  id="max-iter-zero"),
+    pytest.param("solve", edited("output", "snapshots", "ture"), (), 1, "error",
+                 id="snapshots-typo"),
     pytest.param("solve", SMALL + "\n[nozzle]\nnodes_cross = 17\n", (), 1, "error",
                  id="duplicate-section"),
     pytest.param("solve", None, (), 1, "error", id="missing-config"),

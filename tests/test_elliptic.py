@@ -7,10 +7,11 @@ from ep_nozzle import driver
 from ep_nozzle.elliptic import (
     DiscreteOperator,
     LinearData,
+    assemble_rhs,
     build_quadrature,
+    check_wall_compatibility,
     coercivity_check,
     cross_term_sum,
-    lift_boundary,
     make_coeffs,
     quadratic_form,
     solve,
@@ -83,30 +84,19 @@ class TestCoeffs:
 
 
 class TestLift:
-    def test_linear_interpolation(self):
-        g = build_grid(dim=2, shape=(9, 17))
-        lift = lift_boundary(np.full(9, 0.1), np.full(9, 0.2), g)
-        vals = g.reshape(lift)
-        mid = np.argmin(np.abs(g.axes[1] - 0.5))
-        assert vals[:, 0] == pytest.approx(0.1)
-        assert vals[:, -1] == pytest.approx(0.2)
-        assert vals[:, mid] == pytest.approx(0.1 + 0.1 * g.axes[1][mid] / g.L)
-
-    def test_zero_data(self):
-        g = build_grid(dim=2, shape=(9, 17))
-        assert np.all(lift_boundary(np.zeros(9), np.zeros(9), g) == 0.0)
+    """Wall-compatibility check on the end-plane Dirichlet data."""
 
     def test_compatible_mode_no_warning(self, recwarn):
         g = build_grid(dim=2, shape=(33, 17))
         mode = 0.01 * np.cos(np.pi * g.axes[0])
-        lift_boundary(mode, np.zeros(33), g)
+        check_wall_compatibility(mode, np.zeros(33), g)
         assert len(recwarn) == 0
 
     def test_incompatible_mode_warns(self):
         g = build_grid(dim=2, shape=(33, 17))
         bad = 0.5 * np.sin(np.pi * g.axes[0])
         with pytest.warns(UserWarning, match="compatibility"):
-            lift_boundary(bad, np.zeros(33), g)
+            check_wall_compatibility(bad, np.zeros(33), g)
 
 
 class TestSystemStructure:
@@ -281,11 +271,9 @@ class TestManufactured:
         res = []
         for shape in [(17, 33), (33, 65)]:
             g, op, data, *_ = _mms_solve(shape)
-            from ep_nozzle.elliptic import assemble_rhs
-
-            rhs, lift = assemble_rhs(op, data)
+            rhs = assemble_rhs(op, data)
             v_exact, W_exact = manufactured(g.coords[:, 0], g.coords[:, 1])
-            U = np.concatenate([v_exact, W_exact - lift])
+            U = np.concatenate([v_exact, W_exact])
             r = op.K @ U - rhs
             interior = g.tags == 0
             cellvol = np.prod(g.spacing)
@@ -327,3 +315,84 @@ def test_3d_zero_data_and_cancellation():
     assert abs(total) <= 1e-12 * max(scale, 1.0)
     ratio = coercivity_check(op, trials=20, seed=7)
     assert ratio >= 0.9 * min(coeffs.lam, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# cross-check against the boundary-lift formulation of the same system
+
+
+def _lift_path_solve(op, data):
+    """Oracle: move a linear-in-axial lift of the end data to the right-hand
+    side, solve with zero Dirichlet rows, and add the lift back."""
+    g = op.grid
+    cross = g.cross_shape()
+    t = (g.axes[-1] / g.L).reshape((1,) * (g.dim - 1) + (-1,))
+    W_en = np.asarray(data.W_en, dtype=float).reshape(cross)[..., None]
+    W_ex = np.asarray(data.W_ex, dtype=float).reshape(cross)[..., None]
+    Wbd = ((1.0 - t) * W_en + t * W_ex).ravel()
+    N = g.n_nodes
+    dir_mask = np.concatenate([op.dirichlet_v, op.dirichlet_W])
+    rhs = assemble_rhs(op, data)
+    rhs[:N] -= op.blocks["KvW"] @ Wbd
+    rhs[N:] -= op.blocks["KWW"] @ Wbd
+    rhs[dir_mask] = 0.0
+    U = op.lu.solve(rhs)
+    U[dir_mask] = 0.0
+    return U[:N], U[N:] + Wbd
+
+
+def _operator(dim):
+    if dim == 2:
+        g = build_grid(dim=2, shape=(17, 33))
+    else:
+        g = build_grid(dim=3, cross_extents=((0, 1), (0, 1)), shape=(8, 8, 17))
+    coeffs = make_coeffs(LAW, _background(g.shape[-1] - 1), g)
+    return g, DiscreteOperator(coeffs, g)
+
+
+def _random_data(g, seed):
+    rng = np.random.default_rng(seed)
+    mode = np.ones(g.cross_shape())
+    for a in range(g.dim - 1):
+        shape = [1] * (g.dim - 1)
+        shape[a] = -1
+        mode = mode * np.cos(np.pi * g.axes[a]).reshape(shape)
+    return LinearData(
+        W_en=0.3 + 0.02 * mode, W_ex=-0.2 - 0.01 * mode,
+        F=1e-2 * rng.standard_normal((g.n_nodes, g.dim)),
+        f=1e-2 * rng.standard_normal(g.n_nodes),
+        g_exit=1e-2 * rng.standard_normal(mode.size),
+    )
+
+
+def _wall_data(g, op):
+    # recast wall conditions, passed as PicardState.step passes map corrections
+    data = _random_data(g, 4)
+    rng = np.random.default_rng(5)
+    H2 = 1e-2 * rng.standard_normal((g.n_nodes, g.dim))
+    data.F2 = H2
+    faces = op.quad.wall_faces
+    data.wall_flux_v = [sign * data.F[fidx, axis] for (axis, sign, fidx, fw) in faces]
+    data.wall_flux_W = [sign * H2[fidx, axis] for (axis, sign, fidx, fw) in faces]
+    return data
+
+
+def _mms_case():
+    g = build_grid(dim=2, shape=(17, 33))
+    coeffs = make_coeffs(LAW, _background(32, CONST_PARAMS), g)
+    op = DiscreteOperator(coeffs, g)
+    return op, manufactured_data(g, op)
+
+
+@pytest.mark.parametrize("case", ["random-2d", "random-3d", "manufactured", "wall-2d", "wall-3d"])
+def test_identity_row_solve_matches_lift_path(case):
+    if case == "manufactured":
+        op, data = _mms_case()
+    else:
+        g, op = _operator(3 if case.endswith("3d") else 2)
+        data = _wall_data(g, op) if case.startswith("wall") else _random_data(g, 3)
+    v, W, residual = solve(op, data)
+    v_ref, W_ref = _lift_path_solve(op, data)
+    assert residual < 1e-12
+    assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+    assert np.max(np.abs(W - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))

@@ -190,3 +190,19 @@ def test_atlas_export(tmp_path):
     assert rows[0]["status"] == "ok"
     assert float(rows[0]["nu0"]) > 0
     assert rows[2]["status"].startswith(("sonic@", "vacuum@"))
+
+
+def test_atlas_bytes(tmp_path):
+    # one ok row and one sonic row; "\n" line ends and 17-digit values
+    path = tmp_path / "atlas.csv"
+    write_atlas(path, LAW, 4.0, 1.0, [(0.5, 1.0, 0.0), (1.0, 0.9, -1.0)], n_steps=512)
+    sol = integrate_ivp(LAW, OneDParams(0.5, 1.0, 0.0, 4.0, 1.0), 512)
+    with pytest.raises(SonicBreakdown) as sonic:
+        integrate_ivp(LAW, OneDParams(1.0, 0.9, -1.0, 4.0, 1.0), 512)
+    ok = ",".join(format(v, ".17g") for v in (sol.phi_en0, sol.B00, sol.pex0, sol.nu0))
+    expected = (
+        "J0,rho0,E0,Phi_en0,B00,pex0,nu0,status\n"
+        f"0.5,1,0,{ok},ok\n"
+        f"1,0.90000000000000002,-1,nan,nan,nan,nan,sonic@x={sonic.value.x:.6g}\n"
+    )
+    assert path.read_bytes() == expected.encode()

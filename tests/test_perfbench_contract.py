@@ -3,25 +3,36 @@
 `perfbench/probe.py` replaces every `(module, attribute path)` of its `LAYERS`
 list, and the `splu` factorization of `elliptic`, after import. A rename or
 deletion of any of them would break traced runs without failing a solve, so
-this test resolves each one. `perfbench/record_reference.py` also calls the
-CLI's input helpers directly to compute a workload's residual floor; the last
-test makes the same calls.
+one test resolves each one. A name that resolves but that the program no
+longer calls would read zero in its per-layer metric, so another test traces
+small runs of the commands and checks that every layer records a span.
+`perfbench/record_reference.py` also calls the CLI's input helpers directly to
+compute a workload's residual floor; the last test makes the same calls.
 """
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-PROBE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PROBE = ROOT / "perfbench" / "probe.py"
 
 
-def _layers():
+def _probe():
     spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
     probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probe)
-    return [(module, path) for module, path, _ in probe.LAYERS] + [("elliptic", "splu")]
+    return probe
+
+
+def _layers():
+    return [(module, path) for module, path, _ in _probe().LAYERS] + [("elliptic", "splu")]
 
 
 @pytest.mark.parametrize("module, path", _layers())
@@ -30,6 +41,26 @@ def test_patched_name_resolves(module, path):
     for name in path.split("."):
         owner = getattr(owner, name)
     assert callable(owner)
+
+
+def test_every_traced_layer_is_called(tmp_path):
+    config = tmp_path / "small.ini"
+    config.write_text("[nozzle]\nnodes_cross = 17\nnodes_axial = 33\n"
+                      "[perturbation]\nsigma = 0.0005\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    names = set()
+    for i, command in enumerate((["solve"], ["sweep"], ["perturb-domain", "--format", "vtk"])):
+        record = tmp_path / f"record{i}.json"
+        subprocess.run(
+            [sys.executable, str(PROBE), str(record), "trace", "3221225472", "--", *command,
+             "--config", str(config), "--out", str(tmp_path / f"out{i}")],
+            env=env, check=True, capture_output=True,
+        )
+        names |= {span[0] for span in json.loads(record.read_text())["spans"]}
+    layers = {name for _, _, name in _probe().LAYERS}
+    # the probe's own spans: the import of the program and the LU size count
+    own = {"cli.import", "trace.count_factor"}
+    assert names == layers | {"elliptic.factor", "elliptic.lu_solve"} | own
 
 
 def test_reference_recorder_calls_work():
