@@ -322,6 +322,31 @@ def check_coercivity():
             f"min Rayleigh ratio = {', '.join(parts)}, {elapsed:.2f} s")
 
 
+def check_separable_solve():
+    t0 = time.perf_counter()
+    grid = gridmod.build_grid(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9, 17))
+    op = _operator(_MONOTONE, grid)
+    rng = np.random.default_rng(42)
+    N = grid.n_nodes
+    mode = np.outer(np.cos(np.pi * grid.axes[0]), np.cos(np.pi * grid.axes[1]))
+    F = 1e-2 * rng.standard_normal((N, 3))
+    F2 = 1e-2 * rng.standard_normal((N, 3))
+    faces = op.quad.wall_faces
+    data = elliptic.LinearData(
+        W_en=0.3 + 0.02 * mode, W_ex=-0.2 - 0.01 * mode, F=F,
+        f=1e-2 * rng.standard_normal(N), g_exit=1e-2 * rng.standard_normal(mode.size), F2=F2,
+        wall_flux_v=[sign * F[fidx, axis] for axis, sign, fidx, _ in faces],
+        wall_flux_W=[sign * F2[fidx, axis] for axis, sign, fidx, _ in faces],
+    )
+    v, W, residual = elliptic.solve(op, data)
+    ref = elliptic.splu(op.K.tocsc()).solve(elliptic.assemble_rhs(op, data))
+    worst = max(float(np.max(np.abs(u - r)) / np.max(np.abs(r)))
+                for u, r in ((v, ref[:N]), (W, ref[N:])))
+    elapsed = time.perf_counter() - t0
+    return (worst <= 1e-12 and residual < 1e-12 and elapsed < 10.0,
+            f"max |U - U_splu| / sup = {worst:.1e}, residual = {residual:.1e}, {elapsed:.2f} s")
+
+
 def check_trivial_fixed_point():
     grid = gridmod.build_grid(dim=2, shape=(17, 33))
     background = ode1d.integrate_ivp(_LAW, _MONOTONE, 1024)
@@ -339,6 +364,7 @@ CHECKS = {
     "discrete coupling cancellation": check_coupling_cancellation,
     "discrete coercivity": check_coercivity,
     "trivial fixed point": check_trivial_fixed_point,
+    "separable solve agrees with sparse LU": check_separable_solve,
 }
 
 

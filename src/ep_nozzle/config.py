@@ -135,6 +135,16 @@ def default_config() -> RunConfig:
 def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(text)
+    sections = parser.sections()
+    if parser.defaults():  # [DEFAULT] keys would reach every section unchecked
+        sections.append(parser.default_section)
+    for section in sections:
+        if section not in _SCHEMA:
+            raise DomainError(f"unknown config section [{section}]")
+        known = {parser.optionxform(name) for name in _SCHEMA[section]}
+        for name in parser.options(section):
+            if name not in known:
+                raise DomainError(f"unknown config key [{section}] {name}")
     defaults = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     defaults.read_string(TEMPLATE)
     values = {}

@@ -10,6 +10,17 @@ Unknown layout: stacked vector [v; W] over all nodes. Dirichlet rows (v on
 the entrance plane, W on both end planes) are identity rows whose right-hand
 side holds the data: 0 for v, the end-plane values for W. Their columns stay
 in the operator, so the data reach the free rows through the solve itself.
+
+Direct solve: the grid is a tensor product and the coefficients depend on the
+axial coordinate only, so K is separable. On each cross axis the DCT-I
+cosines V are the generalized eigenvectors of the 1D Neumann stiffness
+against the trapezoid mass T, with V^T T V = I. Mapping every cross-section
+to these modes (V^T on free rows, V^T T = V^-1 on the identity rows, which
+are whole end planes) leaves one 2 n_axial system per cross mode. Mode
+layout: mode-major in the C order of the cross axes, then axial node k, then
+(v_k, W_k) interleaved, so each mode is banded with kl = ku = 3 and all
+modes form one banded matrix, factored once by LAPACK (dgbtrf) and solved in
+one dgbtrs call.
 """
 
 from __future__ import annotations
@@ -20,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+# sparse LU of K: the reference the separable solve is checked against
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import DomainError, NotSubsonicError, SingularAssemblyError
 from .gas import GasLaw
@@ -268,7 +281,8 @@ class LinearData:
 
 
 class DiscreteOperator:
-    """Cacheable operator part of the weak system (background-dependent only)."""
+    """Operator part of the weak system and its separable factorization
+    (background-dependent only)."""
 
     def __init__(self, coeffs: BackgroundCoeffs, grid: Nozzle, quad: Quadrature | None = None):
         self.coeffs = coeffs
@@ -314,16 +328,103 @@ class DiscreteOperator:
         )
         keep = sp.diags((~dir_mask).astype(float))
         self.K = (keep @ K + sp.diags(dir_mask.astype(float))).tocsr()
-        self._lu = None
 
-    @property
-    def lu(self):
-        if self._lu is None:
-            try:
-                self._lu = splu(self.K.tocsc())
-            except RuntimeError as exc:
-                raise SingularAssemblyError(str(exc)) from exc
-        return self._lu
+        self.cross_modes = tuple(_cross_modes(grid, a) for a in range(d - 1))
+        self._band, self._piv = _factor_modes(coeffs, grid, self.cross_modes)
+
+
+# ---------------------------------------------------------------------------
+# separable direct solve: cross-section eigenmodes, one banded LU over all modes
+
+KL = KU = 3            # v_k couples to W_{k+1} three rows on in the interleaved layout
+
+
+def _dirichlet_rows(n_axial):
+    """Identity rows of one mode as an (n_axial, 2) mask over (v_k, W_k)."""
+    mask = np.zeros((n_axial, 2), dtype=bool)
+    mask[0] = True
+    mask[-1, 1] = True
+    return mask
+
+
+def _cross_modes(grid: Nozzle, axis: int):
+    """DCT-I cosines on a cross axis and their eigenvalues.
+
+    They solve S V = T V diag(lam) for the Neumann stiffness S and the
+    trapezoid mass T of the axis, scaled so that V^T T V = I.
+    """
+    n = grid.shape[axis]
+    h = grid.spacing[axis]
+    j = np.arange(n)
+    # reduce j*m modulo the period 2(n-1) so the cosine argument stays small
+    V = np.cos(np.pi * (np.outer(j, j) % (2 * (n - 1))) / (n - 1))
+    scale = np.full(n, 2.0)
+    scale[[0, -1]] = 1.0
+    V *= np.sqrt(scale / (h * (n - 1)))
+    return V, 2.0 * (1.0 - np.cos(np.pi * j / (n - 1))) / h ** 2
+
+
+def _axial_profile(field, grid: Nozzle):
+    """A node field along the axis; refuses one that varies across sections."""
+    field = np.asarray(field, dtype=float).reshape(grid.shape)
+    profile = field[(0,) * (grid.dim - 1)]
+    if not np.array_equal(field, np.broadcast_to(profile, grid.shape)):
+        raise DomainError(
+            "separable solve needs coefficients that depend on the axial coordinate only")
+    return profile
+
+
+def _factor_modes(coeffs: BackgroundCoeffs, grid: Nozzle, cross_modes):
+    """Banded LU of all mode systems, built from the axial background profiles."""
+    d = grid.dim
+    n = grid.shape[-1]
+    h = grid.spacing[-1]
+    tau = _face_weights(grid, [d - 1])
+    A = _axial_profile(coeffs.aii[-1], grid)
+    dzA = _axial_profile(coeffs.dzA[-1], grid)
+    dzB = _axial_profile(coeffs.dzB, grid)
+    if np.any(coeffs.dzA[:-1]):
+        raise DomainError("separable solve needs a purely axial coupling dzA")
+
+    # mode-independent part: the 1D corner-rule forms along the axis
+    ones = np.ones(n - 1)
+    D = sp.diags([-ones / h, ones / h], [0, 1], shape=(n - 1, n))
+    corners = sp.diags([0.5 * h * ones, 0.5 * h * ones], [0, 1], shape=(n - 1, n))
+    Kvv = D.T @ sp.diags(0.5 * h * (A[:-1] + A[1:])) @ D
+    KvW = D.T @ corners @ sp.diags(dzA)
+    KWW = D.T @ (h * D) + sp.diags(tau * dzB)
+    order = np.arange(2 * n).reshape(2, n).T.ravel()     # interleave v_k, W_k
+    block = sp.bmat([[Kvv, KvW], [-KvW.T, KWW]], format="csr")[order][:, order].tocoo()
+    identity = _dirichlet_rows(n).ravel()
+    free = ~identity[block.row]
+    one = np.zeros((KL + KU + 1, 2 * n))
+    one[KU + block.row[free] - block.col[free], block.col[free]] = block.data[free]
+    one[KU, identity] = 1.0
+
+    # mode-dependent part: cross eigenvalue times the axial mass, on free rows
+    diag = np.zeros(grid.cross_shape() + (n, 2))
+    for a, (_, lam) in enumerate(cross_modes):
+        lam = lam.reshape([-1 if b == a else 1 for b in range(d - 1)] + [1])
+        diag[..., 0] += lam * (tau * _axial_profile(coeffs.aii[a], grid))
+        diag[..., 1] += lam * tau
+    diag[..., _dirichlet_rows(n)] = 0.0
+
+    n_modes = int(np.prod(grid.cross_shape()))
+    ab = np.zeros((2 * KL + KU + 1, n_modes * 2 * n), order="F")
+    ab[KL:] = np.tile(one, n_modes)
+    ab[KL + KU] += diag.ravel()
+    lu, piv, info = dgbtrf(ab, KL, KU, overwrite_ab=1)
+    if info != 0:
+        raise SingularAssemblyError(
+            f"banded factorization of the mode systems failed (info = {info})")
+    return lu, piv
+
+
+def _cross_transform(X, cross_modes, transpose):
+    """Apply V^T (transpose) or V along each leading cross axis of X."""
+    for a, (V, _) in enumerate(cross_modes):
+        X = np.moveaxis(np.tensordot(V, X, axes=(0 if transpose else 1, a)), 0, a)
+    return X
 
 
 def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
@@ -376,21 +477,29 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
 
 
 def solve(op: DiscreteOperator, data: LinearData):
-    """Direct solve of one linearized problem against the factorized operator.
+    """Separable direct solve of one linearized problem.
 
     Returns v, W and the algebraic residual max|K U - rhs| / max|rhs| of the
     solve. The Dirichlet entries of v and W equal the data exactly.
     """
     rhs = assemble_rhs(op, data)
-    U = op.lu.solve(rhs)
-    if not np.all(np.isfinite(U)):
-        raise SingularAssemblyError("non-finite solution from the factorization")
+    grid = op.grid
+    N = grid.n_nodes
+    X = np.stack([rhs[:N].reshape(grid.shape), rhs[N:].reshape(grid.shape)], axis=-1)
+    # V^T T = V^-1 on the identity rows: their modes are those of the data
+    cross_mass = op.quad.exit_w.reshape(grid.cross_shape())
+    X[..., _dirichlet_rows(grid.shape[-1])] *= cross_mass[..., None]
+    X = _cross_transform(X, op.cross_modes, transpose=True)
+    Y, info = dgbtrs(op._band, KL, KU, X.reshape(-1, 1), op._piv)
+    Y = _cross_transform(Y.reshape(X.shape), op.cross_modes, transpose=False)
+    U = np.concatenate([Y[..., 0].ravel(), Y[..., 1].ravel()])
+    if info != 0 or not np.all(np.isfinite(U)):
+        raise SingularAssemblyError("the banded mode solve gave no finite solution")
     res = op.K @ U - rhs
     rel = float(np.max(np.abs(res))) / max(float(np.max(np.abs(rhs))), 1e-300)
-    # identity rows hold exactly; scrub factorization dust
+    # identity rows hold exactly; scrub the rounding of the mode transforms
     dir_mask = np.concatenate([op.dirichlet_v, op.dirichlet_W])
     U[dir_mask] = rhs[dir_mask]
-    N = op.grid.n_nodes
     return U[:N], U[N:], rel
 
 

@@ -52,7 +52,7 @@ class MaxIterationsError(EPError):
 
 
 class SingularAssemblyError(EPError):
-    """Sparse factorization of the assembled operator failed."""
+    """Banded factorization of the mode systems failed, or the solve was not finite."""
 
 
 class FoldOverError(EPError):

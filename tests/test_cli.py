@@ -201,7 +201,8 @@ class TestVerify:
         assert out.count("PASS") >= 6
 
     def test_runs_the_shared_checks_with_one_factorization(self, verify_run):
-        # only the trivial fixed point factorizes; the forms read the blocks
+        # only the cross-check of the separable solve factors K by sparse LU;
+        # the forms read the blocks
         code, out, factorizations = verify_run
         assert factorizations == 1
         lines = out.splitlines()
@@ -249,6 +250,9 @@ PROBES = [
                  id="snapshots-typo"),
     pytest.param("solve", SMALL + "\n[nozzle]\nnodes_cross = 17\n", (), 1, "error",
                  id="duplicate-section"),
+    pytest.param("solve", edited("perturbation", "sigam", "0.1"), (), 1, "error",
+                 id="unknown-key"),
+    pytest.param("solve", edited("nozle", "dim", "2"), (), 1, "error", id="unknown-section"),
     pytest.param("solve", None, (), 1, "error", id="missing-config"),
     pytest.param("solve", SMALL, ("--bogus",), 1, None, id="unknown-flag"),
     pytest.param("solve", SMALL, ("--seed", "abc"), 1, None, id="bad-seed-flag"),
@@ -281,11 +285,22 @@ class TestExitCodes:
         def out_of_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(elliptic, "splu", out_of_memory)
+        monkeypatch.setattr(elliptic, "dgbtrf", out_of_memory)
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(SMALL)
         with pytest.raises(MemoryError):
             run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o"))
+
+    def test_singular_factor_exits_1(self, tmp_path, capsys, monkeypatch):
+        def singular(ab, kl, ku, overwrite_ab=0):
+            return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
+
+        monkeypatch.setattr(elliptic, "dgbtrf", singular)
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(SMALL)
+        assert run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: banded factorization"), err
 
 
 # node counts and ODE steps stay small so a drawn run takes milliseconds

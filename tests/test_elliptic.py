@@ -16,7 +16,8 @@ from ep_nozzle.elliptic import (
     quadratic_form,
     solve,
 )
-from ep_nozzle.errors import NotSubsonicError
+from ep_nozzle import elliptic
+from ep_nozzle.errors import DomainError, NotSubsonicError, SingularAssemblyError
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
 from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
@@ -336,16 +337,21 @@ def _lift_path_solve(op, data):
     rhs[:N] -= op.blocks["KvW"] @ Wbd
     rhs[N:] -= op.blocks["KWW"] @ Wbd
     rhs[dir_mask] = 0.0
-    U = op.lu.solve(rhs)
+    U = splu(op.K.tocsc()).solve(rhs)
     U[dir_mask] = 0.0
     return U[:N], U[N:] + Wbd
 
 
-def _operator(dim):
-    if dim == 2:
-        g = build_grid(dim=2, shape=(17, 33))
-    else:
-        g = build_grid(dim=3, cross_extents=((0, 1), (0, 1)), shape=(8, 8, 17))
+GRIDS = {
+    "2d": dict(dim=2, shape=(17, 33)),
+    "3d": dict(dim=3, cross_extents=((0, 1), (0, 1)), shape=(8, 8, 17)),
+    # unequal cross sizes and extents: the two cross eigenbases differ
+    "3d-unequal": dict(dim=3, cross_extents=((0, 1), (0, 1.5)), shape=(8, 11, 17)),
+}
+
+
+def _operator(grid):
+    g = build_grid(**GRIDS[grid])
     coeffs = make_coeffs(LAW, _background(g.shape[-1] - 1), g)
     return g, DiscreteOperator(coeffs, g)
 
@@ -353,10 +359,10 @@ def _operator(dim):
 def _random_data(g, seed):
     rng = np.random.default_rng(seed)
     mode = np.ones(g.cross_shape())
-    for a in range(g.dim - 1):
+    for a, (lo, hi) in enumerate(g.cross_extents):
         shape = [1] * (g.dim - 1)
         shape[a] = -1
-        mode = mode * np.cos(np.pi * g.axes[a]).reshape(shape)
+        mode = mode * np.cos(np.pi * (g.axes[a] - lo) / (hi - lo)).reshape(shape)
     return LinearData(
         W_en=0.3 + 0.02 * mode, W_ex=-0.2 - 0.01 * mode,
         F=1e-2 * rng.standard_normal((g.n_nodes, g.dim)),
@@ -389,10 +395,62 @@ def test_identity_row_solve_matches_lift_path(case):
     if case == "manufactured":
         op, data = _mms_case()
     else:
-        g, op = _operator(3 if case.endswith("3d") else 2)
+        g, op = _operator(case.split("-")[1])
         data = _wall_data(g, op) if case.startswith("wall") else _random_data(g, 3)
     v, W, residual = solve(op, data)
     v_ref, W_ref = _lift_path_solve(op, data)
     assert residual < 1e-12
     assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
     assert np.max(np.abs(W - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))
+
+
+# ---------------------------------------------------------------------------
+# the separable direct solve against sparse LU of the assembled operator
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+def test_separable_solve_matches_sparse_lu(grid):
+    g, op = _operator(grid)
+    data = _wall_data(g, op)
+    v, W, residual = solve(op, data)
+    U = splu(op.K.tocsc()).solve(assemble_rhs(op, data))
+    N = g.n_nodes
+    assert residual < 1e-12
+    assert np.max(np.abs(v - U[:N])) <= 1e-12 * np.max(np.abs(U[:N]))
+    assert np.max(np.abs(W - U[N:])) <= 1e-12 * np.max(np.abs(U[N:]))
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+def test_cross_modes_diagonalize_stiffness_and_mass(grid):
+    g, op = _operator(grid)
+    assert len(op.cross_modes) == g.dim - 1
+    for a, (V, lam) in enumerate(op.cross_modes):
+        n, h = g.shape[a], g.spacing[a]
+        T = np.diag(np.r_[0.5, np.ones(n - 2), 0.5] * h)
+        S = (np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0]) - np.eye(n, k=1) - np.eye(n, k=-1)) / h
+        assert np.max(np.abs(V.T @ T @ V - np.eye(n))) < 1e-13
+        assert np.max(np.abs(V.T @ S @ V - np.diag(lam))) < 1e-13 * np.max(lam)
+
+
+def test_failed_band_factorization_raises(monkeypatch):
+    def singular(ab, kl, ku, overwrite_ab=0):
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 5
+
+    monkeypatch.setattr(elliptic, "dgbtrf", singular)
+    with pytest.raises(SingularAssemblyError, match="info = 5"):
+        _operator("2d")
+
+
+@pytest.mark.parametrize("field, index, match", [
+    ("aii", (-1, 0), "axial coordinate only"),
+    ("dzA", (0, 40), "purely axial coupling"),
+])
+def test_non_separable_coefficients_refused(field, index, match):
+    import dataclasses
+
+    g = build_grid(**GRIDS["2d"])
+    coeffs = make_coeffs(LAW, _background(g.shape[-1] - 1), g)
+    forged = getattr(coeffs, field).copy()
+    forged[index] += 0.01
+    with pytest.raises(DomainError, match=match):
+        DiscreteOperator(dataclasses.replace(coeffs, **{field: forged}), g)
