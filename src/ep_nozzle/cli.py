@@ -231,8 +231,8 @@ def cmd_perturb_domain(cfg) -> int:
 
 
 # ---------------------------------------------------------------------------
-# invariant checks, shared by `verify` and the acceptance tests (criteria 01,
-# 02, 03, 05, 06) at the acceptance sizes, seeds and tolerances; each returns
+# invariant checks, shared by `verify` and the acceptance tests (criteria 01
+# to 06) at the acceptance sizes, seeds and tolerances; each returns
 # (passed, detail)
 
 _LAW = GasLaw(gamma=2.0, k0=1.0)
@@ -279,6 +279,20 @@ def check_equilibrium_and_rk4_order():
     elapsed = time.perf_counter() - t0
     return (drift < 1e-12 and all(3.7 <= p <= 4.3 for p in orders) and elapsed < 1.0,
             f"drift = {drift:.1e}, orders = {[f'{p:.2f}' for p in orders]}, {elapsed:.2f} s")
+
+
+def check_shooting_roundtrip():
+    # shoot back to the exit density of the forward orbit from two brackets
+    t0 = time.perf_counter()
+    rho_ex = ode1d.integrate_ivp(_LAW, _MONOTONE, 1024).rho[-1]
+    s1 = ode1d.shoot_bvp(_LAW, 1.0, 1.0, 1.2, rho_ex, 0.5, n_steps=1024, bracket=(-5.0, 5.0))
+    s2 = ode1d.shoot_bvp(_LAW, 1.0, 1.0, 1.2, rho_ex, 0.5, n_steps=1024,
+                         bracket=(-2.0, 3.0), n_probe=41)
+    err = abs(s1.params.E0 - 0.1)
+    agree = abs(s1.params.E0 - s2.params.E0)
+    elapsed = time.perf_counter() - t0
+    return (err < 1e-8 and agree < 1e-8 and elapsed < 5.0,
+            f"|E0 - 0.1| = {err:.1e}, bracket agreement = {agree:.1e}, {elapsed:.2f} s")
 
 
 def _operator(params, grid):
@@ -361,6 +375,7 @@ CHECKS = {
     "structural identity": check_structural_identity,
     "enthalpy roundtrip": check_enthalpy_roundtrip,
     "1D equilibrium and RK4 order": check_equilibrium_and_rk4_order,
+    "shooting/forward roundtrip": check_shooting_roundtrip,
     "discrete coupling cancellation": check_coupling_cancellation,
     "discrete coercivity": check_coercivity,
     "trivial fixed point": check_trivial_fixed_point,

@@ -32,13 +32,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-# sparse LU of K: the reference the separable solve is checked against
-from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import DomainError, NotSubsonicError, SingularAssemblyError
 from .gas import GasLaw
 from .grid import Nozzle
 from .ode1d import BackgroundSolution
+
+
+def splu(A):
+    """Sparse LU of A (`scipy.sparse.linalg.splu`), the reference the separable
+    solve is checked against. Imported on the first call: no command but
+    `verify` factors K, and the package costs most of the start-up time."""
+    from scipy.sparse.linalg import splu as sparse_lu
+    return sparse_lu(A)
 
 
 # ---------------------------------------------------------------------------
@@ -72,47 +78,28 @@ def build_quadrature(grid: Nozzle) -> Quadrature:
     d = grid.dim
     shape = grid.shape
     n_nodes = grid.n_nodes
-    cell_shape = tuple(n - 1 for n in shape)
-    n_cells = int(np.prod(cell_shape))
-    cell_idx = np.stack(
-        [ix.ravel() for ix in np.indices(cell_shape)], axis=0
-    )  # (d, n_cells)
-    corners = list(itertools.product((0, 1), repeat=d))
-    nq = n_cells * len(corners)
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))   # (2^d, d)
+    stride = np.array([int(np.prod(shape[a + 1:])) for a in range(d)])
+    # quadrature point q = cell * 2^d + corner sits on node base[cell] + offset[corner]
+    base = np.arange(n_nodes).reshape(shape)[(slice(-1),) * d].ravel()
+    offset = corners @ stride
+    qnode = (base[:, None] + offset).ravel()
+    nq = qnode.size
     w_point = float(np.prod(grid.spacing)) / len(corners)
 
-    qnode = np.empty(nq, dtype=np.int64)
-    g_rows = [[] for _ in range(d)]
-    g_cols = [[] for _ in range(d)]
-    g_vals = [[] for _ in range(d)]
-    for c_id, kappa in enumerate(corners):
-        q_ids = np.arange(n_cells) * len(corners) + c_id
-        node_multi = cell_idx + np.asarray(kappa)[:, None]
-        qnode[q_ids] = np.ravel_multi_index(node_multi, shape)
-        for a in range(d):
-            plus = node_multi.copy()
-            plus[a] = cell_idx[a] + 1
-            minus = node_multi.copy()
-            minus[a] = cell_idx[a]
-            n_plus = np.ravel_multi_index(plus, shape)
-            n_minus = np.ravel_multi_index(minus, shape)
-            inv_h = 1.0 / grid.spacing[a]
-            g_rows[a].append(np.concatenate([q_ids, q_ids]))
-            g_cols[a].append(np.concatenate([n_plus, n_minus]))
-            g_vals[a].append(
-                np.concatenate([np.full(n_cells, inv_h), np.full(n_cells, -inv_h)])
-            )
-
-    G = tuple(
-        sp.csr_matrix(
-            (np.concatenate(g_vals[a]), (np.concatenate(g_rows[a]), np.concatenate(g_cols[a]))),
+    # each row of G[a] is (-1/h, +1/h) on the cell edge through its point
+    # along axis a: the minus node, then the plus node one stride further
+    G = []
+    for a in range(d):
+        minus = (base[:, None] + (offset - corners[:, a] * stride[a])).ravel()
+        inv_h = 1.0 / grid.spacing[a]
+        G.append(sp.csr_matrix(
+            (np.tile([-inv_h, inv_h], nq),
+             np.stack([minus, minus + stride[a]], axis=1).ravel(),
+             np.arange(0, 2 * nq + 1, 2)),
             shape=(nq, n_nodes),
-        )
-        for a in range(d)
-    )
-    P = sp.csr_matrix(
-        (np.ones(nq), (np.arange(nq), qnode)), shape=(nq, n_nodes)
-    )
+        ))
+    P = sp.csr_matrix((np.ones(nq), qnode, np.arange(nq + 1)), shape=(nq, n_nodes))
 
     idx = np.indices(shape)
     exit_sel = (idx[-1] == shape[-1] - 1).ravel()
@@ -129,7 +116,7 @@ def build_quadrature(grid: Nozzle) -> Quadrature:
             faces.append((a, sign, fidx, fw))
 
     return Quadrature(
-        G=G, P=P, qnode=qnode, w=np.full(nq, w_point),
+        G=tuple(G), P=P, qnode=qnode, w=np.full(nq, w_point),
         exit_idx=exit_idx, exit_w=exit_w,
         entrance_idx=entrance_idx, wall_faces=tuple(faces),
     )
@@ -295,7 +282,9 @@ class DiscreteOperator:
         N = grid.n_nodes
 
         def row_scaled(mat, c):
-            return mat.multiply(c[:, None]).tocsr()
+            # shares the index arrays of mat; only the values are new
+            data = mat.data * np.repeat(c, np.diff(mat.indptr))
+            return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
         Kvv = sum(
             (q.G[a].T @ row_scaled(q.G[a], wq * coeffs.aii[a][qn]) for a in range(d)),

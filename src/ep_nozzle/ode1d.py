@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -157,14 +155,44 @@ def integrate_ivp(law: GasLaw, params: OneDParams, n_steps: int = 1024) -> Backg
     )
 
 
+def _simpson_pairs(y, dx):
+    """Simpson integral over the first interval of each pair (dx[i], dx[i+1])."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def _cumulative_simpson(y, x):
+    """Integral of y from x[0] to each x[i] (at least three samples).
+
+    Interval i is integrated under the parabola through its end points and
+    the next node when i is even, and the previous node when i is odd or
+    last. Same rule and rounding as `scipy.integrate.cumulative_simpson`
+    with `initial=0`.
+    """
+    dx = np.diff(x)
+    forward = _simpson_pairs(y, dx)
+    backward = _simpson_pairs(y[::-1], dx[::-1])[::-1]
+    parts = np.empty(dx.size)
+    parts[:-1:2] = forward[::2]
+    parts[1::2] = backward[::2]
+    parts[-1] = backward[-1]
+    # + 0.0 turns a -0.0 sum into 0.0, as scipy's initial value does
+    return np.concatenate([[0.0], np.cumsum(parts) + 0.0])
+
+
 def build_background(law: GasLaw, xs, rho, E, J0):
-    """Potentials by cumulative Simpson quadrature, plus the boundary triple."""
+    """Potentials by the cumulative Simpson rule, plus the boundary triple."""
     u = J0 / np.asarray(rho, dtype=float)
     B00 = float(0.5 * u[-1] ** 2 + law.enthalpy(rho[-1]))
     pex0 = float(law.pressure(rho[-1]))
     phi_en0 = float(0.5 * u[0] ** 2 + law.enthalpy(rho[0])) - B00
-    phi0 = cumulative_simpson(u, x=xs, initial=0.0)
-    Phi0 = (B00 + phi_en0) + cumulative_simpson(np.asarray(E, float), x=xs, initial=0.0)
+    phi0 = _cumulative_simpson(u, xs)
+    Phi0 = (B00 + phi_en0) + _cumulative_simpson(np.asarray(E, float), xs)
     return phi0, Phi0, (phi_en0, B00, pex0)
 
 
@@ -185,6 +213,8 @@ def shoot_bvp(
     Scans E0 over the bracket, then refines the sign change with a
     secant-style bracketed root solve on the RK4 forward map.
     """
+    from scipy.optimize import brentq  # on demand: only `verify` shoots
+
     rho_s = sonic_density(law, J0)
     if rho_en <= rho_s or rho_ex <= rho_s:
         raise NoBracketError(

@@ -20,7 +20,7 @@ from ep_nozzle.domainmap import (
 )
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
-from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp, shoot_bvp
+from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
 
 from test_elliptic import _mms_solve
 
@@ -73,19 +73,7 @@ def test_03_equilibrium_and_rk4_order():
 
 
 def test_04_shooting_roundtrip():
-    t0 = time.perf_counter()
-    fwd = integrate_ivp(LAW, APPA, 1024)
-    s1 = shoot_bvp(LAW, 1.0, 1.0, 1.2, fwd.rho[-1], 0.5, n_steps=1024, bracket=(-5.0, 5.0))
-    s2 = shoot_bvp(LAW, 1.0, 1.0, 1.2, fwd.rho[-1], 0.5, n_steps=1024,
-                   bracket=(-2.0, 3.0), n_probe=41)
-    err = abs(s1.params.E0 - 0.1)
-    agree = abs(s1.params.E0 - s2.params.E0)
-    elapsed = time.perf_counter() - t0
-    assert err < 1e-8
-    assert agree < 1e-8
-    assert elapsed < 5.0
-    _report(4, "shooting/forward roundtrip",
-            f"|E0 - 0.1| = {err:.1e}, bracket agreement = {agree:.1e}, {elapsed:.2f} s")
+    _check(4, "shooting/forward roundtrip")
 
 
 def test_05_coupling_cancellation():

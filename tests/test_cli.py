@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -221,6 +225,33 @@ class TestSnapshots:
         assert len(snaps) == report["iterations"]
         head = snaps[0].read_text().splitlines()[0]
         assert head == "x,y,psi,Psi"
+
+
+# no command uses `scipy.integrate`; `scipy.optimize` (brentq, in `shoot_bvp`)
+# and `scipy.sparse.linalg` (the sparse-LU cross-check) load only in `verify`
+ON_DEMAND = ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
+
+
+class TestImports:
+    def test_commands_leave_on_demand_packages_unloaded(self, tmp_path):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(SMALL)
+        runs = [[command, "--config", str(cfgfile), "--out", str(tmp_path / command)]
+                for command in ("solve", "background", "sweep", "perturb-domain")]
+        script = "\n".join([
+            "import contextlib, io, json, sys",
+            "from ep_nozzle import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    codes = [cli.main(argv) for argv in {runs!r}]",
+            f"print(json.dumps([codes, [m for m in {ON_DEMAND!r} if m in sys.modules]]))",
+        ])
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        codes, loaded = json.loads(out)
+        assert codes == [0, 0, 0, 0]
+        assert loaded == []
 
 
 # (command, config text or None for a missing file, extra args, exit code,

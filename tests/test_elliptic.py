@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -402,6 +404,54 @@ def test_identity_row_solve_matches_lift_path(case):
     assert residual < 1e-12
     assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
     assert np.max(np.abs(W - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))
+
+
+# ---------------------------------------------------------------------------
+# quadrature maps built in CSR against a COO construction
+
+
+def _coo_quadrature(g):
+    """G[a] and P of the corner rule, assembled from COO triplets."""
+    d, shape = g.dim, g.shape
+    cell_shape = tuple(n - 1 for n in shape)
+    n_cells = int(np.prod(cell_shape))
+    cell_idx = np.stack([ix.ravel() for ix in np.indices(cell_shape)], axis=0)
+    corners = list(itertools.product((0, 1), repeat=d))
+    nq = n_cells * len(corners)
+    qnode = np.empty(nq, dtype=np.int64)
+    rows, cols, vals = ([[] for _ in range(d)] for _ in range(3))
+    for c_id, kappa in enumerate(corners):
+        q_ids = np.arange(n_cells) * len(corners) + c_id
+        node_multi = cell_idx + np.asarray(kappa)[:, None]
+        qnode[q_ids] = np.ravel_multi_index(node_multi, shape)
+        for a in range(d):
+            plus = node_multi.copy()
+            plus[a] = cell_idx[a] + 1
+            minus = node_multi.copy()
+            minus[a] = cell_idx[a]
+            inv_h = 1.0 / g.spacing[a]
+            rows[a].append(np.concatenate([q_ids, q_ids]))
+            cols[a].append(np.concatenate([np.ravel_multi_index(plus, shape),
+                                           np.ravel_multi_index(minus, shape)]))
+            vals[a].append(np.concatenate([np.full(n_cells, inv_h), np.full(n_cells, -inv_h)]))
+    G = [sp.csr_matrix((np.concatenate(vals[a]), (np.concatenate(rows[a]),
+                                                  np.concatenate(cols[a]))),
+                       shape=(nq, g.n_nodes)) for a in range(d)]
+    P = sp.csr_matrix((np.ones(nq), (np.arange(nq), qnode)), shape=(nq, g.n_nodes))
+    return G, P, qnode
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+def test_quadrature_matches_coo_construction(grid):
+    g = build_grid(**GRIDS[grid])
+    q = build_quadrature(g)
+    G, P, qnode = _coo_quadrature(g)
+    assert np.array_equal(q.qnode, qnode)
+    for got, want in zip((*q.G, q.P), (*G, P), strict=True):
+        assert got.has_canonical_format
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), part
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from ep_nozzle.errors import (
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.ode1d import (
     OneDParams,
+    _cumulative_simpson,
     appendixA_admissible,
     build_background,
     integrate_ivp,
@@ -132,6 +133,28 @@ class TestPotentials:
         assert np.allclose(phi0, sol.phi0)
         assert np.allclose(Phi0, sol.Phi0)
         assert triple == pytest.approx(sol.boundary_triple)
+
+
+@pytest.mark.parametrize("L", [0.7, 1.0, 2.3])
+@pytest.mark.parametrize("n", [17, 64, 65, 320, 321, 1024, 1025, 4097])
+def test_cumulative_simpson_matches_scipy(n, L):
+    # bit for bit: the background potentials keep their rounding
+    from scipy.integrate import cumulative_simpson
+
+    xs = np.linspace(0.0, L, n)
+    rng = np.random.default_rng(n)
+    for y in (rng.standard_normal(n), np.exp(-xs) * np.cos(7.0 * xs), np.zeros(n)):
+        assert np.array_equal(_cumulative_simpson(y, xs),
+                              cumulative_simpson(y, x=xs, initial=0.0))
+
+
+def test_background_potentials_match_scipy_simpson():
+    from scipy.integrate import cumulative_simpson
+
+    sol = integrate_ivp(LAW, APPA, 1088)
+    assert np.array_equal(sol.phi0, cumulative_simpson(sol.u, x=sol.xs, initial=0.0))
+    assert np.array_equal(sol.Phi0, (sol.B00 + sol.phi_en0)
+                          + cumulative_simpson(sol.E, x=sol.xs, initial=0.0))
 
 
 class TestShooting:
