@@ -197,10 +197,13 @@ class PicardState:
         ghat2 = bq_dot_q - drho
         return (pex - pex0) / chord + ghat2
 
-    def step(self, pair: FieldPair, data: BoundaryData, corrections=None) -> FieldPair:
-        """One application of the iteration map."""
+    def step(self, pair: FieldPair, data: BoundaryData, corrections=None,
+             Dpsi=None) -> FieldPair:
+        """One application of the iteration map. Dpsi, when given, is the
+        nodal gradient of pair.psi, already computed by the caller."""
         c = self.coeffs
-        Dpsi = gridmod.gradient(self.grid, pair.psi)
+        if Dpsi is None:
+            Dpsi = gridmod.gradient(self.grid, pair.psi)
         ball = np.abs(pair.Psi) + np.linalg.norm(Dpsi, axis=1)
         if np.max(ball) >= 3.0 * c.delta1:
             raise AdmissibilityError("iterate outside the remainder-definition ball")
@@ -270,8 +273,9 @@ def run_fixed_point(
     diffs = []
     ratios = []
     converged = False
+    Dpsi = None      # gradient of pair.psi, handed from the ball check to the next step
     for k in range(config.max_iter):
-        new = state.step(pair, data, corrections)
+        new = state.step(pair, data, corrections, Dpsi=Dpsi)
         d = float(
             np.max(np.abs(new.psi - pair.psi)) + np.max(np.abs(new.Psi - pair.Psi))
         )
@@ -281,9 +285,8 @@ def run_fixed_point(
         pair = new
         if on_iterate is not None:
             on_iterate(k + 1, pair)
-        ball = pair.sup() + float(
-            np.max(np.linalg.norm(gridmod.gradient(state.grid, pair.psi), axis=1))
-        )
+        Dpsi = gridmod.gradient(state.grid, pair.psi)
+        ball = pair.sup() + float(np.max(np.linalg.norm(Dpsi, axis=1)))
         if scale > 0.0 and ball > 2.0 * config.ball_multiplier * scale:
             raise AdmissibilityError("iterate left the iteration ball")
         if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):

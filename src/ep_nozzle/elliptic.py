@@ -21,10 +21,16 @@ layout: mode-major in the C order of the cross axes, then axial node k, then
 (v_k, W_k) interleaved, so each mode is banded with kl = ku = 3 and all
 modes form one banded matrix, factored once by LAPACK (dgbtrf) and solved in
 one dgbtrs call.
+
+The assembled sparse K is the reference operator: it is built on first use,
+for the quadratic form, the coercivity check and the sparse-LU cross-checks,
+and no command's solve builds it. The solve's residual applies K from the
+same 1D factors the banded LU is built from (`apply_operator`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -269,17 +275,36 @@ class LinearData:
 
 class DiscreteOperator:
     """Operator part of the weak system and its separable factorization
-    (background-dependent only)."""
+    (background-dependent only).
+
+    Built eagerly: the quadrature, the Dirichlet row masks, the cross
+    eigenmodes, the banded LU of the mode systems and the weights of
+    `apply_operator`; the last two read one set of axial forms. Built on
+    first use and then kept: the CSR blocks (`blocks`) and the assembled
+    operator `K`, which serve the quadratic form, the coercivity check and
+    the sparse-LU cross-checks.
+    """
 
     def __init__(self, coeffs: BackgroundCoeffs, grid: Nozzle, quad: Quadrature | None = None):
         self.coeffs = coeffs
         self.grid = grid
         self.quad = quad or build_quadrature(grid)
-        q = self.quad
+        self.dirichlet_v = grid.gamma0
+        self.dirichlet_W = grid.gamma0 | grid.gammaL
+        self.dirichlet = np.concatenate([self.dirichlet_v, self.dirichlet_W])
+        forms = _axial_forms(coeffs, grid)
+        self._weights = _apply_weights(forms, grid)
+        self.cross_modes = tuple(_cross_modes(grid, a) for a in range(grid.dim - 1))
+        self._band, self._piv = _factor_modes(forms, grid, self.cross_modes)
+
+    @functools.cached_property
+    def blocks(self):
+        """CSR blocks Kvv, KvW, KWv, KWW of K and the Dirichlet form Dsemi."""
+        coeffs, q = self.coeffs, self.quad
         wq = q.w
         qn = q.qnode
-        d = grid.dim
-        N = grid.n_nodes
+        d = self.grid.dim
+        N = self.grid.n_nodes
 
         def row_scaled(mat, c):
             # shares the index arrays of mat; only the values are new
@@ -303,23 +328,21 @@ class DiscreteOperator:
             start=sp.csr_matrix((N, N)),
         )
         KWW = Dsemi + q.P.T @ row_scaled(q.P, wq * coeffs.dzB[qn])
+        return {"Kvv": Kvv.tocsr(), "KvW": KvW.tocsr(),
+                "KWv": KWv.tocsr(), "KWW": KWW.tocsr(), "Dsemi": Dsemi.tocsr()}
 
-        self.blocks = {"Kvv": Kvv.tocsr(), "KvW": KvW.tocsr(),
-                       "KWv": KWv.tocsr(), "KWW": KWW.tocsr(), "Dsemi": Dsemi.tocsr()}
-
-        self.dirichlet_v = grid.gamma0
-        self.dirichlet_W = grid.gamma0 | grid.gammaL
-        dir_mask = np.concatenate([self.dirichlet_v, self.dirichlet_W])
+    @functools.cached_property
+    def K(self):
+        """The assembled operator, identity rows included: the reference that
+        `apply_operator` and the separable solve are checked against."""
+        dir_mask = self.dirichlet
         K = sp.bmat(
             [[self.blocks["Kvv"], self.blocks["KvW"]],
              [self.blocks["KWv"], self.blocks["KWW"]]],
             format="csr",
         )
         keep = sp.diags((~dir_mask).astype(float))
-        self.K = (keep @ K + sp.diags(dir_mask.astype(float))).tocsr()
-
-        self.cross_modes = tuple(_cross_modes(grid, a) for a in range(d - 1))
-        self._band, self._piv = _factor_modes(coeffs, grid, self.cross_modes)
+        return (keep @ K + sp.diags(dir_mask.astype(float))).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +386,21 @@ def _axial_profile(field, grid: Nozzle):
     return profile
 
 
-def _factor_modes(coeffs: BackgroundCoeffs, grid: Nozzle, cross_modes):
-    """Banded LU of all mode systems, built from the axial background profiles."""
+@dataclass(frozen=True)
+class AxialForms:
+    """Axial profiles and weights of the separable operator, read by both the
+    banded factorization and `apply_operator`."""
+
+    tau: np.ndarray          # axial trapezoid weights
+    edge: np.ndarray         # axial stiffness per edge, h (A_k + A_k+1) / 2
+    dzA: np.ndarray          # axial coupling profile
+    dzB: np.ndarray
+    tau_aii: tuple           # tau times the aii profile, per cross axis
+
+
+def _axial_forms(coeffs: BackgroundCoeffs, grid: Nozzle) -> AxialForms:
+    """Axial profiles of the coefficients; refuses non-separable ones."""
     d = grid.dim
-    n = grid.shape[-1]
     h = grid.spacing[-1]
     tau = _face_weights(grid, [d - 1])
     A = _axial_profile(coeffs.aii[-1], grid)
@@ -374,14 +408,26 @@ def _factor_modes(coeffs: BackgroundCoeffs, grid: Nozzle, cross_modes):
     dzB = _axial_profile(coeffs.dzB, grid)
     if np.any(coeffs.dzA[:-1]):
         raise DomainError("separable solve needs a purely axial coupling dzA")
+    return AxialForms(
+        tau=tau, edge=0.5 * h * (A[:-1] + A[1:]), dzA=dzA, dzB=dzB,
+        tau_aii=tuple(tau * _axial_profile(coeffs.aii[a], grid) for a in range(d - 1)),
+    )
+
+
+def _factor_modes(forms: AxialForms, grid: Nozzle, cross_modes):
+    """Banded LU of all mode systems, built from the axial forms."""
+    d = grid.dim
+    n = grid.shape[-1]
+    h = grid.spacing[-1]
+    tau = forms.tau
 
     # mode-independent part: the 1D corner-rule forms along the axis
     ones = np.ones(n - 1)
     D = sp.diags([-ones / h, ones / h], [0, 1], shape=(n - 1, n))
     corners = sp.diags([0.5 * h * ones, 0.5 * h * ones], [0, 1], shape=(n - 1, n))
-    Kvv = D.T @ sp.diags(0.5 * h * (A[:-1] + A[1:])) @ D
-    KvW = D.T @ corners @ sp.diags(dzA)
-    KWW = D.T @ (h * D) + sp.diags(tau * dzB)
+    Kvv = D.T @ sp.diags(forms.edge) @ D
+    KvW = D.T @ corners @ sp.diags(forms.dzA)
+    KWW = D.T @ (h * D) + sp.diags(tau * forms.dzB)
     order = np.arange(2 * n).reshape(2, n).T.ravel()     # interleave v_k, W_k
     block = sp.bmat([[Kvv, KvW], [-KvW.T, KWW]], format="csr")[order][:, order].tocoo()
     identity = _dirichlet_rows(n).ravel()
@@ -394,7 +440,7 @@ def _factor_modes(coeffs: BackgroundCoeffs, grid: Nozzle, cross_modes):
     diag = np.zeros(grid.cross_shape() + (n, 2))
     for a, (_, lam) in enumerate(cross_modes):
         lam = lam.reshape([-1 if b == a else 1 for b in range(d - 1)] + [1])
-        diag[..., 0] += lam * (tau * _axial_profile(coeffs.aii[a], grid))
+        diag[..., 0] += lam * forms.tau_aii[a]
         diag[..., 1] += lam * tau
     diag[..., _dirichlet_rows(n)] = 0.0
 
@@ -414,6 +460,78 @@ def _cross_transform(X, cross_modes, transpose):
     for a, (V, _) in enumerate(cross_modes):
         X = np.moveaxis(np.tensordot(V, X, axes=(0 if transpose else 1, a)), 0, a)
     return X
+
+
+def _along(axis, sl):
+    """Index that slices one axis and keeps the leading ones whole."""
+    return (slice(None),) * axis + (sl,)
+
+
+def _apply_weights(forms: AxialForms, grid: Nozzle):
+    """Node and edge weights of `apply_operator`, from the axial forms.
+
+    On cross axis a the stiffness weight is (1/h_a) times the trapezoid mass
+    of the other cross axes times tau (W rows) or tau * aii_a (v rows). Along
+    the axis every weight carries the trapezoid mass of the cross-section.
+    """
+    d = grid.dim
+    h = grid.spacing[-1]
+    cross = grid.cross_shape()
+    cross_w = []
+    for a in range(d - 1):
+        other = _face_weights(grid, [b for b in range(d - 1) if b != a]) / grid.spacing[a]
+        other = other.reshape([1 if b == a else n for b, n in enumerate(cross)] + [1])
+        cross_w.append((other * forms.tau_aii[a], other * forms.tau))
+    T = _face_weights(grid, range(d - 1)).reshape(cross + (1,))
+    return {
+        "cross": tuple(cross_w),
+        "vv": T * (forms.edge / h ** 2),    # axial v flux per edge difference
+        "vW": T * (0.5 * forms.dzA),        # coupling per node, halved for the edge mean
+        "WW": T / h,                        # axial W flux per edge difference
+        "mass": T * (forms.tau * forms.dzB),
+    }
+
+
+def apply_operator(op: DiscreteOperator, U) -> np.ndarray:
+    """K U from the separable 1D factors, without the assembled K.
+
+    Along the axis: the corner-rule forms Kvv, KvW, KWv = -KvW^T and KWW of
+    `_factor_modes`; on each cross axis: the Neumann stiffness against the
+    trapezoid mass; Dirichlet rows: identity. Equal to `op.K @ U` up to the
+    rounding of the summation order.
+    """
+    grid, w = op.grid, op._weights
+    shape, N = grid.shape, grid.n_nodes
+    v = U[:N].reshape(shape)
+    W = U[N:].reshape(shape)
+    out = np.zeros((2,) + shape)
+    out_v, out_W = out
+    # out_j += flux_j-1 - flux_j along an axis, no flux beyond the ends
+    for a, (cv, cW) in enumerate(w["cross"]):
+        hi, lo = _along(a, slice(1, None)), _along(a, slice(None, -1))
+        flux = cv * np.diff(v, axis=a)
+        out_v[hi] += flux
+        out_v[lo] -= flux
+        flux = cW * np.diff(W, axis=a)
+        out_W[hi] += flux
+        out_W[lo] -= flux
+    dv = np.diff(v, axis=-1)
+    m = w["vW"] * W
+    flux = w["vv"] * dv + m[..., :-1] + m[..., 1:]
+    out_v[..., 1:] += flux
+    out_v[..., :-1] -= flux
+    flux = w["WW"] * np.diff(W, axis=-1)
+    out_W[..., 1:] += flux
+    out_W[..., :-1] -= flux
+    out_W += w["mass"] * W
+    # KWv: -dzA_k times the mean of the two edge differences at node k
+    dv_pair = np.zeros(shape)
+    dv_pair[..., 1:] += dv
+    dv_pair[..., :-1] += dv
+    out_W -= w["vW"] * dv_pair
+    out = out.reshape(-1)
+    out[op.dirichlet] = U[op.dirichlet]
+    return out
 
 
 def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
@@ -484,11 +602,10 @@ def solve(op: DiscreteOperator, data: LinearData):
     U = np.concatenate([Y[..., 0].ravel(), Y[..., 1].ravel()])
     if info != 0 or not np.all(np.isfinite(U)):
         raise SingularAssemblyError("the banded mode solve gave no finite solution")
-    res = op.K @ U - rhs
+    res = apply_operator(op, U) - rhs
     rel = float(np.max(np.abs(res))) / max(float(np.max(np.abs(rhs))), 1e-300)
     # identity rows hold exactly; scrub the rounding of the mode transforms
-    dir_mask = np.concatenate([op.dirichlet_v, op.dirichlet_W])
-    U[dir_mask] = rhs[dir_mask]
+    U[op.dirichlet] = rhs[op.dirichlet]
     return U[:N], U[N:], rel
 
 

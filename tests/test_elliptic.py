@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from ep_nozzle import driver
 from ep_nozzle.elliptic import (
     DiscreteOperator,
     LinearData,
+    apply_operator,
     assemble_rhs,
     build_quadrature,
     check_wall_compatibility,
@@ -504,3 +506,42 @@ def test_non_separable_coefficients_refused(field, index, match):
     forged[index] += 0.01
     with pytest.raises(DomainError, match=match):
         DiscreteOperator(dataclasses.replace(coeffs, **{field: forged}), g)
+
+
+# ---------------------------------------------------------------------------
+# the solve's residual: K applied from the separable 1D factors
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    shape=st.lists(st.integers(8, 12), min_size=3, max_size=3),
+    extents=st.lists(st.floats(0.5, 2.0, exclude_min=True, exclude_max=True),
+                     min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_operator_matches_assembled_operator(dim, shape, extents, seed):
+    g = build_grid(dim=dim, cross_extents=tuple((0.0, e) for e in extents[:dim - 1]),
+                   shape=tuple(shape[:dim]))
+    op = DiscreteOperator(make_coeffs(LAW, _background(g.shape[-1] - 1), g), g)
+    U = np.random.default_rng(seed).standard_normal(2 * g.n_nodes)
+    KU = op.K @ U
+    assert np.max(np.abs(apply_operator(op, U) - KU)) <= 1e-14 * np.max(np.abs(KU))
+
+
+def test_fixed_point_leaves_the_operator_unassembled():
+    g = build_grid(**GRIDS["2d"])
+    bg = _background(g.shape[-1] - 1)
+    state = driver.PicardState(LAW, bg, g)
+    data = driver.perturb_data(bg, g, 1e-3)
+    driver.run_fixed_point(driver.IterationConfig(), data, state)
+    assert "K" not in state.op.__dict__
+    assert "blocks" not in state.op.__dict__
+
+
+def test_residual_does_not_read_the_factorization():
+    g, op = _operator("2d")
+    data = _random_data(g, 3)
+    assert solve(op, data)[2] < 1e-12
+    op._band[elliptic.KL + elliptic.KU, op._band.shape[1] // 2] *= 1.01
+    assert solve(op, data)[2] > 1e-8
