@@ -229,11 +229,11 @@ def pushforward_residual(dmap: DomainMap, state: drv.PicardState, pair: drv.Fiel
         det = np.linalg.det(JT_e)
         return np.einsum("nij,nj->ni", MtM, q_e) / det[:, None]
 
-    div_mass = drv.edge_divergence(g, phi, mass_flux, z=Phi)
+    grad_phi = gridmod.gradient(g, phi)
+    div_mass = drv.edge_divergence(g, phi, mass_flux, z=Phi, grad=grad_phi)
     div_field = drv.edge_divergence(g, Phi, field_flux)
 
     JT, detJT = jacobian_JT(dmap, g)
-    grad_phi = gridmod.gradient(g, phi)
     JTq = np.einsum("nij,nj->ni", JT, grad_phi)
     rho_map = law.density(Phi, np.einsum("ni,ni->n", JTq, JTq))
     source = (rho_map - data.b) / detJT

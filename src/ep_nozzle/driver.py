@@ -238,8 +238,10 @@ class PicardState:
         psi, Psi, _ = elliptic.solve(self.op, lin)
         return FieldPair(psi=psi, Psi=Psi)
 
-    def subsonic_margin(self, pair: FieldPair) -> float:
-        q_tot = self._q0 + gridmod.gradient(self.grid, pair.psi)
+    def subsonic_margin(self, pair: FieldPair, Dpsi) -> float:
+        """Min of p'(rho) - |grad phi|^2 at the iterate; Dpsi is the nodal
+        gradient of pair.psi."""
+        q_tot = self._q0 + Dpsi
         speed = np.einsum("ni,ni->n", q_tot, q_tot)
         rho = self.law.density(self.coeffs.Phi0 + pair.Psi, speed)
         return float(np.min(self.law.dpressure(rho) - speed))
@@ -299,7 +301,7 @@ def run_fixed_point(
     if not converged:
         raise MaxIterationsError(f"no convergence within {config.max_iter} steps")
 
-    margin = state.subsonic_margin(pair)
+    margin = state.subsonic_margin(pair, Dpsi)
     resid, components = nonlinear_residual(state, pair, data)
     report = SolveReport(
         iterations=len(diffs),
@@ -321,20 +323,23 @@ def run_fixed_point(
 # strong-form residuals
 
 
-def edge_divergence(grid: Nozzle, scalar, flux_fn, z=None):
+def edge_divergence(grid: Nozzle, scalar, flux_fn, z=None, grad=None):
     """Compact conservative divergence of a flux built from edge states.
 
     For each axis the gradient of ``scalar`` at edge midpoints uses the
     two-point compact difference along the edge and averaged nodal central
     differences across it; ``flux_fn(coords_mid, z_mid, q_mid)`` returns the
     full flux vector at the edges and its axis component is differenced.
-    Valid on interior nodes.
+    ``grad``, when given, is the nodal gradient of ``scalar``, already
+    computed by the caller. Valid on interior nodes.
     """
     shape = grid.shape
     d = grid.dim
     f_m = np.asarray(scalar, dtype=float).reshape(shape)
     z_m = None if z is None else np.asarray(z, dtype=float).reshape(shape)
-    grad_nodal = gridmod.gradient(grid, scalar).reshape(shape + (d,))
+    if grad is None:
+        grad = gridmod.gradient(grid, scalar)
+    grad_nodal = grad.reshape(shape + (d,))
     coords = grid.coords.reshape(shape + (d,))
     div = np.zeros(shape)
     for a in range(d):
@@ -366,7 +371,7 @@ def edge_divergence(grid: Nozzle, scalar, flux_fn, z=None):
     return div.ravel()
 
 
-def _edge_flux_divergence(state: PicardState, phi, Phi):
+def _edge_flux_divergence(state: PicardState, phi, Phi, grad_phi):
     """Conservative flux-difference residual of the mass equation, interior."""
     law = state.law
 
@@ -374,7 +379,7 @@ def _edge_flux_divergence(state: PicardState, phi, Phi):
         rho_e = law.density(z_e, np.einsum("ni,ni->n", q_e, q_e))
         return rho_e[:, None] * q_e
 
-    return edge_divergence(state.grid, phi, flat_flux, z=Phi)
+    return edge_divergence(state.grid, phi, flat_flux, z=Phi, grad=grad_phi)
 
 
 def _compact_laplacian(grid: Nozzle, f):
@@ -412,7 +417,7 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
     rho = law.density(Phi, speed)
 
     interior = gridmod.interior_mask(g)
-    mass = _edge_flux_divergence(state, phi, Phi)
+    mass = _edge_flux_divergence(state, phi, Phi, grad_phi)
     poisson = _compact_laplacian(g, Phi) - (rho - data.b)
 
     exit_idx = state.exit_idx
@@ -459,10 +464,13 @@ def field_norms(f, grid: Nozzle, quad: elliptic.Quadrature, alpha: float = 0.5,
                 seed: int = 42, n_pairs: int = 2000):
     """Diagnostic norms: sup, discrete H1 seminorm, sampled Holder seminorms."""
     f = np.asarray(f, dtype=float)
+    # the corner rule gives an edge along axis a the weight h_a times the
+    # trapezoid mass of the other axes, so w (G[a] f)^2 sums to these terms
+    fm = f.reshape(grid.shape)
     h1_sq = 0.0
-    for a in range(grid.dim):
-        gf = quad.G[a] @ f
-        h1_sq += float(np.sum(quad.w * gf * gf))
+    for a, edge_w in enumerate(quad.edge_w):
+        df = np.diff(fm, axis=a)
+        h1_sq += float(np.sum(edge_w * df * df)) / grid.spacing[a]
     rng = np.random.default_rng(seed)
     i = rng.integers(0, grid.n_nodes, size=n_pairs)
     j = rng.integers(0, grid.n_nodes, size=n_pairs)

@@ -16,16 +16,22 @@ axial coordinate only, so K is separable. On each cross axis the DCT-I
 cosines V are the generalized eigenvectors of the 1D Neumann stiffness
 against the trapezoid mass T, with V^T T V = I. Mapping every cross-section
 to these modes (V^T on free rows, V^T T = V^-1 on the identity rows, which
-are whole end planes) leaves one 2 n_axial system per cross mode. Mode
-layout: mode-major in the C order of the cross axes, then axial node k, then
-(v_k, W_k) interleaved, so each mode is banded with kl = ku = 3 and all
-modes form one banded matrix, factored once by LAPACK (dgbtrf) and solved in
-one dgbtrs call.
+are whole end planes) leaves one 2 n_axial system per cross mode (Hockney,
+J. ACM 12 (1965)). With the unknowns of axial node k interleaved as
+x_k = (v_k, W_k), each mode system is block tridiagonal with 2x2 blocks.
+The axial blocks are shared by all modes; a mode adds its cross eigenvalue
+times the axial mass to the diagonal blocks. One block LU without pivoting
+(Varah, Math. Comp. 26 (1972)), a loop over the axial nodes vectorized over
+all modes, is factored once per operator; each solve runs its forward and
+backward sweeps. The free rows are positive real, so no pivot block
+vanishes in exact arithmetic, and the solve's residual guards the rounding.
 
-The assembled sparse K is the reference operator: it is built on first use,
-for the quadratic form, the coercivity check and the sparse-LU cross-checks,
-and no command's solve builds it. The solve's residual applies K from the
-same 1D factors the banded LU is built from (`apply_operator`).
+The assembled sparse K and the per-point quadrature maps are the reference:
+they are built on first use, for the quadratic form, the coercivity check
+and the sparse-LU cross-checks, and no command's solve builds them. The
+solve's residual applies K from the same 1D factors the block LU is built
+from (`apply_operator`); the right-hand side applies the corner rule with
+slices on the reshaped fields. No command's solve imports scipy.
 """
 
 from __future__ import annotations
@@ -36,8 +42,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DomainError, NotSubsonicError, SingularAssemblyError
 from .gas import GasLaw
@@ -59,14 +63,73 @@ def splu(A):
 
 @dataclass(frozen=True)
 class Quadrature:
-    G: tuple                 # per-axis gradient maps, (nq x N) CSR
-    P: sp.csr_matrix         # nodal sampling at quadrature points
-    qnode: np.ndarray        # node index of each quadrature point
-    w: np.ndarray            # quadrature weights
+    """Boundary index sets and the weights of the corner rule.
+
+    Eager: the boundary sets and the nodal weights the solve path applies
+    with slices (`edge_w`, `mass`). Built on first use and then kept: the
+    per-point maps `qnode`, `w`, `G` and `P`, the independent reference that
+    the CSR blocks of K, `cross_term_sum` and the tests read.
+    """
+
+    grid: Nozzle
     exit_idx: np.ndarray     # exit-plane node indices (C-order of the cross grid)
     exit_w: np.ndarray       # surface weights on the exit plane
     entrance_idx: np.ndarray
     wall_faces: tuple        # (axis, outward_sign, node_idx, surface_w) per face
+    edge_w: tuple            # per axis a: trapezoid mass of the other axes, 1 along a
+    mass: np.ndarray         # lumped nodal mass, the trapezoid weight of each node
+
+    @functools.cached_property
+    def qnode(self):
+        """Node index of each quadrature point."""
+        _, _, base, offset = _corner_layout(self.grid.shape)
+        return (base[:, None] + offset).ravel()
+
+    @functools.cached_property
+    def w(self):
+        """Quadrature weights, one per point."""
+        n_corners = 2 ** self.grid.dim
+        return np.full(self.qnode.size, float(np.prod(self.grid.spacing)) / n_corners)
+
+    @functools.cached_property
+    def G(self):
+        """Per-axis gradient maps, (nq x N) CSR: each row of G[a] is (-1/h, +1/h)
+        on the cell edge through its point along axis a, the minus node, then
+        the plus node one stride further."""
+        import scipy.sparse as sp
+
+        corners, stride, base, offset = _corner_layout(self.grid.shape)
+        nq, n_nodes = self.qnode.size, self.grid.n_nodes
+        G = []
+        for a in range(self.grid.dim):
+            minus = (base[:, None] + (offset - corners[:, a] * stride[a])).ravel()
+            inv_h = 1.0 / self.grid.spacing[a]
+            G.append(sp.csr_matrix(
+                (np.tile([-inv_h, inv_h], nq),
+                 np.stack([minus, minus + stride[a]], axis=1).ravel(),
+                 np.arange(0, 2 * nq + 1, 2)),
+                shape=(nq, n_nodes),
+            ))
+        return tuple(G)
+
+    @functools.cached_property
+    def P(self):
+        """Nodal sampling at the quadrature points, (nq x N) CSR."""
+        import scipy.sparse as sp
+
+        nq = self.qnode.size
+        return sp.csr_matrix((np.ones(nq), self.qnode, np.arange(nq + 1)),
+                             shape=(nq, self.grid.n_nodes))
+
+
+def _corner_layout(shape):
+    """Quadrature point q = cell * 2^d + corner sits on node base[cell] +
+    offset[corner]; returns the corners, the node strides, base and offset."""
+    d = len(shape)
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))   # (2^d, d)
+    stride = np.array([int(np.prod(shape[a + 1:])) for a in range(d)])
+    base = np.arange(int(np.prod(shape))).reshape(shape)[(slice(-1),) * d].ravel()
+    return corners, stride, base, corners @ stride
 
 
 def _face_weights(grid: Nozzle, axes_used):
@@ -83,30 +146,6 @@ def _face_weights(grid: Nozzle, axes_used):
 def build_quadrature(grid: Nozzle) -> Quadrature:
     d = grid.dim
     shape = grid.shape
-    n_nodes = grid.n_nodes
-    corners = np.array(list(itertools.product((0, 1), repeat=d)))   # (2^d, d)
-    stride = np.array([int(np.prod(shape[a + 1:])) for a in range(d)])
-    # quadrature point q = cell * 2^d + corner sits on node base[cell] + offset[corner]
-    base = np.arange(n_nodes).reshape(shape)[(slice(-1),) * d].ravel()
-    offset = corners @ stride
-    qnode = (base[:, None] + offset).ravel()
-    nq = qnode.size
-    w_point = float(np.prod(grid.spacing)) / len(corners)
-
-    # each row of G[a] is (-1/h, +1/h) on the cell edge through its point
-    # along axis a: the minus node, then the plus node one stride further
-    G = []
-    for a in range(d):
-        minus = (base[:, None] + (offset - corners[:, a] * stride[a])).ravel()
-        inv_h = 1.0 / grid.spacing[a]
-        G.append(sp.csr_matrix(
-            (np.tile([-inv_h, inv_h], nq),
-             np.stack([minus, minus + stride[a]], axis=1).ravel(),
-             np.arange(0, 2 * nq + 1, 2)),
-            shape=(nq, n_nodes),
-        ))
-    P = sp.csr_matrix((np.ones(nq), qnode, np.arange(nq + 1)), shape=(nq, n_nodes))
-
     idx = np.indices(shape)
     exit_sel = (idx[-1] == shape[-1] - 1).ravel()
     exit_idx = np.flatnonzero(exit_sel)
@@ -121,10 +160,17 @@ def build_quadrature(grid: Nozzle) -> Quadrature:
             fw = _face_weights(grid, [ax for ax in range(d) if ax != a])
             faces.append((a, sign, fidx, fw))
 
+    # the corner rule summed over the cells around an edge along axis a gives
+    # the edge the weight h_a times the trapezoid mass of the other axes
+    edge_w = tuple(
+        _face_weights(grid, [b for b in range(d) if b != a]).reshape(
+            [1 if b == a else n for b, n in enumerate(shape)])
+        for a in range(d)
+    )
     return Quadrature(
-        G=tuple(G), P=P, qnode=qnode, w=np.full(nq, w_point),
-        exit_idx=exit_idx, exit_w=exit_w,
+        grid=grid, exit_idx=exit_idx, exit_w=exit_w,
         entrance_idx=entrance_idx, wall_faces=tuple(faces),
+        edge_w=edge_w, mass=_face_weights(grid, range(d)),
     )
 
 
@@ -278,7 +324,7 @@ class DiscreteOperator:
     (background-dependent only).
 
     Built eagerly: the quadrature, the Dirichlet row masks, the cross
-    eigenmodes, the banded LU of the mode systems and the weights of
+    eigenmodes, the block LU of the mode systems and the weights of
     `apply_operator`; the last two read one set of axial forms. Built on
     first use and then kept: the CSR blocks (`blocks`) and the assembled
     operator `K`, which serve the quadratic form, the coercivity check and
@@ -295,11 +341,13 @@ class DiscreteOperator:
         forms = _axial_forms(coeffs, grid)
         self._weights = _apply_weights(forms, grid)
         self.cross_modes = tuple(_cross_modes(grid, a) for a in range(grid.dim - 1))
-        self._band, self._piv = _factor_modes(forms, grid, self.cross_modes)
+        self.mode_lu = _factor_modes(forms, grid, self.cross_modes)
 
     @functools.cached_property
     def blocks(self):
         """CSR blocks Kvv, KvW, KWv, KWW of K and the Dirichlet form Dsemi."""
+        import scipy.sparse as sp
+
         coeffs, q = self.coeffs, self.quad
         wq = q.w
         qn = q.qnode
@@ -335,6 +383,8 @@ class DiscreteOperator:
     def K(self):
         """The assembled operator, identity rows included: the reference that
         `apply_operator` and the separable solve are checked against."""
+        import scipy.sparse as sp
+
         dir_mask = self.dirichlet
         K = sp.bmat(
             [[self.blocks["Kvv"], self.blocks["KvW"]],
@@ -346,9 +396,7 @@ class DiscreteOperator:
 
 
 # ---------------------------------------------------------------------------
-# separable direct solve: cross-section eigenmodes, one banded LU over all modes
-
-KL = KU = 3            # v_k couples to W_{k+1} three rows on in the interleaved layout
+# separable direct solve: cross-section eigenmodes, one block LU over all modes
 
 
 def _dirichlet_rows(n_axial):
@@ -414,45 +462,100 @@ def _axial_forms(coeffs: BackgroundCoeffs, grid: Nozzle) -> AxialForms:
     )
 
 
-def _factor_modes(forms: AxialForms, grid: Nozzle, cross_modes):
-    """Banded LU of all mode systems, built from the axial forms."""
+def _mode_blocks(forms: AxialForms, grid: Nozzle, cross_modes):
+    """The 2x2 blocks of every mode system in the interleaved (v_k, W_k) order.
+
+    Returns lower[k] (row k+1 on node k) and upper[k] (row k on node k+1),
+    shared by all modes, and diag[k, :, :, m], the diagonal blocks of mode m:
+    the axial corner-rule forms Kvv, KvW, KWv = -KvW^T and KWW plus the cross
+    eigenvalue times the axial mass, with identity rows for the Dirichlet data.
+    """
     d = grid.dim
     n = grid.shape[-1]
     h = grid.spacing[-1]
-    tau = forms.tau
-
-    # mode-independent part: the 1D corner-rule forms along the axis
-    ones = np.ones(n - 1)
-    D = sp.diags([-ones / h, ones / h], [0, 1], shape=(n - 1, n))
-    corners = sp.diags([0.5 * h * ones, 0.5 * h * ones], [0, 1], shape=(n - 1, n))
-    Kvv = D.T @ sp.diags(forms.edge) @ D
-    KvW = D.T @ corners @ sp.diags(forms.dzA)
-    KWW = D.T @ (h * D) + sp.diags(tau * forms.dzB)
-    order = np.arange(2 * n).reshape(2, n).T.ravel()     # interleave v_k, W_k
-    block = sp.bmat([[Kvv, KvW], [-KvW.T, KWW]], format="csr")[order][:, order].tocoo()
-    identity = _dirichlet_rows(n).ravel()
-    free = ~identity[block.row]
-    one = np.zeros((KL + KU + 1, 2 * n))
-    one[KU + block.row[free] - block.col[free], block.col[free]] = block.data[free]
-    one[KU, identity] = 1.0
+    e = forms.edge / h ** 2            # axial v stiffness per edge
+    c = 0.5 * forms.dzA                # coupling of an edge difference to each end node
+    lower = np.empty((n - 1, 2, 2))
+    upper = np.empty((n - 1, 2, 2))
+    lower[:, 0, 0] = upper[:, 0, 0] = -e
+    lower[:, 1, 1] = upper[:, 1, 1] = -1.0 / h
+    lower[:, 0, 1] = c[:-1]
+    lower[:, 1, 0] = c[1:]
+    upper[:, 0, 1] = -c[1:]
+    upper[:, 1, 0] = -c[:-1]
+    diag = np.zeros((n, 2, 2))
+    for side in (slice(1, None), slice(None, -1)):
+        diag[side, 0, 0] += e
+        diag[side, 1, 1] += 1.0 / h
+    diag[:, 1, 1] += forms.tau * forms.dzB
+    # a node couples to its own W by +c from its left edge and -c from its
+    # right edge; on free rows only the v row of the exit node keeps a term
+    diag[-1, 0, 1] = c[-1]
+    identity = _dirichlet_rows(n)
+    diag[identity] = np.eye(2)[np.nonzero(identity)[1]]
+    upper[identity[:-1]] = 0.0
+    lower[identity[1:]] = 0.0
 
     # mode-dependent part: cross eigenvalue times the axial mass, on free rows
-    diag = np.zeros(grid.cross_shape() + (n, 2))
+    mu = np.zeros((n, 2) + grid.cross_shape())
     for a, (_, lam) in enumerate(cross_modes):
-        lam = lam.reshape([-1 if b == a else 1 for b in range(d - 1)] + [1])
-        diag[..., 0] += lam * forms.tau_aii[a]
-        diag[..., 1] += lam * tau
-    diag[..., _dirichlet_rows(n)] = 0.0
+        lam = lam.reshape([-1 if b == a else 1 for b in range(d - 1)])
+        axial = (n,) + (1,) * (d - 1)
+        mu[:, 0] += forms.tau_aii[a].reshape(axial) * lam
+        mu[:, 1] += forms.tau.reshape(axial) * lam
+    mu[identity] = 0.0
+    mu = mu.reshape(n, 2, -1)
+    return lower, upper, diag[..., None] + np.eye(2)[:, :, None] * mu[:, :, None, :]
 
-    n_modes = int(np.prod(grid.cross_shape()))
-    ab = np.zeros((2 * KL + KU + 1, n_modes * 2 * n), order="F")
-    ab[KL:] = np.tile(one, n_modes)
-    ab[KL + KU] += diag.ravel()
-    lu, piv, info = dgbtrf(ab, KL, KU, overwrite_ab=1)
-    if info != 0:
+
+@dataclass(frozen=True)
+class ModeLU:
+    """Block LU, without pivoting, of the block-tridiagonal mode systems.
+
+    Row k of a mode system reads lower[k-1] x_k-1 + diag_k x_k + upper[k]
+    x_k+1 = r_k. The factors are the multipliers M_k = lower[k-1] S_k-1^-1,
+    stored at k - 1, and the inverted pivot blocks S_k^-1, where S_0 = diag_0
+    and S_k = diag_k - M_k upper[k-1]. Arrays are (node or edge, 2, 2, mode):
+    every step is vectorized over the modes.
+    """
+
+    multipliers: np.ndarray   # (n - 1, 2, 2, n_modes)
+    pivot_inv: np.ndarray     # (n, 2, 2, n_modes)
+    upper: np.ndarray         # (n - 1, 2, 2), shared by all modes
+
+    def solve(self, R):
+        """Solve in place for R of shape (n, 2, n_modes) and return it."""
+        n = R.shape[0]
+        for k in range(1, n):
+            R[k] -= np.einsum("ijm,jm->im", self.multipliers[k - 1], R[k - 1])
+        R[-1] = np.einsum("ijm,jm->im", self.pivot_inv[-1], R[-1])
+        for k in range(n - 2, -1, -1):
+            R[k] = np.einsum("ijm,jm->im", self.pivot_inv[k], R[k] - self.upper[k] @ R[k + 1])
+        return R
+
+
+def _invert_pivot(S, k):
+    """Inverse of the 2x2 pivot blocks S[:, :, mode] of axial node k."""
+    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+    if not np.all(np.isfinite(det) & (det != 0.0)):
         raise SingularAssemblyError(
-            f"banded factorization of the mode systems failed (info = {info})")
-    return lu, piv
+            f"banded factorization of the mode systems failed "
+            f"(singular pivot block at axial node {k})")
+    return np.stack([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det
+
+
+def _factor_modes(forms: AxialForms, grid: Nozzle, cross_modes) -> ModeLU:
+    """Block LU of all mode systems, built from the axial forms."""
+    lower, upper, diag = _mode_blocks(forms, grid, cross_modes)
+    n = diag.shape[0]
+    multipliers = np.empty((n - 1,) + diag.shape[1:])
+    pivot_inv = np.empty_like(diag)
+    pivot_inv[0] = _invert_pivot(diag[0], 0)
+    for k in range(1, n):
+        multipliers[k - 1] = np.einsum("ij,jlm->ilm", lower[k - 1], pivot_inv[k - 1])
+        S = diag[k] - np.einsum("ijm,jl->ilm", multipliers[k - 1], upper[k - 1])
+        pivot_inv[k] = _invert_pivot(S, k)
+    return ModeLU(multipliers, pivot_inv, upper)
 
 
 def _cross_transform(X, cross_modes, transpose):
@@ -534,12 +637,26 @@ def apply_operator(op: DiscreteOperator, U) -> np.ndarray:
     return out
 
 
+def _divergence_form(quad: Quadrature, F) -> np.ndarray:
+    """sum_a G[a]^T (w F[qnode, a]) with slices: the corner rule puts the flux
+    (1/2) T_other (F_a[lo] + F_a[hi]) on each edge along axis a, + to hi and
+    - to lo, where T_other is the trapezoid mass of the other axes."""
+    shape = quad.grid.shape
+    F = np.asarray(F, dtype=float).reshape(shape + (len(shape),))
+    out = np.zeros(shape)
+    for a, edge_w in enumerate(quad.edge_w):
+        hi, lo = _along(a, slice(1, None)), _along(a, slice(None, -1))
+        Fa = F[..., a]
+        flux = 0.5 * edge_w * (Fa[lo] + Fa[hi])
+        out[hi] += flux
+        out[lo] -= flux
+    return out.ravel()
+
+
 def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
     """Right-hand side of K U = rhs; the Dirichlet rows carry the data."""
     grid, q, coeffs = op.grid, op.quad, op.coeffs
     N = grid.n_nodes
-    d = grid.dim
-    wq, qn = q.w, q.qnode
     bv = np.zeros(N)
     bW = np.zeros(N)
 
@@ -548,24 +665,22 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
 
     if data.F is not None:
         F = np.asarray(data.F, dtype=float)
-        for a in range(d):
-            bv += q.G[a].T @ (wq * F[qn, a])
+        bv += _divergence_form(q, F)
         for axis, sign, fidx, fw in q.wall_faces:
             bv[fidx] -= fw * (sign * F[fidx, axis])
         bv[q.exit_idx] -= q.exit_w * F[q.exit_idx, -1]
     if data.s1 is not None:
-        bv -= np.bincount(qn, weights=wq * np.asarray(data.s1)[qn], minlength=N)
+        bv -= q.mass * np.asarray(data.s1)
     if data.g_exit is not None:
         bv[q.exit_idx] -= q.exit_w * coeffs.exit_scale * np.asarray(data.g_exit)
     # exit surface term of the coupling flux, determined by the exit trace of W
     bv[q.exit_idx] += q.exit_w * coeffs.exit_wflux * W_ex
 
     if data.f is not None:
-        bW -= np.bincount(qn, weights=wq * np.asarray(data.f)[qn], minlength=N)
+        bW -= q.mass * np.asarray(data.f)
     if data.F2 is not None:
         F2 = np.asarray(data.F2, dtype=float)
-        for a in range(d):
-            bW += q.G[a].T @ (wq * F2[qn, a])
+        bW += _divergence_form(q, F2)
         for axis, sign, fidx, fw in q.wall_faces:
             bW[fidx] -= fw * (sign * F2[fidx, axis])
     if data.wall_flux_v is not None:
@@ -597,10 +712,13 @@ def solve(op: DiscreteOperator, data: LinearData):
     cross_mass = op.quad.exit_w.reshape(grid.cross_shape())
     X[..., _dirichlet_rows(grid.shape[-1])] *= cross_mass[..., None]
     X = _cross_transform(X, op.cross_modes, transpose=True)
-    Y, info = dgbtrs(op._band, KL, KU, X.reshape(-1, 1), op._piv)
-    Y = _cross_transform(Y.reshape(X.shape), op.cross_modes, transpose=False)
+    # mode-major (mode, k, pair) to the sweep layout (k, pair, mode) and back
+    n = grid.shape[-1]
+    R = np.ascontiguousarray(X.reshape(-1, n, 2).transpose(1, 2, 0))
+    Y = op.mode_lu.solve(R).transpose(2, 0, 1).reshape(X.shape)
+    Y = _cross_transform(Y, op.cross_modes, transpose=False)
     U = np.concatenate([Y[..., 0].ravel(), Y[..., 1].ravel()])
-    if info != 0 or not np.all(np.isfinite(U)):
+    if not np.all(np.isfinite(U)):
         raise SingularAssemblyError("the banded mode solve gave no finite solution")
     res = apply_operator(op, U) - rhs
     rel = float(np.max(np.abs(res))) / max(float(np.max(np.abs(rhs))), 1e-300)

@@ -227,9 +227,11 @@ class TestSnapshots:
         assert head == "x,y,psi,Psi"
 
 
-# no command uses `scipy.integrate`; `scipy.optimize` (brentq, in `shoot_bvp`)
-# and `scipy.sparse.linalg` (the sparse-LU cross-check) load only in `verify`
-ON_DEMAND = ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
+# no command but `verify` loads scipy: `scipy.optimize` (brentq, in
+# `shoot_bvp`), `scipy.sparse` (the reference maps and K) and
+# `scipy.sparse.linalg` (the sparse-LU cross-check); "scipy" itself stands
+# for every scipy module
+ON_DEMAND = ("scipy", "scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
 
 
 class TestImports:
@@ -316,17 +318,23 @@ class TestExitCodes:
         def out_of_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(elliptic, "dgbtrf", out_of_memory)
+        monkeypatch.setattr(elliptic, "_factor_modes", out_of_memory)
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(SMALL)
         with pytest.raises(MemoryError):
             run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o"))
 
     def test_singular_factor_exits_1(self, tmp_path, capsys, monkeypatch):
-        def singular(ab, kl, ku, overwrite_ab=0):
-            return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
+        blocks = elliptic._mode_blocks
 
-        monkeypatch.setattr(elliptic, "dgbtrf", singular)
+        def singular(*args):
+            # node 0 holds identity rows only, so the pivot block of node 1
+            # is its diagonal block: zero it in every mode
+            lower, upper, diag = blocks(*args)
+            diag[1] = 0.0
+            return lower, upper, diag
+
+        monkeypatch.setattr(elliptic, "_mode_blocks", singular)
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(SMALL)
         assert run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1

@@ -484,13 +484,15 @@ def test_cross_modes_diagonalize_stiffness_and_mass(grid):
         assert np.max(np.abs(V.T @ S @ V - np.diag(lam))) < 1e-13 * np.max(lam)
 
 
-def test_failed_band_factorization_raises(monkeypatch):
-    def singular(ab, kl, ku, overwrite_ab=0):
-        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 5
+def test_failed_band_factorization_raises():
+    # no v stiffness and no coupling: the free v rows of node 1 vanish
+    import dataclasses
 
-    monkeypatch.setattr(elliptic, "dgbtrf", singular)
-    with pytest.raises(SingularAssemblyError, match="info = 5"):
-        _operator("2d")
+    g = build_grid(**GRIDS["2d"])
+    coeffs = make_coeffs(LAW, _background(g.shape[-1] - 1), g)
+    zero = {name: np.zeros_like(getattr(coeffs, name)) for name in ("aii", "dzA", "dqB")}
+    with pytest.raises(SingularAssemblyError, match="singular pivot block at axial node 1"):
+        DiscreteOperator(dataclasses.replace(coeffs, **zero), g)
 
 
 @pytest.mark.parametrize("field, index, match", [
@@ -543,5 +545,114 @@ def test_residual_does_not_read_the_factorization():
     g, op = _operator("2d")
     data = _random_data(g, 3)
     assert solve(op, data)[2] < 1e-12
-    op._band[elliptic.KL + elliptic.KU, op._band.shape[1] // 2] *= 1.01
+    pivot_inv = op.mode_lu.pivot_inv
+    pivot_inv[pivot_inv.shape[0] // 2, 0, 0, 0] *= 1.01
     assert solve(op, data)[2] > 1e-8
+
+
+def test_non_finite_pivot_block_raises(monkeypatch):
+    blocks = elliptic._mode_blocks
+
+    def non_finite(*args):
+        lower, upper, diag = blocks(*args)
+        diag[3, 0, 0, 2] = np.nan
+        return lower, upper, diag
+
+    monkeypatch.setattr(elliptic, "_mode_blocks", non_finite)
+    with pytest.raises(SingularAssemblyError, match="singular pivot block at axial node 3"):
+        _operator("3d")
+
+
+# ---------------------------------------------------------------------------
+# the block LU of the mode systems against sparse LU of the assembled operator
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    shape=st.lists(st.integers(8, 12), min_size=3, max_size=3),
+    extents=st.lists(st.floats(0.5, 2.0, exclude_min=True, exclude_max=True),
+                     min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_lu_solve_matches_sparse_lu(dim, shape, extents, seed):
+    g = build_grid(dim=dim, cross_extents=tuple((0.0, e) for e in extents[:dim - 1]),
+                   shape=tuple(shape[:dim]))
+    op = DiscreteOperator(make_coeffs(LAW, _background(g.shape[-1] - 1), g), g)
+    data = _random_data(g, seed)
+    v, W, residual = solve(op, data)
+    U = splu(op.K.tocsc()).solve(assemble_rhs(op, data))
+    N = g.n_nodes
+    assert residual < 1e-12
+    assert np.max(np.abs(v - U[:N])) <= 1e-12 * np.max(np.abs(U[:N]))
+    assert np.max(np.abs(W - U[N:])) <= 1e-12 * np.max(np.abs(U[N:]))
+
+
+# ---------------------------------------------------------------------------
+# the right-hand side and the H1 seminorm with slices, against the CSR maps
+
+
+def _csr_rhs(op, data):
+    """assemble_rhs through the per-point maps: G[a]^T (w F[qnode, a]) for the
+    divergence-form terms and a bincount of w s over qnode for the volume terms."""
+    q, N = op.quad, op.grid.n_nodes
+    wq, qn = q.w, q.qnode
+    bv = np.zeros(N)
+    bW = np.zeros(N)
+    for b, F, s in ((bv, data.F, data.s1), (bW, data.F2, data.f)):
+        for a in range(op.grid.dim):
+            b += q.G[a].T @ (wq * F[qn, a])
+        for axis, sign, fidx, fw in q.wall_faces:
+            b[fidx] -= fw * (sign * F[fidx, axis])
+        b -= np.bincount(qn, weights=wq * s[qn], minlength=N)
+    bv[q.exit_idx] -= q.exit_w * data.F[q.exit_idx, -1]
+    bv[q.exit_idx] -= q.exit_w * op.coeffs.exit_scale * data.g_exit
+    bv[q.exit_idx] += q.exit_w * op.coeffs.exit_wflux * np.ravel(data.W_ex)
+    for b, fluxes in ((bv, data.wall_flux_v), (bW, data.wall_flux_W)):
+        for (axis, sign, fidx, fw), flux in zip(q.wall_faces, fluxes):
+            b[fidx] += fw * flux
+    bv[op.dirichlet_v] = 0.0
+    bW[op.grid.gamma0] = np.ravel(data.W_en)
+    bW[op.grid.gammaL] = np.ravel(data.W_ex)
+    return np.concatenate([bv, bW])
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+def test_slice_rhs_matches_csr_maps(grid):
+    g, op = _operator(grid)
+    data = _wall_data(g, op)
+    rng = np.random.default_rng(6)
+    data.s1 = 1e-2 * rng.standard_normal(g.n_nodes)
+    # a wall flux of its own, not the trace of F or F2
+    data.wall_flux_v = [1e-2 * rng.standard_normal(fidx.size) for _, _, fidx, _ in op.quad.wall_faces]
+    want = _csr_rhs(op, data)
+    got = assemble_rhs(op, data)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # each term alone, so that no term hides under a larger one
+    zeroed = {k: np.zeros_like(v) if isinstance(v, np.ndarray) else [np.zeros_like(x) for x in v]
+              for k, v in vars(data).items()}
+    for name in ("F", "s1", "f", "F2", "wall_flux_v", "wall_flux_W"):
+        one = LinearData(**{**zeroed, name: getattr(data, name)})
+        want = _csr_rhs(op, one)
+        assert np.max(np.abs(want)) > 0.0, name
+        assert np.max(np.abs(assemble_rhs(op, one) - want)) <= 1e-14 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+def test_h1_seminorm_matches_csr_maps(grid):
+    g, op = _operator(grid)
+    q = op.quad
+    f = np.random.default_rng(7).standard_normal(g.n_nodes)
+    want = np.sqrt(sum(float(np.sum(q.w * (q.G[a] @ f) ** 2)) for a in range(g.dim)))
+    got = driver.field_norms(f, g, q)["h1_seminorm"]
+    assert abs(got - want) <= 1e-14 * want
+
+
+def test_fixed_point_leaves_the_quadrature_maps_unbuilt():
+    g = build_grid(**GRIDS["2d"])
+    bg = _background(g.shape[-1] - 1)
+    state = driver.PicardState(LAW, bg, g)
+    data = driver.perturb_data(bg, g, 1e-3)
+    driver.run_fixed_point(driver.IterationConfig(), data, state)
+    for name in ("G", "P", "qnode", "w"):
+        assert name not in state.op.quad.__dict__, name
