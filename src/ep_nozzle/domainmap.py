@@ -5,6 +5,11 @@ the end caps. The transformed problem is recast on the reference nozzle with
 a flat principal part plus correction sources and wall data, so the same
 fixed-point driver solves it. All corrections vanish identically for the
 identity map.
+
+The small-matrix algebra (determinants, the inverse-map Jacobian, the flux
+maps) is written out per component for d = 2 and 3, vectorized over the
+nodes or edges: no per-point LAPACK call. The inverse relies on the block
+structure M = [[A, b], [0, 1]] of the forward Jacobian (see jacobian_JT_at).
 """
 
 from __future__ import annotations
@@ -109,12 +114,80 @@ def forward_jacobian_at(dmap: DomainMap, coords):
     return M
 
 
+def _det(M):
+    """Determinant of a component-major stack (k, k, ...), k = 1, 2 or 3, written out."""
+    k = M.shape[0]
+    if k == 1:
+        return M[0, 0].copy()
+    if k == 2:
+        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if k == 3:
+        return (M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
+                - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
+                + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0]))
+    raise ValueError(f"closed-form determinant needs 1x1 to 3x3 matrices, got {k}x{k}")
+
+
+def _matvec(M, q):
+    """M q for a component-major stack of matrices (k, k, ...) and vectors (k, ...)."""
+    k = M.shape[0]
+    out = np.empty((k,) + np.broadcast_shapes(M.shape[2:], q.shape[1:]))
+    for i in range(k):
+        np.multiply(M[i, 0], q[0], out=out[i, ...])
+        for j in range(1, k):
+            out[i, ...] += M[i, j] * q[j]
+    return out
+
+
+def _sqnorm(v):
+    """|v|^2 of a component-major vector (k, ...)."""
+    out = v[0] * v[0]
+    for c in v[1:]:
+        out += c * c
+    return out
+
+
+def _component_major(M):
+    """A stack of matrices (..., k, k) as contiguous entry arrays (k, k, ...).
+
+    The products then stream contiguous arrays. Reading one entry per matrix
+    with a stride loads whole cache lines, so each of the nine entries of a
+    3x3 stack would cost a full pass over the stack.
+    """
+    return np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1)))
+
+
+def _node_major(v):
+    """Component-major (k, ...) back to a C-contiguous (..., k)."""
+    return np.ascontiguousarray(np.moveaxis(v, 0, -1))
+
+
 def jacobian_JT_at(dmap: DomainMap, coords):
-    M = forward_jacobian_at(dmap, coords)
-    detM = np.linalg.det(M)
-    if np.any(detM <= 0.0):
-        raise FoldOverError("deformation folds over: nonpositive Jacobian determinant")
-    JT = np.transpose(np.linalg.inv(M), (0, 2, 1))
+    """Inverse-map Jacobian J_T = M^{-T} and det J_T = 1 / det M at given points.
+
+    The forward Jacobian is block upper triangular, M = [[A, b], [0, 1]] with
+    the cross block A = dG/dx' (dc x dc, dc = 1 or 2) and b = dG/dx_n, so
+    det M = det A and M^{-1} = [[A^{-1}, -A^{-1} b], [0, 1]], with A^{-1} the
+    adjugate over the determinant. A non-finite or nonpositive determinant is
+    a fold-over.
+    """
+    M = _component_major(forward_jacobian_at(dmap, coords))
+    dc = M.shape[0] - 1
+    A, b = M[:dc, :dc], M[:dc, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        detM = _det(A)
+        folded = ~np.isfinite(detM) | (detM <= 0.0)
+    if np.any(folded):
+        raise FoldOverError("deformation folds over: nonpositive or non-finite Jacobian determinant")
+    JT = np.zeros(M.shape[2:] + M.shape[:2])
+    JT[:, -1, -1] = 1.0
+    if dc == 1:
+        Ainv = (1.0 / detM)[None, None]
+    else:
+        # the adjugate of A over det A
+        Ainv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / detM
+    JT[:, :dc, :dc] = np.moveaxis(Ainv, (0, 1), (-1, -2))
+    JT[:, -1, :dc] = -np.moveaxis(_matvec(Ainv, b), 0, -1)
     return JT, 1.0 / detM
 
 
@@ -123,19 +196,27 @@ def jacobian_JT(dmap: DomainMap, grid: Nozzle):
     return jacobian_JT_at(dmap, grid.coords)
 
 
+def _field_map(M, q, detM):
+    """M^T M q / det M, node-major (..., d), for a component-major M and q."""
+    return _node_major(_matvec(M.swapaxes(0, 1), _matvec(M, q)) / detM)
+
+
 def pullback_operators(law: GasLaw, z, q1, q2, M):
-    """Pulled-back flux maps for matrix argument M (the inverse-map Jacobian)."""
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    M = np.asarray(M, dtype=float)
-    detM = np.linalg.det(M)
+    """Pulled-back flux maps for matrix argument M (the inverse-map Jacobian).
+
+    A1 = rho(z, |M q1|^2) M^T M q1 / det M and A2 = M^T M q2 / det M for a
+    stack (..., d, d) of general matrices, d = 2 or 3.
+    """
+    q1 = np.moveaxis(np.asarray(q1, dtype=float), -1, 0)
+    q2 = np.moveaxis(np.asarray(q2, dtype=float), -1, 0)
+    M = _component_major(np.asarray(M, dtype=float))
+    detM = _det(M)
     if np.any(detM == 0.0):
         raise DomainError("singular matrix argument")
-    MtM = np.einsum("...ki,...kj->...ij", M, M)
-    Mq1 = np.einsum("...ij,...j->...i", M, q1)
-    rho = law.density(z, np.einsum("...i,...i->...", Mq1, Mq1))
-    A1 = np.asarray(rho)[..., None] * np.einsum("...ij,...j->...i", MtM, q1) / detM[..., None]
-    A2 = np.einsum("...ij,...j->...i", MtM, q2) / detM[..., None]
+    Mq1 = _matvec(M, q1)
+    rho = law.density(z, _sqnorm(Mq1))
+    A1 = _node_major(rho * _matvec(M.swapaxes(0, 1), Mq1) / detM)
+    A2 = _field_map(M, q2, detM)
     return A1, A2
 
 
@@ -167,13 +248,12 @@ def correction_terms(
     grad_Phi[:, -1] += c.E
     z = c.Phi0 + pair.Psi
 
-    speed_flat = np.einsum("ni,ni->n", grad_phi, grad_phi)
+    speed_flat = _sqnorm(grad_phi.T)
     rho_flat = law.density(z, speed_flat)
     A_flat = rho_flat[:, None] * grad_phi
 
     A1_map, A2_map = pullback_operators(law, z, grad_phi, grad_Phi, JT)
-    JTq = np.einsum("nij,nj->ni", JT, grad_phi)
-    rho_map = law.density(z, np.einsum("ni,ni->n", JTq, JTq))
+    rho_map = law.density(z, _sqnorm(_matvec(_component_major(JT), grad_phi.T)))
 
     H1 = A_flat - A1_map
     H2 = grad_Phi - A2_map
@@ -224,18 +304,15 @@ def pushforward_residual(dmap: DomainMap, state: drv.PicardState, pair: drv.Fiel
         return A1
 
     def field_flux(coords_mid, z_e, q_e):
-        JT_e, _ = jacobian_JT_at(dmap, coords_mid)
-        MtM = np.einsum("nki,nkj->nij", JT_e, JT_e)
-        det = np.linalg.det(JT_e)
-        return np.einsum("nij,nj->ni", MtM, q_e) / det[:, None]
+        JT_e, detJT_e = jacobian_JT_at(dmap, coords_mid)
+        return _field_map(_component_major(JT_e), q_e.T, detJT_e)
 
     grad_phi = gridmod.gradient(g, phi)
     div_mass = drv.edge_divergence(g, phi, mass_flux, z=Phi, grad=grad_phi)
     div_field = drv.edge_divergence(g, Phi, field_flux)
 
     JT, detJT = jacobian_JT(dmap, g)
-    JTq = np.einsum("nij,nj->ni", JT, grad_phi)
-    rho_map = law.density(Phi, np.einsum("ni,ni->n", JTq, JTq))
+    rho_map = law.density(Phi, _sqnorm(_matvec(_component_major(JT), grad_phi.T)))
     source = (rho_map - data.b) / detJT
 
     interior = gridmod.interior_mask(g)

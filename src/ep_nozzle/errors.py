@@ -56,4 +56,4 @@ class SingularAssemblyError(EPError):
 
 
 class FoldOverError(EPError):
-    """Domain deformation has a nonpositive Jacobian determinant."""
+    """Domain deformation has a nonpositive or non-finite Jacobian determinant."""

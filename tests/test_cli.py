@@ -269,6 +269,12 @@ PROBES = [
     pytest.param("solve", edited("background", "J0", "-1"), (), 1, "error", id="J0-negative"),
     pytest.param("perturb-domain", edited("domain_map", "eps", "0.5"), (), 4, "admissibility",
                  id="fold-over"),
+    # a 3D cross block's determinant overflows to inf here: refused as a
+    # fold-over, with no numpy overflow warning on stderr
+    pytest.param("perturb-domain",
+                 edited("nozzle", "dim", "3") + "[domain_map]\neps = 1e300\n", (), 4,
+                 "admissibility", id="fold-over-3d-overflow",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     pytest.param("perturb-domain", edited("domain_map", "eps", "nan"), (), 1, "error",
                  id="eps-nan"),
     pytest.param("sweep", edited("sweep", "sigmas", "0"), (), 1, "error", id="sigmas-zero"),

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ep_nozzle import driver
 from ep_nozzle.domainmap import (
     Corrections,
     DomainMap,
     correction_terms,
+    forward_jacobian_at,
     identity_map,
     jacobian_JT,
+    jacobian_JT_at,
     pullback_operators,
     pushforward_residual,
     shear_map,
@@ -36,6 +40,96 @@ def state_small():
 def state_medium():
     g = build_grid(dim=2, shape=(33, 65))
     return driver.PicardState(LAW, _background(64), g)
+
+
+@pytest.fixture(scope="module")
+def state_3d_small():
+    g = build_grid(dim=3, cross_extents=((0.0, 1.0),) * 2, shape=(9, 9, 17))
+    return driver.PicardState(LAW, _background(16), g)
+
+
+@pytest.fixture(scope="module")
+def state_3d_medium():
+    g = build_grid(dim=3, cross_extents=((0.0, 1.0),) * 2, shape=(17, 17, 33))
+    return driver.PicardState(LAW, _background(32), g)
+
+
+# ---------------------------------------------------------------------------
+# the stacked LAPACK and einsum formulas the closed forms replaced, kept as
+# oracles
+
+
+def _lapack_jacobian_JT_at(dmap, coords):
+    M = forward_jacobian_at(dmap, coords)
+    detM = np.linalg.det(M)
+    return np.transpose(np.linalg.inv(M), (0, 2, 1)), 1.0 / detM
+
+
+def _einsum_pullback(law, z, q1, q2, M):
+    detM = np.linalg.det(M)
+    MtM = np.einsum("...ki,...kj->...ij", M, M)
+    Mq1 = np.einsum("...ij,...j->...i", M, q1)
+    rho = law.density(z, np.einsum("...i,...i->...", Mq1, Mq1))
+    A1 = np.asarray(rho)[..., None] * np.einsum("...ij,...j->...i", MtM, q1) / detM[..., None]
+    A2 = np.einsum("...ij,...j->...i", MtM, q2) / detM[..., None]
+    return A1, A2
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _sheared_affine_map(dc, rng):
+    """G = A0 x' + e v sin(a.x' + k x_n): a full, point-dependent cross block
+    A0 + e cos(.) v a^T and a nonzero axial column e k cos(.) v. A0 = I + 0.3 R
+    and e <= 0.1 with |R|, |v|, |a| <= 1 keep det dG/dx' positive."""
+    A0 = np.eye(dc) + 0.3 * rng.uniform(-1.0, 1.0, (dc, dc))
+    v, a = rng.uniform(-1.0, 1.0, (2, dc))
+    e, k = rng.uniform(0.01, 0.1), rng.uniform(1.0, 5.0)
+
+    def theta(xprime, xn):
+        return xprime @ a + k * xn
+
+    def gfun(xprime, xn):
+        return xprime @ A0.T + e * np.sin(theta(xprime, xn))[..., None] * v
+
+    def dgx(xprime, xn):
+        return A0 + e * np.cos(theta(xprime, xn))[..., None, None] * np.outer(v, a)
+
+    def dgn(xprime, xn):
+        return e * k * np.cos(theta(xprime, xn))[..., None] * v
+
+    return DomainMap(gfun=gfun, dg_dxprime=dgx, dg_dxn=dgn, sigmaG=e)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_jacobian_matches_lapack(dim, seed):
+    rng = np.random.default_rng(seed)
+    dmap = _sheared_affine_map(dim - 1, rng)
+    coords = rng.uniform(0.0, 1.0, (50, dim))
+    JT, detJT = jacobian_JT_at(dmap, coords)
+    JT_o, detJT_o = _lapack_jacobian_JT_at(dmap, coords)
+    assert _rel_err(JT, JT_o) <= 1e-13
+    assert _rel_err(detJT, detJT_o) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dim=st.sampled_from([2, 3]), batch=st.sampled_from([(), (50,), (5, 10)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_pullback_matches_einsum(dim, batch, seed):
+    # I + 0.3 R is diagonally dominant (condition number below 20); the
+    # scale and a row sign flip give determinants of either sign
+    rng = np.random.default_rng(seed)
+    M = np.eye(dim) + 0.3 * rng.uniform(-1.0, 1.0, batch + (dim, dim))
+    M *= rng.uniform(0.5, 2.0, batch + (1, 1))
+    M[..., 0, :] *= rng.choice([-1.0, 1.0], batch + (1,))
+    z = rng.uniform(0.0, 1.0, batch)
+    q1, q2 = rng.uniform(-0.4, 0.4, (2,) + batch + (dim,))
+    A1, A2 = pullback_operators(LAW, z, q1, q2, M)
+    A1_o, A2_o = _einsum_pullback(LAW, z, q1, q2, M)
+    assert _rel_err(A1, A1_o) <= 1e-13
+    assert _rel_err(A2, A2_o) <= 1e-13
 
 
 class TestJacobian:
@@ -104,6 +198,21 @@ class TestJacobian:
         with pytest.raises(FoldOverError):
             jacobian_JT(dmap, g)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, np.nan], ids=["overflow", "nan"])
+    def test_fold_over_refuses_non_finite_determinant(self, scale):
+        # det of scale * I (2x2) is +inf or nan: neither passes `det <= 0`
+        def dgx(xprime, xn):
+            return np.broadcast_to(scale * np.eye(2), xprime.shape[:-1] + (2, 2)).copy()
+
+        def dgn(xprime, xn):
+            return np.zeros_like(xprime)
+
+        dmap = DomainMap(gfun=lambda xprime, xn: scale * xprime, dg_dxprime=dgx, dg_dxn=dgn)
+        coords = np.random.default_rng(0).uniform(0.0, 1.0, (20, 3))
+        with pytest.raises(FoldOverError):
+            jacobian_JT_at(dmap, coords)
+
 
 class TestPullback:
     def test_identity_reduces_to_flat_maps(self):
@@ -149,34 +258,50 @@ class TestPullback:
         assert np.max(np.abs(div[interior])) < 5e-3  # O(eps) sources, small grid
 
 
+def _assert_identity_gives_exact_zeros(state):
+    g = state.grid
+    N = g.n_nodes
+    JT, detJT = jacobian_JT(identity_map(g.dim), g)
+    assert np.array_equal(JT, np.broadcast_to(np.eye(g.dim), JT.shape))
+    assert np.all(detJT == 1.0)
+    data = driver.perturb_data(state.background, g, 0.0)
+    corr = correction_terms(
+        LAW, state, JT, detJT, driver.FieldPair(np.zeros(N), np.zeros(N)), data.b
+    )
+    assert np.all(corr.H1 == 0.0)
+    assert np.all(corr.H2 == 0.0)
+    assert np.all(corr.src2 == 0.0)
+    assert np.all(corr.g3 == 0.0)
+
+
+def _assert_end_cap_rigidity(state):
+    g = state.grid
+    N = g.n_nodes
+    dmap = shear_map(5e-3, g.L, dim=g.dim, cross_extents=g.cross_extents)
+    JT, detJT = jacobian_JT(dmap, g)
+    caps = g.gamma0 | g.gammaL
+    assert np.max(np.abs(JT[caps] - np.eye(g.dim))) < 1e-14
+    data = driver.perturb_data(state.background, g, 0.0)
+    corr = correction_terms(
+        LAW, state, JT, detJT, driver.FieldPair(np.zeros(N), np.zeros(N)), data.b
+    )
+    assert np.max(np.abs(corr.H1[caps])) < 1e-14
+    assert np.max(np.abs(corr.H2[caps])) < 1e-14
+    assert np.max(np.abs(corr.g3)) < 1e-14
+
+
 class TestCorrections:
     def test_identity_gives_exact_zeros(self, state_small):
-        g = state_small.grid
-        N = g.n_nodes
-        JT, detJT = jacobian_JT(identity_map(2), g)
-        data = driver.perturb_data(state_small.background, g, 0.0)
-        corr = correction_terms(
-            LAW, state_small, JT, detJT, driver.FieldPair(np.zeros(N), np.zeros(N)), data.b
-        )
-        assert np.all(corr.H1 == 0.0)
-        assert np.all(corr.H2 == 0.0)
-        assert np.all(corr.src2 == 0.0)
-        assert np.all(corr.g3 == 0.0)
+        _assert_identity_gives_exact_zeros(state_small)
+
+    def test_identity_gives_exact_zeros_3d(self, state_3d_small):
+        _assert_identity_gives_exact_zeros(state_3d_small)
 
     def test_end_cap_rigidity(self, state_small):
-        g = state_small.grid
-        N = g.n_nodes
-        dmap = shear_map(5e-3, g.L, dim=2, cross_extents=g.cross_extents)
-        JT, detJT = jacobian_JT(dmap, g)
-        caps = g.gamma0 | g.gammaL
-        assert np.max(np.abs(JT[caps] - np.eye(2))) < 1e-14
-        data = driver.perturb_data(state_small.background, g, 0.0)
-        corr = correction_terms(
-            LAW, state_small, JT, detJT, driver.FieldPair(np.zeros(N), np.zeros(N)), data.b
-        )
-        assert np.max(np.abs(corr.H1[caps])) < 1e-14
-        assert np.max(np.abs(corr.H2[caps])) < 1e-14
-        assert np.max(np.abs(corr.g3)) < 1e-14
+        _assert_end_cap_rigidity(state_small)
+
+    def test_end_cap_rigidity_3d(self, state_3d_small):
+        _assert_end_cap_rigidity(state_3d_small)
 
     def test_linear_smallness_slope(self, state_small):
         g = state_small.grid
@@ -194,15 +319,35 @@ class TestCorrections:
         assert slope == pytest.approx(1.0, abs=0.15)
 
 
+def _assert_identity_map_identical_to_flat(state):
+    cfg = driver.IterationConfig()
+    data = driver.perturb_data(state.background, state.grid, 1e-3)
+    pair_flat, rep_flat = driver.run_fixed_point(cfg, data, state)
+    pair_id, rep_id = solve_perturbed(identity_map(state.grid.dim), cfg, data, state)
+    assert np.array_equal(pair_flat.psi, pair_id.psi)
+    assert np.array_equal(pair_flat.Psi, pair_id.Psi)
+    assert rep_flat.iterations == rep_id.iterations
+
+
+def _pushforward_order(states, eps=4e-3):
+    """Convergence order of the pushforward residual over two grids, h halved."""
+    cfg = driver.IterationConfig()
+    resids = []
+    for state in states:
+        g = state.grid
+        data0 = driver.perturb_data(state.background, g, 0.0)
+        dmap = shear_map(eps, g.L, dim=g.dim, cross_extents=g.cross_extents)
+        pair, _ = solve_perturbed(dmap, cfg, data0, state)
+        resids.append(pushforward_residual(dmap, state, pair, data0)[0])
+    return np.log2(resids[0] / resids[1])
+
+
 class TestSolvePerturbed:
     def test_identity_map_identical_to_flat(self, state_small):
-        cfg = driver.IterationConfig()
-        data = driver.perturb_data(state_small.background, state_small.grid, 1e-3)
-        pair_flat, rep_flat = driver.run_fixed_point(cfg, data, state_small)
-        pair_id, rep_id = solve_perturbed(identity_map(2), cfg, data, state_small)
-        assert np.array_equal(pair_flat.psi, pair_id.psi)
-        assert np.array_equal(pair_flat.Psi, pair_id.Psi)
-        assert rep_flat.iterations == rep_id.iterations
+        _assert_identity_map_identical_to_flat(state_small)
+
+    def test_identity_map_identical_to_flat_3d(self, state_3d_small):
+        _assert_identity_map_identical_to_flat(state_3d_small)
 
     def test_deformation_scaling_at_zero_sigma(self, state_medium):
         g = state_medium.grid
@@ -218,14 +363,23 @@ class TestSolvePerturbed:
         assert slope == pytest.approx(1.0, abs=0.15)
 
     def test_pushforward_residual_at_discretization_order(self, state_small, state_medium):
-        cfg = driver.IterationConfig()
-        eps = 4e-3
-        resids = []
-        for state in (state_small, state_medium):
-            g = state.grid
-            data0 = driver.perturb_data(state.background, g, 0.0)
-            dmap = shear_map(eps, g.L, dim=2, cross_extents=g.cross_extents)
-            pair, _ = solve_perturbed(dmap, cfg, data0, state)
-            resids.append(pushforward_residual(dmap, state, pair, data0)[0])
-        order = np.log2(resids[0] / resids[1])
-        assert order > 1.4
+        assert _pushforward_order((state_small, state_medium)) > 1.4
+
+    def test_pushforward_residual_at_discretization_order_3d(self, state_3d_small,
+                                                              state_3d_medium):
+        assert _pushforward_order((state_3d_small, state_3d_medium)) > 1.4
+
+    def test_perturbed_path_makes_no_lapack_call(self, state_small, monkeypatch):
+        # the pullback's 2x2 and 3x3 algebra is written out; a stacked
+        # np.linalg call on this path costs one LAPACK call per node or edge
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg inverse or determinant on the perturbed path")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        g = state_small.grid
+        data = driver.perturb_data(state_small.background, g, 1e-3)
+        dmap = shear_map(2e-3, g.L, dim=2, cross_extents=g.cross_extents)
+        pair, report = solve_perturbed(dmap, driver.IterationConfig(), data, state_small)
+        assert report.converged
+        pushforward_residual(dmap, state_small, pair, data)
