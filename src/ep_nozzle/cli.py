@@ -180,9 +180,11 @@ def cmd_solve(cfg) -> int:
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
     state, data, pair, report = _solve_common(cfg, law, grid, background, outdir=outdir)
+    c = state.coeffs
     fields = {
         "psi": pair.psi, "Psi": pair.Psi,
-        "phi": state.coeffs.phi0 + pair.psi, "Phi": state.coeffs.Phi0 + pair.Psi,
+        "phi": (c.phi0 + grid.sections(pair.psi)).ravel(),
+        "Phi": (c.Phi0 + grid.sections(pair.Psi)).ravel(),
     }
     _write_fields(cfg, grid, fields, outdir / "fields")
     (outdir / "report.json").write_text(report.to_json())

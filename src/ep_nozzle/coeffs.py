@@ -41,24 +41,29 @@ def derivatives(law: GasLaw, z, q) -> FluxDerivatives:
     return FluxDerivatives(dA_dz, dB_dz, dA_dq, dB_dq)
 
 
-def remainder_fields(law: GasLaw, Phi0, q0, rho0, base: FluxDerivatives, Psi, Dpsi):
+def remainder_fields(law: GasLaw, Phi0, q0, rho0, a_base, base: FluxDerivatives, Psi, Dpsi):
     """Quadratic Taylor remainders (F, f) of (A, B) at every node.
 
-    Phi0 (N,) and q0 (N, d) are the background potential and velocity,
-    rho0 = law.density(Phi0, |q0|^2) the background density and
-    base = derivatives(law, Phi0, q0) the frozen linearization; Psi is the
-    potential perturbation and Dpsi its nodal gradient (N, d). Returns F (N, d),
+    The frozen background comes as axial profiles over the n axial nodes:
+    Phi0 (n,) and q0 (n, d) are the background potential and velocity,
+    rho0 = law.density(Phi0, |q0|^2) the background density, a_base = rho0 q0
+    its flux and base = derivatives(law, Phi0, q0) the frozen linearization.
+    Psi (N,) is the potential perturbation and Dpsi (N, d) its nodal
+    gradient, with N a multiple of n and the axial index last (C order), so
+    they are viewed as (N / n, n, ...) against the profiles. Returns F (N, d),
     f (N,) and the perturbed density (N,).
     """
-    Dpsi = np.asarray(Dpsi, dtype=float)
+    n, d = q0.shape
+    Psi = np.asarray(Psi, dtype=float).reshape(-1, n)
+    Dpsi = np.asarray(Dpsi, dtype=float).reshape(-1, n, d)
     q_tot = Dpsi + q0
-    rho_pert = law.density(Phi0 + Psi, np.einsum("ni,ni->n", q_tot, q_tot))
-    a_pert = rho_pert[:, None] * q_tot
-    a_base = rho0[:, None] * q0
-    lin_A = np.asarray(Psi)[:, None] * base.dA_dz + np.einsum(
-        "nij,nj->ni", base.dA_dq, Dpsi
-    )
-    F = -(a_pert - a_base - lin_A)
-    lin_B = np.asarray(Psi) * base.dB_dz + np.einsum("nj,nj->n", base.dB_dq, Dpsi)
+    rho_pert = law.density(Phi0 + Psi, np.einsum("cni,cni->cn", q_tot, q_tot))
+    # one component at a time: each product then runs along the sections
+    # with a profile, not over a trailing axis of length d
+    F = np.empty(Dpsi.shape)
+    for i in range(d):
+        lin_A = Psi * base.dA_dz[:, i] + sum(base.dA_dq[:, i, j] * Dpsi[..., j] for j in range(d))
+        F[..., i] = -(rho_pert * q_tot[..., i] - a_base[:, i] - lin_A)
+    lin_B = Psi * base.dB_dz + np.einsum("nj,cnj->cn", base.dB_dq, Dpsi)
     f = rho_pert - rho0 - lin_B
-    return F, f, rho_pert
+    return F.reshape(-1, d), f.ravel(), rho_pert.ravel()

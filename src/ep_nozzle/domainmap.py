@@ -8,8 +8,12 @@ identity map.
 
 The small-matrix algebra (determinants, the inverse-map Jacobian, the flux
 maps) is written out per component for d = 2 and 3, vectorized over the
-nodes or edges: no per-point LAPACK call. The inverse relies on the block
-structure M = [[A, b], [0, 1]] of the forward Jacobian (see jacobian_JT_at).
+nodes or edges: no per-point LAPACK call. Matrices are component-major
+stacks (d, d, ...), where each entry is one contiguous array over the points:
+the products then stream contiguous arrays, where reading one entry per
+matrix with a stride would load whole cache lines. The inverse relies on the
+block structure M = [[A, b], [0, 1]] of the forward Jacobian (see
+jacobian_JT_at).
 """
 
 from __future__ import annotations
@@ -100,20 +104,6 @@ def shear_map(eps: float, L: float, dim: int = 2, cross_extents=((0.0, 1.0),)) -
     return DomainMap(gfun=gfun, dg_dxprime=dgx, dg_dxn=dgn, sigmaG=abs(eps))
 
 
-def forward_jacobian_at(dmap: DomainMap, coords):
-    """Jacobian of the full map at given points, axial row appended."""
-    coords = np.asarray(coords, dtype=float)
-    xprime = coords[:, :-1]
-    xn = coords[:, -1]
-    d = coords.shape[1]
-    dc = d - 1
-    M = np.zeros((coords.shape[0], d, d))
-    M[:, -1, -1] = 1.0
-    M[:, :dc, :dc] = dmap.dg_dxprime(xprime, xn)
-    M[:, :dc, -1] = dmap.dg_dxn(xprime, xn)
-    return M
-
-
 def _det(M):
     """Determinant of a component-major stack (k, k, ...), k = 1, 2 or 3, written out."""
     k = M.shape[0]
@@ -147,52 +137,46 @@ def _sqnorm(v):
     return out
 
 
-def _component_major(M):
-    """A stack of matrices (..., k, k) as contiguous entry arrays (k, k, ...).
-
-    The products then stream contiguous arrays. Reading one entry per matrix
-    with a stride loads whole cache lines, so each of the nine entries of a
-    3x3 stack would cost a full pass over the stack.
-    """
-    return np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1)))
-
-
 def _node_major(v):
     """Component-major (k, ...) back to a C-contiguous (..., k)."""
     return np.ascontiguousarray(np.moveaxis(v, 0, -1))
 
 
 def jacobian_JT_at(dmap: DomainMap, coords):
-    """Inverse-map Jacobian J_T = M^{-T} and det J_T = 1 / det M at given points.
+    """Inverse-map Jacobian J_T = M^{-T}, component-major (d, d, n_points),
+    and det J_T = 1 / det M at given points.
 
     The forward Jacobian is block upper triangular, M = [[A, b], [0, 1]] with
     the cross block A = dG/dx' (dc x dc, dc = 1 or 2) and b = dG/dx_n, so
     det M = det A and M^{-1} = [[A^{-1}, -A^{-1} b], [0, 1]], with A^{-1} the
     adjugate over the determinant. A non-finite or nonpositive determinant is
-    a fold-over.
+    a fold-over; a map that overflows gives one, so it is evaluated without
+    overflow warnings.
     """
-    M = _component_major(forward_jacobian_at(dmap, coords))
-    dc = M.shape[0] - 1
-    A, b = M[:dc, :dc], M[:dc, -1]
+    coords = np.asarray(coords, dtype=float)
+    xprime, xn = coords[:, :-1], coords[:, -1]
+    dc = xprime.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
+        A = np.moveaxis(dmap.dg_dxprime(xprime, xn), (-2, -1), (0, 1))
+        b = np.moveaxis(dmap.dg_dxn(xprime, xn), -1, 0)
         detM = _det(A)
         folded = ~np.isfinite(detM) | (detM <= 0.0)
     if np.any(folded):
         raise FoldOverError("deformation folds over: nonpositive or non-finite Jacobian determinant")
-    JT = np.zeros(M.shape[2:] + M.shape[:2])
-    JT[:, -1, -1] = 1.0
+    JT = np.zeros((dc + 1, dc + 1, coords.shape[0]))
+    JT[-1, -1] = 1.0
     if dc == 1:
         Ainv = (1.0 / detM)[None, None]
     else:
         # the adjugate of A over det A
         Ainv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / detM
-    JT[:, :dc, :dc] = np.moveaxis(Ainv, (0, 1), (-1, -2))
-    JT[:, -1, :dc] = -np.moveaxis(_matvec(Ainv, b), 0, -1)
+    JT[:dc, :dc] = Ainv.swapaxes(0, 1)
+    JT[-1, :dc] = -_matvec(Ainv, b)
     return JT, 1.0 / detM
 
 
 def jacobian_JT(dmap: DomainMap, grid: Nozzle):
-    """Inverse-map derivative matrix J_T = M^{-T} and det J_T at every node."""
+    """Inverse-map derivative matrix J_T = M^{-T} (d, d, N) and det J_T at every node."""
     return jacobian_JT_at(dmap, grid.coords)
 
 
@@ -204,12 +188,14 @@ def _field_map(M, q, detM):
 def pullback_operators(law: GasLaw, z, q1, q2, M):
     """Pulled-back flux maps for matrix argument M (the inverse-map Jacobian).
 
-    A1 = rho(z, |M q1|^2) M^T M q1 / det M and A2 = M^T M q2 / det M for a
-    stack (..., d, d) of general matrices, d = 2 or 3.
+    A1 = rho M^T M q1 / det M with rho = rho(z, |M q1|^2), and
+    A2 = M^T M q2 / det M, for a component-major stack M (d, d, ...) of
+    general matrices, d = 2 or 3, and node-major q1, q2 (..., d). Returns
+    A1, A2 (node-major) and rho.
     """
     q1 = np.moveaxis(np.asarray(q1, dtype=float), -1, 0)
     q2 = np.moveaxis(np.asarray(q2, dtype=float), -1, 0)
-    M = _component_major(np.asarray(M, dtype=float))
+    M = np.asarray(M, dtype=float)
     detM = _det(M)
     if np.any(detM == 0.0):
         raise DomainError("singular matrix argument")
@@ -217,7 +203,7 @@ def pullback_operators(law: GasLaw, z, q1, q2, M):
     rho = law.density(z, _sqnorm(Mq1))
     A1 = _node_major(rho * _matvec(M.swapaxes(0, 1), Mq1) / detM)
     A2 = _field_map(M, q2, detM)
-    return A1, A2
+    return A1, A2, rho
 
 
 @dataclass
@@ -243,17 +229,16 @@ def correction_terms(
     if Dpsi is None:
         Dpsi = gridmod.gradient(g, pair.psi)
     grad_phi = Dpsi.copy()
-    grad_phi[:, -1] += c.u
+    g.sections(grad_phi)[..., -1] += c.u
     grad_Phi = gridmod.gradient(g, pair.Psi)
-    grad_Phi[:, -1] += c.E
-    z = c.Phi0 + pair.Psi
+    g.sections(grad_Phi)[..., -1] += c.E
+    z = (c.Phi0 + g.sections(pair.Psi)).ravel()
 
     speed_flat = _sqnorm(grad_phi.T)
     rho_flat = law.density(z, speed_flat)
     A_flat = rho_flat[:, None] * grad_phi
 
-    A1_map, A2_map = pullback_operators(law, z, grad_phi, grad_Phi, JT)
-    rho_map = law.density(z, _sqnorm(_matvec(_component_major(JT), grad_phi.T)))
+    A1_map, A2_map, rho_map = pullback_operators(law, z, grad_phi, grad_Phi, JT)
 
     H1 = A_flat - A1_map
     H2 = grad_Phi - A2_map
@@ -295,24 +280,23 @@ def pushforward_residual(dmap: DomainMap, state: drv.PicardState, pair: drv.Fiel
     g = state.grid
     law = state.law
     c = state.coeffs
-    phi = c.phi0 + pair.psi
-    Phi = c.Phi0 + pair.Psi
+    phi = (c.phi0 + g.sections(pair.psi)).ravel()
+    Phi = (c.Phi0 + g.sections(pair.Psi)).ravel()
 
     def mass_flux(coords_mid, z_e, q_e):
         JT_e, _ = jacobian_JT_at(dmap, coords_mid)
-        A1, _ = pullback_operators(law, z_e, q_e, q_e, JT_e)
-        return A1
+        return pullback_operators(law, z_e, q_e, q_e, JT_e)[0]
 
     def field_flux(coords_mid, z_e, q_e):
         JT_e, detJT_e = jacobian_JT_at(dmap, coords_mid)
-        return _field_map(_component_major(JT_e), q_e.T, detJT_e)
+        return _field_map(JT_e, q_e.T, detJT_e)
 
     grad_phi = gridmod.gradient(g, phi)
     div_mass = drv.edge_divergence(g, phi, mass_flux, z=Phi, grad=grad_phi)
     div_field = drv.edge_divergence(g, Phi, field_flux)
 
     JT, detJT = jacobian_JT(dmap, g)
-    rho_map = law.density(Phi, _sqnorm(_matvec(_component_major(JT), grad_phi.T)))
+    rho_map = law.density(Phi, _sqnorm(_matvec(JT, grad_phi.T)))
     source = (rho_map - data.b) / detJT
 
     interior = gridmod.interior_mask(g)

@@ -155,46 +155,48 @@ def perturb_data(
 
 
 class PicardState:
-    """Frozen background, linearization and factorized operator for one grid."""
+    """Frozen background, linearization and factorized operator for one grid.
+
+    The frozen background is kept as axial profiles, one entry per axial
+    node (see `elliptic.BackgroundCoeffs`): `_q0` (n_axial, d), `_rho0`,
+    `_a_base = _rho0 _q0` and `_base`, the flux derivatives there. Nodal
+    fields meet them through `Nozzle.sections`.
+    """
 
     def __init__(self, law: GasLaw, background: BackgroundSolution, grid: Nozzle):
         self.law = law
         self.background = background
         self.grid = grid
-        self.coeffs = elliptic.make_coeffs(law, background, grid)
-        self.op = elliptic.DiscreteOperator(self.coeffs, grid)
+        self.coeffs = c = elliptic.make_coeffs(law, background, grid)
+        self.op = elliptic.DiscreteOperator(c, grid)
         self.exit_idx = self.op.quad.exit_idx
-        d = grid.dim
-        q0 = np.zeros((grid.n_nodes, d))
-        q0[:, -1] = self.coeffs.u
+        q0 = np.zeros((grid.shape[-1], grid.dim))
+        q0[:, -1] = c.u
         self._q0 = q0
         # closure density of the background; it differs from coeffs.rho_bg,
         # the ODE density, in the last bits
-        self._rho0 = law.density(self.coeffs.Phi0, self.coeffs.u * self.coeffs.u)
-        self._base = cf.derivatives(law, self.coeffs.Phi0, q0)
+        self._rho0 = law.density(c.Phi0, c.u * c.u)
+        self._a_base = self._rho0[:, None] * q0
+        self._base = cf.derivatives(law, c.Phi0, q0)
         self._h_min = min(grid.spacing)
 
     def exit_datum(self, Dpsi, data: BoundaryData, pex_shift=None):
         """Exit datum of the conormal condition at the current gradient."""
         c = self.coeffs
-        idx = self.exit_idx
-        q = Dpsi[idx]
-        q_tot = q + self._q0[idx]
-        z_tot = c.Phi0[idx] + data.Psi_ex.ravel()
+        q = Dpsi[self.exit_idx]
+        q_tot = q + self._q0[-1]
+        z_tot = c.Phi0[-1] + data.Psi_ex.ravel()
         rho_t = self.law.density(z_tot, np.einsum("ni,ni->n", q_tot, q_tot))
-        drho = rho_t - c.rho_bg[idx]
-        chord = c.pprime[idx].copy()
+        drho = rho_t - c.rho_bg[-1]
+        pex0 = self.law.pressure(c.rho_bg[-1])
+        chord = np.full(drho.shape, c.pprime[-1])
         safe = np.abs(drho) >= CHORD_FALLBACK
-        chord[safe] = (
-            self.law.pressure(rho_t[safe]) - self.law.pressure(c.rho_bg[idx][safe])
-        ) / drho[safe]
+        chord[safe] = (self.law.pressure(rho_t[safe]) - pex0) / drho[safe]
         pex = data.pex.ravel()
         if pex_shift is not None:
             pex = pex + pex_shift
-        pex0 = self.law.pressure(c.rho_bg[idx])
-        # dqB restricted to the exit plane, dotted with the tangential+axial q
-        bq_dot_q = np.einsum("an,na->n", c.dqB[:, idx], q)
-        ghat2 = bq_dot_q - drho
+        # dqB is axial: it meets the axial component of q only
+        ghat2 = c.dqB[-1] * q[:, -1] - drho
         return (pex - pex0) / chord + ghat2
 
     def step(self, pair: FieldPair, data: BoundaryData, corrections=None,
@@ -211,9 +213,10 @@ class PicardState:
             raise AdmissibilityError("exit gradient outside the admissible ball")
 
         F, f, _ = cf.remainder_fields(
-            self.law, c.Phi0, self._q0, self._rho0, self._base, pair.Psi, Dpsi
+            self.law, c.Phi0, self._q0, self._rho0, self._a_base, self._base,
+            pair.Psi, Dpsi,
         )
-        f_tot = f + (c.b_bg - data.b)
+        f_tot = f + (c.b_bg - self.grid.sections(data.b)).ravel()
         extra = None
         if corrections is not None:
             extra = corrections(pair, Dpsi)
@@ -241,9 +244,10 @@ class PicardState:
     def subsonic_margin(self, pair: FieldPair, Dpsi) -> float:
         """Min of p'(rho) - |grad phi|^2 at the iterate; Dpsi is the nodal
         gradient of pair.psi."""
-        q_tot = self._q0 + Dpsi
-        speed = np.einsum("ni,ni->n", q_tot, q_tot)
-        rho = self.law.density(self.coeffs.Phi0 + pair.Psi, speed)
+        sections = self.grid.sections
+        q_tot = self._q0 + sections(Dpsi)
+        speed = np.einsum("cni,cni->cn", q_tot, q_tot)
+        rho = self.law.density(self.coeffs.Phi0 + sections(pair.Psi), speed)
         return float(np.min(self.law.dpressure(rho) - speed))
 
     def tolerance(self, scale: float, config: IterationConfig) -> float:
@@ -409,8 +413,8 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
     g = state.grid
     law = state.law
     c = state.coeffs
-    phi = c.phi0 + pair.psi
-    Phi = c.Phi0 + pair.Psi
+    phi = (c.phi0 + g.sections(pair.psi)).ravel()
+    Phi = (c.Phi0 + g.sections(pair.Psi)).ravel()
 
     grad_phi = gridmod.gradient(g, phi)
     speed = np.einsum("ni,ni->n", grad_phi, grad_phi)
@@ -461,8 +465,9 @@ def residual_floor(state: PicardState, amplitudes: Amplitudes | None = None):
 
 
 def field_norms(f, grid: Nozzle, quad: elliptic.Quadrature, alpha: float = 0.5,
-                seed: int = 42, n_pairs: int = 2000):
-    """Diagnostic norms: sup, discrete H1 seminorm, sampled Holder seminorms."""
+                seed: int = 42, n_pairs: int = 2000, delta=None):
+    """Diagnostic norms: sup, discrete H1 seminorm, sampled Holder seminorms.
+    delta, when given, is the grid's `corner_distance`, computed by the caller."""
     f = np.asarray(f, dtype=float)
     # the corner rule gives an edge along axis a the weight h_a times the
     # trapezoid mass of the other axes, so w (G[a] f)^2 sums to these terms
@@ -478,7 +483,8 @@ def field_norms(f, grid: Nozzle, quad: elliptic.Quadrature, alpha: float = 0.5,
     i, j = i[keep], j[keep]
     dist = np.linalg.norm(grid.coords[i] - grid.coords[j], axis=1)
     quot = np.abs(f[i] - f[j]) / dist ** alpha
-    delta = gridmod.corner_distance(grid)
+    if delta is None:
+        delta = gridmod.corner_distance(grid)
     weighted = np.minimum(delta[i], delta[j]) ** (1.0 + alpha) * quot
     return {
         "sup": float(np.max(np.abs(f))),
@@ -491,9 +497,10 @@ def field_norms(f, grid: Nozzle, quad: elliptic.Quadrature, alpha: float = 0.5,
 
 def pair_norms(pair: FieldPair, grid: Nozzle, quad: elliptic.Quadrature,
                alpha: float = 0.5, seed: int = 42):
+    delta = gridmod.corner_distance(grid)
     return {
-        "psi": field_norms(pair.psi, grid, quad, alpha, seed),
-        "Psi": field_norms(pair.Psi, grid, quad, alpha, seed),
+        "psi": field_norms(pair.psi, grid, quad, alpha, seed, delta=delta),
+        "Psi": field_norms(pair.Psi, grid, quad, alpha, seed, delta=delta),
     }
 
 

@@ -6,13 +6,17 @@ at the quadrature points, which coincide with grid nodes, so the coupling
 cancellation between the two equations and the coercivity bound hold
 algebraically on the discrete level, not just in the refinement limit.
 
+The coefficients linearize about the one-dimensional background, so they are
+stored as axial profiles, one value per axial node: they depend on the axial
+coordinate only by construction, and the coupling is purely axial.
+
 Unknown layout: stacked vector [v; W] over all nodes. Dirichlet rows (v on
 the entrance plane, W on both end planes) are identity rows whose right-hand
 side holds the data: 0 for v, the end-plane values for W. Their columns stay
 in the operator, so the data reach the free rows through the solve itself.
 
-Direct solve: the grid is a tensor product and the coefficients depend on the
-axial coordinate only, so K is separable. On each cross axis the DCT-I
+Direct solve: the grid is a tensor product and the coefficients are axial
+profiles, so K is separable. On each cross axis the DCT-I
 cosines V are the generalized eigenvectors of the 1D Neumann stiffness
 against the trapezoid mass T, with V^T T V = I. Mapping every cross-section
 to these modes (V^T on free rows, V^T T = V^-1 on the identity rows, which
@@ -28,7 +32,8 @@ vanishes in exact arithmetic, and the solve's residual guards the rounding.
 
 The assembled sparse K and the per-point quadrature maps are the reference:
 they are built on first use, for the quadratic form, the coercivity check
-and the sparse-LU cross-checks, and no command's solve builds them. The
+and the sparse-LU cross-checks, and no command's solve builds them. Only
+they broadcast the profiles back to the quadrature points. The
 solve's residual applies K from the same 1D factors the block LU is built
 from (`apply_operator`); the right-hand side applies the corner rule with
 slices on the reshaped fields. No command's solve imports scipy.
@@ -180,7 +185,13 @@ def build_quadrature(grid: Nozzle) -> Quadrature:
 
 @dataclass(frozen=True)
 class BackgroundCoeffs:
-    """Background fields and linearization coefficients sampled at the nodes."""
+    """Background fields and linearization coefficients as axial profiles.
+
+    Every array holds one entry per axial node (leading dimension n_axial);
+    a nodal field viewed as (n_cross, n_axial, ...) (`Nozzle.sections`)
+    broadcasts against it. The coupling dzA = -dqB is purely axial, so only
+    its axial component is kept.
+    """
 
     law: GasLaw
     Phi0: np.ndarray
@@ -189,23 +200,22 @@ class BackgroundCoeffs:
     phi0: np.ndarray
     rho_bg: np.ndarray
     pprime: np.ndarray
-    aii: np.ndarray          # (d, N) diagonal coefficients
-    dzA: np.ndarray          # (d, N)
-    dqB: np.ndarray          # (d, N) = -dzA, shared-negation exact
-    dzB: np.ndarray          # (N,)
-    b_bg: np.ndarray         # background charge on the nodes
+    aii: np.ndarray          # (n_axial, d) diagonal coefficients
+    dzA: np.ndarray          # axial coupling
+    dqB: np.ndarray          # = -dzA, shared-negation exact
+    dzB: np.ndarray
+    b_bg: np.ndarray         # background charge
     J0: float
     lam: float
     delta1: float
     delta2: float
     delta3: float
-    exit_scale: np.ndarray   # conormal scale on the exit plane
-    exit_wflux: np.ndarray   # J0 / p'(rho_bg) on the exit plane
+    exit_scale: float        # conormal scale on the exit plane
+    exit_wflux: float        # J0 / p'(rho_bg) on the exit plane
 
 
 def make_coeffs(law: GasLaw, sol: BackgroundSolution, grid: Nozzle) -> BackgroundCoeffs:
-    axial = grid.coords[:, -1]
-    k = sol.index_of(axial)
+    k = sol.index_of(grid.axes[-1])
     Phi0 = sol.Phi0[k]
     u = sol.u[k]
     E = sol.E[k]
@@ -217,14 +227,12 @@ def make_coeffs(law: GasLaw, sol: BackgroundSolution, grid: Nozzle) -> Backgroun
     if nu_bg <= 0.0:
         raise NotSubsonicError("background is not uniformly subsonic on the grid")
 
-    d = grid.dim
-    aii = np.tile(rho_bg, (d, 1))
-    aii[-1] = rho_bg * (1.0 - u * u / pprime)
-    if np.min(aii[-1]) <= 0.0:
+    aii = np.tile(rho_bg[:, None], (1, grid.dim))
+    aii[:, -1] = rho_bg * (1.0 - u * u / pprime)
+    if np.min(aii[:, -1]) <= 0.0:
         raise NotSubsonicError("axial coefficient nonpositive")
     dzB = rho_bg / pprime
-    dzA = np.zeros((d, grid.n_nodes))
-    dzA[-1] = dzB * u
+    dzA = dzB * u
     dqB = -dzA
 
     # operational admissibility radii: keep the density-closure argument well
@@ -238,21 +246,18 @@ def make_coeffs(law: GasLaw, sol: BackgroundSolution, grid: Nozzle) -> Backgroun
         + 1.0
     )
     delta1 = min(1.0, m_vac / (2.0 * c_arg), nu_bg / (2.0 * c_sub)) / 3.0
-    m_vac_ex = float(np.min(h_bg[grid.gammaL]) - law.enthalpy(100.0 * law.rho_floor))
-    nu_ex = float(np.min((pprime - u * u)[grid.gammaL]))
+    m_vac_ex = float(h_bg[-1] - law.enthalpy(100.0 * law.rho_floor))
+    nu_ex = float(pprime[-1] - u[-1] * u[-1])
     delta2 = min(1.0, m_vac_ex / (2.0 * c_arg), nu_ex / (2.0 * c_sub)) / 3.0
     delta3 = min(delta1, delta2, 1.0)
-
-    exit_idx = np.flatnonzero(grid.gammaL)
-    exit_scale = aii[-1][exit_idx] * pprime[exit_idx] / sol.J0
-    exit_wflux = sol.J0 / pprime[exit_idx]
 
     return BackgroundCoeffs(
         law=law, Phi0=Phi0, u=u, E=E, phi0=phi0, rho_bg=rho_bg, pprime=pprime,
         aii=aii, dzA=dzA, dqB=dqB, dzB=dzB, b_bg=b_bg,
         J0=float(sol.J0), lam=float(np.min(aii)),
         delta1=float(delta1), delta2=float(delta2), delta3=float(delta3),
-        exit_scale=exit_scale, exit_wflux=exit_wflux,
+        exit_scale=float(aii[-1, -1] * pprime[-1] / sol.J0),
+        exit_wflux=float(sol.J0 / pprime[-1]),
     )
 
 
@@ -350,7 +355,7 @@ class DiscreteOperator:
 
         coeffs, q = self.coeffs, self.quad
         wq = q.w
-        qn = q.qnode
+        k = q.qnode % self.grid.shape[-1]      # axial node of each point
         d = self.grid.dim
         N = self.grid.n_nodes
 
@@ -360,22 +365,16 @@ class DiscreteOperator:
             return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
         Kvv = sum(
-            (q.G[a].T @ row_scaled(q.G[a], wq * coeffs.aii[a][qn]) for a in range(d)),
+            (q.G[a].T @ row_scaled(q.G[a], wq * coeffs.aii[k, a]) for a in range(d)),
             start=sp.csr_matrix((N, N)),
         )
-        KvW = sum(
-            (q.G[a].T @ row_scaled(q.P, wq * coeffs.dzA[a][qn]) for a in range(d)),
-            start=sp.csr_matrix((N, N)),
-        )
-        KWv = sum(
-            (q.P.T @ row_scaled(q.G[a], wq * coeffs.dqB[a][qn]) for a in range(d)),
-            start=sp.csr_matrix((N, N)),
-        )
+        KvW = q.G[-1].T @ row_scaled(q.P, wq * coeffs.dzA[k])
+        KWv = q.P.T @ row_scaled(q.G[-1], wq * coeffs.dqB[k])
         Dsemi = sum(
             (q.G[a].T @ row_scaled(q.G[a], wq) for a in range(d)),
             start=sp.csr_matrix((N, N)),
         )
-        KWW = Dsemi + q.P.T @ row_scaled(q.P, wq * coeffs.dzB[qn])
+        KWW = Dsemi + q.P.T @ row_scaled(q.P, wq * coeffs.dzB[k])
         return {"Kvv": Kvv.tocsr(), "KvW": KvW.tocsr(),
                 "KWv": KWv.tocsr(), "KWW": KWW.tocsr(), "Dsemi": Dsemi.tocsr()}
 
@@ -424,20 +423,11 @@ def _cross_modes(grid: Nozzle, axis: int):
     return V, 2.0 * (1.0 - np.cos(np.pi * j / (n - 1))) / h ** 2
 
 
-def _axial_profile(field, grid: Nozzle):
-    """A node field along the axis; refuses one that varies across sections."""
-    field = np.asarray(field, dtype=float).reshape(grid.shape)
-    profile = field[(0,) * (grid.dim - 1)]
-    if not np.array_equal(field, np.broadcast_to(profile, grid.shape)):
-        raise DomainError(
-            "separable solve needs coefficients that depend on the axial coordinate only")
-    return profile
-
-
 @dataclass(frozen=True)
 class AxialForms:
-    """Axial profiles and weights of the separable operator, read by both the
-    banded factorization and `apply_operator`."""
+    """Axial weights of the separable operator, read by both the banded
+    factorization and `apply_operator`; the coefficients are axial profiles,
+    so the operator is separable by construction."""
 
     tau: np.ndarray          # axial trapezoid weights
     edge: np.ndarray         # axial stiffness per edge, h (A_k + A_k+1) / 2
@@ -447,18 +437,13 @@ class AxialForms:
 
 
 def _axial_forms(coeffs: BackgroundCoeffs, grid: Nozzle) -> AxialForms:
-    """Axial profiles of the coefficients; refuses non-separable ones."""
     d = grid.dim
     h = grid.spacing[-1]
     tau = _face_weights(grid, [d - 1])
-    A = _axial_profile(coeffs.aii[-1], grid)
-    dzA = _axial_profile(coeffs.dzA[-1], grid)
-    dzB = _axial_profile(coeffs.dzB, grid)
-    if np.any(coeffs.dzA[:-1]):
-        raise DomainError("separable solve needs a purely axial coupling dzA")
+    A = coeffs.aii[:, -1]
     return AxialForms(
-        tau=tau, edge=0.5 * h * (A[:-1] + A[1:]), dzA=dzA, dzB=dzB,
-        tau_aii=tuple(tau * _axial_profile(coeffs.aii[a], grid) for a in range(d - 1)),
+        tau=tau, edge=0.5 * h * (A[:-1] + A[1:]), dzA=coeffs.dzA, dzB=coeffs.dzB,
+        tau_aii=tuple(tau * coeffs.aii[:, a] for a in range(d - 1)),
     )
 
 
@@ -750,13 +735,12 @@ def cross_term_sum(op: DiscreteOperator, xi, eta):
     """
     quad, coeffs = op.quad, op.coeffs
     wq, qn = quad.w, quad.qnode
+    k = qn % op.grid.shape[-1]       # axial node of each point
     eta_q = eta[qn]
-    total_1 = 0.0
-    total_2 = 0.0
-    for a in range(len(quad.G)):
-        gxi = quad.G[a] @ xi
-        total_1 += float(np.sum(wq * coeffs.dzA[a][qn] * eta_q * gxi))
-        total_2 += float(np.sum(wq * coeffs.dqB[a][qn] * eta_q * gxi))
+    # the coupling is axial: only the axial difference of xi enters
+    gxi = quad.G[-1] @ xi
+    total_1 = float(np.sum(wq * coeffs.dzA[k] * eta_q * gxi))
+    total_2 = float(np.sum(wq * coeffs.dqB[k] * eta_q * gxi))
     return total_1 + total_2, abs(total_1) + abs(total_2)
 
 

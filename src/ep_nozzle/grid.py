@@ -45,6 +45,15 @@ class Nozzle:
     def cross_shape(self):
         return self.shape[:-1]
 
+    def sections(self, field):
+        """A nodal field (N, ...) viewed as (n_cross, n_axial, ...).
+
+        C order puts the axial index last, so this is a reshape, and an axial
+        profile (n_axial, ...) broadcasts against the view.
+        """
+        field = np.asarray(field)
+        return field.reshape((-1, self.shape[-1]) + field.shape[1:])
+
 
 def build_grid(dim=2, cross_extents=((0.0, 1.0),), L=1.0, shape=(33, 65)) -> Nozzle:
     if dim not in (2, 3):

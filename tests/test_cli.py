@@ -275,6 +275,12 @@ PROBES = [
                  edited("nozzle", "dim", "3") + "[domain_map]\neps = 1e300\n", (), 4,
                  "admissibility", id="fold-over-3d-overflow",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    # the map itself overflows here (eps * w and eps * dw), before the
+    # determinant: still one line and no warning
+    pytest.param("perturb-domain",
+                 edited("nozzle", "dim", "3") + "[domain_map]\neps = 1e308\n", (), 4,
+                 "admissibility", id="fold-over-3d-map-overflow",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     pytest.param("perturb-domain", edited("domain_map", "eps", "nan"), (), 1, "error",
                  id="eps-nan"),
     pytest.param("sweep", edited("sweep", "sigmas", "0"), (), 1, "error", id="sigmas-zero"),

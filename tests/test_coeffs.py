@@ -38,7 +38,8 @@ def remainders(law, Phi0, q0, Psi, Dpsi):
     Phi0 = np.full(Psi.shape, float(Phi0))
     q0 = np.broadcast_to(np.asarray(q0, dtype=float), Dpsi.shape)
     rho0 = law.density(Phi0, np.einsum("ni,ni->n", q0, q0))
-    return remainder_fields(law, Phi0, q0, rho0, derivatives(law, Phi0, q0), Psi, Dpsi)
+    return remainder_fields(law, Phi0, q0, rho0, rho0[:, None] * q0,
+                            derivatives(law, Phi0, q0), Psi, Dpsi)
 
 
 def midpoint_remainder_F(law, Phi0, q0, z, q, n=64):
@@ -180,7 +181,7 @@ class TestAij:
         g = build_grid(dim=3, cross_extents=((0, 1), (0, 1)), shape=(8, 8, 9))
         c = make_coeffs(LAW, _constant_background(), g)
         for a, value in enumerate((1.0, 1.0, 0.875)):
-            assert c.aii[a] == pytest.approx(np.full(g.n_nodes, value), rel=1e-14)
+            assert c.aii[:, a] == pytest.approx(np.full(g.shape[-1], value), rel=1e-14)
         assert c.lam == pytest.approx(0.875)
 
     def test_rest_background_isotropic(self):
@@ -188,7 +189,7 @@ class TestAij:
         bg = _constant_background()
         c = make_coeffs(LAW, dataclasses.replace(bg, u=0.0 * bg.u), g)
         for a in range(2):
-            assert c.aii[a] == pytest.approx(c.rho_bg, rel=1e-14)
+            assert c.aii[:, a] == pytest.approx(c.rho_bg, rel=1e-14)
 
     def test_sonic_degeneracy(self):
         # with p = rho^2: speed_sq 2.5 at density 0.875 beats p' = 1.75

@@ -8,7 +8,6 @@ from ep_nozzle.domainmap import (
     Corrections,
     DomainMap,
     correction_terms,
-    forward_jacobian_at,
     identity_map,
     jacobian_JT,
     jacobian_JT_at,
@@ -56,13 +55,29 @@ def state_3d_medium():
 
 # ---------------------------------------------------------------------------
 # the stacked LAPACK and einsum formulas the closed forms replaced, kept as
-# oracles
+# oracles; they work on node-major stacks (..., d, d)
+
+
+def _forward_jacobian_at(dmap, coords):
+    """Jacobian of the full map at given points, axial row appended."""
+    xprime, xn = coords[:, :-1], coords[:, -1]
+    d = coords.shape[1]
+    M = np.zeros((coords.shape[0], d, d))
+    M[:, -1, -1] = 1.0
+    M[:, :-1, :-1] = dmap.dg_dxprime(xprime, xn)
+    M[:, :-1, -1] = dmap.dg_dxn(xprime, xn)
+    return M
 
 
 def _lapack_jacobian_JT_at(dmap, coords):
-    M = forward_jacobian_at(dmap, coords)
+    """M^{-T} as the component-major stack (d, d, n) that jacobian_JT_at returns."""
+    M = _forward_jacobian_at(dmap, coords)
     detM = np.linalg.det(M)
-    return np.transpose(np.linalg.inv(M), (0, 2, 1)), 1.0 / detM
+    return np.transpose(np.linalg.inv(M), (2, 1, 0)), 1.0 / detM
+
+
+def _component_major(M):
+    return np.moveaxis(M, (-2, -1), (0, 1))
 
 
 def _einsum_pullback(law, z, q1, q2, M):
@@ -72,7 +87,7 @@ def _einsum_pullback(law, z, q1, q2, M):
     rho = law.density(z, np.einsum("...i,...i->...", Mq1, Mq1))
     A1 = np.asarray(rho)[..., None] * np.einsum("...ij,...j->...i", MtM, q1) / detM[..., None]
     A2 = np.einsum("...ij,...j->...i", MtM, q2) / detM[..., None]
-    return A1, A2
+    return A1, A2, rho
 
 
 def _rel_err(got, want):
@@ -126,17 +141,18 @@ def test_closed_form_pullback_matches_einsum(dim, batch, seed):
     M[..., 0, :] *= rng.choice([-1.0, 1.0], batch + (1,))
     z = rng.uniform(0.0, 1.0, batch)
     q1, q2 = rng.uniform(-0.4, 0.4, (2,) + batch + (dim,))
-    A1, A2 = pullback_operators(LAW, z, q1, q2, M)
-    A1_o, A2_o = _einsum_pullback(LAW, z, q1, q2, M)
+    A1, A2, rho = pullback_operators(LAW, z, q1, q2, _component_major(M))
+    A1_o, A2_o, rho_o = _einsum_pullback(LAW, z, q1, q2, M)
     assert _rel_err(A1, A1_o) <= 1e-13
     assert _rel_err(A2, A2_o) <= 1e-13
+    assert _rel_err(rho, rho_o) <= 1e-13
 
 
 class TestJacobian:
     def test_identity(self, state_small):
         g = state_small.grid
         JT, detJT = jacobian_JT(identity_map(2), g)
-        assert np.array_equal(JT, np.broadcast_to(np.eye(2), JT.shape))
+        assert np.array_equal(JT, np.broadcast_to(np.eye(2)[:, :, None], JT.shape))
         assert np.all(detJT == 1.0)
 
     def test_shear_matches_closed_form(self, state_small):
@@ -152,10 +168,10 @@ class TestJacobian:
         a = 1.0 + eps * dw * s          # dG/dx'
         b = eps * w * ds                # dG/dxn
         # forward M = [[a, b], [0, 1]]; JT = M^{-T} = [[1/a, 0], [-b/a, 1]]
-        assert np.max(np.abs(JT[:, 0, 0] - 1.0 / a)) < 1e-13
-        assert np.max(np.abs(JT[:, 0, 1])) < 1e-13
-        assert np.max(np.abs(JT[:, 1, 0] + b / a)) < 1e-13
-        assert np.max(np.abs(JT[:, 1, 1] - 1.0)) < 1e-13
+        assert np.max(np.abs(JT[0, 0] - 1.0 / a)) < 1e-13
+        assert np.max(np.abs(JT[0, 1])) < 1e-13
+        assert np.max(np.abs(JT[1, 0] + b / a)) < 1e-13
+        assert np.max(np.abs(JT[1, 1] - 1.0)) < 1e-13
         assert np.max(np.abs(detJT - 1.0 / a)) < 1e-13
 
     def test_numeric_differentiation_agrees(self, state_small):
@@ -221,17 +237,18 @@ class TestPullback:
         z = rng.uniform(0.0, 1.0, size=n)
         q1 = rng.uniform(-0.4, 0.4, size=(n, 2))
         q2 = rng.uniform(-0.4, 0.4, size=(n, 2))
-        eye = np.broadcast_to(np.eye(2), (n, 2, 2))
-        A1, A2 = pullback_operators(LAW, z, q1, q2, eye)
+        eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, n))
+        A1, A2, rho_map = pullback_operators(LAW, z, q1, q2, eye)
         rho = LAW.density(z, np.einsum("ni,ni->n", q1, q1))
+        assert np.array_equal(rho_map, rho)
         assert np.array_equal(A1, rho[:, None] * q1)
         assert np.array_equal(A2, q2)
 
     def test_diagonal_matrix_hand_value(self):
         eps = 0.1
-        M = np.diag([1.0 + eps, 1.0])[None]
+        M = np.diag([1.0 + eps, 1.0])[:, :, None]
         q2 = np.array([[0.3, -0.2]])
-        _, A2 = pullback_operators(LAW, np.array([0.5]), np.zeros((1, 2)), q2, M)
+        _, A2, _ = pullback_operators(LAW, np.array([0.5]), np.zeros((1, 2)), q2, M)
         det = 1.0 + eps
         expect = np.array([[(1 + eps) ** 2 * 0.3 / det, -0.2 / det]])
         assert A2 == pytest.approx(expect, rel=1e-14)
@@ -247,13 +264,13 @@ class TestPullback:
             from ep_nozzle.domainmap import jacobian_JT_at
 
             JT_e, _ = jacobian_JT_at(dmap, coords_mid)
-            A1, _ = pullback_operators(LAW, z_e, q_e, q_e, JT_e)
-            return A1
+            return pullback_operators(LAW, z_e, q_e, q_e, JT_e)[0]
 
         # potential of the 1D background satisfies the flat equations exactly;
         # its pullback residual is at discretization order
         c = state_small.coeffs
-        div = driver.edge_divergence(g, c.phi0, mass_flux, z=c.Phi0)
+        phi0, Phi0 = (np.broadcast_to(p, g.shape).ravel() for p in (c.phi0, c.Phi0))
+        div = driver.edge_divergence(g, phi0, mass_flux, z=Phi0)
         interior = g.tags == 0
         assert np.max(np.abs(div[interior])) < 5e-3  # O(eps) sources, small grid
 
@@ -262,7 +279,7 @@ def _assert_identity_gives_exact_zeros(state):
     g = state.grid
     N = g.n_nodes
     JT, detJT = jacobian_JT(identity_map(g.dim), g)
-    assert np.array_equal(JT, np.broadcast_to(np.eye(g.dim), JT.shape))
+    assert np.array_equal(JT, np.broadcast_to(np.eye(g.dim)[:, :, None], JT.shape))
     assert np.all(detJT == 1.0)
     data = driver.perturb_data(state.background, g, 0.0)
     corr = correction_terms(
@@ -280,7 +297,7 @@ def _assert_end_cap_rigidity(state):
     dmap = shear_map(5e-3, g.L, dim=g.dim, cross_extents=g.cross_extents)
     JT, detJT = jacobian_JT(dmap, g)
     caps = g.gamma0 | g.gammaL
-    assert np.max(np.abs(JT[caps] - np.eye(g.dim))) < 1e-14
+    assert np.max(np.abs(JT[:, :, caps] - np.eye(g.dim)[:, :, None])) < 1e-14
     data = driver.perturb_data(state.background, g, 0.0)
     corr = correction_terms(
         LAW, state, JT, detJT, driver.FieldPair(np.zeros(N), np.zeros(N)), data.b

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ep_nozzle import driver
+from ep_nozzle import coeffs as cf, driver
 from ep_nozzle.driver import (
     Amplitudes,
     FieldPair,
@@ -44,7 +46,7 @@ class TestPerturbData:
         data = perturb_data(state_small.background, state_small.grid, 0.0)
         assert np.max(np.abs(data.Psi_en)) == 0.0
         assert np.max(np.abs(data.Psi_ex)) == 0.0
-        assert np.max(np.abs(data.b - state_small.coeffs.b_bg)) == 0.0
+        assert np.max(np.abs(state_small.grid.sections(data.b) - state_small.coeffs.b_bg)) == 0.0
         assert np.max(np.abs(data.pex - state_small.background.pex0)) == 0.0
 
     def test_magnitudes_bounded_by_sigma(self, state_small):
@@ -56,7 +58,7 @@ class TestPerturbData:
         assert np.max(np.abs(data.phi_ex)) <= tol
         assert np.max(np.abs(data.pex - bg.pex0)) <= tol
         assert abs(data.B0 - bg.B00) <= tol
-        assert np.max(np.abs(data.b - state_small.coeffs.b_bg)) <= tol
+        assert np.max(np.abs(g.sections(data.b) - state_small.coeffs.b_bg)) <= tol
 
     def test_compatibility_of_modes(self, state_small):
         # cosine modes: wall-normal derivative vanishes analytically at edges
@@ -236,3 +238,102 @@ def test_3d_fixed_point_smoke():
     assert report.subsonic_margin > 0.0
     floor, _ = residual_floor(state)
     assert report.nonlinear_residual <= 4.0 * floor
+
+
+# ---------------------------------------------------------------------------
+# the frozen background as axial profiles
+
+
+PROFILE_GRIDS = {
+    "2d": dict(dim=2, shape=(17, 33)),
+    "3d": dict(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.5)), shape=(9, 11, 17)),
+}
+
+
+@pytest.fixture(scope="module", params=list(PROFILE_GRIDS))
+def state_profiles(request):
+    g = build_grid(**PROFILE_GRIDS[request.param])
+    return PicardState(LAW, _background(g.shape[-1] - 1), g)
+
+
+def test_frozen_arrays_are_axial_profiles(state_profiles):
+    n = state_profiles.grid.shape[-1]
+    c = state_profiles.coeffs
+    frozen = {name: value for name, value in vars(c).items() if isinstance(value, np.ndarray)}
+    frozen.update(q0=state_profiles._q0, rho0=state_profiles._rho0,
+                  a_base=state_profiles._a_base)
+    frozen.update(state_profiles._base._asdict())
+    assert len(frozen) == 18
+    for name, value in frozen.items():
+        assert value.shape[0] == n, name
+
+
+def _nodal(profile, g):
+    """An axial profile copied to every node, (N, ...)."""
+    profile = np.asarray(profile)
+    return np.broadcast_to(profile, g.cross_shape() + profile.shape).reshape(
+        (g.n_nodes,) + profile.shape[1:])
+
+
+def test_profile_formulas_match_nodal_formulas(state_profiles):
+    # the nodal formulas of the frozen state, applied to the profiles copied
+    # to every node, give the same bits
+    state, g, law = state_profiles, state_profiles.grid, state_profiles.law
+    c = state.coeffs
+    N, d = g.n_nodes, g.dim
+    Phi0, u = _nodal(c.Phi0, g), _nodal(c.u, g)
+    q0 = np.zeros((N, d))
+    q0[:, -1] = u
+    rho0 = law.density(Phi0, u * u)
+    base = cf.derivatives(law, Phi0, q0)
+    dqB = np.zeros((d, N))
+    dqB[-1] = _nodal(c.dqB, g)
+
+    rng = np.random.default_rng(3)
+    Psi = 1e-3 * rng.standard_normal(N)
+    Dpsi = 1e-2 * rng.standard_normal((N, d))
+    q_tot = Dpsi + q0
+    rho_pert = law.density(Phi0 + Psi, np.einsum("ni,ni->n", q_tot, q_tot))
+    lin_A = Psi[:, None] * base.dA_dz + np.einsum("nij,nj->ni", base.dA_dq, Dpsi)
+    F = -(rho_pert[:, None] * q_tot - rho0[:, None] * q0 - lin_A)
+    lin_B = Psi * base.dB_dz + np.einsum("nj,nj->n", base.dB_dq, Dpsi)
+    f = rho_pert - rho0 - lin_B
+    got = cf.remainder_fields(law, c.Phi0, state._q0, state._rho0, state._a_base,
+                              state._base, Psi, Dpsi)
+    for want, have in zip((F, f, rho_pert), got):
+        assert np.array_equal(have, want)
+
+    data = perturb_data(state.background, g, 1e-3)
+    shift = 1e-3 * rng.standard_normal(state.exit_idx.size)
+    idx = state.exit_idx
+    q = Dpsi[idx]
+    q_ex = q + q0[idx]
+    rho_t = law.density(Phi0[idx] + data.Psi_ex.ravel(), np.einsum("ni,ni->n", q_ex, q_ex))
+    rho_bg = _nodal(c.rho_bg, g)[idx]
+    drho = rho_t - rho_bg
+    chord = _nodal(c.pprime, g)[idx]
+    safe = np.abs(drho) >= driver.CHORD_FALLBACK
+    chord[safe] = (law.pressure(rho_t[safe]) - law.pressure(rho_bg[safe])) / drho[safe]
+    ghat2 = np.einsum("an,na->n", dqB[:, idx], q) - drho
+    want = (data.pex.ravel() + shift - law.pressure(rho_bg)) / chord + ghat2
+    assert np.array_equal(state.exit_datum(Dpsi, data, shift), want)
+
+    speed = np.einsum("ni,ni->n", q_tot, q_tot)
+    margin = float(np.min(law.dpressure(law.density(Phi0 + Psi, speed)) - speed))
+    assert state.subsonic_margin(FieldPair(np.zeros(N), Psi), Dpsi) == margin
+
+
+def test_frozen_state_bytes_per_node():
+    # the mode LU, the apply weights, the quadrature mass and the Dirichlet
+    # masks are nodal; the background is not
+    g = build_grid(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.0)), shape=(33, 33, 65))
+    background = _background(64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = PicardState(LAW, background, g)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert state.coeffs.u.shape == (65,)
+    assert held / g.n_nodes <= 130.0

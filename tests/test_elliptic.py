@@ -21,7 +21,7 @@ from ep_nozzle.elliptic import (
     solve,
 )
 from ep_nozzle import elliptic
-from ep_nozzle.errors import DomainError, NotSubsonicError, SingularAssemblyError
+from ep_nozzle.errors import NotSubsonicError, SingularAssemblyError
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
 from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
@@ -71,8 +71,8 @@ class TestCoeffs:
         g = build_grid(dim=2, shape=(9, 17))
         bg = _background(16, CONST_PARAMS)
         c = make_coeffs(LAW, bg, g)
-        assert c.aii[0] == pytest.approx(np.ones(g.n_nodes), rel=1e-12)
-        assert c.aii[1] == pytest.approx(np.full(g.n_nodes, 0.875), rel=1e-12)
+        assert c.aii[:, 0] == pytest.approx(np.ones(g.shape[-1]), rel=1e-12)
+        assert c.aii[:, 1] == pytest.approx(np.full(g.shape[-1], 0.875), rel=1e-12)
         assert c.lam == pytest.approx(0.875, rel=1e-12)
         assert np.all(c.dzA + c.dqB == 0.0)
         assert c.delta3 > 0
@@ -493,21 +493,6 @@ def test_failed_band_factorization_raises():
     zero = {name: np.zeros_like(getattr(coeffs, name)) for name in ("aii", "dzA", "dqB")}
     with pytest.raises(SingularAssemblyError, match="singular pivot block at axial node 1"):
         DiscreteOperator(dataclasses.replace(coeffs, **zero), g)
-
-
-@pytest.mark.parametrize("field, index, match", [
-    ("aii", (-1, 0), "axial coordinate only"),
-    ("dzA", (0, 40), "purely axial coupling"),
-])
-def test_non_separable_coefficients_refused(field, index, match):
-    import dataclasses
-
-    g = build_grid(**GRIDS["2d"])
-    coeffs = make_coeffs(LAW, _background(g.shape[-1] - 1), g)
-    forged = getattr(coeffs, field).copy()
-    forged[index] += 0.01
-    with pytest.raises(DomainError, match=match):
-        DiscreteOperator(dataclasses.replace(coeffs, **{field: forged}), g)
 
 
 # ---------------------------------------------------------------------------
