@@ -197,15 +197,21 @@ def cmd_sweep(cfg) -> int:
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
     state = driver.PicardState(law, background, grid)
-    sweep = driver.stability_sweep(_iteration_config(cfg), state,
-                                   cfg.values["sweep"]["sigmas"], _amplitudes(cfg))
+    itcfg = _iteration_config(cfg)
+    sweep = driver.stability_sweep(itcfg, state, cfg.values["sweep"]["sigmas"],
+                                   _amplitudes(cfg))
     payload = {
         "sigmas": sweep.sigmas,
         "sup_norms": sweep.sup_norms,
         "contraction_factors": sweep.contraction,
+        "iterations": [r.iterations for r in sweep.reports],
+        "nonlinear_residuals": [r.nonlinear_residual for r in sweep.reports],
         "slope_norm": sweep.slope_norm,
         "slope_contraction": sweep.slope_contraction,
     }
+    eps = cfg.values["domain_map"]["eps"]
+    if len(eps) > 1:
+        payload["wall"] = domainmap.wall_sweep(itcfg, state, eps)
     tag = hashlib.sha256(json.dumps(payload["sigmas"]).encode()).hexdigest()[:10]
     (outdir / f"sweep_{tag}.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -213,11 +219,13 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_perturb_domain(cfg) -> int:
+    eps = cfg.values["domain_map"]["eps"]
+    if len(eps) > 1:
+        raise EPError("perturb-domain takes one [domain_map] eps; "
+                      "`sweep` runs a list of eps as the wall ladder")
     law, grid, background = _inputs(cfg)
-    dmap = domainmap.shear_map(
-        cfg.values["domain_map"]["eps"], cfg.values["nozzle"]["length"], dim=grid.dim,
-        cross_extents=grid.cross_extents,
-    )
+    dmap = domainmap.shear_map(eps[0], cfg.values["nozzle"]["length"], dim=grid.dim,
+                               cross_extents=grid.cross_extents)
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
     state, data, pair, report = _solve_common(cfg, law, grid, background,

@@ -61,6 +61,8 @@ tol_scale = 0.001
 sigmas = 0.0001,0.0002,0.0004,0.0008
 
 [domain_map]
+; wall-shear size: one value for perturb-domain; two or more also run the
+; wall ladder in sweep
 eps = 0.002
 
 [output]
@@ -86,7 +88,7 @@ _SCHEMA = {
     },
     "iteration": {"ball_multiplier": float, "max_iter": int, "tol_floor": float, "tol_scale": float},
     "sweep": {"sigmas": "floats"},
-    "domain_map": {"eps": float},
+    "domain_map": {"eps": "floats"},
     "output": {"directory": str, "format": str, "seed": int, "snapshots": "bool"},
 }
 
@@ -108,7 +110,10 @@ def _convert(kind, raw):
     if kind is str:
         return raw.strip()
     if kind == "floats":
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        if not values:
+            raise ValueError("empty list")
+        return values
     if kind == "bool":
         return _BOOLS[raw.strip().lower()]
     raise DomainError(f"unknown config field kind {kind}")
@@ -201,8 +206,11 @@ def _validate(values):
                      ("tol_scale >= 0", it["tol_scale"] >= 0.0)):
         if not ok:
             raise DomainError(f"[iteration] needs {rule}")
-    sigmas = values["sweep"]["sigmas"]
-    if len(set(sigmas)) < 2 or min(sigmas) <= 0.0:
-        raise DomainError("sweep sigmas need at least two distinct values, all positive")
+    ladders = {"sweep sigmas": values["sweep"]["sigmas"]}
+    if len(values["domain_map"]["eps"]) > 1:  # one eps is a single map, not a ladder
+        ladders["domain_map eps"] = values["domain_map"]["eps"]
+    for name, ladder in ladders.items():
+        if len(set(ladder)) < 2 or min(ladder) <= 0.0:
+            raise DomainError(f"{name} need at least two distinct values, all positive")
     if values["output"]["seed"] < 0:
         raise DomainError("seed must be nonnegative")

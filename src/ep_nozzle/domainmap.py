@@ -303,3 +303,32 @@ def pushforward_residual(dmap: DomainMap, state: drv.PicardState, pair: drv.Fiel
     r1 = float(np.max(np.abs(div_mass[interior])))
     r2 = float(np.max(np.abs(div_field[interior] - source[interior])))
     return max(r1, r2), {"mass": r1, "poisson": r2}
+
+
+def wall_sweep(config: drv.IterationConfig, state: drv.PicardState, eps) -> dict:
+    """Wall-shear ladder at sigma = 0 with log-log slope fits.
+
+    Per shear size: the fixed-point sup norm and Picard iterations, the sup of
+    the corrections H1 and H2 at the zero pair, and the pushforward residual.
+    The response slope fits the sup norms, the correction slope sup |H1|.
+    """
+    eps = [float(e) for e in eps]
+    if len(set(eps)) < 2 or min(eps) <= 0.0:
+        raise DomainError("a slope fit needs at least two distinct positive eps")
+    g = state.grid
+    data = drv.perturb_data(state.background, g, 0.0)
+    zero = drv.FieldPair(np.zeros(g.n_nodes), np.zeros(g.n_nodes))
+    rows = {"sup_norms": [], "sup_H1": [], "sup_H2": [], "iterations": [],
+            "pushforward_residuals": []}
+    for e in eps:
+        dmap = shear_map(e, g.L, dim=g.dim, cross_extents=g.cross_extents)
+        JT, detJT = jacobian_JT(dmap, g)
+        corr = correction_terms(state.law, state, JT, detJT, zero, data.b)
+        pair, report = solve_perturbed(dmap, config, data, state)
+        resid, _ = pushforward_residual(dmap, state, pair, data)
+        for key, value in zip(rows, (pair.sup(), float(np.max(np.abs(corr.H1))),
+                                     float(np.max(np.abs(corr.H2))), report.iterations, resid)):
+            rows[key].append(value)
+    return {"eps": eps, **rows,
+            "slope_response": drv.loglog_slope(eps, rows["sup_norms"]),
+            "slope_corrections": drv.loglog_slope(eps, rows["sup_H1"])}

@@ -504,6 +504,11 @@ def pair_norms(pair: FieldPair, grid: Nozzle, quad: elliptic.Quadrature,
     }
 
 
+def loglog_slope(x, y) -> float:
+    """Slope of the least-squares line through (log x, log y)."""
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
 @dataclass
 class SweepReport:
     sigmas: list
@@ -533,20 +538,17 @@ def stability_sweep(
             report.contraction_factors[0] if report.contraction_factors else np.nan
         )
         reports.append(report)
-    slope_norm = float(np.polyfit(np.log(sigmas), np.log(sups), 1)[0])
     contr = np.asarray(contractions, dtype=float)
     good = np.isfinite(contr) & (contr > 0.0)
     if np.sum(good) >= 2:
-        slope_contraction = float(
-            np.polyfit(np.log(np.asarray(sigmas)[good]), np.log(contr[good]), 1)[0]
-        )
+        slope_contraction = loglog_slope(np.asarray(sigmas)[good], contr[good])
     else:
         slope_contraction = float("nan")
     return SweepReport(
         sigmas=list(map(float, sigmas)),
         sup_norms=list(map(float, sups)),
         contraction=list(map(float, contractions)),
-        slope_norm=slope_norm,
+        slope_norm=loglog_slope(sigmas, sups),
         slope_contraction=slope_contraction,
         reports=reports,
     )

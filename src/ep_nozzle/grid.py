@@ -39,9 +39,6 @@ class Nozzle:
     def n_nodes(self) -> int:
         return int(np.prod(self.shape))
 
-    def reshape(self, field):
-        return np.asarray(field).reshape(self.shape)
-
     def cross_shape(self):
         return self.shape[:-1]
 
@@ -115,16 +112,6 @@ def gradient(grid: Nozzle, field) -> np.ndarray:
     if grid.dim == 1:
         parts = [parts]
     return np.stack([p.ravel() for p in parts], axis=1)
-
-
-def divergence(grid: Nozzle, vfield) -> np.ndarray:
-    vfield = np.asarray(vfield, dtype=float)
-    if vfield.shape != (grid.n_nodes, grid.dim):
-        raise DomainError("vector field does not conform to the grid")
-    out = np.zeros(grid.n_nodes)
-    for a in range(grid.dim):
-        out += gradient(grid, vfield[:, a])[:, a]
-    return out
 
 
 def interior_mask(grid: Nozzle) -> np.ndarray:

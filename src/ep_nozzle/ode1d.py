@@ -109,11 +109,6 @@ def _scalar_rhs(law: GasLaw, params: OneDParams):
     return rhs
 
 
-def ode_rhs(law: GasLaw, params: OneDParams, x: float, rho: float, E: float):
-    """Right-hand side (rho', E') of the reduced axial system."""
-    return _scalar_rhs(law, params)(x, rho, E)
-
-
 def aligned_steps(base: int, intervals: int) -> int:
     """Step count nearest base that puts `intervals` equal axial cells on ODE nodes."""
     return intervals * max(1, round(base / intervals))

@@ -17,6 +17,7 @@ from ep_nozzle.domainmap import (
     jacobian_JT,
     shear_map,
     solve_perturbed,
+    wall_sweep,
 )
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
@@ -51,6 +52,12 @@ def fixed_point_64x128(state_64x128):
     elapsed = time.perf_counter() - t0
     floor, floor_parts = driver.residual_floor(state_64x128)
     return pair, report, data, floor, floor_parts, elapsed
+
+
+@pytest.fixture(scope="module")
+def state_3d():
+    g = build_grid(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.0)), shape=(17, 17, 33))
+    return driver.PicardState(LAW, _background(32), g)
 
 
 def _check(num, name):
@@ -99,6 +106,20 @@ def test_07_manufactured_convergence():
             f"max-norm orders = {[f'{p:.3f}' for p in orders]}, {elapsed:.2f} s")
 
 
+def test_07_manufactured_convergence_3d():
+    t0 = time.perf_counter()
+    errs = []
+    for shape in [(9, 9, 17), (17, 17, 33), (33, 33, 65)]:
+        _, _, _, v, W, v_exact, W_exact, residual = _mms_solve(shape)
+        errs.append(max(np.max(np.abs(v - v_exact)), np.max(np.abs(W - W_exact))))
+        assert residual < 1e-11
+    orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
+    elapsed = time.perf_counter() - t0
+    assert all(1.7 <= p <= 2.3 for p in orders)
+    _report(7, "manufactured-solution convergence, 3D",
+            f"max-norm orders = {[f'{p:.3f}' for p in orders]}, {elapsed:.2f} s")
+
+
 def test_08_nonlinear_fixed_point(fixed_point_64x128):
     pair, report, data, floor, floor_parts, elapsed = fixed_point_64x128
     assert report.converged
@@ -127,6 +148,17 @@ def test_09_sigma_linear_stability(state_64x128):
     _report(9, "sigma-linear stability",
             f"solution slope = {sweep.slope_norm:.3f}, "
             f"contraction slope = {sweep.slope_contraction:.3f}, {elapsed:.1f} s")
+
+
+def test_09_sigma_linear_stability_3d(state_3d):
+    t0 = time.perf_counter()
+    sweep = driver.stability_sweep(driver.IterationConfig(), state_3d, [1e-4, 2e-4, 4e-4, 8e-4])
+    elapsed = time.perf_counter() - t0
+    assert sweep.slope_norm == pytest.approx(1.0, abs=0.1)
+    assert sweep.slope_contraction == pytest.approx(1.0, abs=0.2)
+    _report(9, "sigma-linear stability, 3D 17x17x33",
+            f"solution slope = {sweep.slope_norm:.5f}, "
+            f"contraction slope = {sweep.slope_contraction:.5f}, {elapsed:.1f} s")
 
 
 def test_10_uniqueness_probe(state_64x128, fixed_point_64x128):
@@ -194,6 +226,18 @@ def test_11_domain_perturbation():
     _report(11, "domain-perturbation degeneracy and smallness",
             f"identity identical, correction slope = {slope_corr:.3f}, "
             f"response slope = {slope_solve:.3f}, {elapsed:.1f} s")
+
+
+def test_11_domain_perturbation_3d(state_3d):
+    # the wall ladder that `ep-nozzle sweep` runs, at sigma = 0
+    t0 = time.perf_counter()
+    wall = wall_sweep(driver.IterationConfig(), state_3d, [1e-3, 2e-3, 4e-3, 8e-3])
+    elapsed = time.perf_counter() - t0
+    assert wall["slope_corrections"] == pytest.approx(1.0, abs=0.15)
+    assert wall["slope_response"] == pytest.approx(1.0, abs=0.15)
+    _report(11, "domain-perturbation smallness, 3D 17x17x33",
+            f"correction slope = {wall['slope_corrections']:.5f}, "
+            f"response slope = {wall['slope_response']:.5f}, {elapsed:.1f} s")
 
 
 def test_12_exit_pressure_faithfulness(fixed_point_64x128):

@@ -153,8 +153,25 @@ class TestSweep:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.9 <= payload["slope_norm"] <= 1.1
+        assert len(payload["iterations"]) == len(payload["nonlinear_residuals"]) == 3
+        assert "wall" not in payload  # one eps runs no wall ladder
         files = list((tmp_path / "o").glob("sweep_*.json"))
         assert len(files) == 1
+
+    def test_wall_ladder_3d(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(edited("nozzle", "dim", "3")
+                           + "[domain_map]\neps = 0.001,0.002,0.004,0.008\n")
+        code = run_cli("sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o"))
+        assert code == 0
+        wall = json.loads(capsys.readouterr().out)["wall"]
+        assert sorted(wall) == ["eps", "iterations", "pushforward_residuals", "slope_corrections",
+                                "slope_response", "sup_H1", "sup_H2", "sup_norms"]
+        assert wall["eps"] == [0.001, 0.002, 0.004, 0.008]
+        assert all(len(wall[key]) == 4 for key in ("sup_norms", "sup_H1", "sup_H2",
+                                                   "iterations", "pushforward_residuals"))
+        assert 0.85 <= wall["slope_response"] <= 1.15
+        assert 0.85 <= wall["slope_corrections"] <= 1.15
 
 
 class TestPerturbDomain:
@@ -238,8 +255,11 @@ class TestImports:
     def test_commands_leave_on_demand_packages_unloaded(self, tmp_path):
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(SMALL)
+        ladder = tmp_path / "ladder.ini"
+        ladder.write_text(SMALL + "\n[domain_map]\neps = 0.001,0.002\n")
         runs = [[command, "--config", str(cfgfile), "--out", str(tmp_path / command)]
                 for command in ("solve", "background", "sweep", "perturb-domain")]
+        runs.append(["sweep", "--config", str(ladder), "--out", str(tmp_path / "ladder")])
         script = "\n".join([
             "import contextlib, io, json, sys",
             "from ep_nozzle import cli",
@@ -252,7 +272,7 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True).stdout
         codes, loaded = json.loads(out)
-        assert codes == [0, 0, 0, 0]
+        assert codes == [0, 0, 0, 0, 0]
         assert loaded == []
 
 
@@ -283,6 +303,14 @@ PROBES = [
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     pytest.param("perturb-domain", edited("domain_map", "eps", "nan"), (), 1, "error",
                  id="eps-nan"),
+    pytest.param("perturb-domain", edited("domain_map", "eps", "0.001,0.002"), (), 1, "error",
+                 id="eps-list-perturb-domain"),
+    pytest.param("perturb-domain", edited("domain_map", "eps", ""), (), 1, "error",
+                 id="eps-empty"),
+    pytest.param("sweep", edited("domain_map", "eps", "0.001,0.001"), (), 1, "error",
+                 id="eps-repeated"),
+    pytest.param("sweep", edited("domain_map", "eps", "0,0.001"), (), 1, "error",
+                 id="eps-ladder-zero"),
     pytest.param("sweep", edited("sweep", "sigmas", "0"), (), 1, "error", id="sigmas-zero"),
     pytest.param("sweep", edited("sweep", "sigmas", "0.001,0.001"), (), 1, "error",
                  id="sigmas-repeated"),

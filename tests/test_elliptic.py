@@ -131,10 +131,10 @@ class TestSystemStructure:
         W_en = 0.02 * np.cos(np.pi * g.axes[0])
         W_ex = -0.01 * np.cos(np.pi * g.axes[0])
         v, W, _ = solve(op, LinearData(W_en=W_en, W_ex=W_ex))
-        Wm = g.reshape(W)
+        Wm = W.reshape(g.shape)
         assert Wm[:, 0] == pytest.approx(W_en, abs=1e-15)
         assert Wm[:, -1] == pytest.approx(W_ex, abs=1e-15)
-        assert np.all(g.reshape(v)[:, 0] == 0.0)
+        assert np.all(v.reshape(g.shape)[:, 0] == 0.0)
 
     def test_cross_terms_cancel_exactly(self, setup_small):
         g, bg, coeffs, op = setup_small
@@ -199,64 +199,62 @@ class TestSystemStructure:
 C_EN, C_EX = 0.3, 0.2
 
 
-def manufactured(x, y):
-    v = np.sin(np.pi * x) * y ** 2
-    W = np.cos(np.pi * x) * (C_EN * (1 - y) + C_EX * y + y * (1 - y))
-    return v, W
+def _product(factors):
+    """prod_a f_a(x_a) and its partials, from (f_a, f_a') pairs."""
+    values = [f for f, _ in factors]
+    partials = [np.prod(values[:a] + [df] + values[a + 1:], axis=0)
+                for a, (_, df) in enumerate(factors)]
+    return np.prod(values, axis=0), partials
+
+
+def _mms_terms(*x):
+    """v = sin(pi x) [cos(pi y)] z^2 and W = cos(pi x) [cos(pi y)] P(z), with
+    P(z) = C_EN (1 - z) + C_EX z + z (1 - z), at points with cross coordinates
+    x[:-1] and axial coordinate z = x[-1]; returns v, W, their gradients and
+    the cross factors of v and W."""
+    *cross, z = x
+    sv, dsv = _product([(np.sin(np.pi * c), np.pi * np.cos(np.pi * c)) if a == 0
+                        else (np.cos(np.pi * c), -np.pi * np.sin(np.pi * c))
+                        for a, c in enumerate(cross)])
+    cw, dcw = _product([(np.cos(np.pi * c), -np.pi * np.sin(np.pi * c)) for c in cross])
+    P = C_EN * (1 - z) + C_EX * z + z * (1 - z)
+    grad_v = [d * z ** 2 for d in dsv] + [2 * z * sv]
+    grad_W = [d * P for d in dcw] + [cw * (-C_EN + C_EX + 1 - 2 * z)]
+    return sv * z ** 2, cw * P, grad_v, grad_W, sv, cw
+
+
+def manufactured(*x):
+    return _mms_terms(*x)[:2]
 
 
 def manufactured_data(g, op):
-    # constant background: a = diag(1, 0.875), dzB = 0.5, dzA = (0, 0.25)
+    # constant background: a = diag(1, .., 1, 0.875), dzB = 0.5, dzA = (0, .., 0, 0.25)
     a11, ann, dzB, dzA_n, J0, pp = 1.0, 0.875, 0.5, 0.25, 0.5, 2.0
-    X, Y = g.coords[:, 0], g.coords[:, 1]
-    xc = g.axes[0]
-
-    def v_x(x, y):
-        return np.pi * np.cos(np.pi * x) * y ** 2
-
-    def v_y(x, y):
-        return 2 * y * np.sin(np.pi * x)
-
-    def W_fn(x, y):
-        return np.cos(np.pi * x) * (C_EN * (1 - y) + C_EX * y + y * (1 - y))
-
-    def W_x(x, y):
-        return -np.pi * np.sin(np.pi * x) * (C_EN * (1 - y) + C_EX * y + y * (1 - y))
-
-    def W_y(x, y):
-        return np.cos(np.pi * x) * (-C_EN + C_EX + 1 - 2 * y)
-
-    s1 = (
-        a11 * (-np.pi ** 2 * np.sin(np.pi * X) * Y ** 2)
-        + ann * 2 * np.sin(np.pi * X)
-        + dzA_n * W_y(X, Y)
-    )
-    f = (
-        -np.pi ** 2 * W_fn(X, Y)
-        - 2 * np.cos(np.pi * X)
-        - dzB * W_fn(X, Y)
-        + dzA_n * v_y(X, Y)
-    )
-    g_exit = -(J0 / pp) * v_y(xc, 1.0)
-    wf_v = []
-    wf_W = []
-    for axis, sign, fidx, fw in op.quad.wall_faces:
-        wf_v.append(sign * a11 * v_x(X[fidx], Y[fidx]))
-        wf_W.append(sign * W_x(X[fidx], Y[fidx]))
+    dc = g.dim - 1
+    v, W, grad_v, grad_W, sv, cw = _mms_terms(*g.coords.T)
+    s1 = a11 * (-dc * np.pi ** 2 * v) + ann * 2 * sv + dzA_n * grad_W[-1]
+    f = -dc * np.pi ** 2 * W - 2 * cw - dzB * W + dzA_n * grad_v[-1]
+    cross = [c.ravel() for c in np.meshgrid(*g.axes[:-1], indexing="ij")]
+    W_en = _mms_terms(*cross, 0.0)[1]
+    _, W_ex, grad_v_ex, *_ = _mms_terms(*cross, 1.0)
+    faces = op.quad.wall_faces
     return LinearData(
-        W_en=W_fn(xc, 0.0), W_ex=W_fn(xc, 1.0), s1=s1, f=f, g_exit=g_exit,
-        wall_flux_v=wf_v, wall_flux_W=wf_W,
+        W_en=W_en, W_ex=W_ex, s1=s1, f=f, g_exit=-(J0 / pp) * grad_v_ex[-1],
+        wall_flux_v=[sign * a11 * grad_v[axis][fidx] for axis, sign, fidx, _ in faces],
+        wall_flux_W=[sign * grad_W[axis][fidx] for axis, sign, fidx, _ in faces],
     )
 
 
 def _mms_solve(shape):
-    g = build_grid(dim=2, shape=shape)
+    """Manufactured solve on the constant background; dim 2 or 3 from the shape."""
+    dim = len(shape)
+    g = build_grid(dim=dim, cross_extents=((0.0, 1.0),) * (dim - 1), shape=shape)
     bg = _background(shape[-1] - 1, CONST_PARAMS)
     coeffs = make_coeffs(LAW, bg, g)
     op = DiscreteOperator(coeffs, g)
     data = manufactured_data(g, op)
     v, W, residual = solve(op, data)
-    v_exact, W_exact = manufactured(g.coords[:, 0], g.coords[:, 1])
+    v_exact, W_exact = manufactured(*g.coords.T)
     return g, op, data, v, W, v_exact, W_exact, residual
 
 
@@ -277,7 +275,7 @@ class TestManufactured:
         for shape in [(17, 33), (33, 65)]:
             g, op, data, *_ = _mms_solve(shape)
             rhs = assemble_rhs(op, data)
-            v_exact, W_exact = manufactured(g.coords[:, 0], g.coords[:, 1])
+            v_exact, W_exact = manufactured(*g.coords.T)
             U = np.concatenate([v_exact, W_exact])
             r = op.K @ U - rhs
             interior = g.tags == 0

@@ -11,7 +11,6 @@ from ep_nozzle.grid import (
     TAG_INTERIOR,
     build_grid,
     corner_distance,
-    divergence,
     gradient,
 )
 
@@ -122,7 +121,7 @@ class TestDifferenceOperators:
             gr = gradient(g, fn(x, y))
             exact = np.stack(grad(x, y), axis=1)
             gerrs.append(np.max(np.abs(gr - exact)))
-            num = divergence(g, gr)
+            num = sum(gradient(g, gr[:, a])[:, a] for a in range(g.dim))
             # the composition is fully centered two nodes from the boundary
             e = np.abs(num - lap(x, y)).reshape(g.shape)
             lerrs.append(e[2:-2, 2:-2].max())
@@ -136,8 +135,6 @@ class TestDifferenceOperators:
         g = build_grid(dim=2, shape=(9, 17))
         with pytest.raises(DomainError):
             gradient(g, np.zeros(g.n_nodes + 1))
-        with pytest.raises(DomainError):
-            divergence(g, np.zeros((g.n_nodes, 3)))
 
 
 class TestCornerDistance:
@@ -155,7 +152,7 @@ class TestCornerDistance:
 
     def test_monotone_along_midline(self):
         g = build_grid(dim=2, shape=(9, 33))
-        d = g.reshape(corner_distance(g))
+        d = corner_distance(g).reshape(g.shape)
         mid = d[4, :]  # along the axis at the cross midline
         k = np.argmax(mid)
         assert np.all(np.diff(mid[: k + 1]) >= 0)

@@ -13,10 +13,10 @@ from ep_nozzle.gas import GasLaw
 from ep_nozzle.ode1d import (
     OneDParams,
     _cumulative_simpson,
+    _scalar_rhs,
     appendixA_admissible,
     build_background,
     integrate_ivp,
-    ode_rhs,
     shoot_bvp,
     sonic_density,
     write_atlas,
@@ -28,16 +28,16 @@ APPA = OneDParams(J0=0.5, rho0=1.2, E0=0.1, L=1.0, b=1.0)
 
 class TestRhs:
     def test_uniform_equilibrium(self):
-        assert ode_rhs(LAW, OneDParams(0.5, 1.0, 0.0, 1.0, 1.0), 0.0, 1.0, 0.0) == (0.0, 0.0)
+        assert _scalar_rhs(LAW, OneDParams(0.5, 1.0, 0.0, 1.0, 1.0))(0.0, 1.0, 0.0) == (0.0, 0.0)
 
     def test_hand_evaluation(self):
-        drho, dE = ode_rhs(LAW, OneDParams(0.5, 1.0, 0.1, 1.0, 1.0), 0.0, 1.0, 0.1)
+        drho, dE = _scalar_rhs(LAW, OneDParams(0.5, 1.0, 0.1, 1.0, 1.0))(0.0, 1.0, 0.1)
         assert drho == pytest.approx(0.1 / 1.75, rel=1e-14)
         assert dE == 0.0
 
     def test_sonic_guard(self):
         with pytest.raises(SonicBreakdown):
-            ode_rhs(LAW, OneDParams(np.sqrt(2.0), 1.0, 0.0, 1.0, 1.0), 0.3, 1.0, 0.2)
+            _scalar_rhs(LAW, OneDParams(np.sqrt(2.0), 1.0, 0.0, 1.0, 1.0))(0.3, 1.0, 0.2)
 
     def test_sonic_density(self):
         rho_s = sonic_density(LAW, 0.5)
