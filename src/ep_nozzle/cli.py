@@ -165,13 +165,17 @@ def _solve_common(cfg, law, grid, background, corrections_map=None, outdir=None)
     itcfg = _iteration_config(cfg)
     on_iterate = None
     if outdir is not None and cfg.values["output"]["snapshots"]:
+        # a deformed domain writes its snapshots on the deformed coordinates
+        coords = None if corrections_map is None else corrections_map.map_coords(grid.coords)
+
         def on_iterate(k, pair):
             _write_fields(cfg, grid, {"psi": pair.psi, "Psi": pair.Psi},
-                          outdir / f"snapshot_{k:03d}")
+                          outdir / f"snapshot_{k:03d}", coords=coords)
     if corrections_map is None:
         pair, report = driver.run_fixed_point(itcfg, data, state, on_iterate=on_iterate)
     else:
-        pair, report = domainmap.solve_perturbed(corrections_map, itcfg, data, state)
+        pair, report = domainmap.solve_perturbed(corrections_map, itcfg, data, state,
+                                                 on_iterate=on_iterate)
     return state, data, pair, report
 
 
@@ -229,7 +233,7 @@ def cmd_perturb_domain(cfg) -> int:
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
     state, data, pair, report = _solve_common(cfg, law, grid, background,
-                                              corrections_map=dmap)
+                                              corrections_map=dmap, outdir=outdir)
     resid, parts = domainmap.pushforward_residual(dmap, state, pair, data)
     report.meta["pushforward_residual"] = parts
     coords = dmap.map_coords(grid.coords)

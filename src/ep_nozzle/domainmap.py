@@ -6,9 +6,10 @@ a flat principal part plus correction sources and wall data, so the same
 fixed-point driver solves it. All corrections vanish identically for the
 identity map.
 
-The small-matrix algebra (determinants, the inverse-map Jacobian, the flux
-maps) is written out per component for d = 2 and 3, vectorized over the
-nodes or edges: no per-point LAPACK call. Matrices are component-major
+The small-matrix algebra (the cross-block determinant, the inverse-map
+Jacobian, the flux maps) is written out per component for d = 2 and 3,
+vectorized over the nodes or edges: no per-point LAPACK call. The flux maps
+take the determinant that jacobian_JT_at returns with J_T. Matrices are component-major
 stacks (d, d, ...), where each entry is one contiguous array over the points:
 the products then stream contiguous arrays, where reading one entry per
 matrix with a stride would load whole cache lines. The inverse relies on the
@@ -104,18 +105,11 @@ def shear_map(eps: float, L: float, dim: int = 2, cross_extents=((0.0, 1.0),)) -
     return DomainMap(gfun=gfun, dg_dxprime=dgx, dg_dxn=dgn, sigmaG=abs(eps))
 
 
-def _det(M):
-    """Determinant of a component-major stack (k, k, ...), k = 1, 2 or 3, written out."""
-    k = M.shape[0]
-    if k == 1:
-        return M[0, 0].copy()
-    if k == 2:
-        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if k == 3:
-        return (M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-                - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-                + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0]))
-    raise ValueError(f"closed-form determinant needs 1x1 to 3x3 matrices, got {k}x{k}")
+def _det(A):
+    """Determinant of a component-major stack (k, k, ...), k = 1 or 2, written out."""
+    if A.shape[0] == 1:
+        return A[0, 0].copy()
+    return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
 
 
 def _matvec(M, q):
@@ -181,29 +175,33 @@ def jacobian_JT(dmap: DomainMap, grid: Nozzle):
 
 
 def _field_map(M, q, detM):
-    """M^T M q / det M, node-major (..., d), for a component-major M and q."""
-    return _node_major(_matvec(M.swapaxes(0, 1), _matvec(M, q)) / detM)
+    """M^T M q / det M, component-major, for a component-major M and q."""
+    return _matvec(M.swapaxes(0, 1), _matvec(M, q)) / detM
 
 
-def pullback_operators(law: GasLaw, z, q1, q2, M):
+def _mass_map(law: GasLaw, z, q, M, detM):
+    """rho M^T M q / det M, component-major, and rho = rho(z, |M q|^2), for a
+    component-major M and q."""
+    Mq = _matvec(M, q)
+    rho = law.density(z, _sqnorm(Mq))
+    return rho * _matvec(M.swapaxes(0, 1), Mq) / detM, rho
+
+
+def pullback_operators(law: GasLaw, z, q1, q2, M, detM):
     """Pulled-back flux maps for matrix argument M (the inverse-map Jacobian).
 
     A1 = rho M^T M q1 / det M with rho = rho(z, |M q1|^2), and
     A2 = M^T M q2 / det M, for a component-major stack M (d, d, ...) of
-    general matrices, d = 2 or 3, and node-major q1, q2 (..., d). Returns
-    A1, A2 (node-major) and rho.
+    general matrices, d = 2 or 3, its determinant detM (the one
+    jacobian_JT_at returns with J_T), and node-major q1, q2 (..., d).
+    Returns A1, A2 (node-major) and rho.
     """
     q1 = np.moveaxis(np.asarray(q1, dtype=float), -1, 0)
     q2 = np.moveaxis(np.asarray(q2, dtype=float), -1, 0)
     M = np.asarray(M, dtype=float)
-    detM = _det(M)
-    if np.any(detM == 0.0):
-        raise DomainError("singular matrix argument")
-    Mq1 = _matvec(M, q1)
-    rho = law.density(z, _sqnorm(Mq1))
-    A1 = _node_major(rho * _matvec(M.swapaxes(0, 1), Mq1) / detM)
-    A2 = _field_map(M, q2, detM)
-    return A1, A2, rho
+    A1, rho = _mass_map(law, z, q1, M, detM)
+    A1 = _node_major(A1)  # drops the component-major A1 before the field map
+    return A1, _node_major(_field_map(M, q2, detM)), rho
 
 
 @dataclass
@@ -238,7 +236,7 @@ def correction_terms(
     rho_flat = law.density(z, speed_flat)
     A_flat = rho_flat[:, None] * grad_phi
 
-    A1_map, A2_map, rho_map = pullback_operators(law, z, grad_phi, grad_Phi, JT)
+    A1_map, A2_map, rho_map = pullback_operators(law, z, grad_phi, grad_Phi, JT, detJT)
 
     H1 = A_flat - A1_map
     H2 = grad_Phi - A2_map
@@ -254,8 +252,10 @@ def solve_perturbed(
     data: drv.BoundaryData,
     state: drv.PicardState,
     start: drv.FieldPair | None = None,
+    on_iterate=None,
 ):
-    """Fixed-point solve of the transformed problem on the reference grid."""
+    """Fixed-point solve of the transformed problem on the reference grid;
+    on_iterate goes to `driver.run_fixed_point`."""
     JT, detJT = jacobian_JT(dmap, state.grid)
 
     def corrections(pair, Dpsi):
@@ -263,7 +263,8 @@ def solve_perturbed(
 
     scale = data.sigma + dmap.sigmaG
     pair, report = drv.run_fixed_point(
-        config, data, state, start=start, corrections=corrections, scale=scale
+        config, data, state, start=start, corrections=corrections, scale=scale,
+        on_iterate=on_iterate,
     )
     report.meta["sigmaG"] = dmap.sigmaG
     return pair, report
@@ -283,17 +284,15 @@ def pushforward_residual(dmap: DomainMap, state: drv.PicardState, pair: drv.Fiel
     phi = (c.phi0 + g.sections(pair.psi)).ravel()
     Phi = (c.Phi0 + g.sections(pair.Psi)).ravel()
 
-    def mass_flux(coords_mid, z_e, q_e):
-        JT_e, _ = jacobian_JT_at(dmap, coords_mid)
-        return pullback_operators(law, z_e, q_e, q_e, JT_e)[0]
-
-    def field_flux(coords_mid, z_e, q_e):
+    def fluxes(coords_mid, z_e, q_phi, q_Phi):
+        # one edge Jacobian serves the mass and the field flux
         JT_e, detJT_e = jacobian_JT_at(dmap, coords_mid)
-        return _field_map(JT_e, q_e.T, detJT_e)
+        return (_mass_map(law, z_e, q_phi.T, JT_e, detJT_e)[0],
+                _field_map(JT_e, q_Phi.T, detJT_e))
 
     grad_phi = gridmod.gradient(g, phi)
-    div_mass = drv.edge_divergence(g, phi, mass_flux, z=Phi, grad=grad_phi)
-    div_field = drv.edge_divergence(g, Phi, field_flux)
+    div_mass, div_field = drv.edge_divergence(g, (phi, Phi), fluxes, z=Phi,
+                                              grads=(grad_phi, None))
 
     JT, detJT = jacobian_JT(dmap, g)
     rho_map = law.density(Phi, _sqnorm(_matvec(JT, grad_phi.T)))

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import coeffs as cf
 from . import elliptic, grid as gridmod
+from .elliptic import _along
 from .errors import (
     AdmissibilityError,
     DomainError,
@@ -327,79 +328,53 @@ def run_fixed_point(
 # strong-form residuals
 
 
-def edge_divergence(grid: Nozzle, scalar, flux_fn, z=None, grad=None):
-    """Compact conservative divergence of a flux built from edge states.
+def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
+    """Compact conservative divergences of fluxes built from edge states.
 
-    For each axis the gradient of ``scalar`` at edge midpoints uses the
+    For each axis the gradient of every scalar at the edge midpoints uses the
     two-point compact difference along the edge and averaged nodal central
-    differences across it; ``flux_fn(coords_mid, z_mid, q_mid)`` returns the
-    full flux vector at the edges and its axis component is differenced.
-    ``grad``, when given, is the nodal gradient of ``scalar``, already
-    computed by the caller. Valid on interior nodes.
+    differences across it; ``flux_fn(coords_mid, z_mid, *q_mids)`` takes
+    node-major edge gradients (n_edges, d) and returns one component-major
+    flux (d, n_edges) per scalar, whose axis components are differenced.
+    ``grads``, when given, holds the nodal gradients of the scalars already
+    computed by the caller (None where there is none). Returns one
+    divergence per scalar, valid on interior nodes.
     """
     shape = grid.shape
     d = grid.dim
-    f_m = np.asarray(scalar, dtype=float).reshape(shape)
+    fields = [np.asarray(s, dtype=float).reshape(shape) for s in scalars]
+    grads = [(gridmod.gradient(grid, f) if gr is None else gr).reshape(shape + (d,))
+             for f, gr in zip(fields, grads or [None] * len(fields))]
     z_m = None if z is None else np.asarray(z, dtype=float).reshape(shape)
-    if grad is None:
-        grad = gridmod.gradient(grid, scalar)
-    grad_nodal = grad.reshape(shape + (d,))
     coords = grid.coords.reshape(shape + (d,))
-    div = np.zeros(shape)
-    for a in range(d):
-        h = grid.spacing[a]
-        sl_lo = [slice(None)] * d
-        sl_hi = [slice(None)] * d
-        sl_lo[a] = slice(0, -1)
-        sl_hi[a] = slice(1, None)
-        sl_lo, sl_hi = tuple(sl_lo), tuple(sl_hi)
-        q_e = np.empty(f_m[sl_lo].shape + (d,))
-        q_e[..., a] = (f_m[sl_hi] - f_m[sl_lo]) / h
-        for bax in range(d):
-            if bax != a:
-                q_e[..., bax] = 0.5 * (
-                    grad_nodal[sl_lo + (bax,)] + grad_nodal[sl_hi + (bax,)]
-                )
-        z_e = None if z_m is None else 0.5 * (z_m[sl_lo] + z_m[sl_hi])
-        mid = 0.5 * (coords[sl_lo] + coords[sl_hi])
-        flux = flux_fn(mid.reshape(-1, d), None if z_e is None else z_e.ravel(),
-                       q_e.reshape(-1, d))
-        flux_a = flux[:, a].reshape(q_e.shape[:-1])
-        inner = [slice(None)] * d
-        inner[a] = slice(1, -1)
-        take_hi = [slice(None)] * d
-        take_hi[a] = slice(1, None)
-        take_lo = [slice(None)] * d
-        take_lo[a] = slice(0, -1)
-        div[tuple(inner)] += (flux_a[tuple(take_hi)] - flux_a[tuple(take_lo)]) / h
-    return div.ravel()
-
-
-def _edge_flux_divergence(state: PicardState, phi, Phi, grad_phi):
-    """Conservative flux-difference residual of the mass equation, interior."""
-    law = state.law
-
-    def flat_flux(coords_mid, z_e, q_e):
-        rho_e = law.density(z_e, np.einsum("ni,ni->n", q_e, q_e))
-        return rho_e[:, None] * q_e
-
-    return edge_divergence(state.grid, phi, flat_flux, z=Phi, grad=grad_phi)
+    divs = [np.zeros(shape) for _ in fields]
+    for a, h in enumerate(grid.spacing):
+        lo, hi = _along(a, slice(0, -1)), _along(a, slice(1, None))
+        q_mids = []
+        for f, gr in zip(fields, grads):
+            q_e = np.empty(f[lo].shape + (d,))
+            q_e[..., a] = (f[hi] - f[lo]) / h
+            for b in range(d):
+                if b != a:
+                    q_e[..., b] = 0.5 * (gr[lo][..., b] + gr[hi][..., b])
+            q_mids.append(q_e.reshape(-1, d))
+        z_e = None if z_m is None else (0.5 * (z_m[lo] + z_m[hi])).ravel()
+        mid = 0.5 * (coords[lo] + coords[hi])
+        for div, flux in zip(divs, flux_fn(mid.reshape(-1, d), z_e, *q_mids)):
+            flux_a = flux[a].reshape(mid.shape[:-1])
+            div[_along(a, slice(1, -1))] += (flux_a[hi] - flux_a[lo]) / h
+        # release this axis's fluxes before the next axis builds its own
+        del flux, flux_a
+    return [div.ravel() for div in divs]
 
 
 def _compact_laplacian(grid: Nozzle, f):
-    shape = grid.shape
-    fm = np.asarray(f).reshape(shape)
-    out = np.zeros(shape)
-    d = grid.dim
-    for a in range(d):
-        h = grid.spacing[a]
-        inner = [slice(None)] * d
-        inner[a] = slice(1, -1)
-        hi = [slice(None)] * d
-        hi[a] = slice(2, None)
-        lo = [slice(None)] * d
-        lo[a] = slice(0, -2)
-        out[tuple(inner)] += (fm[tuple(hi)] - 2.0 * fm[tuple(inner)] + fm[tuple(lo)]) / h ** 2
+    fm = np.asarray(f).reshape(grid.shape)
+    out = np.zeros(grid.shape)
+    for a, h in enumerate(grid.spacing):
+        inner = _along(a, slice(1, -1))
+        hi, lo = _along(a, slice(2, None)), _along(a, slice(0, -2))
+        out[inner] += (fm[hi] - 2.0 * fm[inner] + fm[lo]) / h ** 2
     return out.ravel()
 
 
@@ -420,8 +395,12 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
     speed = np.einsum("ni,ni->n", grad_phi, grad_phi)
     rho = law.density(Phi, speed)
 
+    def mass_flux(coords_mid, z_e, q_e):
+        rho_e = law.density(z_e, np.einsum("ni,ni->n", q_e, q_e))
+        return (rho_e * q_e.T,)
+
     interior = gridmod.interior_mask(g)
-    mass = _edge_flux_divergence(state, phi, Phi, grad_phi)
+    mass, = edge_divergence(g, (phi,), mass_flux, z=Phi, grads=(grad_phi,))
     poisson = _compact_laplacian(g, Phi) - (rho - data.b)
 
     exit_idx = state.exit_idx

@@ -277,17 +277,9 @@ def check_wall_compatibility(W_en, W_ex, grid: Nozzle) -> None:
 
     violation = 0.0
     for data in (W_en, W_ex):
-        if grid.dim == 2:
-            gr = np.gradient(data, grid.axes[0], edge_order=2)
-            violation = max(violation, abs(gr[0]), abs(gr[-1]))
-        else:
-            gx = np.gradient(data, grid.axes[0], axis=0, edge_order=2)
-            gy = np.gradient(data, grid.axes[1], axis=1, edge_order=2)
-            violation = max(
-                violation,
-                float(np.max(np.abs(gx[[0, -1], :]))),
-                float(np.max(np.abs(gy[:, [0, -1]]))),
-            )
+        for a, x in enumerate(grid.axes[:-1]):
+            gr = np.gradient(data, x, axis=a, edge_order=2)
+            violation = max(violation, float(np.max(np.abs(np.take(gr, [0, -1], axis=a)))))
     if violation > warn_tol:
         warnings.warn(
             f"end-plane data violate the wall compatibility condition "

@@ -109,8 +109,6 @@ def gradient(grid: Nozzle, field) -> np.ndarray:
     if not np.all(np.isfinite(field)):
         raise DomainError("field must be finite")
     parts = np.gradient(field.reshape(grid.shape), *grid.axes, edge_order=2)
-    if grid.dim == 1:
-        parts = [parts]
     return np.stack([p.ravel() for p in parts], axis=1)
 
 
@@ -122,13 +120,8 @@ def corner_distance(grid: Nozzle) -> np.ndarray:
     """Distance to the corner set (entrance/exit rings of the wall)."""
     xn = grid.coords[:, -1]
     axial = np.minimum(np.abs(xn), np.abs(grid.L - xn))
-    if grid.dim == 2:
-        (lo, hi), = grid.cross_extents
-        lateral = np.minimum(np.abs(grid.coords[:, 0] - lo), np.abs(hi - grid.coords[:, 0]))
-    else:
-        margins = []
-        for a, (lo, hi) in enumerate(grid.cross_extents):
-            margins.append(np.abs(grid.coords[:, a] - lo))
-            margins.append(np.abs(hi - grid.coords[:, a]))
-        lateral = np.min(np.stack(margins, axis=0), axis=0)
+    lateral = np.inf
+    for a, (lo, hi) in enumerate(grid.cross_extents):
+        x = grid.coords[:, a]
+        lateral = np.minimum(lateral, np.minimum(np.abs(x - lo), np.abs(hi - x)))
     return np.sqrt(lateral ** 2 + axial ** 2)

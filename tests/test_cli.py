@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ep_nozzle import cli, elliptic
@@ -243,6 +243,19 @@ class TestSnapshots:
         head = snaps[0].read_text().splitlines()[0]
         assert head == "x,y,psi,Psi"
 
+    def test_perturb_domain_snapshots_on_deformed_coordinates(self, tmp_path):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(SMALL + "\n[output]\nsnapshots = true\n[domain_map]\neps = 0.002\n")
+        code = run_cli("perturb-domain", "--config", str(cfgfile), "--out", str(tmp_path / "o"))
+        assert code == 0
+        snaps = sorted((tmp_path / "o").glob("snapshot_*.csv"))
+        report = json.loads((tmp_path / "o" / "report_perturbed.json").read_text())
+        assert len(snaps) == report["iterations"]
+        last = np.genfromtxt(snaps[-1], delimiter=",", names=True)
+        final = np.genfromtxt(tmp_path / "o" / "fields_deformed.csv", delimiter=",", names=True)
+        for name in ("x", "y", "psi", "Psi"):
+            assert np.array_equal(last[name], final[name])
+
 
 # no command but `verify` loads scipy: `scipy.optimize` (brentq, in
 # `shoot_bvp`), `scipy.sparse` (the reference maps and K) and
@@ -390,6 +403,13 @@ FUZZ_KEYS = [(section, name) for section, keys in DEFAULTS.items()
              for name in keys if (section, name) != ("output", "directory")]
 
 
+def command_for(section, value):
+    """The command an edit runs: a list of eps is the wall ladder of `sweep`."""
+    if section == "domain_map" and "," in value:
+        return "sweep"
+    return COMMANDS.get(section, "solve")
+
+
 def near_default(name, default):
     """Well-formed values near a template default."""
     if isinstance(default, bool):
@@ -418,6 +438,8 @@ class TestConfigFuzz:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(single_key_edits())
+    # every run of the fuzz sends at least one list of eps to the wall ladder
+    @example(("domain_map", "eps", "1e-05,0.0005,0.001"))
     def test_single_key_edit_gives_documented_exit(self, edit):
         section, name, value = edit
         with tempfile.TemporaryDirectory() as tmp:
@@ -426,7 +448,7 @@ class TestConfigFuzz:
                 fh.write(edited(section, name, value))
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run_cli(COMMANDS.get(section, "solve"), "--config", cfgfile,
+                code = run_cli(command_for(section, value), "--config", cfgfile,
                                "--out", f"{tmp}/o")
         assert code in range(5)
         if code:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ep_nozzle import driver
+from ep_nozzle import domainmap, driver
 from ep_nozzle.domainmap import (
     Corrections,
     DomainMap,
@@ -141,7 +141,7 @@ def test_closed_form_pullback_matches_einsum(dim, batch, seed):
     M[..., 0, :] *= rng.choice([-1.0, 1.0], batch + (1,))
     z = rng.uniform(0.0, 1.0, batch)
     q1, q2 = rng.uniform(-0.4, 0.4, (2,) + batch + (dim,))
-    A1, A2, rho = pullback_operators(LAW, z, q1, q2, _component_major(M))
+    A1, A2, rho = pullback_operators(LAW, z, q1, q2, _component_major(M), np.linalg.det(M))
     A1_o, A2_o, rho_o = _einsum_pullback(LAW, z, q1, q2, M)
     assert _rel_err(A1, A1_o) <= 1e-13
     assert _rel_err(A2, A2_o) <= 1e-13
@@ -238,7 +238,7 @@ class TestPullback:
         q1 = rng.uniform(-0.4, 0.4, size=(n, 2))
         q2 = rng.uniform(-0.4, 0.4, size=(n, 2))
         eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, n))
-        A1, A2, rho_map = pullback_operators(LAW, z, q1, q2, eye)
+        A1, A2, rho_map = pullback_operators(LAW, z, q1, q2, eye, np.ones(n))
         rho = LAW.density(z, np.einsum("ni,ni->n", q1, q1))
         assert np.array_equal(rho_map, rho)
         assert np.array_equal(A1, rho[:, None] * q1)
@@ -248,8 +248,9 @@ class TestPullback:
         eps = 0.1
         M = np.diag([1.0 + eps, 1.0])[:, :, None]
         q2 = np.array([[0.3, -0.2]])
-        _, A2, _ = pullback_operators(LAW, np.array([0.5]), np.zeros((1, 2)), q2, M)
         det = 1.0 + eps
+        _, A2, _ = pullback_operators(LAW, np.array([0.5]), np.zeros((1, 2)), q2, M,
+                                      np.array([det]))
         expect = np.array([[(1 + eps) ** 2 * 0.3 / det, -0.2 / det]])
         assert A2 == pytest.approx(expect, rel=1e-14)
 
@@ -261,16 +262,14 @@ class TestPullback:
         dmap = shear_map(eps, g.L, dim=2, cross_extents=g.cross_extents)
 
         def mass_flux(coords_mid, z_e, q_e):
-            from ep_nozzle.domainmap import jacobian_JT_at
-
-            JT_e, _ = jacobian_JT_at(dmap, coords_mid)
-            return pullback_operators(LAW, z_e, q_e, q_e, JT_e)[0]
+            JT_e, detJT_e = jacobian_JT_at(dmap, coords_mid)
+            return (pullback_operators(LAW, z_e, q_e, q_e, JT_e, detJT_e)[0].T,)
 
         # potential of the 1D background satisfies the flat equations exactly;
         # its pullback residual is at discretization order
         c = state_small.coeffs
         phi0, Phi0 = (np.broadcast_to(p, g.shape).ravel() for p in (c.phi0, c.Phi0))
-        div = driver.edge_divergence(g, phi0, mass_flux, z=Phi0)
+        div, = driver.edge_divergence(g, (phi0,), mass_flux, z=Phi0)
         interior = g.tags == 0
         assert np.max(np.abs(div[interior])) < 5e-3  # O(eps) sources, small grid
 
@@ -400,3 +399,23 @@ class TestSolvePerturbed:
         pair, report = solve_perturbed(dmap, driver.IterationConfig(), data, state_small)
         assert report.converged
         pushforward_residual(dmap, state_small, pair, data)
+
+    @pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
+    def test_pushforward_evaluates_each_jacobian_once(self, state, request, monkeypatch):
+        # one edge Jacobian per axis serves the mass and the field flux, and
+        # one nodal Jacobian serves the source: d + 1 evaluations
+        state = request.getfixturevalue(state)
+        g = state.grid
+        calls = []
+
+        def counted(dmap, coords):
+            calls.append(len(coords))
+            return jacobian_JT_at(dmap, coords)
+
+        data = driver.perturb_data(state.background, g, 1e-3)
+        dmap = shear_map(2e-3, g.L, dim=g.dim, cross_extents=g.cross_extents)
+        pair, _ = solve_perturbed(dmap, driver.IterationConfig(), data, state)
+        monkeypatch.setattr(domainmap, "jacobian_JT_at", counted)
+        pushforward_residual(dmap, state, pair, data)
+        assert len(calls) == g.dim + 1
+        assert calls[-1] == g.n_nodes

@@ -88,20 +88,39 @@ class TestCoeffs:
             make_coeffs(LAW, fake, g)
 
 
+def _lift_grid(dim):
+    if dim == 2:
+        return build_grid(dim=2, shape=(33, 17))
+    return build_grid(dim=3, cross_extents=((0.0, 1.0),) * 2, shape=(33, 33, 17))
+
+
+def _end_plane_mode(g, sine_axis=None):
+    """Product over the cross axes of cos(pi x_a), with sin on sine_axis."""
+    mode = np.ones(g.cross_shape())
+    for a in range(g.dim - 1):
+        shape = [1] * (g.dim - 1)
+        shape[a] = -1
+        fn = np.sin if a == sine_axis else np.cos
+        mode = mode * fn(np.pi * g.axes[a]).reshape(shape)
+    return mode
+
+
 class TestLift:
     """Wall-compatibility check on the end-plane Dirichlet data."""
 
-    def test_compatible_mode_no_warning(self, recwarn):
-        g = build_grid(dim=2, shape=(33, 17))
-        mode = 0.01 * np.cos(np.pi * g.axes[0])
-        check_wall_compatibility(mode, np.zeros(33), g)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_compatible_mode_no_warning(self, dim, recwarn):
+        g = _lift_grid(dim)
+        mode = 0.01 * _end_plane_mode(g)
+        check_wall_compatibility(mode, np.zeros(g.cross_shape()), g)
         assert len(recwarn) == 0
 
-    def test_incompatible_mode_warns(self):
-        g = build_grid(dim=2, shape=(33, 17))
-        bad = 0.5 * np.sin(np.pi * g.axes[0])
+    @pytest.mark.parametrize("dim, sine_axis", [(2, 0), (3, 0), (3, 1)])
+    def test_incompatible_mode_warns(self, dim, sine_axis):
+        g = _lift_grid(dim)
+        bad = 0.5 * _end_plane_mode(g, sine_axis)
         with pytest.warns(UserWarning, match="compatibility"):
-            check_wall_compatibility(bad, np.zeros(33), g)
+            check_wall_compatibility(bad, np.zeros(g.cross_shape()), g)
 
 
 class TestSystemStructure:
