@@ -73,12 +73,9 @@ def _law(cfg):
 
 def _grid(cfg):
     n = cfg.values["nozzle"]
-    if n["dim"] == 2:
-        extents = ((n["cross_min"], n["cross_max"]),)
-        shape = (n["nodes_cross"], n["nodes_axial"])
-    else:
-        extents = ((n["cross_min"], n["cross_max"]), (n["cross2_min"], n["cross2_max"]))
-        shape = (n["nodes_cross"], n["nodes_cross2"], n["nodes_axial"])
+    cross = ("", "2")[:n["dim"] - 1]       # key suffix of each cross axis
+    extents = tuple((n[f"cross{a}_min"], n[f"cross{a}_max"]) for a in cross)
+    shape = tuple(n[f"nodes_cross{a}"] for a in cross) + (n["nodes_axial"],)
     return gridmod.build_grid(dim=n["dim"], cross_extents=extents, L=n["length"], shape=shape)
 
 

@@ -1,9 +1,9 @@
 """Flux/charge maps of the potential system and their linearization data.
 
 The momentum flux A(z, q) = rho(z, |q|^2) q and the charge B(z, q) =
-rho(z, |q|^2) close the first-order structure; their exact derivatives and
-the Taylor remainders about the frozen background are what the linearized
-solves consume.
+rho(z, |q|^2) close the first-order structure. `derivatives` is the one
+linearization: `elliptic.make_coeffs` evaluates it once at the background,
+and both the operator and the Taylor remainders read those profiles.
 """
 
 from __future__ import annotations
@@ -41,29 +41,32 @@ def derivatives(law: GasLaw, z, q) -> FluxDerivatives:
     return FluxDerivatives(dA_dz, dB_dz, dA_dq, dB_dq)
 
 
-def remainder_fields(law: GasLaw, Phi0, q0, rho0, a_base, base: FluxDerivatives, Psi, Dpsi):
+def remainder_fields(law: GasLaw, coeffs, Psi, Dpsi):
     """Quadratic Taylor remainders (F, f) of (A, B) at every node.
 
-    The frozen background comes as axial profiles over the n axial nodes:
-    Phi0 (n,) and q0 (n, d) are the background potential and velocity,
-    rho0 = law.density(Phi0, |q0|^2) the background density, a_base = rho0 q0
-    its flux and base = derivatives(law, Phi0, q0) the frozen linearization.
+    The frozen background and its linearization are the axial profiles of
+    coeffs (an `elliptic.BackgroundCoeffs`, n axial nodes): Phi0, the axial
+    velocity u, the closure density rho_bg and the entries of
+    derivatives(law, Phi0, u e_n) there. The background velocity is axial,
+    so dA_dq is the diagonal aii and dA_dz = -dB_dq is the axial dzA.
     Psi (N,) is the potential perturbation and Dpsi (N, d) its nodal
     gradient, with N a multiple of n and the axial index last (C order), so
     they are viewed as (N / n, n, ...) against the profiles. Returns F (N, d),
     f (N,) and the perturbed density (N,).
     """
-    n, d = q0.shape
+    c = coeffs
+    n, d = c.aii.shape
     Psi = np.asarray(Psi, dtype=float).reshape(-1, n)
     Dpsi = np.asarray(Dpsi, dtype=float).reshape(-1, n, d)
-    q_tot = Dpsi + q0
-    rho_pert = law.density(Phi0 + Psi, np.einsum("cni,cni->cn", q_tot, q_tot))
+    q_tot = Dpsi.copy()
+    q_tot[..., -1] += c.u
+    rho_pert = law.density(c.Phi0 + Psi, np.einsum("cni,cni->cn", q_tot, q_tot))
     # one component at a time: each product then runs along the sections
     # with a profile, not over a trailing axis of length d
     F = np.empty(Dpsi.shape)
-    for i in range(d):
-        lin_A = Psi * base.dA_dz[:, i] + sum(base.dA_dq[:, i, j] * Dpsi[..., j] for j in range(d))
-        F[..., i] = -(rho_pert * q_tot[..., i] - a_base[:, i] - lin_A)
-    lin_B = Psi * base.dB_dz + np.einsum("nj,cnj->cn", base.dB_dq, Dpsi)
-    f = rho_pert - rho0 - lin_B
+    for i in range(d - 1):
+        F[..., i] = -(rho_pert * Dpsi[..., i] - c.aii[:, i] * Dpsi[..., i])
+    lin_A = Psi * c.dzA + c.aii[:, -1] * Dpsi[..., -1]
+    F[..., -1] = -(rho_pert * q_tot[..., -1] - c.rho_bg * c.u - lin_A)
+    f = rho_pert - c.rho_bg - (Psi * c.dzB + c.dqB * Dpsi[..., -1])
     return F.reshape(-1, d), f.ravel(), rho_pert.ravel()

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import driver as drv
 from . import grid as gridmod
+from .elliptic import _along
 from .errors import DomainError, FoldOverError
 from .gas import GasLaw
 from .grid import Nozzle
@@ -251,7 +252,6 @@ def solve_perturbed(
     config: drv.IterationConfig,
     data: drv.BoundaryData,
     state: drv.PicardState,
-    start: drv.FieldPair | None = None,
     on_iterate=None,
 ):
     """Fixed-point solve of the transformed problem on the reference grid;
@@ -263,8 +263,7 @@ def solve_perturbed(
 
     scale = data.sigma + dmap.sigmaG
     pair, report = drv.run_fixed_point(
-        config, data, state, start=start, corrections=corrections, scale=scale,
-        on_iterate=on_iterate,
+        config, data, state, corrections=corrections, scale=scale, on_iterate=on_iterate,
     )
     report.meta["sigmaG"] = dmap.sigmaG
     return pair, report
@@ -283,10 +282,13 @@ def pushforward_residual(dmap: DomainMap, state: drv.PicardState, pair: drv.Fiel
     c = state.coeffs
     phi = (c.phi0 + g.sections(pair.psi)).ravel()
     Phi = (c.Phi0 + g.sections(pair.Psi)).ravel()
+    coords = g.coords.reshape(g.shape + (g.dim,))
 
-    def fluxes(coords_mid, z_e, q_phi, q_Phi):
-        # one edge Jacobian serves the mass and the field flux
-        JT_e, detJT_e = jacobian_JT_at(dmap, coords_mid)
+    def fluxes(axis, z_e, q_phi, q_Phi):
+        # one edge Jacobian, at the midpoints of the edges along axis,
+        # serves the mass and the field flux
+        mid = 0.5 * (coords[_along(axis, slice(0, -1))] + coords[_along(axis, slice(1, None))])
+        JT_e, detJT_e = jacobian_JT_at(dmap, mid.reshape(-1, g.dim))
         return (_mass_map(law, z_e, q_phi.T, JT_e, detJT_e)[0],
                 _field_map(JT_e, q_Phi.T, detJT_e))
 

@@ -158,10 +158,10 @@ def perturb_data(
 class PicardState:
     """Frozen background, linearization and factorized operator for one grid.
 
-    The frozen background is kept as axial profiles, one entry per axial
-    node (see `elliptic.BackgroundCoeffs`): `_q0` (n_axial, d), `_rho0`,
-    `_a_base = _rho0 _q0` and `_base`, the flux derivatives there. Nodal
-    fields meet them through `Nozzle.sections`.
+    `coeffs` (an `elliptic.BackgroundCoeffs`) is the one frozen background
+    and linearization, kept as axial profiles: the operator is assembled
+    from it and the Taylor remainders expand about it. Nodal fields meet
+    the profiles through `Nozzle.sections`.
     """
 
     def __init__(self, law: GasLaw, background: BackgroundSolution, grid: Nozzle):
@@ -171,21 +171,14 @@ class PicardState:
         self.coeffs = c = elliptic.make_coeffs(law, background, grid)
         self.op = elliptic.DiscreteOperator(c, grid)
         self.exit_idx = self.op.quad.exit_idx
-        q0 = np.zeros((grid.shape[-1], grid.dim))
-        q0[:, -1] = c.u
-        self._q0 = q0
-        # closure density of the background; it differs from coeffs.rho_bg,
-        # the ODE density, in the last bits
-        self._rho0 = law.density(c.Phi0, c.u * c.u)
-        self._a_base = self._rho0[:, None] * q0
-        self._base = cf.derivatives(law, c.Phi0, q0)
         self._h_min = min(grid.spacing)
 
     def exit_datum(self, Dpsi, data: BoundaryData, pex_shift=None):
         """Exit datum of the conormal condition at the current gradient."""
         c = self.coeffs
         q = Dpsi[self.exit_idx]
-        q_tot = q + self._q0[-1]
+        q_tot = q.copy()
+        q_tot[:, -1] += c.u[-1]
         z_tot = c.Phi0[-1] + data.Psi_ex.ravel()
         rho_t = self.law.density(z_tot, np.einsum("ni,ni->n", q_tot, q_tot))
         drho = rho_t - c.rho_bg[-1]
@@ -213,10 +206,7 @@ class PicardState:
         if np.max(np.linalg.norm(Dpsi[self.exit_idx], axis=1)) >= 2.0 * c.delta2:
             raise AdmissibilityError("exit gradient outside the admissible ball")
 
-        F, f, _ = cf.remainder_fields(
-            self.law, c.Phi0, self._q0, self._rho0, self._a_base, self._base,
-            pair.Psi, Dpsi,
-        )
+        F, f, _ = cf.remainder_fields(self.law, c, pair.Psi, Dpsi)
         f_tot = f + (c.b_bg - self.grid.sections(data.b)).ravel()
         extra = None
         if corrections is not None:
@@ -245,10 +235,11 @@ class PicardState:
     def subsonic_margin(self, pair: FieldPair, Dpsi) -> float:
         """Min of p'(rho) - |grad phi|^2 at the iterate; Dpsi is the nodal
         gradient of pair.psi."""
-        sections = self.grid.sections
-        q_tot = self._q0 + sections(Dpsi)
+        c, sections = self.coeffs, self.grid.sections
+        q_tot = sections(Dpsi).copy()
+        q_tot[..., -1] += c.u
         speed = np.einsum("cni,cni->cn", q_tot, q_tot)
-        rho = self.law.density(self.coeffs.Phi0 + sections(pair.Psi), speed)
+        rho = self.law.density(c.Phi0 + sections(pair.Psi), speed)
         return float(np.min(self.law.dpressure(rho) - speed))
 
     def tolerance(self, scale: float, config: IterationConfig) -> float:
@@ -333,12 +324,13 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
 
     For each axis the gradient of every scalar at the edge midpoints uses the
     two-point compact difference along the edge and averaged nodal central
-    differences across it; ``flux_fn(coords_mid, z_mid, *q_mids)`` takes
-    node-major edge gradients (n_edges, d) and returns one component-major
-    flux (d, n_edges) per scalar, whose axis components are differenced.
-    ``grads``, when given, holds the nodal gradients of the scalars already
-    computed by the caller (None where there is none). Returns one
-    divergence per scalar, valid on interior nodes.
+    differences across it; ``flux_fn(axis, z_mid, *q_mids)`` takes the axis
+    of the edges and node-major edge gradients (n_edges, d), edges in C
+    order, and returns one component-major flux (d, n_edges) per scalar,
+    whose axis components are differenced. ``grads``, when given, holds the
+    nodal gradients of the scalars already computed by the caller (None
+    where there is none). Returns one divergence per scalar, valid on
+    interior nodes.
     """
     shape = grid.shape
     d = grid.dim
@@ -346,22 +338,21 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
     grads = [(gridmod.gradient(grid, f) if gr is None else gr).reshape(shape + (d,))
              for f, gr in zip(fields, grads or [None] * len(fields))]
     z_m = None if z is None else np.asarray(z, dtype=float).reshape(shape)
-    coords = grid.coords.reshape(shape + (d,))
     divs = [np.zeros(shape) for _ in fields]
     for a, h in enumerate(grid.spacing):
         lo, hi = _along(a, slice(0, -1)), _along(a, slice(1, None))
+        edges = fields[0][lo].shape
         q_mids = []
         for f, gr in zip(fields, grads):
-            q_e = np.empty(f[lo].shape + (d,))
+            q_e = np.empty(edges + (d,))
             q_e[..., a] = (f[hi] - f[lo]) / h
             for b in range(d):
                 if b != a:
                     q_e[..., b] = 0.5 * (gr[lo][..., b] + gr[hi][..., b])
             q_mids.append(q_e.reshape(-1, d))
         z_e = None if z_m is None else (0.5 * (z_m[lo] + z_m[hi])).ravel()
-        mid = 0.5 * (coords[lo] + coords[hi])
-        for div, flux in zip(divs, flux_fn(mid.reshape(-1, d), z_e, *q_mids)):
-            flux_a = flux[a].reshape(mid.shape[:-1])
+        for div, flux in zip(divs, flux_fn(a, z_e, *q_mids)):
+            flux_a = flux[a].reshape(edges)
             div[_along(a, slice(1, -1))] += (flux_a[hi] - flux_a[lo]) / h
         # release this axis's fluxes before the next axis builds its own
         del flux, flux_a
@@ -395,7 +386,7 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
     speed = np.einsum("ni,ni->n", grad_phi, grad_phi)
     rho = law.density(Phi, speed)
 
-    def mass_flux(coords_mid, z_e, q_e):
+    def mass_flux(axis, z_e, q_e):
         rho_e = law.density(z_e, np.einsum("ni,ni->n", q_e, q_e))
         return (rho_e * q_e.T,)
 
@@ -444,8 +435,9 @@ def residual_floor(state: PicardState, amplitudes: Amplitudes | None = None):
 
 
 def field_norms(f, grid: Nozzle, quad: elliptic.Quadrature, alpha: float = 0.5,
-                seed: int = 42, n_pairs: int = 2000, delta=None):
-    """Diagnostic norms: sup, discrete H1 seminorm, sampled Holder seminorms.
+                seed: int = 42, delta=None):
+    """Diagnostic norms: sup, discrete H1 seminorm, Holder seminorms sampled
+    on 2000 random node pairs.
     delta, when given, is the grid's `corner_distance`, computed by the caller."""
     f = np.asarray(f, dtype=float)
     # the corner rule gives an edge along axis a the weight h_a times the
@@ -456,8 +448,8 @@ def field_norms(f, grid: Nozzle, quad: elliptic.Quadrature, alpha: float = 0.5,
         df = np.diff(fm, axis=a)
         h1_sq += float(np.sum(edge_w * df * df)) / grid.spacing[a]
     rng = np.random.default_rng(seed)
-    i = rng.integers(0, grid.n_nodes, size=n_pairs)
-    j = rng.integers(0, grid.n_nodes, size=n_pairs)
+    i = rng.integers(0, grid.n_nodes, size=2000)
+    j = rng.integers(0, grid.n_nodes, size=2000)
     keep = i != j
     i, j = i[keep], j[keep]
     dist = np.linalg.norm(grid.coords[i] - grid.coords[j], axis=1)

@@ -6,9 +6,11 @@ at the quadrature points, which coincide with grid nodes, so the coupling
 cancellation between the two equations and the coercivity bound hold
 algebraically on the discrete level, not just in the refinement limit.
 
-The coefficients linearize about the one-dimensional background, so they are
-stored as axial profiles, one value per axial node: they depend on the axial
-coordinate only by construction, and the coupling is purely axial.
+The coefficients are the entries of one `coeffs.derivatives` call at the
+one-dimensional background (the linearization `verify` checks and the Taylor
+remainders expand about), stored as axial profiles, one value per axial node:
+they depend on the axial coordinate only by construction, and the coupling is
+purely axial.
 
 Unknown layout: stacked vector [v; W] over all nodes. Dirichlet rows (v on
 the entrance plane, W on both end planes) are identity rows whose right-hand
@@ -48,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import coeffs as cf
 from .errors import DomainError, NotSubsonicError, SingularAssemblyError
 from .gas import GasLaw
 from .grid import Nozzle
@@ -189,8 +192,9 @@ class BackgroundCoeffs:
 
     Every array holds one entry per axial node (leading dimension n_axial);
     a nodal field viewed as (n_cross, n_axial, ...) (`Nozzle.sections`)
-    broadcasts against it. The coupling dzA = -dqB is purely axial, so only
-    its axial component is kept.
+    broadcasts against it. aii, dzA, dqB and dzB are the entries of
+    `coeffs.derivatives` at (Phi0, u e_n), the one frozen linearization. The
+    coupling dzA = -dqB is purely axial, so only its axial component is kept.
     """
 
     law: GasLaw
@@ -198,9 +202,9 @@ class BackgroundCoeffs:
     u: np.ndarray
     E: np.ndarray
     phi0: np.ndarray
-    rho_bg: np.ndarray
+    rho_bg: np.ndarray       # closure density rho(Phi0, u^2)
     pprime: np.ndarray
-    aii: np.ndarray          # (n_axial, d) diagonal coefficients
+    aii: np.ndarray          # (n_axial, d) diagonal of dA_dq
     dzA: np.ndarray          # axial coupling
     dqB: np.ndarray          # = -dzA, shared-negation exact
     dzB: np.ndarray
@@ -220,20 +224,21 @@ def make_coeffs(law: GasLaw, sol: BackgroundSolution, grid: Nozzle) -> Backgroun
     u = sol.u[k]
     E = sol.E[k]
     phi0 = sol.phi0[k]
-    rho_bg = sol.rho[k]
+    rho_bg = law.density(Phi0, u * u)
     b_bg = sol.b_values()[k]
     pprime = law.dpressure(rho_bg)
     nu_bg = float(np.min(pprime - u * u))
     if nu_bg <= 0.0:
         raise NotSubsonicError("background is not uniformly subsonic on the grid")
 
-    aii = np.tile(rho_bg[:, None], (1, grid.dim))
-    aii[:, -1] = rho_bg * (1.0 - u * u / pprime)
+    # the one linearization, at the axial background velocity: dA_dq is
+    # diagonal and dA_dz = -dB_dq is axial
+    q0 = np.zeros((u.size, grid.dim))
+    q0[:, -1] = u
+    lin = cf.derivatives(law, Phi0, q0)
+    aii = np.diagonal(lin.dA_dq, axis1=1, axis2=2)
     if np.min(aii[:, -1]) <= 0.0:
         raise NotSubsonicError("axial coefficient nonpositive")
-    dzB = rho_bg / pprime
-    dzA = dzB * u
-    dqB = -dzA
 
     # operational admissibility radii: keep the density-closure argument well
     # above the floor and preserve half of the subsonic margin
@@ -253,7 +258,7 @@ def make_coeffs(law: GasLaw, sol: BackgroundSolution, grid: Nozzle) -> Backgroun
 
     return BackgroundCoeffs(
         law=law, Phi0=Phi0, u=u, E=E, phi0=phi0, rho_bg=rho_bg, pprime=pprime,
-        aii=aii, dzA=dzA, dqB=dqB, dzB=dzB, b_bg=b_bg,
+        aii=aii, dzA=lin.dA_dz[:, -1], dqB=lin.dB_dq[:, -1], dzB=lin.dB_dz, b_bg=b_bg,
         J0=float(sol.J0), lam=float(np.min(aii)),
         delta1=float(delta1), delta2=float(delta2), delta3=float(delta3),
         exit_scale=float(aii[-1, -1] * pprime[-1] / sol.J0),
@@ -328,10 +333,10 @@ class DiscreteOperator:
     the sparse-LU cross-checks.
     """
 
-    def __init__(self, coeffs: BackgroundCoeffs, grid: Nozzle, quad: Quadrature | None = None):
+    def __init__(self, coeffs: BackgroundCoeffs, grid: Nozzle):
         self.coeffs = coeffs
         self.grid = grid
-        self.quad = quad or build_quadrature(grid)
+        self.quad = build_quadrature(grid)
         self.dirichlet_v = grid.gamma0
         self.dirichlet_W = grid.gamma0 | grid.gammaL
         self.dirichlet = np.concatenate([self.dirichlet_v, self.dirichlet_W])

@@ -182,6 +182,29 @@ def test_10_uniqueness_probe(state_64x128, fixed_point_64x128):
     _report(10, "uniqueness probe", f"two-start gap = {gap:.1e}, {elapsed:.1f} s")
 
 
+def test_10_uniqueness_probe_3d(state_3d):
+    t0 = time.perf_counter()
+    g = state_3d.grid
+    cfg = driver.IterationConfig()
+    data = driver.perturb_data(state_3d.background, g, 1e-3)
+    pair1, _ = driver.run_fixed_point(cfg, data, state_3d)
+    amp = cfg.ball_multiplier * data.sigma / 4.0
+    x, y, z = g.coords.T
+    mode = np.cos(np.pi * x) * np.cos(np.pi * y)
+    start = driver.FieldPair(
+        amp * mode * (z / g.L) ** 2,
+        amp * mode * np.sin(np.pi * z / g.L),
+    )
+    pair2, _ = driver.run_fixed_point(cfg, data, state_3d, start=start)
+    gap = max(
+        float(np.max(np.abs(pair1.psi - pair2.psi))),
+        float(np.max(np.abs(pair1.Psi - pair2.Psi))),
+    )
+    elapsed = time.perf_counter() - t0
+    assert gap < 1e-8
+    _report(10, "uniqueness probe, 3D 17x17x33", f"two-start gap = {gap:.1e}, {elapsed:.1f} s")
+
+
 def test_11_domain_perturbation():
     t0 = time.perf_counter()
     g = build_grid(dim=2, shape=(33, 65))

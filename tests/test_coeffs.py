@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ep_nozzle.elliptic import make_coeffs
 from ep_nozzle.errors import AdmissibilityError, DomainError, NotSubsonicError, VacuumError
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
-from ep_nozzle.ode1d import OneDParams, integrate_ivp
+from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
 
 LAW = GasLaw(gamma=2.0, k0=1.0)
 # constant background: rho = 1, axial speed 0.5
@@ -32,14 +33,23 @@ def flux_A(law, z, q):
 
 
 def remainders(law, Phi0, q0, Psi, Dpsi):
-    """remainder_fields about one background point, one row per perturbation."""
+    """remainder_fields about one axial background point, one row per
+    perturbation; the profiles are the entries of `derivatives` there."""
     Dpsi = np.atleast_2d(np.asarray(Dpsi, dtype=float))
-    Psi = np.broadcast_to(np.asarray(Psi, dtype=float), Dpsi.shape[:1])
-    Phi0 = np.full(Psi.shape, float(Phi0))
-    q0 = np.broadcast_to(np.asarray(q0, dtype=float), Dpsi.shape)
-    rho0 = law.density(Phi0, np.einsum("ni,ni->n", q0, q0))
-    return remainder_fields(law, Phi0, q0, rho0, rho0[:, None] * q0,
-                            derivatives(law, Phi0, q0), Psi, Dpsi)
+    n, d = Dpsi.shape
+    assert not np.any(np.asarray(q0)[:-1]), "the background velocity is axial"
+    Psi = np.broadcast_to(np.asarray(Psi, dtype=float), (n,))
+    Phi0 = np.full(n, float(Phi0))
+    u = np.full(n, float(q0[-1]))
+    q0 = np.zeros((n, d))
+    q0[:, -1] = u
+    lin = derivatives(law, Phi0, q0)
+    profiles = SimpleNamespace(
+        Phi0=Phi0, u=u, rho_bg=law.density(Phi0, u * u),
+        aii=np.diagonal(lin.dA_dq, axis1=1, axis2=2),
+        dzA=lin.dA_dz[:, -1], dqB=lin.dB_dq[:, -1], dzB=lin.dB_dz,
+    )
+    return remainder_fields(law, profiles, Psi, Dpsi)
 
 
 def midpoint_remainder_F(law, Phi0, q0, z, q, n=64):
@@ -192,14 +202,49 @@ class TestAij:
             assert c.aii[:, a] == pytest.approx(c.rho_bg, rel=1e-14)
 
     def test_sonic_degeneracy(self):
-        # with p = rho^2: speed_sq 2.5 at density 0.875 beats p' = 1.75
+        # with p = rho^2: speed_sq 2.5 at density 0.875 beats p' = 1.75; the
+        # closure gives that density at Phi0 = h(0.875) + 2.5 / 2 = 1
         g = build_grid(dim=2, shape=(9, 17))
         bg = _constant_background()
         beyond = dataclasses.replace(
-            bg, rho=np.full_like(bg.rho, 0.875), u=np.full_like(bg.u, np.sqrt(2.5))
+            bg, rho=np.full_like(bg.rho, 0.875), u=np.full_like(bg.u, np.sqrt(2.5)),
+            Phi0=np.full_like(bg.Phi0, 1.0),
         )
         with pytest.raises(NotSubsonicError):
             make_coeffs(LAW, beyond, g)
+
+
+LINEARIZATION_GRIDS = {
+    "2d": dict(dim=2, shape=(9, 17)),
+    "3d": dict(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.5)), shape=(8, 9, 17)),
+}
+
+
+@pytest.fixture(scope="module", params=list(LINEARIZATION_GRIDS))
+def coeffs_varying(request):
+    # a background whose ODE density differs from the closure density in
+    # the last bits
+    g = build_grid(**LINEARIZATION_GRIDS[request.param])
+    params = OneDParams(J0=0.5, rho0=1.2, E0=0.1, L=1.0, b=1.0)
+    return g, make_coeffs(LAW, integrate_ivp(LAW, params, aligned_steps(1024, 16)), g)
+
+
+class TestOneLinearization:
+    def test_coeffs_are_the_derivatives_at_the_background(self, coeffs_varying):
+        g, c = coeffs_varying
+        q0 = np.zeros((g.shape[-1], g.dim))
+        q0[:, -1] = c.u
+        lin = derivatives(LAW, c.Phi0, q0)
+        assert np.array_equal(c.aii, np.diagonal(lin.dA_dq, axis1=1, axis2=2))
+        assert np.array_equal(c.dzA, lin.dA_dz[:, -1])
+        assert np.array_equal(c.dqB, lin.dB_dq[:, -1])
+        assert np.array_equal(c.dzB, lin.dB_dz)
+
+    def test_remainders_vanish_at_the_zero_pair(self, coeffs_varying):
+        g, c = coeffs_varying
+        F, f, rho = remainder_fields(LAW, c, np.zeros(g.n_nodes), np.zeros((g.n_nodes, g.dim)))
+        assert np.all(F == 0.0) and np.all(f == 0.0)
+        assert np.array_equal(g.sections(rho), np.broadcast_to(c.rho_bg, g.sections(rho).shape))
 
 
 class TestRemainders:

@@ -16,6 +16,7 @@ from ep_nozzle.domainmap import (
     shear_map,
     solve_perturbed,
 )
+from ep_nozzle.elliptic import _along
 from ep_nozzle.errors import FoldOverError
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
@@ -261,8 +262,11 @@ class TestPullback:
         eps = 2e-3
         dmap = shear_map(eps, g.L, dim=2, cross_extents=g.cross_extents)
 
-        def mass_flux(coords_mid, z_e, q_e):
-            JT_e, detJT_e = jacobian_JT_at(dmap, coords_mid)
+        coords = g.coords.reshape(g.shape + (g.dim,))
+
+        def mass_flux(axis, z_e, q_e):
+            mid = 0.5 * (coords[_along(axis, slice(0, -1))] + coords[_along(axis, slice(1, None))])
+            JT_e, detJT_e = jacobian_JT_at(dmap, mid.reshape(-1, g.dim))
             return (pullback_operators(LAW, z_e, q_e, q_e, JT_e, detJT_e)[0].T,)
 
         # potential of the 1D background satisfies the flat equations exactly;

@@ -260,10 +260,7 @@ def test_frozen_arrays_are_axial_profiles(state_profiles):
     n = state_profiles.grid.shape[-1]
     c = state_profiles.coeffs
     frozen = {name: value for name, value in vars(c).items() if isinstance(value, np.ndarray)}
-    frozen.update(q0=state_profiles._q0, rho0=state_profiles._rho0,
-                  a_base=state_profiles._a_base)
-    frozen.update(state_profiles._base._asdict())
-    assert len(frozen) == 18
+    assert len(frozen) == 11
     for name, value in frozen.items():
         assert value.shape[0] == n, name
 
@@ -298,8 +295,7 @@ def test_profile_formulas_match_nodal_formulas(state_profiles):
     F = -(rho_pert[:, None] * q_tot - rho0[:, None] * q0 - lin_A)
     lin_B = Psi * base.dB_dz + np.einsum("nj,nj->n", base.dB_dq, Dpsi)
     f = rho_pert - rho0 - lin_B
-    got = cf.remainder_fields(law, c.Phi0, state._q0, state._rho0, state._a_base,
-                              state._base, Psi, Dpsi)
+    got = cf.remainder_fields(law, c, Psi, Dpsi)
     for want, have in zip((F, f, rho_pert), got):
         assert np.array_equal(have, want)
 

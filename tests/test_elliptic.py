@@ -80,10 +80,11 @@ class TestCoeffs:
     def test_not_subsonic_background_rejected(self):
         g = build_grid(dim=2, shape=(9, 17))
         bg = _background(16, CONST_PARAMS)
-        # forge a supersonic sample by scaling the speed
+        # forge a supersonic sample by scaling the speed; the closure density
+        # at the tripled speed stays above vacuum
         import dataclasses
 
-        fake = dataclasses.replace(bg, u=bg.u * 10.0)
+        fake = dataclasses.replace(bg, u=bg.u * 3.0)
         with pytest.raises(NotSubsonicError):
             make_coeffs(LAW, fake, g)
 
