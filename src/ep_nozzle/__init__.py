@@ -18,7 +18,7 @@ from .driver import (
     run_fixed_point,
     stability_sweep,
 )
-from .domainmap import DomainMap, identity_map, shear_map, solve_perturbed
+from .domainmap import DomainMap, shear_map, solve_perturbed
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "SolveReport",
     "bernoulli",
     "build_grid",
-    "identity_map",
     "integrate_ivp",
     "perturb_data",
     "run_fixed_point",

@@ -197,6 +197,8 @@ def _validate(values):
     for key in ("nodes_cross", "nodes_cross2", "nodes_axial"):
         if values["nozzle"][key] < 8:
             raise DomainError(f"{key} must be at least 8")
+    if values["background"]["ode_steps"] < 16:
+        raise DomainError("ode_steps must be at least 16")
     if values["perturbation"]["sigma"] < 0.0:
         raise DomainError("sigma must be nonnegative")
     it = values["iteration"]

@@ -48,22 +48,6 @@ class DomainMap:
         return out
 
 
-def identity_map(dim: int = 2) -> DomainMap:
-    dc = dim - 1
-    eye = np.eye(dc)
-
-    def gfun(xprime, xn):
-        return np.asarray(xprime, dtype=float)
-
-    def dgx(xprime, xn):
-        return np.broadcast_to(eye, xprime.shape[:-1] + (dc, dc)).copy()
-
-    def dgn(xprime, xn):
-        return np.zeros_like(np.asarray(xprime, dtype=float))
-
-    return DomainMap(gfun=gfun, dg_dxprime=dgx, dg_dxn=dgn, sigmaG=0.0)
-
-
 def shear_map(eps: float, L: float, dim: int = 2, cross_extents=((0.0, 1.0),)) -> DomainMap:
     """Separable shear G = x' + eps * w(x') * s(x_n).
 

@@ -200,11 +200,12 @@ class PicardState:
         c = self.coeffs
         if Dpsi is None:
             Dpsi = gridmod.gradient(self.grid, pair.psi)
-        ball = np.abs(pair.Psi) + np.linalg.norm(Dpsi, axis=1)
-        if np.max(ball) >= 3.0 * c.delta1:
-            raise AdmissibilityError("iterate outside the remainder-definition ball")
-        if np.max(np.linalg.norm(Dpsi[self.exit_idx], axis=1)) >= 2.0 * c.delta2:
-            raise AdmissibilityError("exit gradient outside the admissible ball")
+        with np.errstate(over="ignore"):   # an overflowed norm is inf and trips the check
+            ball = np.abs(pair.Psi) + np.linalg.norm(Dpsi, axis=1)
+            if np.max(ball) >= 3.0 * c.delta1:
+                raise AdmissibilityError("iterate outside the remainder-definition ball")
+            if np.max(np.linalg.norm(Dpsi[self.exit_idx], axis=1)) >= 2.0 * c.delta2:
+                raise AdmissibilityError("exit gradient outside the admissible ball")
 
         F, f, _ = cf.remainder_fields(self.law, c, pair.Psi, Dpsi)
         f_tot = f + (c.b_bg - self.grid.sections(data.b)).ravel()
@@ -284,7 +285,8 @@ def run_fixed_point(
         if on_iterate is not None:
             on_iterate(k + 1, pair)
         Dpsi = gridmod.gradient(state.grid, pair.psi)
-        ball = pair.sup() + float(np.max(np.linalg.norm(Dpsi, axis=1)))
+        with np.errstate(over="ignore"):   # an overflowed norm is inf and trips the check
+            ball = pair.sup() + float(np.max(np.linalg.norm(Dpsi, axis=1)))
         if scale > 0.0 and ball > 2.0 * config.ball_multiplier * scale:
             raise AdmissibilityError("iterate left the iteration ball")
         if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):

@@ -35,10 +35,13 @@ vanishes in exact arithmetic, and the solve's residual guards the rounding.
 The assembled sparse K and the per-point quadrature maps are the reference:
 they are built on first use, for the quadratic form, the coercivity check
 and the sparse-LU cross-checks, and no command's solve builds them. Only
-they broadcast the profiles back to the quadrature points. The
-solve's residual applies K from the same 1D factors the block LU is built
-from (`apply_operator`); the right-hand side applies the corner rule with
-slices on the reshaped fields. No command's solve imports scipy.
+they broadcast the profiles back to the quadrature points. The axial
+operator is built once, as the 2x2 blocks the mode systems share
+(`_axial_blocks`): the block LU adds the cross eigenvalues to them, and the
+solve's residual (`apply_operator`) applies them along the axis, with the
+cross-section stiffness from the quadrature's edge weights. The right-hand
+side applies the corner rule with slices on the reshaped fields. No
+command's solve imports scipy.
 """
 
 from __future__ import annotations
@@ -325,12 +328,12 @@ class DiscreteOperator:
     """Operator part of the weak system and its separable factorization
     (background-dependent only).
 
-    Built eagerly: the quadrature, the Dirichlet row masks, the cross
-    eigenmodes, the block LU of the mode systems and the weights of
-    `apply_operator`; the last two read one set of axial forms. Built on
-    first use and then kept: the CSR blocks (`blocks`) and the assembled
-    operator `K`, which serve the quadratic form, the coercivity check and
-    the sparse-LU cross-checks.
+    Built eagerly: the quadrature, the Dirichlet row masks, the axial 2x2
+    blocks (`axial_blocks`), the cross eigenmodes and the block LU of the
+    mode systems; the factorization and `apply_operator` both read the one
+    set of axial blocks. Built on first use and then kept: the CSR blocks
+    (`blocks`) and the assembled operator `K`, which serve the quadratic
+    form, the coercivity check and the sparse-LU cross-checks.
     """
 
     def __init__(self, coeffs: BackgroundCoeffs, grid: Nozzle):
@@ -340,10 +343,9 @@ class DiscreteOperator:
         self.dirichlet_v = grid.gamma0
         self.dirichlet_W = grid.gamma0 | grid.gammaL
         self.dirichlet = np.concatenate([self.dirichlet_v, self.dirichlet_W])
-        forms = _axial_forms(coeffs, grid)
-        self._weights = _apply_weights(forms, grid)
+        self.axial_blocks = _axial_blocks(coeffs, grid)
         self.cross_modes = tuple(_cross_modes(grid, a) for a in range(grid.dim - 1))
-        self.mode_lu = _factor_modes(forms, grid, self.cross_modes)
+        self.mode_lu = _factor_modes(self.axial_blocks, coeffs, grid, self.cross_modes)
 
     @functools.cached_property
     def blocks(self):
@@ -420,43 +422,18 @@ def _cross_modes(grid: Nozzle, axis: int):
     return V, 2.0 * (1.0 - np.cos(np.pi * j / (n - 1))) / h ** 2
 
 
-@dataclass(frozen=True)
-class AxialForms:
-    """Axial weights of the separable operator, read by both the banded
-    factorization and `apply_operator`; the coefficients are axial profiles,
-    so the operator is separable by construction."""
-
-    tau: np.ndarray          # axial trapezoid weights
-    edge: np.ndarray         # axial stiffness per edge, h (A_k + A_k+1) / 2
-    dzA: np.ndarray          # axial coupling profile
-    dzB: np.ndarray
-    tau_aii: tuple           # tau times the aii profile, per cross axis
-
-
-def _axial_forms(coeffs: BackgroundCoeffs, grid: Nozzle) -> AxialForms:
-    d = grid.dim
-    h = grid.spacing[-1]
-    tau = _face_weights(grid, [d - 1])
-    A = coeffs.aii[:, -1]
-    return AxialForms(
-        tau=tau, edge=0.5 * h * (A[:-1] + A[1:]), dzA=coeffs.dzA, dzB=coeffs.dzB,
-        tau_aii=tuple(tau * coeffs.aii[:, a] for a in range(d - 1)),
-    )
-
-
-def _mode_blocks(forms: AxialForms, grid: Nozzle, cross_modes):
-    """The 2x2 blocks of every mode system in the interleaved (v_k, W_k) order.
-
-    Returns lower[k] (row k+1 on node k) and upper[k] (row k on node k+1),
-    shared by all modes, and diag[k, :, :, m], the diagonal blocks of mode m:
-    the axial corner-rule forms Kvv, KvW, KWv = -KvW^T and KWW plus the cross
-    eigenvalue times the axial mass, with identity rows for the Dirichlet data.
+def _axial_blocks(coeffs: BackgroundCoeffs, grid: Nozzle):
+    """The 2x2 blocks of the axial operator in the interleaved (v_k, W_k)
+    order, per unit cross mass: lower[k] (row k+1 on node k), upper[k] (row k
+    on node k+1) and diag[k]. They hold the axial corner-rule forms Kvv, KvW,
+    KWv = -KvW^T and KWW, with identity rows for the Dirichlet data. Every
+    mode system shares lower and upper; `apply_operator` reads all three.
     """
-    d = grid.dim
     n = grid.shape[-1]
     h = grid.spacing[-1]
-    e = forms.edge / h ** 2            # axial v stiffness per edge
-    c = 0.5 * forms.dzA                # coupling of an edge difference to each end node
+    A = coeffs.aii[:, -1]
+    e = 0.5 * h * (A[:-1] + A[1:]) / h ** 2   # axial v stiffness per edge
+    c = 0.5 * coeffs.dzA       # coupling of an edge difference to each end node
     lower = np.empty((n - 1, 2, 2))
     upper = np.empty((n - 1, 2, 2))
     lower[:, 0, 0] = upper[:, 0, 0] = -e
@@ -469,7 +446,7 @@ def _mode_blocks(forms: AxialForms, grid: Nozzle, cross_modes):
     for side in (slice(1, None), slice(None, -1)):
         diag[side, 0, 0] += e
         diag[side, 1, 1] += 1.0 / h
-    diag[:, 1, 1] += forms.tau * forms.dzB
+    diag[:, 1, 1] += _face_weights(grid, [grid.dim - 1]) * coeffs.dzB
     # a node couples to its own W by +c from its left edge and -c from its
     # right edge; on free rows only the v row of the exit node keeps a term
     diag[-1, 0, 1] = c[-1]
@@ -477,15 +454,25 @@ def _mode_blocks(forms: AxialForms, grid: Nozzle, cross_modes):
     diag[identity] = np.eye(2)[np.nonzero(identity)[1]]
     upper[identity[:-1]] = 0.0
     lower[identity[1:]] = 0.0
+    return lower, upper, diag
 
-    # mode-dependent part: cross eigenvalue times the axial mass, on free rows
+
+def _mode_blocks(axial_blocks, coeffs: BackgroundCoeffs, grid: Nozzle, cross_modes):
+    """The 2x2 blocks of every mode system: the shared axial lower and upper,
+    and diag[k, :, :, m], the axial diagonal blocks plus the cross eigenvalue
+    of mode m times the axial mass on the free rows. The axial blocks are not
+    modified."""
+    lower, upper, diag = axial_blocks
+    d = grid.dim
+    n = grid.shape[-1]
+    tau = _face_weights(grid, [d - 1])
     mu = np.zeros((n, 2) + grid.cross_shape())
     for a, (_, lam) in enumerate(cross_modes):
         lam = lam.reshape([-1 if b == a else 1 for b in range(d - 1)])
         axial = (n,) + (1,) * (d - 1)
-        mu[:, 0] += forms.tau_aii[a].reshape(axial) * lam
-        mu[:, 1] += forms.tau.reshape(axial) * lam
-    mu[identity] = 0.0
+        mu[:, 0] += (tau * coeffs.aii[:, a]).reshape(axial) * lam
+        mu[:, 1] += tau.reshape(axial) * lam
+    mu[_dirichlet_rows(n)] = 0.0
     mu = mu.reshape(n, 2, -1)
     return lower, upper, diag[..., None] + np.eye(2)[:, :, None] * mu[:, :, None, :]
 
@@ -526,9 +513,10 @@ def _invert_pivot(S, k):
     return np.stack([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det
 
 
-def _factor_modes(forms: AxialForms, grid: Nozzle, cross_modes) -> ModeLU:
-    """Block LU of all mode systems, built from the axial forms."""
-    lower, upper, diag = _mode_blocks(forms, grid, cross_modes)
+def _factor_modes(axial_blocks, coeffs: BackgroundCoeffs, grid: Nozzle,
+                  cross_modes) -> ModeLU:
+    """Block LU of all mode systems, built from the axial blocks."""
+    lower, upper, diag = _mode_blocks(axial_blocks, coeffs, grid, cross_modes)
     n = diag.shape[0]
     multipliers = np.empty((n - 1,) + diag.shape[1:])
     pivot_inv = np.empty_like(diag)
@@ -552,68 +540,31 @@ def _along(axis, sl):
     return (slice(None),) * axis + (sl,)
 
 
-def _apply_weights(forms: AxialForms, grid: Nozzle):
-    """Node and edge weights of `apply_operator`, from the axial forms.
-
-    On cross axis a the stiffness weight is (1/h_a) times the trapezoid mass
-    of the other cross axes times tau (W rows) or tau * aii_a (v rows). Along
-    the axis every weight carries the trapezoid mass of the cross-section.
-    """
-    d = grid.dim
-    h = grid.spacing[-1]
-    cross = grid.cross_shape()
-    cross_w = []
-    for a in range(d - 1):
-        other = _face_weights(grid, [b for b in range(d - 1) if b != a]) / grid.spacing[a]
-        other = other.reshape([1 if b == a else n for b, n in enumerate(cross)] + [1])
-        cross_w.append((other * forms.tau_aii[a], other * forms.tau))
-    T = _face_weights(grid, range(d - 1)).reshape(cross + (1,))
-    return {
-        "cross": tuple(cross_w),
-        "vv": T * (forms.edge / h ** 2),    # axial v flux per edge difference
-        "vW": T * (0.5 * forms.dzA),        # coupling per node, halved for the edge mean
-        "WW": T / h,                        # axial W flux per edge difference
-        "mass": T * (forms.tau * forms.dzB),
-    }
-
-
 def apply_operator(op: DiscreteOperator, U) -> np.ndarray:
-    """K U from the separable 1D factors, without the assembled K.
+    """K U without the assembled K or the factorization.
 
-    Along the axis: the corner-rule forms Kvv, KvW, KWv = -KvW^T and KWW of
-    `_factor_modes`; on each cross axis: the Neumann stiffness against the
-    trapezoid mass; Dirichlet rows: identity. Equal to `op.K @ U` up to the
-    rounding of the summation order.
+    Along the axis: the axial blocks of the mode systems, times the trapezoid
+    mass of the cross-section; on each cross axis: the Neumann stiffness with
+    the corner-rule edge weights, times aii on the v rows; Dirichlet rows:
+    identity. Equal to `op.K @ U` up to the rounding of the summation order.
     """
-    grid, w = op.grid, op._weights
-    shape, N = grid.shape, grid.n_nodes
-    v = U[:N].reshape(shape)
-    W = U[N:].reshape(shape)
-    out = np.zeros((2,) + shape)
-    out_v, out_W = out
-    # out_j += flux_j-1 - flux_j along an axis, no flux beyond the ends
-    for a, (cv, cW) in enumerate(w["cross"]):
-        hi, lo = _along(a, slice(1, None)), _along(a, slice(None, -1))
-        flux = cv * np.diff(v, axis=a)
-        out_v[hi] += flux
-        out_v[lo] -= flux
-        flux = cW * np.diff(W, axis=a)
-        out_W[hi] += flux
-        out_W[lo] -= flux
-    dv = np.diff(v, axis=-1)
-    m = w["vW"] * W
-    flux = w["vv"] * dv + m[..., :-1] + m[..., 1:]
-    out_v[..., 1:] += flux
-    out_v[..., :-1] -= flux
-    flux = w["WW"] * np.diff(W, axis=-1)
-    out_W[..., 1:] += flux
-    out_W[..., :-1] -= flux
-    out_W += w["mass"] * W
-    # KWv: -dzA_k times the mean of the two edge differences at node k
-    dv_pair = np.zeros(shape)
-    dv_pair[..., 1:] += dv
-    dv_pair[..., :-1] += dv
-    out_W -= w["vW"] * dv_pair
+    grid, q = op.grid, op.quad
+    lower, upper, diag = op.axial_blocks
+    x = U.reshape((2,) + grid.shape)
+    out = np.empty_like(x)
+    for i in range(2):
+        out[i] = diag[:, i, 0] * x[0] + diag[:, i, 1] * x[1]
+        out[i, ..., 1:] += lower[:, i, 0] * x[0, ..., :-1] + lower[:, i, 1] * x[1, ..., :-1]
+        out[i, ..., :-1] += upper[:, i, 0] * x[0, ..., 1:] + upper[:, i, 1] * x[1, ..., 1:]
+    out *= q.exit_w.reshape(grid.cross_shape() + (1,))
+    # out_j += flux_j-1 - flux_j along a cross axis, no flux beyond the ends
+    for a in range(grid.dim - 1):
+        hi, lo = _along(a + 1, slice(1, None)), _along(a + 1, slice(None, -1))
+        flux = np.diff(x, axis=a + 1)
+        flux *= q.edge_w[a] / grid.spacing[a]
+        flux[0] *= op.coeffs.aii[:, a]
+        out[hi] += flux
+        out[lo] -= flux
     out = out.reshape(-1)
     out[op.dirichlet] = U[op.dirichlet]
     return out

@@ -14,11 +14,14 @@ class VacuumError(EPError):
 
 
 class BreakdownError(EPError):
-    """1D integration left the admissible set; carries the axial location."""
+    """1D integration left the admissible set or overflowed; carries the
+    axial location and its kind, the first word of the message (sonic,
+    vacuum or overflow)."""
 
     def __init__(self, message, x):
         super().__init__(f"{message} at x={x:.6g}")
         self.x = x
+        self.kind = message.split()[0]
 
 
 class SonicBreakdown(BreakdownError):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BreakdownError,
     DomainError,
     MaxIterationsError,
     NoBracketError,
@@ -115,7 +116,8 @@ def aligned_steps(base: int, intervals: int) -> int:
 
 
 def integrate_ivp(law: GasLaw, params: OneDParams, n_steps: int = 1024) -> BackgroundSolution:
-    """Classical RK4 on (rho, E) with sonic/vacuum guards at every stage."""
+    """Classical RK4 on (rho, E) with sonic/vacuum guards at every stage; a
+    float overflow of the right-hand side is a breakdown at the step's start."""
     if n_steps < 16:
         raise DomainError("n_steps must be at least 16")
     h = params.L / n_steps
@@ -123,20 +125,24 @@ def integrate_ivp(law: GasLaw, params: OneDParams, n_steps: int = 1024) -> Backg
     rho = np.empty(n_steps + 1)
     E = np.empty(n_steps + 1)
     rho[0], E[0] = params.rho0, params.E0
-    rhs = _scalar_rhs(law, params)
     r, e = float(params.rho0), float(params.E0)
-    for i in range(n_steps):
-        x = xs[i]
-        k1 = rhs(x, r, e)
-        k2 = rhs(x + 0.5 * h, r + 0.5 * h * k1[0], e + 0.5 * h * k1[1])
-        k3 = rhs(x + 0.5 * h, r + 0.5 * h * k2[0], e + 0.5 * h * k2[1])
-        k4 = rhs(x + h, r + h * k3[0], e + h * k3[1])
-        r = r + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        e = e + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        rho[i + 1] = r
-        E[i + 1] = e
-        if r <= law.rho_floor:
-            raise VacuumBreakdown(xs[i + 1])
+    x = xs[0]
+    try:
+        rhs = _scalar_rhs(law, params)
+        for i in range(n_steps):
+            x = xs[i]
+            k1 = rhs(x, r, e)
+            k2 = rhs(x + 0.5 * h, r + 0.5 * h * k1[0], e + 0.5 * h * k1[1])
+            k3 = rhs(x + 0.5 * h, r + 0.5 * h * k2[0], e + 0.5 * h * k2[1])
+            k4 = rhs(x + h, r + h * k3[0], e + h * k3[1])
+            r = r + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            e = e + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            rho[i + 1] = r
+            E[i + 1] = e
+            if r <= law.rho_floor:
+                raise VacuumBreakdown(xs[i + 1])
+    except OverflowError:
+        raise BreakdownError("overflow", x) from None
     u = params.J0 / rho
     margin = law.dpressure(rho) - u * u
     if np.min(margin) <= 0.0:
@@ -227,7 +233,7 @@ def shoot_bvp(
     for e0 in probes:
         try:
             values.append(forward(e0, n_scan))
-        except (SonicBreakdown, VacuumBreakdown):
+        except BreakdownError:
             values.append(None)
     pair = None
     for k in range(n_probe - 1):
@@ -288,9 +294,7 @@ def write_atlas(path, law: GasLaw, L: float, b, cases, n_steps: int = 1024):
             try:
                 sol = integrate_ivp(law, OneDParams(J0, rho0, E0, L, b), n_steps)
                 row = [J0, rho0, E0, sol.phi_en0, sol.B00, sol.pex0, sol.nu0, "ok"]
-            except SonicBreakdown as exc:
-                row = [J0, rho0, E0, "nan", "nan", "nan", "nan", f"sonic@x={exc.x:.6g}"]
-            except VacuumBreakdown as exc:
-                row = [J0, rho0, E0, "nan", "nan", "nan", "nan", f"vacuum@x={exc.x:.6g}"]
+            except BreakdownError as exc:
+                row = [J0, rho0, E0, "nan", "nan", "nan", "nan", f"{exc.kind}@x={exc.x:.6g}"]
             fh.write(",".join(v if isinstance(v, str) else format(v, ".17g") for v in row))
             fh.write("\n")

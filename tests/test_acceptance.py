@@ -13,7 +13,6 @@ import pytest
 from ep_nozzle import cli, driver
 from ep_nozzle.domainmap import (
     correction_terms,
-    identity_map,
     jacobian_JT,
     shear_map,
     solve_perturbed,
@@ -213,13 +212,13 @@ def test_11_domain_perturbation():
     data = driver.perturb_data(state.background, g, 1e-3)
 
     # identity degeneracy: corrections exactly zero, output identical
-    JT, detJT = jacobian_JT(identity_map(2), g)
+    JT, detJT = jacobian_JT(shear_map(0.0, g.L, 2, g.cross_extents), g)
     zero = driver.FieldPair(np.zeros(g.n_nodes), np.zeros(g.n_nodes))
     corr = correction_terms(LAW, state, JT, detJT, zero, data.b)
     assert np.all(corr.H1 == 0.0) and np.all(corr.H2 == 0.0)
     assert np.all(corr.src2 == 0.0) and np.all(corr.g3 == 0.0)
     pair_flat, _ = driver.run_fixed_point(cfg, data, state)
-    pair_id, _ = solve_perturbed(identity_map(2), cfg, data, state)
+    pair_id, _ = solve_perturbed(shear_map(0.0, g.L, 2, g.cross_extents), cfg, data, state)
     assert np.array_equal(pair_flat.psi, pair_id.psi)
     assert np.array_equal(pair_flat.Psi, pair_id.Psi)
 

@@ -345,6 +345,21 @@ PROBES = [
     pytest.param("solve", SMALL, ("--help",), 0, None, id="help"),
     pytest.param("background", edited("background", "rho0", "0.3"), (), 2,
                  "background breakdown", id="sonic-background"),
+    # finite values whose background integration overflows a float
+    pytest.param("solve", edited("gas", "gamma", "1e5"), (), 2, "background breakdown",
+                 id="gamma-overflow"),
+    pytest.param("solve", edited("background", "J0", "1e300"), (), 2, "background breakdown",
+                 id="J0-overflow"),
+    pytest.param("solve", edited("background", "rho0", "1e300"), (), 2,
+                 "background breakdown", id="rho0-overflow"),
+    pytest.param("solve", edited("background", "E0", "1e300"), (), 2, "background breakdown",
+                 id="E0-overflow"),
+    # the iterate's gradient norm overflows to inf: refused, with no numpy
+    # overflow warning on stderr
+    pytest.param("solve", edited("background", "J0", "1e-200"), (), 4, "admissibility",
+                 id="J0-tiny", marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param("solve", edited("background", "ode_steps", "8"), (), 1, "error",
+                 id="ode-steps-below-16"),
     pytest.param("solve", edited("perturbation", "sigma", "0.05"), (), 4, "admissibility",
                  id="oversized-sigma"),
     pytest.param("solve", edited("perturbation", "c_pex", "2"), (), 4, "admissibility",

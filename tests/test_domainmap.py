@@ -8,7 +8,6 @@ from ep_nozzle.domainmap import (
     Corrections,
     DomainMap,
     correction_terms,
-    identity_map,
     jacobian_JT,
     jacobian_JT_at,
     pullback_operators,
@@ -152,7 +151,7 @@ def test_closed_form_pullback_matches_einsum(dim, batch, seed):
 class TestJacobian:
     def test_identity(self, state_small):
         g = state_small.grid
-        JT, detJT = jacobian_JT(identity_map(2), g)
+        JT, detJT = jacobian_JT(shear_map(0.0, g.L, 2, g.cross_extents), g)
         assert np.array_equal(JT, np.broadcast_to(np.eye(2)[:, :, None], JT.shape))
         assert np.all(detJT == 1.0)
 
@@ -281,7 +280,7 @@ class TestPullback:
 def _assert_identity_gives_exact_zeros(state):
     g = state.grid
     N = g.n_nodes
-    JT, detJT = jacobian_JT(identity_map(g.dim), g)
+    JT, detJT = jacobian_JT(shear_map(0.0, g.L, g.dim, g.cross_extents), g)
     assert np.array_equal(JT, np.broadcast_to(np.eye(g.dim)[:, :, None], JT.shape))
     assert np.all(detJT == 1.0)
     data = driver.perturb_data(state.background, g, 0.0)
@@ -340,10 +339,12 @@ class TestCorrections:
 
 
 def _assert_identity_map_identical_to_flat(state):
+    g = state.grid
     cfg = driver.IterationConfig()
-    data = driver.perturb_data(state.background, state.grid, 1e-3)
+    data = driver.perturb_data(state.background, g, 1e-3)
     pair_flat, rep_flat = driver.run_fixed_point(cfg, data, state)
-    pair_id, rep_id = solve_perturbed(identity_map(state.grid.dim), cfg, data, state)
+    # the shear of size zero is the identity map
+    pair_id, rep_id = solve_perturbed(shear_map(0.0, g.L, g.dim, g.cross_extents), cfg, data, state)
     assert np.array_equal(pair_flat.psi, pair_id.psi)
     assert np.array_equal(pair_flat.Psi, pair_id.Psi)
     assert rep_flat.iterations == rep_id.iterations

@@ -553,6 +553,36 @@ def test_residual_does_not_read_the_factorization():
     assert solve(op, data)[2] > 1e-8
 
 
+def _float_arrays(obj):
+    """The float arrays held by obj, inside tuples, lists and dicts too."""
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.dtype.kind == "f" else []
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _float_arrays(item)]
+    if isinstance(obj, dict):
+        return _float_arrays(list(obj.values()))
+    return []
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+def test_operator_holds_no_nodal_float_array(grid):
+    # the quadrature and the factorization aside, the operator keeps axial
+    # and cross-axis data only
+    g, op = _operator(grid)
+    held = {name: value for name, value in vars(op).items() if name not in ("quad", "mode_lu")}
+    assert [a.shape for a in _float_arrays(list(held.values())) if a.size >= g.n_nodes] == []
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+def test_zero_cross_mode_is_the_axial_operator(grid):
+    # mode 0 is constant over the cross-section, with eigenvalue 0
+    g, op = _operator(grid)
+    lower, upper, diag = elliptic._mode_blocks(op.axial_blocks, op.coeffs, g, op.cross_modes)
+    assert np.array_equal(diag[..., 0], op.axial_blocks[2])
+    assert lower is op.axial_blocks[0] and upper is op.axial_blocks[1]
+    assert np.count_nonzero(diag[..., 1:] != diag[..., :1]) > 0
+
+
 def test_non_finite_pivot_block_raises(monkeypatch):
     blocks = elliptic._mode_blocks
 

@@ -215,6 +215,16 @@ def test_atlas_export(tmp_path):
     assert rows[2]["status"].startswith(("sonic@", "vacuum@"))
 
 
+def test_atlas_overflow_row(tmp_path):
+    # rho0 ** (gamma + 1) overflows a float on the first stage: a row, not an abort
+    path = tmp_path / "atlas.csv"
+    write_atlas(path, LAW, 4.0, 1.0, [(0.5, 1e300, 0.0), (0.5, 1.2, 0.1)], n_steps=512)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["overflow@x=0", "ok"]
+    assert rows[0]["nu0"] == "nan"
+
+
 def test_atlas_bytes(tmp_path):
     # one ok row and one sonic row; "\n" line ends and 17-digit values
     path = tmp_path / "atlas.csv"
