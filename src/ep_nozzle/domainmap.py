@@ -303,17 +303,18 @@ def wall_sweep(config: drv.IterationConfig, state: drv.PicardState, eps) -> dict
     g = state.grid
     data = drv.perturb_data(state.background, g, 0.0)
     zero = drv.FieldPair(np.zeros(g.n_nodes), np.zeros(g.n_nodes))
-    rows = {"sup_norms": [], "sup_H1": [], "sup_H2": [], "iterations": [],
-            "pushforward_residuals": []}
-    for e in eps:
+
+    def rung(e):
         dmap = shear_map(e, g.L, dim=g.dim, cross_extents=g.cross_extents)
         JT, detJT = jacobian_JT(dmap, g)
         corr = correction_terms(state.law, state, JT, detJT, zero, data.b)
         pair, report = solve_perturbed(dmap, config, data, state)
         resid, _ = pushforward_residual(dmap, state, pair, data)
-        for key, value in zip(rows, (pair.sup(), float(np.max(np.abs(corr.H1))),
-                                     float(np.max(np.abs(corr.H2))), report.iterations, resid)):
-            rows[key].append(value)
+        return (pair.sup(), float(np.max(np.abs(corr.H1))), float(np.max(np.abs(corr.H2))),
+                report.iterations, resid)
+
+    keys = ("sup_norms", "sup_H1", "sup_H2", "iterations", "pushforward_residuals")
+    rows = {key: list(column) for key, column in zip(keys, zip(*drv.ladder_map(rung, eps)))}
     return {"eps": eps, **rows,
             "slope_response": drv.loglog_slope(eps, rows["sup_norms"]),
             "slope_corrections": drv.loglog_slope(eps, rows["sup_H1"])}

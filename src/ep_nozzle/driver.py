@@ -10,6 +10,11 @@ strong-form residuals are recorded along the way.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +27,7 @@ from .errors import (
     DomainError,
     MaxIterationsError,
     NonContractionError,
+    SingularAssemblyError,
 )
 from .gas import GasLaw
 from .grid import Nozzle
@@ -29,6 +35,10 @@ from .ode1d import BackgroundSolution
 
 # chord-slope denominators closer than this fall back to p'(rho_bg)
 CHORD_FALLBACK = 1e-12
+# largest relative algebraic residual of a linear solve that a Picard step
+# accepts; measured values are 1.5e-15 to 5.6e-15, and the bound is a
+# correctness check, not a tuning knob
+SOLVE_RESIDUAL_MAX = 1e-8
 
 
 @dataclass(frozen=True)
@@ -194,17 +204,20 @@ class PicardState:
         return (pex - pex0) / chord + ghat2
 
     def step(self, pair: FieldPair, data: BoundaryData, corrections=None,
-             Dpsi=None) -> FieldPair:
-        """One application of the iteration map. Dpsi, when given, is the
-        nodal gradient of pair.psi, already computed by the caller."""
+             Dpsi=None, grad_norm=None) -> FieldPair:
+        """One application of the iteration map. Dpsi and grad_norm, when
+        given, are the nodal gradient of pair.psi and its pointwise norm,
+        already computed by the caller."""
         c = self.coeffs
         if Dpsi is None:
             Dpsi = gridmod.gradient(self.grid, pair.psi)
+            grad_norm = None
         with np.errstate(over="ignore"):   # an overflowed norm is inf and trips the check
-            ball = np.abs(pair.Psi) + np.linalg.norm(Dpsi, axis=1)
-            if np.max(ball) >= 3.0 * c.delta1:
+            if grad_norm is None:
+                grad_norm = np.linalg.norm(Dpsi, axis=1)
+            if np.max(np.abs(pair.Psi) + grad_norm) >= 3.0 * c.delta1:
                 raise AdmissibilityError("iterate outside the remainder-definition ball")
-            if np.max(np.linalg.norm(Dpsi[self.exit_idx], axis=1)) >= 2.0 * c.delta2:
+            if np.max(grad_norm[self.exit_idx]) >= 2.0 * c.delta2:
                 raise AdmissibilityError("exit gradient outside the admissible ball")
 
         F, f, _ = cf.remainder_fields(self.law, c, pair.Psi, Dpsi)
@@ -230,7 +243,12 @@ class PicardState:
                 sign * extra.H2[fidx, axis]
                 for (axis, sign, fidx, fw) in self.op.quad.wall_faces
             ]
-        psi, Psi, _ = elliptic.solve(self.op, lin)
+        psi, Psi, residual = elliptic.solve(self.op, lin)
+        if not residual <= SOLVE_RESIDUAL_MAX:
+            raise SingularAssemblyError(
+                f"relative residual of the linear solve {residual:.3e} exceeds "
+                f"{SOLVE_RESIDUAL_MAX:.0e}"
+            )
         return FieldPair(psi=psi, Psi=Psi)
 
     def subsonic_margin(self, pair: FieldPair, Dpsi) -> float:
@@ -272,9 +290,10 @@ def run_fixed_point(
     diffs = []
     ratios = []
     converged = False
-    Dpsi = None      # gradient of pair.psi, handed from the ball check to the next step
+    # gradient of pair.psi and its norm, handed from the ball check to the next step
+    Dpsi = grad_norm = None
     for k in range(config.max_iter):
-        new = state.step(pair, data, corrections, Dpsi=Dpsi)
+        new = state.step(pair, data, corrections, Dpsi=Dpsi, grad_norm=grad_norm)
         d = float(
             np.max(np.abs(new.psi - pair.psi)) + np.max(np.abs(new.Psi - pair.Psi))
         )
@@ -286,7 +305,8 @@ def run_fixed_point(
             on_iterate(k + 1, pair)
         Dpsi = gridmod.gradient(state.grid, pair.psi)
         with np.errstate(over="ignore"):   # an overflowed norm is inf and trips the check
-            ball = pair.sup() + float(np.max(np.linalg.norm(Dpsi, axis=1)))
+            grad_norm = np.linalg.norm(Dpsi, axis=1)
+            ball = pair.sup() + float(np.max(grad_norm))
         if scale > 0.0 and ball > 2.0 * config.ball_multiplier * scale:
             raise AdmissibilityError("iterate left the iteration ball")
         if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
@@ -482,6 +502,148 @@ def loglog_slope(x, y) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
+# ---------------------------------------------------------------------------
+# ladders: independent rungs split over the usable CPUs
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:        # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_rungs(fn, items, indices):
+    """fn(items[i]) for i in indices, in order, until the first rung that
+    raises. Every warning a rung issues is recorded, not shown.
+
+    Returns ({i: result}, {i: [(text, category, filename, lineno)]}, and
+    (i, exception) for the failing rung or None).
+    """
+    results, notes = {}, {}
+    for i in indices:
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results[i] = fn(items[i])
+        except Exception as exc:
+            return results, notes, (i, exc)
+        finally:
+            notes[i] = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    return results, notes, None
+
+
+def _reissue(notes):
+    """Show recorded warnings through the filters and the registry of the
+    module that issued them, as if issued there now. Code without a file
+    (`python -c`, stdin) runs in `__main__`."""
+    for text, category, filename, lineno in notes:
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename),
+                      sys.modules["__main__"] if filename.startswith("<") else None)
+        if module is None:
+            warnings.warn_explicit(text, category, filename, lineno)
+        else:
+            warnings.warn_explicit(text, category, filename, lineno, module.__name__,
+                                   vars(module).setdefault("__warningregistry__", {}))
+
+
+def _fork_share(fn, items, indices):
+    """Fork a child that runs its share of the rungs and pickles their
+    results and warnings back over a pipe. It stops at its first failing
+    rung, which, like the rungs after it, is missing from what it sends.
+    Returns the child's pid and the read end of the pipe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            results, notes, _ = _run_rungs(fn, items, indices)
+            payload = pickle.dumps((results, notes), pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(payload)
+            code = 0
+        finally:
+            os._exit(code)        # no atexit handler, no flush of inherited buffers
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _read_all(fd) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def ladder_map(fn, items):
+    """[fn(item) for item in items], the independent rungs of a ladder split
+    over the usable CPUs.
+
+    With w = min(usable CPUs, rungs) > 1, this process runs rungs 0, w, 2w, ...
+    and forked child j runs rungs j, j + w, ...; the children share the frozen
+    state copy-on-write and send back only the results. Rung 0 stays here, so
+    work done on the first rung (the first Picard step) is this process's.
+    The outcome is the in-process loop's:
+    - the results, in rung order, bit for bit;
+    - the failure with the lowest rung index is raised; a rung a child
+      failed is run again here, so the exception is this process's own;
+    - the rungs of a child that ended without a complete result, or that
+      could not be forked, run here;
+    - the warnings of every rung are shown in rung order, through the
+      filters in force here.
+    With w = 1, without `os.fork`, or with other threads running (a fork
+    copies no thread but the caller), it is the plain loop.
+    """
+    items = list(items)
+    w = min(_usable_cpus(), len(items))
+    if w <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(item) for item in items]
+    children = []          # (pid, read end of its pipe), each reaped below
+    try:
+        for j in range(1, w):
+            try:
+                children.append(_fork_share(fn, items, range(j, len(items), w)))
+            except OSError:   # no process to spare: the missing shares run here
+                break
+        results, notes, failure = _run_rungs(fn, items, range(0, len(items), w))
+        payloads = [_read_all(read_fd) for _, read_fd in children]
+    except BaseException:
+        from signal import SIGKILL   # on this path only: the module costs import time
+        for pid, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, read_fd in children:
+            os.close(read_fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for payload, status in zip(payloads, statuses):
+        if os.waitstatus_to_exitcode(status) == 0:   # else the payload may be cut short
+            share_results, share_notes = pickle.loads(payload)
+            results.update(share_results)
+            notes.update(share_notes)
+    out = []
+    for i, item in enumerate(items):
+        if i in results:
+            _reissue(notes[i])
+            out.append(results[i])
+        elif failure is not None and failure[0] == i:
+            _reissue(notes[i])
+            raise failure[1]
+        else:
+            # a rung a child failed or left undone runs here, as in the loop
+            out.append(fn(item))
+    return out
+
+
 @dataclass
 class SweepReport:
     sigmas: list
@@ -502,15 +664,15 @@ def stability_sweep(
     sigmas = [s for s in sigmas if s > 0.0]
     if len(set(sigmas)) < 2:
         raise DomainError("a slope fit needs at least two distinct positive sigmas")
-    sups, contractions, reports = [], [], []
-    for s in sigmas:
-        data = perturb_data(state.background, state.grid, s, amplitudes)
+
+    def rung(sigma):
+        data = perturb_data(state.background, state.grid, sigma, amplitudes)
         pair, report = run_fixed_point(config, data, state)
-        sups.append(pair.sup())
-        contractions.append(
-            report.contraction_factors[0] if report.contraction_factors else np.nan
-        )
-        reports.append(report)
+        return pair.sup(), report
+
+    sups, reports = zip(*ladder_map(rung, sigmas))
+    contractions = [r.contraction_factors[0] if r.contraction_factors else np.nan
+                    for r in reports]
     contr = np.asarray(contractions, dtype=float)
     good = np.isfinite(contr) & (contr > 0.0)
     if np.sum(good) >= 2:
@@ -523,5 +685,5 @@ def stability_sweep(
         contraction=list(map(float, contractions)),
         slope_norm=loglog_slope(sigmas, sups),
         slope_contraction=slope_contraction,
-        reports=reports,
+        reports=list(reports),
     )

@@ -7,6 +7,7 @@ for the two-point density problem, and the monotone-orbit admissibility test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,8 @@ def aligned_steps(base: int, intervals: int) -> int:
 
 def integrate_ivp(law: GasLaw, params: OneDParams, n_steps: int = 1024) -> BackgroundSolution:
     """Classical RK4 on (rho, E) with sonic/vacuum guards at every stage; a
-    float overflow of the right-hand side is a breakdown at the step's start."""
+    float overflow of the right-hand side or of the state is a breakdown at
+    the step's start."""
     if n_steps < 16:
         raise DomainError("n_steps must be at least 16")
     h = params.L / n_steps
@@ -137,6 +139,8 @@ def integrate_ivp(law: GasLaw, params: OneDParams, n_steps: int = 1024) -> Backg
             k4 = rhs(x + h, r + h * k3[0], e + h * k3[1])
             r = r + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
             e = e + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            if not (math.isfinite(r) and math.isfinite(e)):   # overflowed without raising
+                raise BreakdownError("overflow", x)
             rho[i + 1] = r
             E[i + 1] = e
             if r <= law.rho_floor:

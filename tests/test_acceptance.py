@@ -135,6 +135,25 @@ def test_08_nonlinear_fixed_point(fixed_point_64x128):
             f"{elapsed:.1f} s")
 
 
+def test_08_nonlinear_fixed_point_3d(state_3d):
+    t0 = time.perf_counter()
+    data = driver.perturb_data(state_3d.background, state_3d.grid, 1e-3)
+    pair, report = driver.run_fixed_point(driver.IterationConfig(), data, state_3d)
+    floor, _ = driver.residual_floor(state_3d)
+    elapsed = time.perf_counter() - t0
+    assert report.converged
+    assert report.iterations <= 15
+    assert all(r < 1.0 for r in report.contraction_factors)
+    assert report.subsonic_margin > 0.0
+    assert report.nonlinear_residual <= 4.0 * floor
+    _report(8, "nonlinear fixed point, 3D 17x17x33",
+            f"iterations = {report.iterations}, "
+            f"max factor = {max(report.contraction_factors):.3f}, "
+            f"margin = {report.subsonic_margin:.3f}, "
+            f"residual = {report.nonlinear_residual:.2e} <= 4 x floor {floor:.2e}, "
+            f"{elapsed:.1f} s")
+
+
 def test_09_sigma_linear_stability(state_64x128):
     t0 = time.perf_counter()
     sweep = driver.stability_sweep(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ep_nozzle import cli, elliptic
+from ep_nozzle import cli, driver, elliptic
 from ep_nozzle.config import (
     TEMPLATE,
     default_config,
@@ -172,6 +172,86 @@ class TestSweep:
                                                    "iterations", "pushforward_residuals"))
         assert 0.85 <= wall["slope_response"] <= 1.15
         assert 0.85 <= wall["slope_corrections"] <= 1.15
+
+
+LADDERS = {
+    "sigma-2d": SMALL + "\n[sweep]\nsigmas = 0.0001,0.0002,0.0004,0.0008\n",
+    "wall-3d": edited("nozzle", "dim", "3") + "[domain_map]\neps = 0.001,0.002,0.004,0.008\n",
+}
+
+
+def sweep_with_cpus(tmp_path, capsys, monkeypatch, text, n):
+    """`sweep` with n usable CPUs: exit code, stdout, stderr, sweep_*.json bytes."""
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: n)
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text)
+    out = tmp_path / f"o{n}"
+    code = run_cli("sweep", "--config", str(cfgfile), "--out", str(out))
+    stdout, stderr = capsys.readouterr()
+    return code, stdout, stderr, [f.read_bytes() for f in sorted(out.glob("sweep_*.json"))]
+
+
+class TestLadderProcesses:
+    """The rungs of a ladder run in one process (w = 1) or split over two
+    (w = 2, rung 1 in a forked child) with the same outcome."""
+
+    @pytest.mark.parametrize("ladder", list(LADDERS))
+    def test_payload_independent_of_cpus(self, tmp_path, capsys, monkeypatch, ladder):
+        one, two = (sweep_with_cpus(tmp_path, capsys, monkeypatch, LADDERS[ladder], n)
+                    for n in (1, 2))
+        assert one[0] == 0 and len(one[3]) == 1
+        assert one == two
+
+    def test_failure_in_a_childs_rung(self, tmp_path, capsys, monkeypatch):
+        text = SMALL + "\n[sweep]\nsigmas = 0.0001,1.0\n"
+        one, two = (sweep_with_cpus(tmp_path, capsys, monkeypatch, text, n) for n in (1, 2))
+        assert one[0] == 4
+        err = one[2].splitlines()
+        assert len(err) == 1 and err[0].startswith("admissibility: M*sigma"), err
+        assert one == two
+
+    def test_dead_child_gives_the_full_payload(self, tmp_path, capsys, monkeypatch):
+        here = os.getpid()
+        run_fixed_point = driver.run_fixed_point
+
+        def dies_in_a_child(*args, **kwargs):
+            if os.getpid() != here:
+                os._exit(1)
+            return run_fixed_point(*args, **kwargs)
+
+        text = LADDERS["sigma-2d"]
+        one = sweep_with_cpus(tmp_path, capsys, monkeypatch, text, 1)
+        monkeypatch.setattr(driver, "run_fixed_point", dies_in_a_child)
+        assert sweep_with_cpus(tmp_path, capsys, monkeypatch, text, 2) == one
+        assert len(json.loads(one[1])["iterations"]) == 4
+
+    def test_warnings_independent_of_cpus(self, tmp_path):
+        # stderr of a fresh interpreter, where the default warning filters apply
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(LADDERS["sigma-2d"])
+        script = "\n".join([
+            "import sys, warnings",
+            "from ep_nozzle import cli, driver",
+            "run_fixed_point = driver.run_fixed_point",
+            "def warns(config, data, state, **kwargs):",
+            "    warnings.warn(f'rung at sigma {data.sigma}', RuntimeWarning)",
+            "    warnings.warn('every rung', RuntimeWarning)",
+            "    return run_fixed_point(config, data, state, **kwargs)",
+            "driver.run_fixed_point = warns",
+            "driver._usable_cpus = lambda: int(sys.argv[1])",
+            f"sys.exit(cli.main(['sweep', '--config', {str(cfgfile)!r}, "
+            f"'--out', {str(tmp_path / 'o')!r}]))",
+        ])
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        runs = [subprocess.run([sys.executable, "-c", script, str(n)], env=env,
+                               capture_output=True, text=True) for n in (1, 2)]
+        assert runs[0].returncode == 0
+        lines = runs[0].stderr.splitlines()
+        assert sum("RuntimeWarning: rung at sigma" in line for line in lines) == 4
+        assert sum("RuntimeWarning: every rung" in line for line in lines) == 1
+        assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == \
+            [(runs[0].returncode, runs[0].stdout, runs[0].stderr)]
 
 
 class TestPerturbDomain:
@@ -354,6 +434,9 @@ PROBES = [
                  "background breakdown", id="rho0-overflow"),
     pytest.param("solve", edited("background", "E0", "1e300"), (), 2, "background breakdown",
                  id="E0-overflow"),
+    # the state overflows to inf by addition, with no OverflowError
+    pytest.param("solve", edited("background", "rho0", "1e100"), (), 2,
+                 "background breakdown", id="rho0-1e100"),
     # the iterate's gradient norm overflows to inf: refused, with no numpy
     # overflow warning on stderr
     pytest.param("solve", edited("background", "J0", "1e-200"), (), 4, "admissibility",
@@ -408,6 +491,21 @@ class TestExitCodes:
         assert run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: banded factorization"), err
+
+
+    def test_solve_residual_above_bound_exits_1(self, tmp_path, capsys, monkeypatch):
+        solve = elliptic.solve
+
+        def inaccurate(op, data):
+            v, W, _ = solve(op, data)
+            return v, W, 2e-8
+
+        monkeypatch.setattr(elliptic, "solve", inaccurate)
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(SMALL)
+        assert run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: relative residual of the linear solve 2.000e-08 exceeds 1e-08"]
 
 
 # node counts and ODE steps stay small so a drawn run takes milliseconds

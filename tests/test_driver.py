@@ -1,4 +1,8 @@
+import os
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from ep_nozzle.driver import (
     perturb_data,
     residual_floor,
     run_fixed_point,
+    ladder_map,
     stability_sweep,
 )
 from ep_nozzle.errors import AdmissibilityError, DomainError
@@ -226,6 +231,124 @@ class TestSweep:
     def test_fewer_than_two_distinct_sigmas_refused(self, state_small, sigmas):
         with pytest.raises(DomainError):
             stability_sweep(IterationConfig(), state_small, sigmas)
+
+
+# ---------------------------------------------------------------------------
+# ladders split over processes: the outcome of the in-process loop
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: n)
+
+
+def _reports(sweep):
+    return (sweep.sigmas, sweep.sup_norms, sweep.contraction, sweep.slope_norm,
+            sweep.slope_contraction, [r.to_json() for r in sweep.reports])
+
+
+class TestLadderMap:
+    def test_sigma_ladder_bit_equal_in_one_and_two_processes(self, state_small, monkeypatch):
+        sigmas = [1e-4, 2e-4, 4e-4, 8e-4, 1.6e-3]
+        runs = []
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            runs.append(_reports(stability_sweep(IterationConfig(), state_small, sigmas)))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_results_in_rung_order(self, monkeypatch, n):
+        _cpus(monkeypatch, n)
+        assert ladder_map(lambda x: (x, x * x), range(7)) == [(x, x * x) for x in range(7)]
+
+    def test_lowest_failing_rung_raised_from_this_process(self, monkeypatch):
+        # w = 2: rung 1 fails in the child, rung 2 here; the loop would
+        # stop at rung 1, so rung 1 is run again here and its error raised
+        _cpus(monkeypatch, 2)
+        here = os.getpid()
+        ran_here = []
+
+        def rung(x):
+            if os.getpid() == here:
+                ran_here.append(x)
+            if x in (1, 2):
+                raise ValueError(f"rung {x} in {os.getpid()}")
+            return x
+
+        with pytest.raises(ValueError, match=f"^rung 1 in {here}$"):
+            ladder_map(rung, range(4))
+        assert ran_here == [0, 2, 1]
+
+    def test_rungs_of_a_dead_child_run_here(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        here = os.getpid()
+
+        def rung(x):
+            if os.getpid() != here:
+                os._exit(1)
+            return 10 * x
+
+        assert ladder_map(rung, range(5)) == [0, 10, 20, 30, 40]
+
+    def test_unpicklable_result_runs_here(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        assert [f() for f in ladder_map(lambda x: (lambda: x), range(3))] == [0, 1, 2]
+
+    def test_warnings_in_rung_order(self, monkeypatch):
+        def rung(x):
+            warnings.warn(f"rung {x}", UserWarning)
+            warnings.warn("every rung", UserWarning)
+            return x
+
+        shown = []
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                ladder_map(rung, range(4))
+            shown.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+        # the default action shows a repeated warning once, as in the loop
+        assert [m for m, *_ in shown[0]] == ["rung 0", "every rung", "rung 1", "rung 2", "rung 3"]
+        assert shown[0] == shown[1]
+
+    def test_one_process_while_other_threads_run(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10.0,))
+        thread.start()
+        try:
+            pids = ladder_map(lambda x: os.getpid(), range(4))
+        finally:
+            release.set()
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert pids == [os.getpid()] * 4
+
+    def test_children_reaped_when_leaving_on_an_exception(self, monkeypatch):
+        _cpus(monkeypatch, 3)
+        here = os.getpid()
+        forked = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def rung(x):
+            if os.getpid() == here:
+                raise KeyboardInterrupt
+            time.sleep(60)   # a child still runs when this process leaves
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            ladder_map(rung, range(3))
+        assert time.monotonic() - t0 < 30.0     # killed, not waited for
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 def test_3d_fixed_point_smoke():

@@ -8,6 +8,9 @@ longer calls would read zero in its per-layer metric, so another test traces
 small runs of the commands and checks that every layer records a span.
 `perfbench/record_reference.py` also calls the CLI's input helpers directly to
 compute a workload's residual floor; the last test makes the same calls.
+An untraced run takes `setup_s` from the first Picard step that this process
+takes (`first_step`), so a `sweep` that splits its rungs over processes must
+still take one here; one test checks the record.
 """
 
 import importlib
@@ -62,6 +65,22 @@ def test_every_traced_layer_is_called(tmp_path):
     # never calls `splu`, so the factor, LU-solve and LU-count spans are absent
     assert names == layers | {"cli.import"}
     assert not names & {"elliptic.factor", "elliptic.lu_solve", "trace.count_factor"}
+
+
+def test_probe_records_the_first_step_of_a_sweep(tmp_path):
+    config = tmp_path / "small.ini"
+    config.write_text("[nozzle]\nnodes_cross = 17\nnodes_axial = 33\n"
+                      "[sweep]\nsigmas = 0.0001,0.0002,0.0004,0.0008\n")
+    record = tmp_path / "record.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run(
+        [sys.executable, str(PROBE), str(record), "probe", "3221225472", "--", "sweep",
+         "--config", str(config), "--out", str(tmp_path / "out")],
+        env=env, check=True, capture_output=True,
+    )
+    probe = json.loads(record.read_text())
+    s0, s1 = probe["first_step"]
+    assert probe["start"] < s0 < s1 < probe["end"]
 
 
 def test_reference_recorder_calls_work():
