@@ -119,14 +119,16 @@ def _outdir(cfg):
     return out
 
 
-def _write_fields(cfg, grid, fields, path_base, coords=None):
+def _write_fields(cfg, grid, fields, path_base, cross=None):
+    """Fields on the reference grid, or on the deformed one when cross holds
+    the mapped cross coordinates."""
     if cfg.values["output"]["format"] == "vtk":
-        if coords is None:
+        if cross is None:
             export.export_field_vtk(grid, fields, path_base.with_suffix(".vtk"))
         else:
-            export.export_deformed_vtk(grid, coords, fields, path_base.with_suffix(".vtk"))
+            export.export_deformed_vtk(grid, cross, fields, path_base.with_suffix(".vtk"))
     else:
-        export.export_field_csv(grid, fields, path_base.with_suffix(".csv"), coords=coords)
+        export.export_field_csv(grid, fields, path_base.with_suffix(".csv"), cross=cross)
 
 
 def _echo_config(cfg, outdir):
@@ -163,11 +165,11 @@ def _solve_common(cfg, law, grid, background, corrections_map=None, outdir=None)
     on_iterate = None
     if outdir is not None and cfg.values["output"]["snapshots"]:
         # a deformed domain writes its snapshots on the deformed coordinates
-        coords = None if corrections_map is None else corrections_map.map_coords(grid.coords)
+        cross = None if corrections_map is None else corrections_map.map_cross(grid)
 
         def on_iterate(k, pair):
             _write_fields(cfg, grid, {"psi": pair.psi, "Psi": pair.Psi},
-                          outdir / f"snapshot_{k:03d}", coords=coords)
+                          outdir / f"snapshot_{k:03d}", cross=cross)
     if corrections_map is None:
         pair, report = driver.run_fixed_point(itcfg, data, state, on_iterate=on_iterate)
     else:
@@ -233,9 +235,8 @@ def cmd_perturb_domain(cfg) -> int:
                                               corrections_map=dmap, outdir=outdir)
     resid, parts = domainmap.pushforward_residual(dmap, state, pair, data)
     report.meta["pushforward_residual"] = parts
-    coords = dmap.map_coords(grid.coords)
     fields = {"psi": pair.psi, "Psi": pair.Psi}
-    _write_fields(cfg, grid, fields, outdir / "fields_deformed", coords=coords)
+    _write_fields(cfg, grid, fields, outdir / "fields_deformed", cross=dmap.map_cross(grid))
     (outdir / "report_perturbed.json").write_text(report.to_json())
     print(report.to_json())
     return EXIT_OK

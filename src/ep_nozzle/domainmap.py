@@ -40,12 +40,13 @@ class DomainMap:
     dg_dxn: object               # -> (..., dc)
     sigmaG: float = 0.0
 
-    def map_coords(self, coords):
-        xprime = coords[:, :-1]
-        xn = coords[:, -1]
-        out = coords.copy()
-        out[:, :-1] = self.gfun(xprime, xn)
-        return out
+    def map_cross(self, grid: Nozzle):
+        """Deformed cross coordinates G(x', x_n) at the grid nodes, (n_nodes,
+        dc) in node order; the map keeps x_n. G is evaluated on the cross
+        mesh against the axial axis, so no per-node x' or x_n is built."""
+        dc = grid.dim - 1
+        xprime = np.stack(np.meshgrid(*grid.axes[:-1], indexing="ij"), axis=-1)
+        return self.gfun(xprime.reshape(-1, 1, dc), grid.axes[-1]).reshape(-1, dc)
 
 
 def shear_map(eps: float, L: float, dim: int = 2, cross_extents=((0.0, 1.0),)) -> DomainMap:
@@ -314,7 +315,8 @@ def wall_sweep(config: drv.IterationConfig, state: drv.PicardState, eps) -> dict
                 report.iterations, resid)
 
     keys = ("sup_norms", "sup_H1", "sup_H2", "iterations", "pushforward_residuals")
-    rows = {key: list(column) for key, column in zip(keys, zip(*drv.ladder_map(rung, eps)))}
+    results = drv.ladder_map(rung, eps, drv.RUNG_BYTES_PER_NODE * g.n_nodes)
+    rows = {key: list(column) for key, column in zip(keys, zip(*results))}
     return {"eps": eps, **rows,
             "slope_response": drv.loglog_slope(eps, rows["sup_norms"]),
             "slope_corrections": drv.loglog_slope(eps, rows["sup_H1"])}

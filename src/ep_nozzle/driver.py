@@ -39,6 +39,9 @@ CHORD_FALLBACK = 1e-12
 # accepts; measured values are 1.5e-15 to 5.6e-15, and the bound is a
 # correctness check, not a tuning knob
 SOLVE_RESIDUAL_MAX = 1e-8
+# memory one ladder rung adds, per grid node: the measured peak of a whole
+# 129x129x257 `solve` (1550 MiB over 4.28 M nodes), so the estimate is high
+RUNG_BYTES_PER_NODE = 380
 
 
 @dataclass(frozen=True)
@@ -203,22 +206,32 @@ class PicardState:
         ghat2 = c.dqB[-1] * q[:, -1] - drho
         return (pex - pex0) / chord + ghat2
 
+    def gradient_maxima(self, pair: FieldPair, Dpsi):
+        """The maxima the ball checks read, with |∇ψ| the pointwise norm of
+        Dpsi, the nodal gradient of pair.psi: max |∇ψ|, max(|Psi| + |∇ψ|)
+        and the max of |∇ψ| over the exit rows. The nodal norm is dropped
+        here, so no caller holds it through a step."""
+        with np.errstate(over="ignore"):   # an overflowed norm is inf and trips the checks
+            grad_norm = np.linalg.norm(Dpsi, axis=1)
+            return (np.max(grad_norm), np.max(np.abs(pair.Psi) + grad_norm),
+                    np.max(grad_norm[self.exit_idx]))
+
     def step(self, pair: FieldPair, data: BoundaryData, corrections=None,
-             Dpsi=None, grad_norm=None) -> FieldPair:
-        """One application of the iteration map. Dpsi and grad_norm, when
-        given, are the nodal gradient of pair.psi and its pointwise norm,
-        already computed by the caller."""
+             Dpsi=None, maxima=None) -> FieldPair:
+        """One application of the iteration map. Dpsi and maxima, when
+        given, are the nodal gradient of pair.psi and its
+        `gradient_maxima`, already computed by the caller."""
         c = self.coeffs
         if Dpsi is None:
             Dpsi = gridmod.gradient(self.grid, pair.psi)
-            grad_norm = None
-        with np.errstate(over="ignore"):   # an overflowed norm is inf and trips the check
-            if grad_norm is None:
-                grad_norm = np.linalg.norm(Dpsi, axis=1)
-            if np.max(np.abs(pair.Psi) + grad_norm) >= 3.0 * c.delta1:
-                raise AdmissibilityError("iterate outside the remainder-definition ball")
-            if np.max(grad_norm[self.exit_idx]) >= 2.0 * c.delta2:
-                raise AdmissibilityError("exit gradient outside the admissible ball")
+            maxima = None
+        if maxima is None:
+            maxima = self.gradient_maxima(pair, Dpsi)
+        _, ball_max, exit_max = maxima
+        if ball_max >= 3.0 * c.delta1:
+            raise AdmissibilityError("iterate outside the remainder-definition ball")
+        if exit_max >= 2.0 * c.delta2:
+            raise AdmissibilityError("exit gradient outside the admissible ball")
 
         F, f, _ = cf.remainder_fields(self.law, c, pair.Psi, Dpsi)
         f_tot = f + (c.b_bg - self.grid.sections(data.b)).ravel()
@@ -290,10 +303,10 @@ def run_fixed_point(
     diffs = []
     ratios = []
     converged = False
-    # gradient of pair.psi and its norm, handed from the ball check to the next step
-    Dpsi = grad_norm = None
+    # gradient of pair.psi and its maxima, handed from the ball check to the next step
+    Dpsi = maxima = None
     for k in range(config.max_iter):
-        new = state.step(pair, data, corrections, Dpsi=Dpsi, grad_norm=grad_norm)
+        new = state.step(pair, data, corrections, Dpsi=Dpsi, maxima=maxima)
         d = float(
             np.max(np.abs(new.psi - pair.psi)) + np.max(np.abs(new.Psi - pair.Psi))
         )
@@ -304,9 +317,9 @@ def run_fixed_point(
         if on_iterate is not None:
             on_iterate(k + 1, pair)
         Dpsi = gridmod.gradient(state.grid, pair.psi)
-        with np.errstate(over="ignore"):   # an overflowed norm is inf and trips the check
-            grad_norm = np.linalg.norm(Dpsi, axis=1)
-            ball = pair.sup() + float(np.max(grad_norm))
+        maxima = state.gradient_maxima(pair, Dpsi)
+        with np.errstate(over="ignore"):   # an overflowed sum is inf and trips the check
+            ball = pair.sup() + float(maxima[0])
         if scale > 0.0 and ball > 2.0 * config.ball_multiplier * scale:
             raise AdmissibilityError("iterate left the iteration ball")
         if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
@@ -514,6 +527,33 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _available_memory() -> int | None:
+    """Bytes of memory available for new work, or None if unknown: Linux's
+    MemAvailable, else the free physical pages."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):   # no such call or name here
+        return None
+
+
+def _ladder_width(n_rungs, rung_bytes):
+    """Processes for a ladder: one per usable CPU and rung, and no more than
+    the available memory holds rungs of rung_bytes each (at least one)."""
+    w = min(_usable_cpus(), n_rungs)
+    if w > 1 and rung_bytes > 0:
+        available = _available_memory()
+        if available is not None:
+            w = min(w, max(1, available // rung_bytes))
+    return w
+
+
 def _run_rungs(fn, items, indices):
     """fn(items[i]) for i in indices, in order, until the first rung that
     raises. Every warning a rung issues is recorded, not shown.
@@ -583,11 +623,13 @@ def _read_all(fd) -> bytes:
     return b"".join(chunks)
 
 
-def ladder_map(fn, items):
+def ladder_map(fn, items, rung_bytes=0):
     """[fn(item) for item in items], the independent rungs of a ladder split
     over the usable CPUs.
 
-    With w = min(usable CPUs, rungs) > 1, this process runs rungs 0, w, 2w, ...
+    w is min(usable CPUs, rungs), and no more than the available memory over
+    rung_bytes, the memory one rung adds while it runs: each process holds
+    one rung at a time. With w > 1, this process runs rungs 0, w, 2w, ...
     and forked child j runs rungs j, j + w, ...; the children share the frozen
     state copy-on-write and send back only the results. Rung 0 stays here, so
     work done on the first rung (the first Picard step) is this process's.
@@ -603,7 +645,7 @@ def ladder_map(fn, items):
     copies no thread but the caller), it is the plain loop.
     """
     items = list(items)
-    w = min(_usable_cpus(), len(items))
+    w = _ladder_width(len(items), rung_bytes)
     if w <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(item) for item in items]
     children = []          # (pid, read end of its pipe), each reaped below
@@ -670,7 +712,7 @@ def stability_sweep(
         pair, report = run_fixed_point(config, data, state)
         return pair.sup(), report
 
-    sups, reports = zip(*ladder_map(rung, sigmas))
+    sups, reports = zip(*ladder_map(rung, sigmas, RUNG_BYTES_PER_NODE * state.grid.n_nodes))
     contractions = [r.contraction_factors[0] if r.contraction_factors else np.nan
                     for r in reports]
     contr = np.asarray(contractions, dtype=float)

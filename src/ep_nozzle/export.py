@@ -1,4 +1,10 @@
-"""Field writers: CSV and legacy VTK, all through one 17-digit table writer."""
+"""Field writers: CSV and legacy VTK, all through one 17-digit table writer.
+
+Coordinate columns are text columns built from the grid axes: each axis
+value is formatted once, not once per node. The deformed writers take only
+the mapped cross coordinates, because the wall shear keeps x_n: their axial
+column is the grid axis too.
+"""
 
 from __future__ import annotations
 
@@ -12,12 +18,33 @@ BLOCK_ROWS = 4096
 
 
 def _write_table(fh, columns, sep):
-    """Columns of equal length as rows of "%.17g" values joined by sep."""
-    columns = [np.asarray(c, dtype=float).ravel() for c in columns]
-    row = sep.join(["%.17g"] * len(columns)) + "\n"
-    for start in range(0, columns[0].size, BLOCK_ROWS):
-        block = np.column_stack([c[start:start + BLOCK_ROWS] for c in columns])
-        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    """Columns of equal length as rows joined by sep.
+
+    A float column is printed with "%.17g". A text column (an object array of
+    str) is printed as it is, so a value formatted once may serve many rows.
+    Every column is read in its `.flat` order, BLOCK_ROWS rows at a time, so
+    a text column may be a broadcast view of a few strings: it is never
+    expanded to one object per row.
+    """
+    columns = [c if isinstance(c, np.ndarray) and c.dtype == object
+               else np.asarray(c, dtype=float).ravel() for c in columns]
+    row = sep.join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
+    n, k = columns[0].size, len(columns)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        values = [None] * ((stop - start) * k)
+        for j, c in enumerate(columns):
+            values[j::k] = c.flat[start:stop].tolist()
+        fh.write(row * (stop - start) % tuple(values))
+
+
+def _axis_text(grid: Nozzle, axis):
+    """Coordinate `axis` of every node as a text column in C node order: the
+    axis values formatted once and broadcast over the grid, not copied."""
+    shape = [1] * grid.dim
+    shape[axis] = -1
+    text = np.array(["%.17g" % v for v in grid.axes[axis].tolist()], dtype=object)
+    return np.broadcast_to(text.reshape(shape), grid.shape)
 
 
 def _conforming(grid: Nozzle, name, values, order="C"):
@@ -28,22 +55,37 @@ def _conforming(grid: Nozzle, name, values, order="C"):
     return values.reshape(grid.shape).ravel(order=order)
 
 
+def _cross_columns(grid: Nozzle, cross, order):
+    """Deformed cross coordinates (n_nodes, dim - 1) as float columns."""
+    cross = np.asarray(cross, dtype=float)
+    if cross.shape != (grid.n_nodes, grid.dim - 1):
+        raise DomainError(f"deformed cross coordinates must have shape "
+                          f"({grid.n_nodes}, {grid.dim - 1}); the axial one is the grid's")
+    return [col.reshape(grid.shape).ravel(order=order) for col in cross.T]
+
+
 def write_csv(path, columns):
-    """(name, values) pairs of equal length as a CSV table with a header row."""
+    """(name, values) pairs of equal length as a CSV table with a header row.
+    values is a float column or a text column (see `_write_table`)."""
     names, values = zip(*columns)
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
         _write_table(fh, values, ",")
 
 
-def export_field_csv(grid: Nozzle, fields: dict, path, coords=None):
+def export_field_csv(grid: Nozzle, fields: dict, path, cross=None):
     """Nodal fields as CSV with coordinate columns first.
 
-    coords overrides the grid coordinates (used for deformed-domain output).
+    cross, the deformed cross coordinates (n_nodes, dim - 1) in node order,
+    replaces the reference cross coordinates (deformed-domain output). The
+    axial column is always the grid axis.
     """
-    pts = grid.coords if coords is None else np.asarray(coords, dtype=float)
-    columns = [*zip("xyz", pts.T[: grid.dim]), *fields.items()]
-    write_csv(path, [(name, _conforming(grid, name, v)) for name, v in columns])
+    names = "xyz"[: grid.dim]
+    coords = [_axis_text(grid, a) for a in range(grid.dim)]
+    if cross is not None:
+        coords[:-1] = _cross_columns(grid, cross, "C")
+    write_csv(path, [*zip(names, coords),
+                     *((name, _conforming(grid, name, v)) for name, v in fields.items())])
 
 
 def _write_vtk(grid: Nozzle, path, title, dataset, geometry, fields):
@@ -76,11 +118,14 @@ def export_field_vtk(grid: Nozzle, fields: dict, path):
                [("ORIGIN ", origin), ("SPACING ", spacing)], fields)
 
 
-def export_deformed_vtk(grid: Nozzle, coords, fields: dict, path):
-    """Legacy ASCII structured-grid file with deformed node positions."""
-    pts = np.asarray(coords, dtype=float)
-    points = [_conforming(grid, name, col, order="F")
-              for name, col in zip("xyz", pts.T[: grid.dim])]
-    points += [np.zeros(grid.n_nodes)] * (3 - grid.dim)
+def export_deformed_vtk(grid: Nozzle, cross, fields: dict, path):
+    """Legacy ASCII structured-grid file with deformed node positions.
+
+    cross holds the deformed cross coordinates (n_nodes, dim - 1) in node
+    order; the axial coordinate is the grid axis. A 2D grid gets z = 0.
+    """
+    # the transposed view reads the axial text in F order, the first axis fastest
+    points = [*_cross_columns(grid, cross, "F"), _axis_text(grid, grid.dim - 1).T]
+    points += [np.broadcast_to(np.array("0", dtype=object), grid.shape)] * (3 - grid.dim)
     _write_vtk(grid, path, "deformed nozzle", "STRUCTURED_GRID",
                [(f"POINTS {grid.n_nodes} double\n", points)], fields)

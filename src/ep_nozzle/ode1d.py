@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import export
 from .errors import (
     BreakdownError,
     DomainError,
@@ -291,14 +292,17 @@ def appendixA_admissible(
 
 
 def write_atlas(path, law: GasLaw, L: float, b, cases, n_steps: int = 1024):
-    """CSV atlas of boundary data and margins over (J0, rho0, E0) cases."""
-    with open(path, "w") as fh:
-        fh.write("J0,rho0,E0,Phi_en0,B00,pex0,nu0,status\n")
-        for J0, rho0, E0 in cases:
-            try:
-                sol = integrate_ivp(law, OneDParams(J0, rho0, E0, L, b), n_steps)
-                row = [J0, rho0, E0, sol.phi_en0, sol.B00, sol.pex0, sol.nu0, "ok"]
-            except BreakdownError as exc:
-                row = [J0, rho0, E0, "nan", "nan", "nan", "nan", f"{exc.kind}@x={exc.x:.6g}"]
-            fh.write(",".join(v if isinstance(v, str) else format(v, ".17g") for v in row))
-            fh.write("\n")
+    """CSV atlas of boundary data and margins over (J0, rho0, E0) cases.
+    A case whose background breaks down gets nan data and the breakdown as
+    its status."""
+    rows = []
+    for J0, rho0, E0 in cases:
+        try:
+            sol = integrate_ivp(law, OneDParams(J0, rho0, E0, L, b), n_steps)
+            rows.append((J0, rho0, E0, sol.phi_en0, sol.B00, sol.pex0, sol.nu0, "ok"))
+        except BreakdownError as exc:
+            rows.append((J0, rho0, E0, *[math.nan] * 4, f"{exc.kind}@x={exc.x:.6g}"))
+    names = ("J0", "rho0", "E0", "Phi_en0", "B00", "pex0", "nu0", "status")
+    columns = [list(c) for c in zip(*rows)] or [[] for _ in names]
+    columns[-1] = np.array(columns[-1], dtype=object)
+    export.write_csv(path, list(zip(names, columns)))

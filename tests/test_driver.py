@@ -260,6 +260,34 @@ class TestLadderMap:
         _cpus(monkeypatch, n)
         assert ladder_map(lambda x: (x, x * x), range(7)) == [(x, x * x) for x in range(7)]
 
+    def test_available_memory_caps_the_processes(self, monkeypatch):
+        # two CPUs, but the memory holds one rung: every rung runs here
+        _cpus(monkeypatch, 2)
+        rung_bytes = driver.RUNG_BYTES_PER_NODE * 128 * 256
+        for held, w in [(1, 1), (1.9, 1), (2, 2), (100, 2)]:
+            monkeypatch.setattr(driver, "_available_memory", lambda: int(held * rung_bytes))
+            assert driver._ladder_width(8, rung_bytes) == w
+        monkeypatch.setattr(driver, "_available_memory", lambda: rung_bytes)
+        assert ladder_map(lambda x: os.getpid(), range(4), rung_bytes) == [os.getpid()] * 4
+
+    def test_real_memory_keeps_two_processes_on_a_small_grid(self, monkeypatch):
+        # a 128x256 ladder's rungs need about 12 MB each
+        _cpus(monkeypatch, 2)
+        assert driver._available_memory() > 0
+        assert driver._ladder_width(8, driver.RUNG_BYTES_PER_NODE * 128 * 256) == 2
+
+    def test_sigma_ladder_passes_its_rung_bytes(self, state_small, monkeypatch):
+        seen = []
+        ladder_width = driver._ladder_width
+
+        def recording(n_rungs, rung_bytes):
+            seen.append(rung_bytes)
+            return ladder_width(n_rungs, rung_bytes)
+
+        monkeypatch.setattr(driver, "_ladder_width", recording)
+        stability_sweep(IterationConfig(), state_small, [1e-4, 2e-4])
+        assert seen == [driver.RUNG_BYTES_PER_NODE * state_small.grid.n_nodes]
+
     def test_lowest_failing_rung_raised_from_this_process(self, monkeypatch):
         # w = 2: rung 1 fails in the child, rung 2 here; the loop would
         # stop at rung 1, so rung 1 is run again here and its error raised

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,14 +189,31 @@ class TestExport:
     @pytest.mark.parametrize("kind", GRIDS)
     def test_csv_bytes_match_oracle(self, tmp_path, kind, deformed):
         g = build_grid(**GRIDS[kind])
-        coords = np.column_stack([_awkward(g.n_nodes, a + 3) for a in range(g.dim)])
+        # deformed: awkward cross coordinates; the axial column is the grid's
+        cross = np.column_stack([_awkward(g.n_nodes, a + 3) for a in range(g.dim - 1)])
         fields = {"f": _awkward(g.n_nodes), "Psi": _awkward(g.n_nodes, 1)}
         path = tmp_path / "field.csv"
-        export_field_csv(g, fields, path, coords=coords if deformed else None)
-        pts = coords if deformed else g.coords
+        export_field_csv(g, fields, path, cross=cross if deformed else None)
+        pts = [*cross.T, g.coords[:, -1]] if deformed else list(g.coords.T)
         header = ",".join(["x", "y", "z"][: g.dim] + list(fields)) + "\n"
-        expected = header + _rows([*pts.T, *fields.values()], ",")
+        expected = header + _rows([*pts, *fields.values()], ",")
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_csv_bytes_match_oracle_on_awkward_axes(self, tmp_path, kind):
+        # every axis cycles through AWKWARD, so each coordinate column holds
+        # the subnormal, -1/3, -0, inf and nan at several positions
+        g = build_grid(**GRIDS[kind])
+        axes = tuple(_awkward(n, a) for a, n in enumerate(g.shape))
+        g = dataclasses.replace(g, axes=axes, coords=None)
+        fields = {"psi": _awkward(g.n_nodes, 6)}
+        path = tmp_path / "field.csv"
+        export_field_csv(g, fields, path)
+        pts = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+        header = ",".join(["x", "y", "z"][: g.dim] + list(fields)) + "\n"
+        expected = header + _rows([*pts, *fields.values()], ",")
+        assert path.read_bytes() == expected.encode()
+        assert ",-0.33333333333333331," in expected and "\n4.9406564584124654e-324," in expected
 
     @pytest.mark.parametrize("kind", GRIDS)
     def test_structured_points_bytes_match_oracle(self, tmp_path, kind):
@@ -214,12 +233,14 @@ class TestExport:
     @pytest.mark.parametrize("kind", GRIDS)
     def test_structured_grid_bytes_match_oracle(self, tmp_path, kind):
         g = build_grid(**GRIDS[kind])
-        coords = np.column_stack([_awkward(g.n_nodes, a + 3) for a in range(g.dim)])
+        # awkward cross coordinates; the axial column is the grid's
+        cross = np.column_stack([_awkward(g.n_nodes, a + 3) for a in range(g.dim - 1)])
         fields = {"psi": _awkward(g.n_nodes, 2)}
         path = tmp_path / "field.vtk"
-        export_deformed_vtk(g, coords, fields, path)
+        export_deformed_vtk(g, cross, fields, path)
         order = np.arange(g.n_nodes).reshape(g.shape).ravel(order="F")
-        points = [coords[order, a] for a in range(g.dim)] + [np.zeros(g.n_nodes)] * (3 - g.dim)
+        points = [cross[order, a] for a in range(g.dim - 1)] + [g.coords[order, -1]]
+        points += [np.zeros(g.n_nodes)] * (3 - g.dim)
         geometry = f"POINTS {g.n_nodes} double\n" + _rows(points, " ")
         expected = _vtk_oracle(g, "deformed nozzle", "STRUCTURED_GRID", geometry, fields)
         assert path.read_bytes() == expected.encode()
@@ -229,7 +250,38 @@ class TestExport:
         g = build_grid(dim=2, shape=(9, 17))
         f = np.zeros(g.n_nodes + extra)
         with pytest.raises(DomainError):
-            export_deformed_vtk(g, g.coords, {"f": f}, tmp_path / "field.vtk")
+            export_deformed_vtk(g, g.coords[:, :-1], {"f": f}, tmp_path / "field.vtk")
+
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_deformed_writers_refuse_an_axial_column(self, tmp_path, kind):
+        # the writers take the cross coordinates only: full (N, dim)
+        # coordinates, whose axial column they would not write, are refused
+        g = build_grid(**GRIDS[kind])
+        f = np.zeros(g.n_nodes)
+        for write, name in [(export_deformed_vtk, "field.vtk"),
+                            (lambda g, c, fields, p: export_field_csv(g, fields, p, cross=c),
+                             "field.csv")]:
+            with pytest.raises(DomainError, match="cross coordinates"):
+                write(g, g.coords, {"f": f}, tmp_path / name)
+            assert not (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_export_reads_the_axes_not_coords(self, tmp_path, kind):
+        g = build_grid(**GRIDS[kind])
+        bare = dataclasses.replace(g, coords=None)
+        fields = {"psi": _awkward(g.n_nodes, 2), "Psi": _awkward(g.n_nodes, 4)}
+        cross = np.column_stack([_awkward(g.n_nodes, a + 3) for a in range(g.dim - 1)])
+        writers = {
+            "ref.csv": lambda g, p: export_field_csv(g, fields, p),
+            "ref.vtk": lambda g, p: export_field_vtk(g, fields, p),
+            "deformed.csv": lambda g, p: export_field_csv(g, fields, p, cross=cross),
+            "deformed.vtk": lambda g, p: export_deformed_vtk(g, cross, fields, p),
+        }
+        for name, write in writers.items():
+            write(g, tmp_path / f"full_{name}")
+            write(bare, tmp_path / f"bare_{name}")
+            assert (tmp_path / f"bare_{name}").read_bytes() == \
+                (tmp_path / f"full_{name}").read_bytes()
 
     def test_deterministic_bytes(self, tmp_path):
         g = build_grid(dim=2, shape=(9, 17))
