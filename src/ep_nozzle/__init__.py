@@ -18,14 +18,13 @@ from .driver import (
     run_fixed_point,
     stability_sweep,
 )
-from .domainmap import DomainMap, shear_map, solve_perturbed
+from .domainmap import shear_map, solve_perturbed
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Amplitudes",
     "BackgroundSolution",
-    "DomainMap",
     "FieldPair",
     "GasLaw",
     "IterationConfig",

@@ -227,16 +227,15 @@ def cmd_perturb_domain(cfg) -> int:
         raise EPError("perturb-domain takes one [domain_map] eps; "
                       "`sweep` runs a list of eps as the wall ladder")
     law, grid, background = _inputs(cfg)
-    dmap = domainmap.shear_map(eps[0], cfg.values["nozzle"]["length"], dim=grid.dim,
-                               cross_extents=grid.cross_extents)
+    shear = domainmap.shear_map(eps[0], cfg.values["nozzle"]["length"], grid.cross_extents)
     outdir = _outdir(cfg)
     _echo_config(cfg, outdir)
     state, data, pair, report = _solve_common(cfg, law, grid, background,
-                                              corrections_map=dmap, outdir=outdir)
-    resid, parts = domainmap.pushforward_residual(dmap, state, pair, data)
+                                              corrections_map=shear, outdir=outdir)
+    resid, parts = domainmap.pushforward_residual(shear, state, pair, data)
     report.meta["pushforward_residual"] = parts
     fields = {"psi": pair.psi, "Psi": pair.Psi}
-    _write_fields(cfg, grid, fields, outdir / "fields_deformed", cross=dmap.map_cross(grid))
+    _write_fields(cfg, grid, fields, outdir / "fields_deformed", cross=shear.map_cross(grid))
     (outdir / "report_perturbed.json").write_text(report.to_json())
     print(report.to_json())
     return EXIT_OK

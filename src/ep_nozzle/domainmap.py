@@ -6,15 +6,15 @@ a flat principal part plus correction sources and wall data, so the same
 fixed-point driver solves it. All corrections vanish identically for the
 identity map.
 
-The small-matrix algebra (the cross-block determinant, the inverse-map
-Jacobian, the flux maps) is written out per component for d = 2 and 3,
-vectorized over the nodes or edges: no per-point LAPACK call. The flux maps
-take the determinant that jacobian_JT_at returns with J_T. Matrices are component-major
-stacks (d, d, ...), where each entry is one contiguous array over the points:
-the products then stream contiguous arrays, where reading one entry per
-matrix with a stride would load whole cache lines. The inverse relies on the
-block structure M = [[A, b], [0, 1]] of the forward Jacobian (see
-jacobian_JT_at).
+The shear is a product of 1D factors, so its Jacobian is evaluated from
+them on the axes of a tensor-product point set (the nodes, or the edge
+midpoints along one axis) and meets over the points by broadcasting. The
+flux maps are written out per component for d = 2 and 3, vectorized over the
+points: no per-point LAPACK call. They take the determinant that
+jacobian_JT returns with J_T. Matrices are component-major stacks
+(d, d, ...), where each entry is one contiguous array over the points: the
+products then stream contiguous arrays, where reading one entry per matrix
+with a stride would load whole cache lines.
 """
 
 from __future__ import annotations
@@ -25,77 +25,55 @@ import numpy as np
 
 from . import driver as drv
 from . import grid as gridmod
-from .elliptic import _along
 from .errors import DomainError, FoldOverError
 from .gas import GasLaw
 from .grid import Nozzle
 
 
 @dataclass(frozen=True)
-class DomainMap:
-    """Cross-section deformation x' -> G(x', x_n) with its exact partials."""
+class WallShear:
+    """Separable shear G(x', x_n) = x' + eps * w(x') * s(x_n), per cross
+    component G_a = x_a + eps * w_a(x_a) * s(x_n).
 
-    gfun: object                 # (xprime (..., dc), xn (...)) -> (..., dc)
-    dg_dxprime: object           # -> (..., dc, dc)
-    dg_dxn: object               # -> (..., dc)
-    sigmaG: float = 0.0
+    w_a = cos(pi t_a), t_a = (x_a - lo_a) / (hi_a - lo_a), has a vanishing
+    wall-normal derivative; s = sin^2(pi x_n / L) and s' vanish at both end
+    caps, so the full map is rigid there.
+    """
+
+    eps: float
+    L: float
+    cross_extents: tuple
+
+    @property
+    def sigmaG(self) -> float:
+        return abs(self.eps)
+
+    def axial(self, xn):
+        """s and s' at the axial coordinates xn."""
+        return (np.sin(np.pi * xn / self.L) ** 2,
+                (np.pi / self.L) * np.sin(2.0 * np.pi * xn / self.L))
+
+    def cross(self, a, x):
+        """w_a and w_a' at the coordinates x of cross axis a."""
+        lo, hi = self.cross_extents[a]
+        span = hi - lo
+        t = (x - lo) / span
+        return np.cos(np.pi * t), -np.pi / span * np.sin(np.pi * t)
 
     def map_cross(self, grid: Nozzle):
         """Deformed cross coordinates G(x', x_n) at the grid nodes, (n_nodes,
-        dc) in node order; the map keeps x_n. G is evaluated on the cross
-        mesh against the axial axis, so no per-node x' or x_n is built."""
-        dc = grid.dim - 1
-        xprime = np.stack(np.meshgrid(*grid.axes[:-1], indexing="ij"), axis=-1)
-        return self.gfun(xprime.reshape(-1, 1, dc), grid.axes[-1]).reshape(-1, dc)
+        dc) in node order; the map keeps x_n."""
+        *cross, xn = np.meshgrid(*grid.axes, indexing="ij", sparse=True)
+        s, _ = self.axial(xn)
+        out = np.empty(grid.shape + (len(cross),))
+        for a, x in enumerate(cross):
+            out[..., a] = x + self.eps * self.cross(a, x)[0] * s
+        return out.reshape(grid.n_nodes, -1)
 
 
-def shear_map(eps: float, L: float, dim: int = 2, cross_extents=((0.0, 1.0),)) -> DomainMap:
-    """Separable shear G = x' + eps * w(x') * s(x_n).
-
-    w is a cosine mode with vanishing wall-normal derivative; s and s' vanish
-    at both end caps, so the full map is rigid there.
-    """
-    dc = dim - 1
-    extents = np.asarray(cross_extents, dtype=float)
-
-    def s(xn):
-        return np.sin(np.pi * np.asarray(xn, float) / L) ** 2
-
-    def ds(xn):
-        return (np.pi / L) * np.sin(2.0 * np.pi * np.asarray(xn, float) / L)
-
-    def w(xprime):
-        xprime = np.asarray(xprime, dtype=float)
-        t = (xprime - extents[:, 0]) / (extents[:, 1] - extents[:, 0])
-        return np.cos(np.pi * t)
-
-    def dw(xprime):
-        xprime = np.asarray(xprime, dtype=float)
-        span = extents[:, 1] - extents[:, 0]
-        t = (xprime - extents[:, 0]) / span
-        return -np.pi / span * np.sin(np.pi * t)
-
-    def gfun(xprime, xn):
-        return xprime + eps * w(xprime) * s(xn)[..., None]
-
-    def dgx(xprime, xn):
-        base = np.zeros(np.asarray(xprime).shape[:-1] + (dc, dc))
-        diag = 1.0 + eps * dw(xprime) * s(xn)[..., None]
-        for a in range(dc):
-            base[..., a, a] = diag[..., a]
-        return base
-
-    def dgn(xprime, xn):
-        return eps * w(xprime) * ds(xn)[..., None]
-
-    return DomainMap(gfun=gfun, dg_dxprime=dgx, dg_dxn=dgn, sigmaG=abs(eps))
-
-
-def _det(A):
-    """Determinant of a component-major stack (k, k, ...), k = 1 or 2, written out."""
-    if A.shape[0] == 1:
-        return A[0, 0].copy()
-    return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+def shear_map(eps: float, L: float, cross_extents=((0.0, 1.0),)) -> WallShear:
+    """The wall shear of size eps on a nozzle of length L."""
+    return WallShear(float(eps), float(L), tuple(tuple(map(float, e)) for e in cross_extents))
 
 
 def _matvec(M, q):
@@ -122,42 +100,39 @@ def _node_major(v):
     return np.ascontiguousarray(np.moveaxis(v, 0, -1))
 
 
-def jacobian_JT_at(dmap: DomainMap, coords):
+def jacobian_JT(shear: WallShear, axes):
     """Inverse-map Jacobian J_T = M^{-T}, component-major (d, d, n_points),
-    and det J_T = 1 / det M at given points.
+    and det J_T = 1 / det M on the tensor product of axes.
 
-    The forward Jacobian is block upper triangular, M = [[A, b], [0, 1]] with
-    the cross block A = dG/dx' (dc x dc, dc = 1 or 2) and b = dG/dx_n, so
-    det M = det A and M^{-1} = [[A^{-1}, -A^{-1} b], [0, 1]], with A^{-1} the
-    adjugate over the determinant. A non-finite or nonpositive determinant is
-    a fold-over; a map that overflows gives one, so it is evaluated without
-    overflow warnings.
+    axes holds one 1D coordinate array per axis, axial last, and the points
+    are numbered in C order: the grid axes give the nodes, and one axis
+    replaced by its half points gives the edge midpoints along it. The
+    factors w_a, w_a', s and s' are evaluated on the axes only.
+
+    The forward Jacobian is M = [[A, b], [0, 1]] with the diagonal cross block
+    A_aa = 1 + eps w_a' s and b_a = eps w_a s', so det M = prod_a A_aa, the
+    cross block of M^{-T} is diagonal with entries (prod_{b != a} A_bb) /
+    det M, and its axial row is -b_a times them. A non-finite or nonpositive
+    determinant is a fold-over; a map that overflows gives one, so it is
+    evaluated without overflow warnings.
     """
-    coords = np.asarray(coords, dtype=float)
-    xprime, xn = coords[:, :-1], coords[:, -1]
-    dc = xprime.shape[1]
+    *cross, xn = np.meshgrid(*axes, indexing="ij", sparse=True)
+    dc = len(cross)
+    s, ds = shear.axial(xn)
     with np.errstate(over="ignore", invalid="ignore"):
-        A = np.moveaxis(dmap.dg_dxprime(xprime, xn), (-2, -1), (0, 1))
-        b = np.moveaxis(dmap.dg_dxn(xprime, xn), -1, 0)
-        detM = _det(A)
+        factors = [shear.cross(a, x) for a, x in enumerate(cross)]
+        A = [1.0 + shear.eps * dw * s for _, dw in factors]
+        b = [shear.eps * w * ds for w, _ in factors]
+        detM = A[0] * A[1] if dc == 2 else A[0]
         folded = ~np.isfinite(detM) | (detM <= 0.0)
     if np.any(folded):
         raise FoldOverError("deformation folds over: nonpositive or non-finite Jacobian determinant")
-    JT = np.zeros((dc + 1, dc + 1, coords.shape[0]))
+    JT = np.zeros((dc + 1, dc + 1) + detM.shape)
     JT[-1, -1] = 1.0
-    if dc == 1:
-        Ainv = (1.0 / detM)[None, None]
-    else:
-        # the adjugate of A over det A
-        Ainv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / detM
-    JT[:dc, :dc] = Ainv.swapaxes(0, 1)
-    JT[-1, :dc] = -_matvec(Ainv, b)
-    return JT, 1.0 / detM
-
-
-def jacobian_JT(dmap: DomainMap, grid: Nozzle):
-    """Inverse-map derivative matrix J_T = M^{-T} (d, d, N) and det J_T at every node."""
-    return jacobian_JT_at(dmap, grid.coords)
+    for a in range(dc):
+        JT[a, a] = (A[1 - a] if dc == 2 else 1.0) / detM
+        JT[-1, a] = -(JT[a, a] * b[a])
+    return JT.reshape(dc + 1, dc + 1, -1), (1.0 / detM).ravel()
 
 
 def _field_map(M, q, detM):
@@ -179,7 +154,7 @@ def pullback_operators(law: GasLaw, z, q1, q2, M, detM):
     A1 = rho M^T M q1 / det M with rho = rho(z, |M q1|^2), and
     A2 = M^T M q2 / det M, for a component-major stack M (d, d, ...) of
     general matrices, d = 2 or 3, its determinant detM (the one
-    jacobian_JT_at returns with J_T), and node-major q1, q2 (..., d).
+    jacobian_JT returns with J_T), and node-major q1, q2 (..., d).
     Returns A1, A2 (node-major) and rho.
     """
     q1 = np.moveaxis(np.asarray(q1, dtype=float), -1, 0)
@@ -233,7 +208,7 @@ def correction_terms(
 
 
 def solve_perturbed(
-    dmap: DomainMap,
+    shear: WallShear,
     config: drv.IterationConfig,
     data: drv.BoundaryData,
     state: drv.PicardState,
@@ -241,20 +216,20 @@ def solve_perturbed(
 ):
     """Fixed-point solve of the transformed problem on the reference grid;
     on_iterate goes to `driver.run_fixed_point`."""
-    JT, detJT = jacobian_JT(dmap, state.grid)
+    JT, detJT = jacobian_JT(shear, state.grid.axes)
 
     def corrections(pair, Dpsi):
         return correction_terms(state.law, state, JT, detJT, pair, data.b, Dpsi)
 
-    scale = data.sigma + dmap.sigmaG
+    scale = data.sigma + shear.sigmaG
     pair, report = drv.run_fixed_point(
         config, data, state, corrections=corrections, scale=scale, on_iterate=on_iterate,
     )
-    report.meta["sigmaG"] = dmap.sigmaG
+    report.meta["sigmaG"] = shear.sigmaG
     return pair, report
 
 
-def pushforward_residual(dmap: DomainMap, state: drv.PicardState, pair: drv.FieldPair, data: drv.BoundaryData):
+def pushforward_residual(shear: WallShear, state: drv.PicardState, pair: drv.FieldPair, data: drv.BoundaryData):
     """Physical-equation residual on the deformed domain, interior nodes.
 
     The physical equations are evaluated through their exact pullback to the
@@ -267,13 +242,13 @@ def pushforward_residual(dmap: DomainMap, state: drv.PicardState, pair: drv.Fiel
     c = state.coeffs
     phi = (c.phi0 + g.sections(pair.psi)).ravel()
     Phi = (c.Phi0 + g.sections(pair.Psi)).ravel()
-    coords = g.coords.reshape(g.shape + (g.dim,))
 
     def fluxes(axis, z_e, q_phi, q_Phi):
         # one edge Jacobian, at the midpoints of the edges along axis,
         # serves the mass and the field flux
-        mid = 0.5 * (coords[_along(axis, slice(0, -1))] + coords[_along(axis, slice(1, None))])
-        JT_e, detJT_e = jacobian_JT_at(dmap, mid.reshape(-1, g.dim))
+        axes = list(g.axes)
+        axes[axis] = 0.5 * (axes[axis][:-1] + axes[axis][1:])
+        JT_e, detJT_e = jacobian_JT(shear, axes)
         return (_mass_map(law, z_e, q_phi.T, JT_e, detJT_e)[0],
                 _field_map(JT_e, q_Phi.T, detJT_e))
 
@@ -281,7 +256,7 @@ def pushforward_residual(dmap: DomainMap, state: drv.PicardState, pair: drv.Fiel
     div_mass, div_field = drv.edge_divergence(g, (phi, Phi), fluxes, z=Phi,
                                               grads=(grad_phi, None))
 
-    JT, detJT = jacobian_JT(dmap, g)
+    JT, detJT = jacobian_JT(shear, g.axes)
     rho_map = law.density(Phi, _sqnorm(_matvec(JT, grad_phi.T)))
     source = (rho_map - data.b) / detJT
 
@@ -306,11 +281,11 @@ def wall_sweep(config: drv.IterationConfig, state: drv.PicardState, eps) -> dict
     zero = drv.FieldPair(np.zeros(g.n_nodes), np.zeros(g.n_nodes))
 
     def rung(e):
-        dmap = shear_map(e, g.L, dim=g.dim, cross_extents=g.cross_extents)
-        JT, detJT = jacobian_JT(dmap, g)
+        shear = shear_map(e, g.L, g.cross_extents)
+        JT, detJT = jacobian_JT(shear, g.axes)
         corr = correction_terms(state.law, state, JT, detJT, zero, data.b)
-        pair, report = solve_perturbed(dmap, config, data, state)
-        resid, _ = pushforward_residual(dmap, state, pair, data)
+        pair, report = solve_perturbed(shear, config, data, state)
+        resid, _ = pushforward_residual(shear, state, pair, data)
         return (pair.sup(), float(np.max(np.abs(corr.H1))), float(np.max(np.abs(corr.H2))),
                 report.iterations, resid)
 

@@ -153,12 +153,10 @@ def perturb_data(
     pex = pex0 + sigma * amp.pex * mode
     B0 = B00 + sigma * amp.bernoulli
 
-    axial_mode = np.cos(np.pi * grid.coords[:, -1] / grid.L)
-    cross_on_nodes = np.broadcast_to(
-        mode[..., None], grid.shape
-    ).ravel()
-    b_bg = background.b_values()[background.index_of(grid.coords[:, -1])]
-    b = b_bg + sigma * amp.charge * axial_mode * cross_on_nodes
+    xn = grid.axes[-1]
+    axial_mode = np.cos(np.pi * xn / grid.L)
+    b_bg = background.b_values()[background.index_of(xn)]
+    b = (b_bg + sigma * amp.charge * axial_mode * mode[..., None]).ravel()
 
     Psi_en = (B0 - B00) + (phi_en - phi_en0)
     Psi_ex = (B0 - B00) + phi_ex
@@ -487,7 +485,9 @@ def field_norms(f, grid: Nozzle, quad: elliptic.Quadrature, alpha: float = 0.5,
     j = rng.integers(0, grid.n_nodes, size=2000)
     keep = i != j
     i, j = i[keep], j[keep]
-    dist = np.linalg.norm(grid.coords[i] - grid.coords[j], axis=1)
+    at_i, at_j = np.unravel_index(i, grid.shape), np.unravel_index(j, grid.shape)
+    dist = np.linalg.norm(np.stack([ax[a] - ax[b] for ax, a, b in zip(grid.axes, at_i, at_j)],
+                                   axis=1), axis=1)
     quot = np.abs(f[i] - f[j]) / dist ** alpha
     if delta is None:
         delta = gridmod.corner_distance(grid)

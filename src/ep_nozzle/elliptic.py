@@ -157,17 +157,15 @@ def _face_weights(grid: Nozzle, axes_used):
 def build_quadrature(grid: Nozzle) -> Quadrature:
     d = grid.dim
     shape = grid.shape
-    idx = np.indices(shape)
-    exit_sel = (idx[-1] == shape[-1] - 1).ravel()
-    exit_idx = np.flatnonzero(exit_sel)
-    entrance_idx = np.flatnonzero((idx[-1] == 0).ravel())
+    nodes = np.arange(grid.n_nodes).reshape(shape)
+    exit_idx = nodes[..., -1].ravel()
+    entrance_idx = nodes[..., 0].ravel()
     exit_w = _face_weights(grid, range(d - 1))
 
     faces = []
     for a in range(d - 1):
         for side, sign in ((0, -1.0), (shape[a] - 1, 1.0)):
-            sel = (idx[a] == side).ravel()
-            fidx = np.flatnonzero(sel)
+            fidx = np.take(nodes, side, axis=a).ravel()
             fw = _face_weights(grid, [ax for ax in range(d) if ax != a])
             faces.append((a, sign, fidx, fw))
 
@@ -340,8 +338,10 @@ class DiscreteOperator:
         self.coeffs = coeffs
         self.grid = grid
         self.quad = build_quadrature(grid)
-        self.dirichlet_v = grid.gamma0
-        self.dirichlet_W = grid.gamma0 | grid.gammaL
+        self.dirichlet_v = np.zeros(grid.n_nodes, dtype=bool)
+        self.dirichlet_v[self.quad.entrance_idx] = True
+        self.dirichlet_W = self.dirichlet_v.copy()
+        self.dirichlet_W[self.quad.exit_idx] = True
         self.dirichlet = np.concatenate([self.dirichlet_v, self.dirichlet_W])
         self.axial_blocks = _axial_blocks(coeffs, grid)
         self.cross_modes = tuple(_cross_modes(grid, a) for a in range(grid.dim - 1))
@@ -626,8 +626,8 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
                 bW[fidx] += fw * np.asarray(flux)
 
     bv[op.dirichlet_v] = 0.0
-    bW[grid.gamma0] = np.asarray(data.W_en, dtype=float).ravel()
-    bW[grid.gammaL] = W_ex
+    bW[q.entrance_idx] = np.asarray(data.W_en, dtype=float).ravel()
+    bW[q.exit_idx] = W_ex
     return np.concatenate([bv, bW])
 
 

@@ -1,8 +1,10 @@
 """Structured grids on the cylindrical nozzle and nodal difference operators.
 
 The nozzle is a box cross-section times the axial interval (0, L), with the
-axial axis last. Boundary nodes carry exactly one tag: entrance, exit, wall,
-or corner (the closed entrance/exit rings meeting the wall).
+axial axis last. A grid is a tensor product, so it keeps only its 1D axes:
+nodes are numbered in C order of `shape`, the entrance and the exit are the
+planes of axial index 0 and n_axial - 1, the wall is the first and last
+index of each cross axis, and the interior is the `[1:-1]` box.
 """
 
 from __future__ import annotations
@@ -13,12 +15,6 @@ import numpy as np
 
 from .errors import DomainError
 
-TAG_INTERIOR = 0
-TAG_GAMMA0 = 1
-TAG_GAMMAL = 2
-TAG_GAMMAW = 3
-TAG_CORNER = 4
-
 
 @dataclass(frozen=True)
 class Nozzle:
@@ -26,14 +22,8 @@ class Nozzle:
     cross_extents: tuple
     L: float
     shape: tuple
-    axes: tuple
+    axes: tuple      # one 1D coordinate array per axis, axial last
     spacing: tuple
-    coords: np.ndarray  # (n_nodes, dim), C-order flattening of shape
-    tags: np.ndarray
-    gamma0: np.ndarray  # closed entrance plane (includes corner ring)
-    gammaL: np.ndarray  # closed exit plane
-    wall: np.ndarray    # closed wall, includes corner rings
-    corner: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -67,37 +57,13 @@ def build_grid(dim=2, cross_extents=((0.0, 1.0),), L=1.0, shape=(33, 65)) -> Noz
 
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(cross_extents, shape[:-1])]
     axes.append(np.linspace(0.0, L, shape[-1]))
-    spacing = tuple(float(ax[1] - ax[0]) for ax in axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-
-    idx = np.indices(shape)
-    on_gamma0 = (idx[-1] == 0).ravel()
-    on_gammaL = (idx[-1] == shape[-1] - 1).ravel()
-    on_wall = np.zeros(int(np.prod(shape)), dtype=bool)
-    for a in range(dim - 1):
-        on_wall |= ((idx[a] == 0) | (idx[a] == shape[a] - 1)).ravel()
-    corner = (on_gamma0 | on_gammaL) & on_wall
-
-    tags = np.full(int(np.prod(shape)), TAG_INTERIOR, dtype=np.int8)
-    tags[on_wall] = TAG_GAMMAW
-    tags[on_gamma0 & ~on_wall] = TAG_GAMMA0
-    tags[on_gammaL & ~on_wall] = TAG_GAMMAL
-    tags[corner] = TAG_CORNER
-
     return Nozzle(
         dim=dim,
         cross_extents=tuple(tuple(map(float, e)) for e in cross_extents),
         L=float(L),
         shape=tuple(int(n) for n in shape),
         axes=tuple(axes),
-        spacing=spacing,
-        coords=coords,
-        tags=tags,
-        gamma0=on_gamma0,
-        gammaL=on_gammaL,
-        wall=on_wall,
-        corner=corner,
+        spacing=tuple(float(ax[1] - ax[0]) for ax in axes),
     )
 
 
@@ -113,15 +79,21 @@ def gradient(grid: Nozzle, field) -> np.ndarray:
 
 
 def interior_mask(grid: Nozzle) -> np.ndarray:
-    return grid.tags == TAG_INTERIOR
+    """Nodal mask of the interior: the `[1:-1]` box on every axis."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[(slice(1, -1),) * grid.dim] = True
+    return mask.ravel()
 
 
 def corner_distance(grid: Nozzle) -> np.ndarray:
-    """Distance to the corner set (entrance/exit rings of the wall)."""
-    xn = grid.coords[:, -1]
+    """Distance to the corner set (entrance/exit rings of the wall).
+
+    Each axis contributes a 1D distance; they meet by broadcasting over the
+    open mesh of the axes.
+    """
+    *cross, xn = np.meshgrid(*grid.axes, indexing="ij", sparse=True)
     axial = np.minimum(np.abs(xn), np.abs(grid.L - xn))
     lateral = np.inf
-    for a, (lo, hi) in enumerate(grid.cross_extents):
-        x = grid.coords[:, a]
+    for x, (lo, hi) in zip(cross, grid.cross_extents):
         lateral = np.minimum(lateral, np.minimum(np.abs(x - lo), np.abs(hi - x)))
-    return np.sqrt(lateral ** 2 + axial ** 2)
+    return np.sqrt(lateral ** 2 + axial ** 2).ravel()

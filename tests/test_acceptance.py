@@ -22,6 +22,7 @@ from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
 from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
 
+from gridpoints import node_coords
 from test_elliptic import _mms_solve
 
 LAW = GasLaw(gamma=2.0, k0=1.0)
@@ -57,6 +58,14 @@ def fixed_point_64x128(state_64x128):
 def state_3d():
     g = build_grid(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.0)), shape=(17, 17, 33))
     return driver.PicardState(LAW, _background(32), g)
+
+
+@pytest.fixture(scope="module")
+def fixed_point_3d(state_3d):
+    data = driver.perturb_data(state_3d.background, state_3d.grid, 1e-3)
+    pair, report = driver.run_fixed_point(driver.IterationConfig(), data, state_3d)
+    floor, _ = driver.residual_floor(state_3d)
+    return pair, report, data, floor
 
 
 def _check(num, name):
@@ -185,9 +194,10 @@ def test_10_uniqueness_probe(state_64x128, fixed_point_64x128):
     g = state_64x128.grid
     cfg = driver.IterationConfig()
     amp = cfg.ball_multiplier * data.sigma / 4.0
+    x, y = node_coords(g).T
     start = driver.FieldPair(
-        amp * np.cos(np.pi * g.coords[:, 0]) * (g.coords[:, 1] / g.L) ** 2,
-        amp * np.cos(np.pi * g.coords[:, 0]) * np.sin(np.pi * g.coords[:, 1] / g.L),
+        amp * np.cos(np.pi * x) * (y / g.L) ** 2,
+        amp * np.cos(np.pi * x) * np.sin(np.pi * y / g.L),
     )
     pair2, _ = driver.run_fixed_point(cfg, data, state_64x128, start=start)
     gap = max(
@@ -200,14 +210,13 @@ def test_10_uniqueness_probe(state_64x128, fixed_point_64x128):
     _report(10, "uniqueness probe", f"two-start gap = {gap:.1e}, {elapsed:.1f} s")
 
 
-def test_10_uniqueness_probe_3d(state_3d):
+def test_10_uniqueness_probe_3d(state_3d, fixed_point_3d):
+    pair1, _, data, *_ = fixed_point_3d
     t0 = time.perf_counter()
     g = state_3d.grid
     cfg = driver.IterationConfig()
-    data = driver.perturb_data(state_3d.background, g, 1e-3)
-    pair1, _ = driver.run_fixed_point(cfg, data, state_3d)
     amp = cfg.ball_multiplier * data.sigma / 4.0
-    x, y, z = g.coords.T
+    x, y, z = node_coords(g).T
     mode = np.cos(np.pi * x) * np.cos(np.pi * y)
     start = driver.FieldPair(
         amp * mode * (z / g.L) ** 2,
@@ -231,13 +240,13 @@ def test_11_domain_perturbation():
     data = driver.perturb_data(state.background, g, 1e-3)
 
     # identity degeneracy: corrections exactly zero, output identical
-    JT, detJT = jacobian_JT(shear_map(0.0, g.L, 2, g.cross_extents), g)
+    JT, detJT = jacobian_JT(shear_map(0.0, g.L, g.cross_extents), g.axes)
     zero = driver.FieldPair(np.zeros(g.n_nodes), np.zeros(g.n_nodes))
     corr = correction_terms(LAW, state, JT, detJT, zero, data.b)
     assert np.all(corr.H1 == 0.0) and np.all(corr.H2 == 0.0)
     assert np.all(corr.src2 == 0.0) and np.all(corr.g3 == 0.0)
     pair_flat, _ = driver.run_fixed_point(cfg, data, state)
-    pair_id, _ = solve_perturbed(shear_map(0.0, g.L, 2, g.cross_extents), cfg, data, state)
+    pair_id, _ = solve_perturbed(shear_map(0.0, g.L, g.cross_extents), cfg, data, state)
     assert np.array_equal(pair_flat.psi, pair_id.psi)
     assert np.array_equal(pair_flat.Psi, pair_id.Psi)
 
@@ -246,8 +255,8 @@ def test_11_domain_perturbation():
     data0 = driver.perturb_data(state.background, g, 0.0)
     sups = []
     for eps in eps_list:
-        dmap = shear_map(float(eps), g.L, dim=2, cross_extents=g.cross_extents)
-        JT, detJT = jacobian_JT(dmap, g)
+        dmap = shear_map(float(eps), g.L, g.cross_extents)
+        JT, detJT = jacobian_JT(dmap, g.axes)
         corr = correction_terms(LAW, state, JT, detJT, zero, data0.b)
         sups.append(float(np.max(np.abs(corr.H1))))
     slope_corr = float(np.polyfit(np.log(eps_list), np.log(sups), 1)[0])
@@ -257,7 +266,7 @@ def test_11_domain_perturbation():
     eps_solve = [1e-3, 2e-3, 4e-3, 8e-3]
     norms = []
     for eps in eps_solve:
-        dmap = shear_map(float(eps), g.L, dim=2, cross_extents=g.cross_extents)
+        dmap = shear_map(float(eps), g.L, g.cross_extents)
         pair, _ = solve_perturbed(dmap, cfg, data0, state)
         norms.append(pair.sup())
     slope_solve = float(np.polyfit(np.log(eps_solve), np.log(norms), 1)[0])
@@ -286,4 +295,12 @@ def test_12_exit_pressure_faithfulness(fixed_point_64x128):
     exit_resid = report.residual_components["exit_pressure"]
     assert exit_resid <= 10.0 * floor
     _report(12, "exit-pressure faithfulness",
+            f"max |p(rho) - pex| on the exit = {exit_resid:.2e} <= 10 x floor {floor:.2e}")
+
+
+def test_12_exit_pressure_faithfulness_3d(fixed_point_3d):
+    pair, report, data, floor = fixed_point_3d
+    exit_resid = report.residual_components["exit_pressure"]
+    assert exit_resid <= 10.0 * floor
+    _report(12, "exit-pressure faithfulness, 3D 17x17x33",
             f"max |p(rho) - pex| on the exit = {exit_resid:.2e} <= 10 x floor {floor:.2e}")

@@ -13,6 +13,8 @@ from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
 from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
 
+from gridpoints import node_coords
+
 LAW = GasLaw(gamma=2.0, k0=1.0)
 # constant background: rho = 1, axial speed 0.5
 PHI0 = 0.125
@@ -353,7 +355,7 @@ class TestExitDatum:
         assert 2.0 * c.delta2 <= slope < 3.0 * c.delta1
         g = state_const.grid
         data = perturb_data(state_const.background, g, 0.0)
-        pair = FieldPair(slope * g.coords[:, -1], np.zeros(g.n_nodes))
+        pair = FieldPair(slope * node_coords(g)[:, -1], np.zeros(g.n_nodes))
         with pytest.raises(AdmissibilityError, match="exit gradient"):
             state_const.step(pair, data)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,21 +7,19 @@ from hypothesis import strategies as st
 
 from ep_nozzle import domainmap, driver
 from ep_nozzle.domainmap import (
-    Corrections,
-    DomainMap,
     correction_terms,
     jacobian_JT,
-    jacobian_JT_at,
     pullback_operators,
     pushforward_residual,
     shear_map,
     solve_perturbed,
 )
-from ep_nozzle.elliptic import _along
 from ep_nozzle.errors import FoldOverError
 from ep_nozzle.gas import GasLaw
-from ep_nozzle.grid import build_grid
+from ep_nozzle.grid import build_grid, interior_mask
 from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
+
+from gridpoints import node_coords
 
 LAW = GasLaw(gamma=2.0, k0=1.0)
 
@@ -54,26 +54,31 @@ def state_3d_medium():
 
 
 # ---------------------------------------------------------------------------
-# the stacked LAPACK and einsum formulas the closed forms replaced, kept as
-# oracles; they work on node-major stacks (..., d, d)
+# oracles: the shear's forward Jacobian written out per point and inverted
+# by LAPACK, and the einsum pullback formulas; node-major stacks (..., d, d)
 
 
-def _forward_jacobian_at(dmap, coords):
-    """Jacobian of the full map at given points, axial row appended."""
-    xprime, xn = coords[:, :-1], coords[:, -1]
-    d = coords.shape[1]
-    M = np.zeros((coords.shape[0], d, d))
+def _forward_jacobian(shear, axes):
+    """Forward Jacobian (n_points, d, d) of G = x' + eps w(x') s(x_n) at the
+    tensor-product points of axes, axial row appended."""
+    x = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    d = x.shape[1]
+    xn, L, eps = x[:, -1], shear.L, shear.eps
+    s = np.sin(np.pi * xn / L) ** 2
+    ds = 2.0 * np.pi / L * np.sin(np.pi * xn / L) * np.cos(np.pi * xn / L)
+    M = np.zeros((x.shape[0], d, d))
     M[:, -1, -1] = 1.0
-    M[:, :-1, :-1] = dmap.dg_dxprime(xprime, xn)
-    M[:, :-1, -1] = dmap.dg_dxn(xprime, xn)
+    for a, (lo, hi) in enumerate(shear.cross_extents):
+        t = (x[:, a] - lo) / (hi - lo)
+        M[:, a, a] = 1.0 - eps * np.pi / (hi - lo) * np.sin(np.pi * t) * s
+        M[:, a, -1] = eps * np.cos(np.pi * t) * ds
     return M
 
 
-def _lapack_jacobian_JT_at(dmap, coords):
-    """M^{-T} as the component-major stack (d, d, n) that jacobian_JT_at returns."""
-    M = _forward_jacobian_at(dmap, coords)
-    detM = np.linalg.det(M)
-    return np.transpose(np.linalg.inv(M), (2, 1, 0)), 1.0 / detM
+def _lapack_jacobian_JT(shear, axes):
+    """M^{-T} as the component-major stack (d, d, n) that jacobian_JT returns."""
+    M = _forward_jacobian(shear, axes)
+    return np.transpose(np.linalg.inv(M), (2, 1, 0)), 1.0 / np.linalg.det(M)
 
 
 def _component_major(M):
@@ -94,37 +99,28 @@ def _rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-def _sheared_affine_map(dc, rng):
-    """G = A0 x' + e v sin(a.x' + k x_n): a full, point-dependent cross block
-    A0 + e cos(.) v a^T and a nonzero axial column e k cos(.) v. A0 = I + 0.3 R
-    and e <= 0.1 with |R|, |v|, |a| <= 1 keep det dG/dx' positive."""
-    A0 = np.eye(dc) + 0.3 * rng.uniform(-1.0, 1.0, (dc, dc))
-    v, a = rng.uniform(-1.0, 1.0, (2, dc))
-    e, k = rng.uniform(0.01, 0.1), rng.uniform(1.0, 5.0)
-
-    def theta(xprime, xn):
-        return xprime @ a + k * xn
-
-    def gfun(xprime, xn):
-        return xprime @ A0.T + e * np.sin(theta(xprime, xn))[..., None] * v
-
-    def dgx(xprime, xn):
-        return A0 + e * np.cos(theta(xprime, xn))[..., None, None] * np.outer(v, a)
-
-    def dgn(xprime, xn):
-        return e * k * np.cos(theta(xprime, xn))[..., None] * v
-
-    return DomainMap(gfun=gfun, dg_dxprime=dgx, dg_dxn=dgn, sigmaG=e)
+def _edge_axes(g, axis):
+    """The grid axes with one axis replaced by its half points."""
+    axes = list(g.axes)
+    axes[axis] = 0.5 * (axes[axis][:-1] + axes[axis][1:])
+    return axes
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
 def test_closed_form_jacobian_matches_lapack(dim, seed):
+    # random extents, length and sorted random axes; |eps| pi / span <= 0.9
+    # keeps every cross entry 1 + eps w_a' s of the forward Jacobian positive
     rng = np.random.default_rng(seed)
-    dmap = _sheared_affine_map(dim - 1, rng)
-    coords = rng.uniform(0.0, 1.0, (50, dim))
-    JT, detJT = jacobian_JT_at(dmap, coords)
-    JT_o, detJT_o = _lapack_jacobian_JT_at(dmap, coords)
+    L = rng.uniform(0.2, 5.0)
+    lo = rng.uniform(-2.0, 2.0, dim - 1)
+    extents = [(a, a + span) for a, span in zip(lo, rng.uniform(0.1, 3.0, dim - 1))]
+    eps = rng.uniform(-0.9, 0.9) * min(hi - a for a, hi in extents) / np.pi
+    shear = shear_map(eps, L, extents)
+    axes = [np.sort(rng.uniform(a, hi, rng.integers(1, 12))) for a, hi in extents]
+    axes.append(np.sort(rng.uniform(0.0, L, rng.integers(1, 12))))
+    JT, detJT = jacobian_JT(shear, axes)
+    JT_o, detJT_o = _lapack_jacobian_JT(shear, axes)
     assert _rel_err(JT, JT_o) <= 1e-13
     assert _rel_err(detJT, detJT_o) <= 1e-13
 
@@ -148,86 +144,89 @@ def test_closed_form_pullback_matches_einsum(dim, batch, seed):
     assert _rel_err(rho, rho_o) <= 1e-13
 
 
+def _assert_shear_matches_closed_form(g, eps):
+    # forward M = [[diag(a), b], [0, 1]]; JT = M^{-T} = [[diag(1/a), 0], [-b/a, 1]]
+    JT, detJT = jacobian_JT(shear_map(eps, g.L, g.cross_extents), g.axes)
+    x = node_coords(g)
+    s = np.sin(np.pi * x[:, -1] / g.L) ** 2
+    ds = (np.pi / g.L) * np.sin(2 * np.pi * x[:, -1] / g.L)
+    det = 1.0
+    for i in range(g.dim - 1):
+        w = np.cos(np.pi * x[:, i])
+        dw = -np.pi * np.sin(np.pi * x[:, i])
+        a = 1.0 + eps * dw * s          # dG_i/dx_i
+        b = eps * w * ds                # dG_i/dxn
+        det = det * a
+        assert np.max(np.abs(JT[i, i] - 1.0 / a)) < 1e-13
+        assert np.max(np.abs(JT[-1, i] + b / a)) < 1e-13
+        for j in range(g.dim):
+            if j != i:
+                assert np.max(np.abs(JT[i, j])) < 1e-13
+    assert np.max(np.abs(JT[-1, -1] - 1.0)) < 1e-13
+    assert np.max(np.abs(detJT - 1.0 / det)) < 1e-13
+
+
 class TestJacobian:
     def test_identity(self, state_small):
         g = state_small.grid
-        JT, detJT = jacobian_JT(shear_map(0.0, g.L, 2, g.cross_extents), g)
+        JT, detJT = jacobian_JT(shear_map(0.0, g.L, g.cross_extents), g.axes)
         assert np.array_equal(JT, np.broadcast_to(np.eye(2)[:, :, None], JT.shape))
         assert np.all(detJT == 1.0)
 
     def test_shear_matches_closed_form(self, state_small):
-        g = state_small.grid
-        eps = 1e-3
-        dmap = shear_map(eps, g.L, dim=2, cross_extents=g.cross_extents)
-        JT, detJT = jacobian_JT(dmap, g)
-        x, y = g.coords[:, 0], g.coords[:, 1]
-        s = np.sin(np.pi * y / g.L) ** 2
-        ds = (np.pi / g.L) * np.sin(2 * np.pi * y / g.L)
-        w = np.cos(np.pi * x)
-        dw = -np.pi * np.sin(np.pi * x)
-        a = 1.0 + eps * dw * s          # dG/dx'
-        b = eps * w * ds                # dG/dxn
-        # forward M = [[a, b], [0, 1]]; JT = M^{-T} = [[1/a, 0], [-b/a, 1]]
-        assert np.max(np.abs(JT[0, 0] - 1.0 / a)) < 1e-13
-        assert np.max(np.abs(JT[0, 1])) < 1e-13
-        assert np.max(np.abs(JT[1, 0] + b / a)) < 1e-13
-        assert np.max(np.abs(JT[1, 1] - 1.0)) < 1e-13
-        assert np.max(np.abs(detJT - 1.0 / a)) < 1e-13
+        _assert_shear_matches_closed_form(state_small.grid, 1e-3)
 
-    def test_numeric_differentiation_agrees(self, state_small):
-        g = state_small.grid
-        eps = 2e-3
-        dmap = shear_map(eps, g.L, dim=2, cross_extents=g.cross_extents)
+    def test_shear_matches_closed_form_3d(self, state_3d_small):
+        _assert_shear_matches_closed_form(state_3d_small.grid, 1e-3)
+
+    def test_numeric_differentiation_agrees(self, state_small, state_3d_small):
+        # central differences of the forward map (map_cross on shifted axes)
+        # give M; its LAPACK inverse must agree with the factor form
         h = 1e-6
+        for g in (state_small.grid, state_3d_small.grid):
+            shear = shear_map(2e-3, g.L, g.cross_extents)
 
-        def dgx(xprime, xn):
-            cols = []
-            for a in range(xprime.shape[-1]):
-                shift = np.zeros_like(xprime)
-                shift[..., a] = h
-                diff = dmap.gfun(xprime + shift, xn) - dmap.gfun(xprime - shift, xn)
-                cols.append(diff / (2 * h))
-            return np.stack(cols, axis=-1)
+            def forward(axis, step):
+                axes = list(g.axes)
+                axes[axis] = axes[axis] + step
+                return shear.map_cross(dataclasses.replace(g, axes=tuple(axes)))
 
-        def dgn(xprime, xn):
-            return (dmap.gfun(xprime, xn + h) - dmap.gfun(xprime, xn - h)) / (2 * h)
-
-        numeric = DomainMap(gfun=dmap.gfun, dg_dxprime=dgx, dg_dxn=dgn, sigmaG=dmap.sigmaG)
-        JT_a, det_a = jacobian_JT(dmap, g)
-        JT_n, det_n = jacobian_JT(numeric, g)
-        assert np.max(np.abs(JT_a - JT_n)) < 1e-8
-        assert np.max(np.abs(det_a - det_n)) < 1e-8
+            M = np.zeros((g.n_nodes, g.dim, g.dim))
+            M[:, -1, -1] = 1.0
+            for axis in range(g.dim):
+                M[:, :-1, axis] = (forward(axis, h) - forward(axis, -h)) / (2 * h)
+            JT_a, det_a = jacobian_JT(shear, g.axes)
+            assert np.max(np.abs(JT_a - np.transpose(np.linalg.inv(M), (2, 1, 0)))) < 1e-8
+            assert np.max(np.abs(det_a - 1.0 / np.linalg.det(M))) < 1e-8
 
     def test_determinant_continuity_in_eps(self, state_small):
         g = state_small.grid
         sups = []
         eps_list = [1e-3, 2e-3, 4e-3]
         for eps in eps_list:
-            dmap = shear_map(eps, g.L, dim=2, cross_extents=g.cross_extents)
-            _, detJT = jacobian_JT(dmap, g)
+            _, detJT = jacobian_JT(shear_map(eps, g.L, g.cross_extents), g.axes)
             sups.append(np.max(np.abs(detJT - 1.0)))
         assert sups[2] / sups[0] == pytest.approx(4.0, rel=0.05)
 
     def test_fold_over(self, state_small):
         g = state_small.grid
-        dmap = shear_map(0.5, g.L, dim=2, cross_extents=g.cross_extents)
         with pytest.raises(FoldOverError):
-            jacobian_JT(dmap, g)
+            jacobian_JT(shear_map(0.5, g.L, g.cross_extents), g.axes)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("scale", [1e200, np.nan], ids=["overflow", "nan"])
-    def test_fold_over_refuses_non_finite_determinant(self, scale):
-        # det of scale * I (2x2) is +inf or nan: neither passes `det <= 0`
-        def dgx(xprime, xn):
-            return np.broadcast_to(scale * np.eye(2), xprime.shape[:-1] + (2, 2)).copy()
-
-        def dgn(xprime, xn):
-            return np.zeros_like(xprime)
-
-        dmap = DomainMap(gfun=lambda xprime, xn: scale * xprime, dg_dxprime=dgx, dg_dxn=dgn)
-        coords = np.random.default_rng(0).uniform(0.0, 1.0, (20, 3))
+    @pytest.mark.parametrize("eps", [-1e200, np.nan], ids=["overflow", "nan"])
+    def test_fold_over_refuses_non_finite_determinant(self, eps):
+        # inside the extents w_a' < 0 < s, so each cross entry 1 + eps w_a' s
+        # is positive; at eps = -1e200 each is about 1e200 and their product
+        # overflows to +inf, and eps = nan gives nan: neither passes `det <= 0`
+        axes = (np.linspace(0.1, 0.9, 5), np.linspace(0.2, 0.8, 4), np.linspace(0.1, 0.9, 6))
+        extents = ((0.0, 1.0), (0.0, 1.0))
         with pytest.raises(FoldOverError):
-            jacobian_JT_at(dmap, coords)
+            jacobian_JT(shear_map(eps, 1.0, extents), axes)
+        if not np.isnan(eps):
+            # the same shear 1e100 times smaller has a finite determinant
+            JT, detJT = jacobian_JT(shear_map(eps * 1e-100, 1.0, extents), axes)
+            assert np.all(np.isfinite(JT)) and np.all(detJT > 0.0)
 
 
 class TestPullback:
@@ -258,14 +257,10 @@ class TestPullback:
         # a uniform flow pulled back through the shear stays divergence-free
         # in the weak sense: flux differences telescope to the boundary
         g = state_small.grid
-        eps = 2e-3
-        dmap = shear_map(eps, g.L, dim=2, cross_extents=g.cross_extents)
-
-        coords = g.coords.reshape(g.shape + (g.dim,))
+        shear = shear_map(2e-3, g.L, g.cross_extents)
 
         def mass_flux(axis, z_e, q_e):
-            mid = 0.5 * (coords[_along(axis, slice(0, -1))] + coords[_along(axis, slice(1, None))])
-            JT_e, detJT_e = jacobian_JT_at(dmap, mid.reshape(-1, g.dim))
+            JT_e, detJT_e = jacobian_JT(shear, _edge_axes(g, axis))
             return (pullback_operators(LAW, z_e, q_e, q_e, JT_e, detJT_e)[0].T,)
 
         # potential of the 1D background satisfies the flat equations exactly;
@@ -273,14 +268,14 @@ class TestPullback:
         c = state_small.coeffs
         phi0, Phi0 = (np.broadcast_to(p, g.shape).ravel() for p in (c.phi0, c.Phi0))
         div, = driver.edge_divergence(g, (phi0,), mass_flux, z=Phi0)
-        interior = g.tags == 0
+        interior = interior_mask(g)
         assert np.max(np.abs(div[interior])) < 5e-3  # O(eps) sources, small grid
 
 
 def _assert_identity_gives_exact_zeros(state):
     g = state.grid
     N = g.n_nodes
-    JT, detJT = jacobian_JT(shear_map(0.0, g.L, g.dim, g.cross_extents), g)
+    JT, detJT = jacobian_JT(shear_map(0.0, g.L, g.cross_extents), g.axes)
     assert np.array_equal(JT, np.broadcast_to(np.eye(g.dim)[:, :, None], JT.shape))
     assert np.all(detJT == 1.0)
     data = driver.perturb_data(state.background, g, 0.0)
@@ -296,9 +291,9 @@ def _assert_identity_gives_exact_zeros(state):
 def _assert_end_cap_rigidity(state):
     g = state.grid
     N = g.n_nodes
-    dmap = shear_map(5e-3, g.L, dim=g.dim, cross_extents=g.cross_extents)
-    JT, detJT = jacobian_JT(dmap, g)
-    caps = g.gamma0 | g.gammaL
+    shear = shear_map(5e-3, g.L, g.cross_extents)
+    JT, detJT = jacobian_JT(shear, g.axes)
+    caps = np.concatenate([state.op.quad.entrance_idx, state.op.quad.exit_idx])
     assert np.max(np.abs(JT[:, :, caps] - np.eye(g.dim)[:, :, None])) < 1e-14
     data = driver.perturb_data(state.background, g, 0.0)
     corr = correction_terms(
@@ -330,8 +325,8 @@ class TestCorrections:
         eps_list = np.array([1e-3, 2e-3, 4e-3, 8e-3, 1e-2])
         sups = []
         for eps in eps_list:
-            dmap = shear_map(float(eps), g.L, dim=2, cross_extents=g.cross_extents)
-            JT, detJT = jacobian_JT(dmap, g)
+            shear = shear_map(float(eps), g.L, g.cross_extents)
+            JT, detJT = jacobian_JT(shear, g.axes)
             corr = correction_terms(LAW, state_small, JT, detJT, zero, data.b)
             sups.append(np.max(np.abs(corr.H1)))
         slope = np.polyfit(np.log(eps_list), np.log(sups), 1)[0]
@@ -344,7 +339,7 @@ def _assert_identity_map_identical_to_flat(state):
     data = driver.perturb_data(state.background, g, 1e-3)
     pair_flat, rep_flat = driver.run_fixed_point(cfg, data, state)
     # the shear of size zero is the identity map
-    pair_id, rep_id = solve_perturbed(shear_map(0.0, g.L, g.dim, g.cross_extents), cfg, data, state)
+    pair_id, rep_id = solve_perturbed(shear_map(0.0, g.L, g.cross_extents), cfg, data, state)
     assert np.array_equal(pair_flat.psi, pair_id.psi)
     assert np.array_equal(pair_flat.Psi, pair_id.Psi)
     assert rep_flat.iterations == rep_id.iterations
@@ -357,9 +352,9 @@ def _pushforward_order(states, eps=4e-3):
     for state in states:
         g = state.grid
         data0 = driver.perturb_data(state.background, g, 0.0)
-        dmap = shear_map(eps, g.L, dim=g.dim, cross_extents=g.cross_extents)
-        pair, _ = solve_perturbed(dmap, cfg, data0, state)
-        resids.append(pushforward_residual(dmap, state, pair, data0)[0])
+        shear = shear_map(eps, g.L, g.cross_extents)
+        pair, _ = solve_perturbed(shear, cfg, data0, state)
+        resids.append(pushforward_residual(shear, state, pair, data0)[0])
     return np.log2(resids[0] / resids[1])
 
 
@@ -377,8 +372,8 @@ class TestSolvePerturbed:
         sups = []
         eps_list = [1e-3, 2e-3, 4e-3]
         for eps in eps_list:
-            dmap = shear_map(eps, g.L, dim=2, cross_extents=g.cross_extents)
-            pair, _ = solve_perturbed(dmap, cfg, data0, state_medium)
+            shear = shear_map(eps, g.L, g.cross_extents)
+            pair, _ = solve_perturbed(shear, cfg, data0, state_medium)
             sups.append(pair.sup())
         slope = np.polyfit(np.log(eps_list), np.log(sups), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.15)
@@ -400,10 +395,10 @@ class TestSolvePerturbed:
         monkeypatch.setattr(np.linalg, "det", refuse)
         g = state_small.grid
         data = driver.perturb_data(state_small.background, g, 1e-3)
-        dmap = shear_map(2e-3, g.L, dim=2, cross_extents=g.cross_extents)
-        pair, report = solve_perturbed(dmap, driver.IterationConfig(), data, state_small)
+        shear = shear_map(2e-3, g.L, g.cross_extents)
+        pair, report = solve_perturbed(shear, driver.IterationConfig(), data, state_small)
         assert report.converged
-        pushforward_residual(dmap, state_small, pair, data)
+        pushforward_residual(shear, state_small, pair, data)
 
     @pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
     def test_pushforward_evaluates_each_jacobian_once(self, state, request, monkeypatch):
@@ -413,14 +408,14 @@ class TestSolvePerturbed:
         g = state.grid
         calls = []
 
-        def counted(dmap, coords):
-            calls.append(len(coords))
-            return jacobian_JT_at(dmap, coords)
+        def counted(shear, axes):
+            calls.append(int(np.prod([len(ax) for ax in axes])))
+            return jacobian_JT(shear, axes)
 
         data = driver.perturb_data(state.background, g, 1e-3)
-        dmap = shear_map(2e-3, g.L, dim=g.dim, cross_extents=g.cross_extents)
-        pair, _ = solve_perturbed(dmap, driver.IterationConfig(), data, state)
-        monkeypatch.setattr(domainmap, "jacobian_JT_at", counted)
-        pushforward_residual(dmap, state, pair, data)
+        shear = shear_map(2e-3, g.L, g.cross_extents)
+        pair, _ = solve_perturbed(shear, driver.IterationConfig(), data, state)
+        monkeypatch.setattr(domainmap, "jacobian_JT", counted)
+        pushforward_residual(shear, state, pair, data)
         assert len(calls) == g.dim + 1
         assert calls[-1] == g.n_nodes

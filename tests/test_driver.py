@@ -26,6 +26,8 @@ from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
 from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
 
+from gridpoints import node_coords
+
 LAW = GasLaw(gamma=2.0, k0=1.0)
 
 
@@ -103,9 +105,9 @@ class TestFixedPoint:
         N = state_small.grid.n_nodes
         rng = np.random.default_rng(0)
         base = FieldPair(np.zeros(N), np.zeros(N))
+        x, y = node_coords(state_small.grid).T
         bump = FieldPair(
-            1e-4 * np.cos(np.pi * state_small.grid.coords[:, 0])
-            * state_small.grid.coords[:, 1] ** 2,
+            1e-4 * np.cos(np.pi * x) * y ** 2,
             1e-4 * rng.standard_normal(N) * 0.0,
         )
         out1 = state_small.step(base, data)
@@ -133,9 +135,10 @@ class TestFixedPoint:
         N = g.n_nodes
         pair1, _ = run_fixed_point(cfg, data, state_small)
         amp = cfg.ball_multiplier * s / 4.0
+        x, y = node_coords(g).T
         start = FieldPair(
-            amp * np.cos(np.pi * g.coords[:, 0]) * (g.coords[:, 1] / g.L) ** 2,
-            amp * np.cos(np.pi * g.coords[:, 0]) * np.sin(np.pi * g.coords[:, 1] / g.L),
+            amp * np.cos(np.pi * x) * (y / g.L) ** 2,
+            amp * np.cos(np.pi * x) * np.sin(np.pi * y / g.L),
         )
         pair2, _ = run_fixed_point(cfg, data, state_small, start=start)
         assert np.max(np.abs(pair1.psi - pair2.psi)) < 1e-8
@@ -201,13 +204,14 @@ class TestNorms:
 
     def test_linear_axial_field_h1(self, state_small):
         g = state_small.grid
-        n = field_norms(g.coords[:, -1].copy(), g, state_small.op.quad)
+        n = field_norms(node_coords(g)[:, -1].copy(), g, state_small.op.quad)
         volume = 1.0  # unit cross-section times unit length
         assert n["h1_seminorm"] ** 2 == pytest.approx(volume, rel=1e-12)
 
     def test_lipschitz_bound_on_sampled_seminorm(self, state_small):
         g = state_small.grid
-        f = 2.0 * g.coords[:, 0] + 1.0 * g.coords[:, 1]
+        x, y = node_coords(g).T
+        f = 2.0 * x + 1.0 * y
         lip = np.sqrt(5.0)
         alpha = 0.5
         diam = np.sqrt(2.0)

@@ -3,18 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ep_nozzle.elliptic import build_quadrature
 from ep_nozzle.errors import DomainError
 from ep_nozzle.export import export_deformed_vtk, export_field_csv, export_field_vtk
-from ep_nozzle.grid import (
-    TAG_CORNER,
-    TAG_GAMMA0,
-    TAG_GAMMAL,
-    TAG_GAMMAW,
-    TAG_INTERIOR,
-    build_grid,
-    corner_distance,
-    gradient,
-)
+from ep_nozzle.grid import build_grid, corner_distance, gradient, interior_mask
+
+from gridpoints import node_coords
 
 AWKWARD = np.array([-0.0, 5e-324, np.inf, -np.inf, np.nan, 1.7976931348623157e308, 0.1, -1 / 3])
 
@@ -47,37 +41,51 @@ def _vtk_oracle(g, title, dataset, geometry, fields):
     return text
 
 
-class TestBuild:
-    def test_tag_partition_and_counts(self):
-        g = build_grid(dim=2, shape=(9, 17))
-        assert np.sum(g.tags == TAG_CORNER) == 4
-        assert np.sum(g.tags == TAG_GAMMA0) == 7
-        assert np.sum(g.tags == TAG_GAMMAL) == 7
-        # two walls, axial interior nodes only (ends are corners)
-        assert np.sum(g.tags == TAG_GAMMAW) == 30
-        boundary = g.gamma0 | g.gammaL | g.wall
-        assert np.sum(boundary) == 2 * 9 + 2 * 17 - 4
-        assert np.all((g.tags == TAG_INTERIOR) == ~boundary)
+def _two_grids():
+    return (build_grid(dim=2, shape=(9, 17)),
+            build_grid(dim=3, cross_extents=((0, 1), (0, 2)), shape=(8, 9, 10)))
 
-    def test_every_boundary_node_single_tag(self):
-        g = build_grid(dim=2, shape=(9, 17))
-        # tags are a function, so the partition is automatic; check masks
-        corner_nodes = g.corner
-        assert np.all(g.tags[corner_nodes] == TAG_CORNER)
-        assert not np.any(g.tags[g.gamma0 & ~corner_nodes] == TAG_GAMMAW)
+
+class TestBuild:
+    def test_interior_mask_is_the_inner_box(self):
+        # oracle: a node is interior when every coordinate lies strictly
+        # inside its extent
+        for g in _two_grids():
+            x = node_coords(g)
+            lo = np.array([e[0] for e in g.cross_extents] + [0.0])
+            hi = np.array([e[1] for e in g.cross_extents] + [g.L])
+            interior = interior_mask(g)
+            assert np.array_equal(interior, np.all((x > lo) & (x < hi), axis=1))
+            assert np.sum(interior) == np.prod([n - 2 for n in g.shape])
+        assert np.sum(~interior_mask(_two_grids()[0])) == 2 * 9 + 2 * 17 - 4
+
+    def test_boundary_index_sets_cover_the_non_interior_nodes(self):
+        # the entrance, exit and wall-face index sets lie on their planes and
+        # together cover exactly the nodes off the interior box
+        for g in _two_grids():
+            x = node_coords(g)
+            q = build_quadrature(g)
+            assert np.all(x[q.entrance_idx, -1] == 0.0)
+            assert np.all(x[q.exit_idx, -1] == g.L)
+            covered = np.zeros(g.n_nodes, dtype=bool)
+            covered[q.entrance_idx] = covered[q.exit_idx] = True
+            for axis, sign, fidx, _ in q.wall_faces:
+                assert np.all(x[fidx, axis] == g.cross_extents[axis][sign > 0])
+                covered[fidx] = True
+            assert np.array_equal(covered, ~interior_mask(g))
+
+    def test_3d_corner_ring_is_the_zero_set_of_corner_distance(self):
+        g = _two_grids()[1]
+        assert g.n_nodes == 8 * 9 * 10
+        # corner set: boundary ring of each end cap
+        ring = 2 * (8 + 9) - 4
+        assert np.sum(corner_distance(g) == 0.0) == 2 * ring
 
     def test_deterministic(self):
         a = build_grid(dim=2, shape=(9, 17))
         b = build_grid(dim=2, shape=(9, 17))
-        assert np.array_equal(a.coords, b.coords)
-        assert np.array_equal(a.tags, b.tags)
-
-    def test_3d_tags(self):
-        g = build_grid(dim=3, cross_extents=((0, 1), (0, 2)), shape=(8, 9, 10))
-        assert g.n_nodes == 8 * 9 * 10
-        # corner set: boundary ring of each end cap
-        ring = 2 * (8 + 9) - 4
-        assert np.sum(g.tags == TAG_CORNER) == 2 * ring
+        assert all(np.array_equal(x, y) for x, y in zip(a.axes, b.axes))
+        assert a.spacing == b.spacing
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -91,7 +99,8 @@ class TestBuild:
 class TestDifferenceOperators:
     def test_linear_field_exact(self):
         g = build_grid(dim=2, shape=(9, 17))
-        f = 2.0 * g.coords[:, 0] - 3.0 * g.coords[:, 1]
+        x = node_coords(g)
+        f = 2.0 * x[:, 0] - 3.0 * x[:, 1]
         grad = gradient(g, f)
         assert np.max(np.abs(grad[:, 0] - 2.0)) < 1e-13
         assert np.max(np.abs(grad[:, 1] + 3.0)) < 1e-13
@@ -119,7 +128,7 @@ class TestDifferenceOperators:
         gerrs, lerrs = [], []
         for shape in [(17, 17), (33, 33), (65, 65)]:
             g = build_grid(dim=2, shape=shape)
-            x, y = g.coords[:, 0], g.coords[:, 1]
+            x, y = node_coords(g).T
             gr = gradient(g, fn(x, y))
             exact = np.stack(grad(x, y), axis=1)
             gerrs.append(np.max(np.abs(gr - exact)))
@@ -142,14 +151,29 @@ class TestDifferenceOperators:
 class TestCornerDistance:
     def test_at_corner(self):
         g = build_grid(dim=2, shape=(9, 17))
+        x = node_coords(g)
+        corner = np.isin(x[:, 0], [0.0, 1.0]) & np.isin(x[:, 1], [0.0, g.L])
         d = corner_distance(g)
-        assert np.min(d[g.corner]) == 0.0
-        assert np.max(d[g.corner]) == 0.0
+        assert np.sum(corner) == 4
+        assert np.min(d[corner]) == 0.0
+        assert np.max(d[corner]) == 0.0
+
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_matches_per_node_oracle(self, kind):
+        # the per-node formula on the meshgrid coordinates, bit for bit
+        g = build_grid(**GRIDS[kind])
+        x = node_coords(g)
+        axial = np.minimum(np.abs(x[:, -1]), np.abs(g.L - x[:, -1]))
+        lateral = np.inf
+        for a, (lo, hi) in enumerate(g.cross_extents):
+            lateral = np.minimum(lateral, np.minimum(np.abs(x[:, a] - lo), np.abs(hi - x[:, a])))
+        expected = np.sqrt(lateral ** 2 + axial ** 2)
+        assert np.array_equal(corner_distance(g).view(np.uint64), expected.view(np.uint64))
 
     def test_center_of_unit_square(self):
         g = build_grid(dim=2, shape=(9, 9))
         d = corner_distance(g)
-        center = np.argmin(np.linalg.norm(g.coords - 0.5, axis=1))
+        center = np.argmin(np.linalg.norm(node_coords(g) - 0.5, axis=1))
         assert d[center] == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
     def test_monotone_along_midline(self):
@@ -164,12 +188,13 @@ class TestCornerDistance:
 class TestExport:
     def test_csv_roundtrip(self, tmp_path):
         g = build_grid(dim=2, shape=(9, 17))
-        f = g.coords[:, 0] + 2.0 * g.coords[:, 1]
+        x = node_coords(g)
+        f = x[:, 0] + 2.0 * x[:, 1]
         path = tmp_path / "field.csv"
         export_field_csv(g, {"f": f}, path)
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert data["f"] == pytest.approx(f)
-        assert data["x"] == pytest.approx(g.coords[:, 0])
+        assert data["x"] == pytest.approx(x[:, 0])
 
     def test_vtk_header_and_payload(self, tmp_path):
         g = build_grid(dim=2, shape=(9, 17))
@@ -194,7 +219,8 @@ class TestExport:
         fields = {"f": _awkward(g.n_nodes), "Psi": _awkward(g.n_nodes, 1)}
         path = tmp_path / "field.csv"
         export_field_csv(g, fields, path, cross=cross if deformed else None)
-        pts = [*cross.T, g.coords[:, -1]] if deformed else list(g.coords.T)
+        x = node_coords(g)
+        pts = [*cross.T, x[:, -1]] if deformed else list(x.T)
         header = ",".join(["x", "y", "z"][: g.dim] + list(fields)) + "\n"
         expected = header + _rows([*pts, *fields.values()], ",")
         assert path.read_bytes() == expected.encode()
@@ -205,7 +231,7 @@ class TestExport:
         # the subnormal, -1/3, -0, inf and nan at several positions
         g = build_grid(**GRIDS[kind])
         axes = tuple(_awkward(n, a) for a, n in enumerate(g.shape))
-        g = dataclasses.replace(g, axes=axes, coords=None)
+        g = dataclasses.replace(g, axes=axes)
         fields = {"psi": _awkward(g.n_nodes, 6)}
         path = tmp_path / "field.csv"
         export_field_csv(g, fields, path)
@@ -239,7 +265,7 @@ class TestExport:
         path = tmp_path / "field.vtk"
         export_deformed_vtk(g, cross, fields, path)
         order = np.arange(g.n_nodes).reshape(g.shape).ravel(order="F")
-        points = [cross[order, a] for a in range(g.dim - 1)] + [g.coords[order, -1]]
+        points = [cross[order, a] for a in range(g.dim - 1)] + [node_coords(g)[order, -1]]
         points += [np.zeros(g.n_nodes)] * (3 - g.dim)
         geometry = f"POINTS {g.n_nodes} double\n" + _rows(points, " ")
         expected = _vtk_oracle(g, "deformed nozzle", "STRUCTURED_GRID", geometry, fields)
@@ -250,7 +276,7 @@ class TestExport:
         g = build_grid(dim=2, shape=(9, 17))
         f = np.zeros(g.n_nodes + extra)
         with pytest.raises(DomainError):
-            export_deformed_vtk(g, g.coords[:, :-1], {"f": f}, tmp_path / "field.vtk")
+            export_deformed_vtk(g, node_coords(g)[:, :-1], {"f": f}, tmp_path / "field.vtk")
 
     @pytest.mark.parametrize("kind", GRIDS)
     def test_deformed_writers_refuse_an_axial_column(self, tmp_path, kind):
@@ -262,30 +288,12 @@ class TestExport:
                             (lambda g, c, fields, p: export_field_csv(g, fields, p, cross=c),
                              "field.csv")]:
             with pytest.raises(DomainError, match="cross coordinates"):
-                write(g, g.coords, {"f": f}, tmp_path / name)
+                write(g, node_coords(g), {"f": f}, tmp_path / name)
             assert not (tmp_path / name).exists()
-
-    @pytest.mark.parametrize("kind", GRIDS)
-    def test_export_reads_the_axes_not_coords(self, tmp_path, kind):
-        g = build_grid(**GRIDS[kind])
-        bare = dataclasses.replace(g, coords=None)
-        fields = {"psi": _awkward(g.n_nodes, 2), "Psi": _awkward(g.n_nodes, 4)}
-        cross = np.column_stack([_awkward(g.n_nodes, a + 3) for a in range(g.dim - 1)])
-        writers = {
-            "ref.csv": lambda g, p: export_field_csv(g, fields, p),
-            "ref.vtk": lambda g, p: export_field_vtk(g, fields, p),
-            "deformed.csv": lambda g, p: export_field_csv(g, fields, p, cross=cross),
-            "deformed.vtk": lambda g, p: export_deformed_vtk(g, cross, fields, p),
-        }
-        for name, write in writers.items():
-            write(g, tmp_path / f"full_{name}")
-            write(bare, tmp_path / f"bare_{name}")
-            assert (tmp_path / f"bare_{name}").read_bytes() == \
-                (tmp_path / f"full_{name}").read_bytes()
 
     def test_deterministic_bytes(self, tmp_path):
         g = build_grid(dim=2, shape=(9, 17))
-        f = np.sin(g.coords[:, 0] * 7.0)
+        f = np.sin(node_coords(g)[:, 0] * 7.0)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         export_field_csv(g, {"f": f}, p1)
         export_field_csv(g, {"f": f}, p2)
