@@ -56,14 +56,17 @@ def _add_common(parser):
 
 
 def _load(args):
-    cfg = cfgmod.load_config(args.config) if args.config else cfgmod.default_config()
+    """The config file's values (the template's without one) under the flags,
+    checked once with the flags applied."""
+    values = cfgmod.read_values(args.config.read_text() if args.config else cfgmod.TEMPLATE)
+    output = values["output"]
     if args.out is not None:
-        cfg.values["output"]["directory"] = str(args.out)
+        output["directory"] = str(args.out)
     if args.format is not None:
-        cfg.values["output"]["format"] = args.format
+        output["format"] = args.format
     if args.seed is not None:
-        cfg.values["output"]["seed"] = int(args.seed)
-    return cfg
+        output["seed"] = args.seed
+    return cfgmod.validated(values)
 
 
 def _law(cfg):

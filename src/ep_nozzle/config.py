@@ -133,11 +133,13 @@ def _render(kind, value):
     raise DomainError(f"unknown config field kind {kind}")
 
 
-def default_config() -> RunConfig:
-    return parse_config(TEMPLATE)
-
-
 def parse_config(text: str) -> RunConfig:
+    return validated(read_values(text))
+
+
+def read_values(text: str) -> dict:
+    """Typed values of a config text, the template's where a key is missing;
+    not yet range-checked (see `validated`)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(text)
     sections = parser.sections()
@@ -164,13 +166,7 @@ def parse_config(text: str) -> RunConfig:
                 values[section][name] = _convert(kind, raw)
             except (ValueError, KeyError) as exc:
                 raise DomainError(f"bad config value [{section}] {name} = {raw}") from exc
-    _validate(values)
-    return RunConfig(values=values)
-
-
-def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    return values
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -183,7 +179,8 @@ def serialize_config(config: RunConfig) -> str:
     return out.getvalue()
 
 
-def _validate(values):
+def validated(values) -> RunConfig:
+    """The run config of values that pass every parse-time check."""
     for section, schema in _SCHEMA.items():
         for name, kind in schema.items():
             if kind in (float, "floats") and not np.all(np.isfinite(values[section][name])):
@@ -216,3 +213,4 @@ def _validate(values):
             raise DomainError(f"{name} need at least two distinct values, all positive")
     if values["output"]["seed"] < 0:
         raise DomainError("seed must be nonnegative")
+    return RunConfig(values=values)

@@ -11,10 +11,10 @@ them on the axes of a tensor-product point set (the nodes, or the edge
 midpoints along one axis) and meets over the points by broadcasting. The
 flux maps are written out per component for d = 2 and 3, vectorized over the
 points: no per-point LAPACK call. They take the determinant that
-jacobian_JT returns with J_T. Matrices are component-major stacks
-(d, d, ...), where each entry is one contiguous array over the points: the
-products then stream contiguous arrays, where reading one entry per matrix
-with a stride would load whole cache lines.
+jacobian_JT returns with J_T. J_T is kept as its nonzero entries, each one
+contiguous array over the points, and vectors are component-major (d, ...):
+the products stream contiguous arrays and skip the structural zeros and
+ones of the shear's J_T.
 """
 
 from __future__ import annotations
@@ -76,15 +76,26 @@ def shear_map(eps: float, L: float, cross_extents=((0.0, 1.0),)) -> WallShear:
     return WallShear(float(eps), float(L), tuple(tuple(map(float, e)) for e in cross_extents))
 
 
-def _matvec(M, q):
-    """M q for a component-major stack of matrices (k, k, ...) and vectors (k, ...)."""
-    k = M.shape[0]
-    out = np.empty((k,) + np.broadcast_shapes(M.shape[2:], q.shape[1:]))
-    for i in range(k):
-        np.multiply(M[i, 0], q[0], out=out[i, ...])
-        for j in range(1, k):
-            out[i, ...] += M[i, j] * q[j]
+def _JT_times(JT, q):
+    """J_T q for the shear's J_T = (diag, axial) and a component-major q (d, ...)."""
+    diag, axial = JT
+    out = np.empty(q.shape)
+    for a, d_a in enumerate(diag):
+        np.multiply(d_a, q[a], out=out[a])
+    np.multiply(axial[0], q[0], out=out[-1])
+    for a in range(1, len(axial)):
+        out[-1] += axial[a] * q[a]
+    out[-1] += q[-1]
     return out
+
+
+def _JT_transpose_times(JT, p):
+    """J_T^T p for the shear's J_T = (diag, axial), in place on a
+    component-major p (d, ...): the axial row of J_T^T is p_n itself."""
+    for a, (d_a, x_a) in enumerate(zip(*JT)):
+        p[a] *= d_a
+        p[a] += x_a * p[-1]
+    return p
 
 
 def _sqnorm(v):
@@ -95,14 +106,9 @@ def _sqnorm(v):
     return out
 
 
-def _node_major(v):
-    """Component-major (k, ...) back to a C-contiguous (..., k)."""
-    return np.ascontiguousarray(np.moveaxis(v, 0, -1))
-
-
 def jacobian_JT(shear: WallShear, axes):
-    """Inverse-map Jacobian J_T = M^{-T}, component-major (d, d, n_points),
-    and det J_T = 1 / det M on the tensor product of axes.
+    """Inverse-map Jacobian J_T = M^{-T} by its nonzero entries, and
+    det J_T = 1 / det M, on the tensor product of axes.
 
     axes holds one 1D coordinate array per axis, axial last, and the points
     are numbered in C order: the grid axes give the nodes, and one axis
@@ -112,9 +118,12 @@ def jacobian_JT(shear: WallShear, axes):
     The forward Jacobian is M = [[A, b], [0, 1]] with the diagonal cross block
     A_aa = 1 + eps w_a' s and b_a = eps w_a s', so det M = prod_a A_aa, the
     cross block of M^{-T} is diagonal with entries (prod_{b != a} A_bb) /
-    det M, and its axial row is -b_a times them. A non-finite or nonpositive
-    determinant is a fold-over; a map that overflows gives one, so it is
-    evaluated without overflow warnings.
+    det M, and its axial row is -b_a times them:
+    J_T = [[diag(1 / A_aa), 0], [-b_a / A_aa, 1]]. Returns J_T as
+    (diag, axial) with diag[a] = J_T[a, a] and axial[a] = J_T[-1, a], one
+    (n_points,) array per cross axis a, and det J_T (n_points,). A non-finite
+    or nonpositive determinant is a fold-over; a map that overflows gives
+    one, so it is evaluated without overflow warnings.
     """
     *cross, xn = np.meshgrid(*axes, indexing="ij", sparse=True)
     dc = len(cross)
@@ -127,42 +136,23 @@ def jacobian_JT(shear: WallShear, axes):
         folded = ~np.isfinite(detM) | (detM <= 0.0)
     if np.any(folded):
         raise FoldOverError("deformation folds over: nonpositive or non-finite Jacobian determinant")
-    JT = np.zeros((dc + 1, dc + 1) + detM.shape)
-    JT[-1, -1] = 1.0
-    for a in range(dc):
-        JT[a, a] = (A[1 - a] if dc == 2 else 1.0) / detM
-        JT[-1, a] = -(JT[a, a] * b[a])
-    return JT.reshape(dc + 1, dc + 1, -1), (1.0 / detM).ravel()
+    diag = [(A[1 - a] if dc == 2 else 1.0) / detM for a in range(dc)]
+    axial = tuple(-(d_a * b_a).ravel() for d_a, b_a in zip(diag, b))
+    return (tuple(d_a.ravel() for d_a in diag), axial), (1.0 / detM).ravel()
 
 
-def _field_map(M, q, detM):
-    """M^T M q / det M, component-major, for a component-major M and q."""
-    return _matvec(M.swapaxes(0, 1), _matvec(M, q)) / detM
+def _field_map(JT, q, detJT):
+    """J_T^T J_T q / det J_T, component-major, for the shear's J_T and a
+    component-major q."""
+    return _JT_transpose_times(JT, _JT_times(JT, q)) / detJT
 
 
-def _mass_map(law: GasLaw, z, q, M, detM):
-    """rho M^T M q / det M, component-major, and rho = rho(z, |M q|^2), for a
-    component-major M and q."""
-    Mq = _matvec(M, q)
-    rho = law.density(z, _sqnorm(Mq))
-    return rho * _matvec(M.swapaxes(0, 1), Mq) / detM, rho
-
-
-def pullback_operators(law: GasLaw, z, q1, q2, M, detM):
-    """Pulled-back flux maps for matrix argument M (the inverse-map Jacobian).
-
-    A1 = rho M^T M q1 / det M with rho = rho(z, |M q1|^2), and
-    A2 = M^T M q2 / det M, for a component-major stack M (d, d, ...) of
-    general matrices, d = 2 or 3, its determinant detM (the one
-    jacobian_JT returns with J_T), and node-major q1, q2 (..., d).
-    Returns A1, A2 (node-major) and rho.
-    """
-    q1 = np.moveaxis(np.asarray(q1, dtype=float), -1, 0)
-    q2 = np.moveaxis(np.asarray(q2, dtype=float), -1, 0)
-    M = np.asarray(M, dtype=float)
-    A1, rho = _mass_map(law, z, q1, M, detM)
-    A1 = _node_major(A1)  # drops the component-major A1 before the field map
-    return A1, _node_major(_field_map(M, q2, detM)), rho
+def _mass_map(law: GasLaw, z, q, JT, detJT):
+    """rho J_T^T J_T q / det J_T, component-major, and rho = rho(z, |J_T q|^2),
+    for the shear's J_T and a component-major q."""
+    JTq = _JT_times(JT, q)
+    rho = law.density(z, _sqnorm(JTq))
+    return rho * _JT_transpose_times(JT, JTq) / detJT, rho
 
 
 @dataclass
@@ -176,13 +166,14 @@ class Corrections:
 def correction_terms(
     law: GasLaw,
     state: drv.PicardState,
-    JT: np.ndarray,
+    JT: tuple,
     detJT: np.ndarray,
     pair: drv.FieldPair,
     b: np.ndarray,
     Dpsi: np.ndarray | None = None,
 ):
-    """Recast sources at the current iterate for the transformed problem."""
+    """Recast sources at the current iterate for the transformed problem,
+    with J_T and det J_T as jacobian_JT returns them."""
     g = state.grid
     c = state.coeffs
     if Dpsi is None:
@@ -197,10 +188,10 @@ def correction_terms(
     rho_flat = law.density(z, speed_flat)
     A_flat = rho_flat[:, None] * grad_phi
 
-    A1_map, A2_map, rho_map = pullback_operators(law, z, grad_phi, grad_Phi, JT, detJT)
-
-    H1 = A_flat - A1_map
-    H2 = grad_Phi - A2_map
+    A1_map, rho_map = _mass_map(law, z, grad_phi.T, JT, detJT)
+    H1 = A_flat - A1_map.T
+    del A1_map  # released before the field map
+    H2 = grad_Phi - _field_map(JT, grad_Phi.T, detJT).T
     src2 = (rho_map - b) / detJT - (rho_flat - b)
     exit_idx = state.exit_idx
     g3 = law.pressure(rho_flat[exit_idx]) - law.pressure(rho_map[exit_idx])
@@ -257,7 +248,7 @@ def pushforward_residual(shear: WallShear, state: drv.PicardState, pair: drv.Fie
                                               grads=(grad_phi, None))
 
     JT, detJT = jacobian_JT(shear, g.axes)
-    rho_map = law.density(Phi, _sqnorm(_matvec(JT, grad_phi.T)))
+    rho_map = law.density(Phi, _sqnorm(_JT_times(JT, grad_phi.T)))
     source = (rho_map - data.b) / detJT
 
     interior = gridmod.interior_mask(g)

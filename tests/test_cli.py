@@ -13,12 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ep_nozzle import cli, driver, elliptic
-from ep_nozzle.config import (
-    TEMPLATE,
-    default_config,
-    parse_config,
-    serialize_config,
-)
+from ep_nozzle.config import TEMPLATE, parse_config, serialize_config
 from ep_nozzle.errors import DomainError
 
 SMALL = """
@@ -422,6 +417,8 @@ PROBES = [
     pytest.param("solve", None, (), 1, "error", id="missing-config"),
     pytest.param("solve", SMALL, ("--bogus",), 1, None, id="unknown-flag"),
     pytest.param("solve", SMALL, ("--seed", "abc"), 1, None, id="bad-seed-flag"),
+    # the flags are range-checked with the file's values, before any output
+    pytest.param("solve", SMALL, ("--seed", "-1"), 1, "error", id="seed-flag-negative"),
     pytest.param("solve", SMALL, ("--help",), 0, None, id="help"),
     pytest.param("background", edited("background", "rho0", "0.3"), (), 2,
                  "background breakdown", id="sonic-background"),
@@ -511,7 +508,7 @@ class TestExitCodes:
 # node counts and ODE steps stay small so a drawn run takes milliseconds
 CAPS = {"nodes_cross": 40, "nodes_cross2": 40, "nodes_axial": 40, "ode_steps": 4096}
 COMMANDS = {"background": "background", "sweep": "sweep", "domain_map": "perturb-domain"}
-DEFAULTS = default_config().values
+DEFAULTS = parse_config(TEMPLATE).values
 FUZZ_KEYS = [(section, name) for section, keys in DEFAULTS.items()
              for name in keys if (section, name) != ("output", "directory")]
 

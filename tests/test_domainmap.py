@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from ep_nozzle import domainmap, driver
 from ep_nozzle.domainmap import (
+    _field_map,
+    _mass_map,
     correction_terms,
     jacobian_JT,
-    pullback_operators,
     pushforward_residual,
     shear_map,
     solve_perturbed,
@@ -55,7 +56,7 @@ def state_3d_medium():
 
 # ---------------------------------------------------------------------------
 # oracles: the shear's forward Jacobian written out per point and inverted
-# by LAPACK, and the einsum pullback formulas; node-major stacks (..., d, d)
+# by LAPACK, and the einsum pullback formulas on node-major stacks (..., d, d)
 
 
 def _forward_jacobian(shear, axes):
@@ -76,13 +77,29 @@ def _forward_jacobian(shear, axes):
 
 
 def _lapack_jacobian_JT(shear, axes):
-    """M^{-T} as the component-major stack (d, d, n) that jacobian_JT returns."""
+    """M^{-T} as a component-major stack (d, d, n), and 1 / det M."""
     M = _forward_jacobian(shear, axes)
     return np.transpose(np.linalg.inv(M), (2, 1, 0)), 1.0 / np.linalg.det(M)
 
 
-def _component_major(M):
-    return np.moveaxis(M, (-2, -1), (0, 1))
+def _assert_entries_match(JT, JT_o, tol):
+    """jacobian_JT's (diag, axial) against a component-major stack JT_o: the
+    read entries within tol of its scale, and every other entry 0 or 1."""
+    diag, axial = JT
+    scale = tol * np.max(np.abs(JT_o))
+    rest = JT_o - np.eye(len(JT_o))[:, :, None]
+    for a in range(len(diag)):
+        assert np.max(np.abs(diag[a] - JT_o[a, a])) <= scale
+        assert np.max(np.abs(axial[a] - JT_o[-1, a])) <= scale
+        rest[a, a] = rest[-1, a] = 0.0
+    assert np.max(np.abs(rest)) <= scale
+
+
+def _assert_identity_entries(JT, detJT):
+    diag, axial = JT
+    assert all(np.all(d_a == 1.0) for d_a in diag)
+    assert all(np.all(x_a == 0.0) for x_a in axial)
+    assert np.all(detJT == 1.0)
 
 
 def _einsum_pullback(law, z, q1, q2, M):
@@ -106,47 +123,53 @@ def _edge_axes(g, axis):
     return axes
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
-def test_closed_form_jacobian_matches_lapack(dim, seed):
-    # random extents, length and sorted random axes; |eps| pi / span <= 0.9
-    # keeps every cross entry 1 + eps w_a' s of the forward Jacobian positive
-    rng = np.random.default_rng(seed)
+def _random_shear(rng, dim):
+    """A shear with random extents, length and eps, and sorted random axes;
+    |eps| pi / span <= 0.9 keeps every cross entry 1 + eps w_a' s of the
+    forward Jacobian positive."""
     L = rng.uniform(0.2, 5.0)
     lo = rng.uniform(-2.0, 2.0, dim - 1)
     extents = [(a, a + span) for a, span in zip(lo, rng.uniform(0.1, 3.0, dim - 1))]
     eps = rng.uniform(-0.9, 0.9) * min(hi - a for a, hi in extents) / np.pi
-    shear = shear_map(eps, L, extents)
     axes = [np.sort(rng.uniform(a, hi, rng.integers(1, 12))) for a, hi in extents]
     axes.append(np.sort(rng.uniform(0.0, L, rng.integers(1, 12))))
+    return shear_map(eps, L, extents), axes
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_jacobian_matches_lapack(dim, seed):
+    shear, axes = _random_shear(np.random.default_rng(seed), dim)
     JT, detJT = jacobian_JT(shear, axes)
     JT_o, detJT_o = _lapack_jacobian_JT(shear, axes)
-    assert _rel_err(JT, JT_o) <= 1e-13
+    _assert_entries_match(JT, JT_o, 1e-13)
     assert _rel_err(detJT, detJT_o) <= 1e-13
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(dim=st.sampled_from([2, 3]), batch=st.sampled_from([(), (50,), (5, 10)]),
-       seed=st.integers(0, 2**32 - 1))
-def test_closed_form_pullback_matches_einsum(dim, batch, seed):
-    # I + 0.3 R is diagonally dominant (condition number below 20); the
-    # scale and a row sign flip give determinants of either sign
+@given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_pullback_matches_einsum(dim, seed):
+    # the flux maps on the shear's J_T against the einsum formulas on the
+    # LAPACK inverse of its forward Jacobian
     rng = np.random.default_rng(seed)
-    M = np.eye(dim) + 0.3 * rng.uniform(-1.0, 1.0, batch + (dim, dim))
-    M *= rng.uniform(0.5, 2.0, batch + (1, 1))
-    M[..., 0, :] *= rng.choice([-1.0, 1.0], batch + (1,))
-    z = rng.uniform(0.0, 1.0, batch)
-    q1, q2 = rng.uniform(-0.4, 0.4, (2,) + batch + (dim,))
-    A1, A2, rho = pullback_operators(LAW, z, q1, q2, _component_major(M), np.linalg.det(M))
+    shear, axes = _random_shear(rng, dim)
+    M = np.swapaxes(np.linalg.inv(_forward_jacobian(shear, axes)), -1, -2)
+    n = len(M)
+    z = rng.uniform(0.0, 1.0, n)
+    # scaled so that |J_T q1|^2 <= 1.76 stays off the vacuum threshold
+    q1, q2 = rng.uniform(-0.4, 0.4, (2, n, dim)) / np.max(np.abs(M))
+    JT, detJT = jacobian_JT(shear, axes)
+    A1, rho = _mass_map(LAW, z, q1.T, JT, detJT)
+    A2 = _field_map(JT, q2.T, detJT)
     A1_o, A2_o, rho_o = _einsum_pullback(LAW, z, q1, q2, M)
-    assert _rel_err(A1, A1_o) <= 1e-13
-    assert _rel_err(A2, A2_o) <= 1e-13
+    assert _rel_err(A1.T, A1_o) <= 1e-13
+    assert _rel_err(A2.T, A2_o) <= 1e-13
     assert _rel_err(rho, rho_o) <= 1e-13
 
 
 def _assert_shear_matches_closed_form(g, eps):
     # forward M = [[diag(a), b], [0, 1]]; JT = M^{-T} = [[diag(1/a), 0], [-b/a, 1]]
-    JT, detJT = jacobian_JT(shear_map(eps, g.L, g.cross_extents), g.axes)
+    (diag, axial), detJT = jacobian_JT(shear_map(eps, g.L, g.cross_extents), g.axes)
     x = node_coords(g)
     s = np.sin(np.pi * x[:, -1] / g.L) ** 2
     ds = (np.pi / g.L) * np.sin(2 * np.pi * x[:, -1] / g.L)
@@ -157,21 +180,15 @@ def _assert_shear_matches_closed_form(g, eps):
         a = 1.0 + eps * dw * s          # dG_i/dx_i
         b = eps * w * ds                # dG_i/dxn
         det = det * a
-        assert np.max(np.abs(JT[i, i] - 1.0 / a)) < 1e-13
-        assert np.max(np.abs(JT[-1, i] + b / a)) < 1e-13
-        for j in range(g.dim):
-            if j != i:
-                assert np.max(np.abs(JT[i, j])) < 1e-13
-    assert np.max(np.abs(JT[-1, -1] - 1.0)) < 1e-13
+        assert np.max(np.abs(diag[i] - 1.0 / a)) < 1e-13
+        assert np.max(np.abs(axial[i] + b / a)) < 1e-13
     assert np.max(np.abs(detJT - 1.0 / det)) < 1e-13
 
 
 class TestJacobian:
     def test_identity(self, state_small):
         g = state_small.grid
-        JT, detJT = jacobian_JT(shear_map(0.0, g.L, g.cross_extents), g.axes)
-        assert np.array_equal(JT, np.broadcast_to(np.eye(2)[:, :, None], JT.shape))
-        assert np.all(detJT == 1.0)
+        _assert_identity_entries(*jacobian_JT(shear_map(0.0, g.L, g.cross_extents), g.axes))
 
     def test_shear_matches_closed_form(self, state_small):
         _assert_shear_matches_closed_form(state_small.grid, 1e-3)
@@ -196,7 +213,8 @@ class TestJacobian:
             for axis in range(g.dim):
                 M[:, :-1, axis] = (forward(axis, h) - forward(axis, -h)) / (2 * h)
             JT_a, det_a = jacobian_JT(shear, g.axes)
-            assert np.max(np.abs(JT_a - np.transpose(np.linalg.inv(M), (2, 1, 0)))) < 1e-8
+            JT_n = np.transpose(np.linalg.inv(M), (2, 1, 0))
+            _assert_entries_match(JT_a, JT_n, 1e-8 / np.max(np.abs(JT_n)))
             assert np.max(np.abs(det_a - 1.0 / np.linalg.det(M))) < 1e-8
 
     def test_determinant_continuity_in_eps(self, state_small):
@@ -225,33 +243,52 @@ class TestJacobian:
             jacobian_JT(shear_map(eps, 1.0, extents), axes)
         if not np.isnan(eps):
             # the same shear 1e100 times smaller has a finite determinant
-            JT, detJT = jacobian_JT(shear_map(eps * 1e-100, 1.0, extents), axes)
-            assert np.all(np.isfinite(JT)) and np.all(detJT > 0.0)
+            (diag, axial), detJT = jacobian_JT(shear_map(eps * 1e-100, 1.0, extents), axes)
+            assert all(np.all(np.isfinite(e)) for e in diag + axial)
+            assert np.all(detJT > 0.0)
+
+
+def _assert_identity_reduces_to_flat_maps(dim):
+    rng = np.random.default_rng(0)
+    axes = [np.linspace(0.0, 1.0, 4)] * (dim - 1) + [np.linspace(0.0, 1.0, 10)]
+    n = 4 ** (dim - 1) * 10
+    z = rng.uniform(0.0, 1.0, size=n)
+    q1 = rng.uniform(-0.4, 0.4, size=(n, dim))
+    q2 = rng.uniform(-0.4, 0.4, size=(n, dim))
+    JT, detJT = jacobian_JT(shear_map(0.0, 1.0, [(0.0, 1.0)] * (dim - 1)), axes)
+    A1, rho_map = _mass_map(LAW, z, q1.T, JT, detJT)
+    rho = LAW.density(z, sum(c * c for c in q1.T))  # summed in component order
+    assert np.array_equal(rho_map, rho)
+    assert np.array_equal(A1.T, rho[:, None] * q1)
+    assert np.array_equal(_field_map(JT, q2.T, detJT).T, q2)
+
+
+def _assert_hand_value(x):
+    # J_T = [[d, 0], [x, 1]]: J_T q = (d q0, x q0 + q1), and J_T^T of that
+    # is (d^2 q0 + x (x q0 + q1), x q0 + q1)
+    eps = 0.1
+    d = 1.0 + eps
+    JT = ((np.array([d]),), (np.array([x]),))
+    q2 = np.array([[0.3], [-0.2]])
+    det = 1.0 + eps
+    A2 = _field_map(JT, q2, np.array([det]))
+    row = x * 0.3 - 0.2
+    expect = np.array([[(d * d * 0.3 + x * row) / det], [row / det]])
+    assert A2 == pytest.approx(expect, rel=1e-14)
 
 
 class TestPullback:
     def test_identity_reduces_to_flat_maps(self):
-        rng = np.random.default_rng(0)
-        n = 40
-        z = rng.uniform(0.0, 1.0, size=n)
-        q1 = rng.uniform(-0.4, 0.4, size=(n, 2))
-        q2 = rng.uniform(-0.4, 0.4, size=(n, 2))
-        eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, n))
-        A1, A2, rho_map = pullback_operators(LAW, z, q1, q2, eye, np.ones(n))
-        rho = LAW.density(z, np.einsum("ni,ni->n", q1, q1))
-        assert np.array_equal(rho_map, rho)
-        assert np.array_equal(A1, rho[:, None] * q1)
-        assert np.array_equal(A2, q2)
+        _assert_identity_reduces_to_flat_maps(2)
+
+    def test_identity_reduces_to_flat_maps_3d(self):
+        _assert_identity_reduces_to_flat_maps(3)
 
     def test_diagonal_matrix_hand_value(self):
-        eps = 0.1
-        M = np.diag([1.0 + eps, 1.0])[:, :, None]
-        q2 = np.array([[0.3, -0.2]])
-        det = 1.0 + eps
-        _, A2, _ = pullback_operators(LAW, np.array([0.5]), np.zeros((1, 2)), q2, M,
-                                      np.array([det]))
-        expect = np.array([[(1 + eps) ** 2 * 0.3 / det, -0.2 / det]])
-        assert A2 == pytest.approx(expect, rel=1e-14)
+        _assert_hand_value(0.0)
+
+    def test_axial_entry_hand_value(self):
+        _assert_hand_value(-0.2)
 
     def test_divergence_free_pullback_of_uniform_flow(self, state_small):
         # a uniform flow pulled back through the shear stays divergence-free
@@ -261,7 +298,7 @@ class TestPullback:
 
         def mass_flux(axis, z_e, q_e):
             JT_e, detJT_e = jacobian_JT(shear, _edge_axes(g, axis))
-            return (pullback_operators(LAW, z_e, q_e, q_e, JT_e, detJT_e)[0].T,)
+            return (_mass_map(LAW, z_e, q_e.T, JT_e, detJT_e)[0],)
 
         # potential of the 1D background satisfies the flat equations exactly;
         # its pullback residual is at discretization order
@@ -276,8 +313,7 @@ def _assert_identity_gives_exact_zeros(state):
     g = state.grid
     N = g.n_nodes
     JT, detJT = jacobian_JT(shear_map(0.0, g.L, g.cross_extents), g.axes)
-    assert np.array_equal(JT, np.broadcast_to(np.eye(g.dim)[:, :, None], JT.shape))
-    assert np.all(detJT == 1.0)
+    _assert_identity_entries(JT, detJT)
     data = driver.perturb_data(state.background, g, 0.0)
     corr = correction_terms(
         LAW, state, JT, detJT, driver.FieldPair(np.zeros(N), np.zeros(N)), data.b
@@ -294,7 +330,10 @@ def _assert_end_cap_rigidity(state):
     shear = shear_map(5e-3, g.L, g.cross_extents)
     JT, detJT = jacobian_JT(shear, g.axes)
     caps = np.concatenate([state.op.quad.entrance_idx, state.op.quad.exit_idx])
-    assert np.max(np.abs(JT[:, :, caps] - np.eye(g.dim)[:, :, None])) < 1e-14
+    diag, axial = JT
+    for a in range(g.dim - 1):
+        assert np.max(np.abs(diag[a][caps] - 1.0)) < 1e-14
+        assert np.max(np.abs(axial[a][caps])) < 1e-14
     data = driver.perturb_data(state.background, g, 0.0)
     corr = correction_terms(
         LAW, state, JT, detJT, driver.FieldPair(np.zeros(N), np.zeros(N)), data.b
@@ -385,20 +424,22 @@ class TestSolvePerturbed:
                                                               state_3d_medium):
         assert _pushforward_order((state_3d_small, state_3d_medium)) > 1.4
 
-    def test_perturbed_path_makes_no_lapack_call(self, state_small, monkeypatch):
+    @pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
+    def test_perturbed_path_makes_no_lapack_call(self, state, request, monkeypatch):
         # the pullback's 2x2 and 3x3 algebra is written out; a stacked
         # np.linalg call on this path costs one LAPACK call per node or edge
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg inverse or determinant on the perturbed path")
 
+        state = request.getfixturevalue(state)
         monkeypatch.setattr(np.linalg, "inv", refuse)
         monkeypatch.setattr(np.linalg, "det", refuse)
-        g = state_small.grid
-        data = driver.perturb_data(state_small.background, g, 1e-3)
+        g = state.grid
+        data = driver.perturb_data(state.background, g, 1e-3)
         shear = shear_map(2e-3, g.L, g.cross_extents)
-        pair, report = solve_perturbed(shear, driver.IterationConfig(), data, state_small)
+        pair, report = solve_perturbed(shear, driver.IterationConfig(), data, state)
         assert report.converged
-        pushforward_residual(shear, state_small, pair, data)
+        pushforward_residual(shear, state, pair, data)
 
     @pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
     def test_pushforward_evaluates_each_jacobian_once(self, state, request, monkeypatch):
