@@ -322,8 +322,7 @@ def check_coupling_cancellation():
     for _ in range(100):
         xi = rng.standard_normal(op.grid.n_nodes)
         eta = rng.standard_normal(op.grid.n_nodes)
-        xi[op.dirichlet_v] = 0.0
-        eta[op.dirichlet_W] = 0.0
+        elliptic.copy_dirichlet_rows(op.grid.shape[-1], (xi, eta), 0.0)
         total, scale = elliptic.cross_term_sum(op, xi, eta)
         worst = max(worst, abs(total) / max(scale, 1e-30))
     elapsed = time.perf_counter() - t0
@@ -359,12 +358,10 @@ def check_separable_solve():
     mode = np.outer(np.cos(np.pi * grid.axes[0]), np.cos(np.pi * grid.axes[1]))
     F = 1e-2 * rng.standard_normal((N, 3))
     F2 = 1e-2 * rng.standard_normal((N, 3))
-    faces = op.quad.wall_faces
     data = elliptic.LinearData(
         W_en=0.3 + 0.02 * mode, W_ex=-0.2 - 0.01 * mode, F=F,
         f=1e-2 * rng.standard_normal(N), g_exit=1e-2 * rng.standard_normal(mode.size), F2=F2,
-        wall_flux_v=[sign * F[fidx, axis] for axis, sign, fidx, _ in faces],
-        wall_flux_W=[sign * F2[fidx, axis] for axis, sign, fidx, _ in faces],
+        wall_flux_v=F, wall_flux_W=F2,
     )
     v, W, residual = elliptic.solve(op, data)
     ref = elliptic.splu(op.K.tocsc()).solve(elliptic.assemble_rhs(op, data))

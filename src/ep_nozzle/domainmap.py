@@ -89,13 +89,17 @@ def _JT_times(JT, q):
     return out
 
 
-def _JT_transpose_times(JT, p):
-    """J_T^T p for the shear's J_T = (diag, axial), in place on a
-    component-major p (d, ...): the axial row of J_T^T is p_n itself."""
-    for a, (d_a, x_a) in enumerate(zip(*JT)):
-        p[a] *= d_a
-        p[a] += x_a * p[-1]
-    return p
+def _JT_transpose_times(JT, p, axis=None):
+    """J_T^T p for the shear's J_T = (diag, axial) and a component-major p
+    (d, ...), in place; with an axis, only row axis of it, and p is kept.
+    The cross rows are diag[a] p_a + axial[a] p_n; the axial row is p_n."""
+    diag, axial = JT
+    if axis == len(diag):
+        return p[-1]
+    for a in range(len(diag)) if axis is None else (axis,):
+        row = np.multiply(p[a], diag[a], out=p[a] if axis is None else None)
+        row += axial[a] * p[-1]
+    return p if axis is None else row
 
 
 def _sqnorm(v):
@@ -141,18 +145,18 @@ def jacobian_JT(shear: WallShear, axes):
     return (tuple(d_a.ravel() for d_a in diag), axial), (1.0 / detM).ravel()
 
 
-def _field_map(JT, q, detJT):
-    """J_T^T J_T q / det J_T, component-major, for the shear's J_T and a
-    component-major q."""
-    return _JT_transpose_times(JT, _JT_times(JT, q)) / detJT
+def _field_map(JT, q, detJT, axis=None):
+    """J_T^T J_T q / det J_T, component-major, or its row axis alone, for the
+    shear's J_T and a component-major q."""
+    return _JT_transpose_times(JT, _JT_times(JT, q), axis) / detJT
 
 
-def _mass_map(law: GasLaw, z, q, JT, detJT):
-    """rho J_T^T J_T q / det J_T, component-major, and rho = rho(z, |J_T q|^2),
-    for the shear's J_T and a component-major q."""
+def _mass_map(law: GasLaw, z, q, JT, detJT, axis=None):
+    """rho J_T^T J_T q / det J_T, component-major, or its row axis alone, and
+    rho = rho(z, |J_T q|^2), for the shear's J_T and a component-major q."""
     JTq = _JT_times(JT, q)
     rho = law.density(z, _sqnorm(JTq))
-    return rho * _JT_transpose_times(JT, JTq) / detJT, rho
+    return rho * _JT_transpose_times(JT, JTq, axis) / detJT, rho
 
 
 @dataclass
@@ -160,7 +164,7 @@ class Corrections:
     H1: np.ndarray     # (N, d)
     H2: np.ndarray     # (N, d)
     src2: np.ndarray   # (N,)
-    g3: np.ndarray     # exit-plane pressure shift
+    g3: np.ndarray     # exit-plane pressure shift (cross shape)
 
 
 def correction_terms(
@@ -193,8 +197,7 @@ def correction_terms(
     del A1_map  # released before the field map
     H2 = grad_Phi - _field_map(JT, grad_Phi.T, detJT).T
     src2 = (rho_map - b) / detJT - (rho_flat - b)
-    exit_idx = state.exit_idx
-    g3 = law.pressure(rho_flat[exit_idx]) - law.pressure(rho_map[exit_idx])
+    g3 = law.pressure(g.face(rho_flat, -1, -1)) - law.pressure(g.face(rho_map, -1, -1))
     return Corrections(H1=H1, H2=H2, src2=src2, g3=g3)
 
 
@@ -236,12 +239,12 @@ def pushforward_residual(shear: WallShear, state: drv.PicardState, pair: drv.Fie
 
     def fluxes(axis, z_e, q_phi, q_Phi):
         # one edge Jacobian, at the midpoints of the edges along axis,
-        # serves the mass and the field flux
+        # serves the mass and the field flux; only their axis rows are read
         axes = list(g.axes)
         axes[axis] = 0.5 * (axes[axis][:-1] + axes[axis][1:])
         JT_e, detJT_e = jacobian_JT(shear, axes)
-        return (_mass_map(law, z_e, q_phi.T, JT_e, detJT_e)[0],
-                _field_map(JT_e, q_Phi.T, detJT_e))
+        return (_mass_map(law, z_e, q_phi.T, JT_e, detJT_e, axis)[0],
+                _field_map(JT_e, q_Phi.T, detJT_e, axis))
 
     grad_phi = gridmod.gradient(g, phi)
     div_mass, div_field = drv.edge_divergence(g, (phi, Phi), fluxes, z=Phi,
@@ -251,9 +254,8 @@ def pushforward_residual(shear: WallShear, state: drv.PicardState, pair: drv.Fie
     rho_map = law.density(Phi, _sqnorm(_JT_times(JT, grad_phi.T)))
     source = (rho_map - data.b) / detJT
 
-    interior = gridmod.interior_mask(g)
-    r1 = float(np.max(np.abs(div_mass[interior])))
-    r2 = float(np.max(np.abs(div_field[interior] - source[interior])))
+    r1 = float(np.max(np.abs(g.interior(div_mass))))
+    r2 = float(np.max(np.abs(g.interior(div_field) - g.interior(source))))
     return max(r1, r2), {"mass": r1, "poisson": r2}
 
 

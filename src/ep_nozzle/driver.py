@@ -181,27 +181,27 @@ class PicardState:
         self.grid = grid
         self.coeffs = c = elliptic.make_coeffs(law, background, grid)
         self.op = elliptic.DiscreteOperator(c, grid)
-        self.exit_idx = self.op.quad.exit_idx
         self._h_min = min(grid.spacing)
 
     def exit_datum(self, Dpsi, data: BoundaryData, pex_shift=None):
-        """Exit datum of the conormal condition at the current gradient."""
+        """Exit datum of the conormal condition at the current gradient, on
+        the exit face (cross shape)."""
         c = self.coeffs
-        q = Dpsi[self.exit_idx]
+        q = self.grid.face(Dpsi, -1, -1)
         q_tot = q.copy()
-        q_tot[:, -1] += c.u[-1]
-        z_tot = c.Phi0[-1] + data.Psi_ex.ravel()
-        rho_t = self.law.density(z_tot, np.einsum("ni,ni->n", q_tot, q_tot))
+        q_tot[..., -1] += c.u[-1]
+        z_tot = c.Phi0[-1] + data.Psi_ex
+        rho_t = self.law.density(z_tot, np.einsum("...i,...i->...", q_tot, q_tot))
         drho = rho_t - c.rho_bg[-1]
         pex0 = self.law.pressure(c.rho_bg[-1])
         chord = np.full(drho.shape, c.pprime[-1])
         safe = np.abs(drho) >= CHORD_FALLBACK
         chord[safe] = (self.law.pressure(rho_t[safe]) - pex0) / drho[safe]
-        pex = data.pex.ravel()
+        pex = data.pex
         if pex_shift is not None:
             pex = pex + pex_shift
         # dqB is axial: it meets the axial component of q only
-        ghat2 = c.dqB[-1] * q[:, -1] - drho
+        ghat2 = c.dqB[-1] * q[..., -1] - drho
         return (pex - pex0) / chord + ghat2
 
     def gradient_maxima(self, pair: FieldPair, Dpsi):
@@ -212,7 +212,7 @@ class PicardState:
         with np.errstate(over="ignore"):   # an overflowed norm is inf and trips the checks
             grad_norm = np.linalg.norm(Dpsi, axis=1)
             return (np.max(grad_norm), np.max(np.abs(pair.Psi) + grad_norm),
-                    np.max(grad_norm[self.exit_idx]))
+                    np.max(self.grid.face(grad_norm, -1, -1)))
 
     def step(self, pair: FieldPair, data: BoundaryData, corrections=None,
              Dpsi=None, maxima=None) -> FieldPair:
@@ -240,20 +240,11 @@ class PicardState:
             f_tot = f_tot + extra.src2
         g = self.exit_datum(Dpsi, data, None if extra is None else extra.g3)
 
-        lin = elliptic.LinearData(
-            W_en=data.Psi_en, W_ex=data.Psi_ex, F=F, f=f_tot, g_exit=g,
-        )
+        lin = elliptic.LinearData(W_en=data.Psi_en, W_ex=data.Psi_ex, F=F, f=f_tot, g_exit=g)
         if extra is not None:
             # recast wall conditions: conormal data from the map corrections
-            lin.F2 = extra.H2
-            lin.wall_flux_v = [
-                sign * extra.H1[fidx, axis]
-                for (axis, sign, fidx, fw) in self.op.quad.wall_faces
-            ]
-            lin.wall_flux_W = [
-                sign * extra.H2[fidx, axis]
-                for (axis, sign, fidx, fw) in self.op.quad.wall_faces
-            ]
+            lin.F2 = lin.wall_flux_W = extra.H2
+            lin.wall_flux_v = extra.H1
         psi, Psi, residual = elliptic.solve(self.op, lin)
         if not residual <= SOLVE_RESIDUAL_MAX:
             raise SingularAssemblyError(
@@ -359,8 +350,8 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
     two-point compact difference along the edge and averaged nodal central
     differences across it; ``flux_fn(axis, z_mid, *q_mids)`` takes the axis
     of the edges and node-major edge gradients (n_edges, d), edges in C
-    order, and returns one component-major flux (d, n_edges) per scalar,
-    whose axis components are differenced. ``grads``, when given, holds the
+    order, and returns per scalar the axis component of its flux (n_edges,),
+    which is differenced. ``grads``, when given, holds the
     nodal gradients of the scalars already computed by the caller (None
     where there is none). Returns one divergence per scalar, valid on
     interior nodes.
@@ -385,10 +376,10 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
             q_mids.append(q_e.reshape(-1, d))
         z_e = None if z_m is None else (0.5 * (z_m[lo] + z_m[hi])).ravel()
         for div, flux in zip(divs, flux_fn(a, z_e, *q_mids)):
-            flux_a = flux[a].reshape(edges)
-            div[_along(a, slice(1, -1))] += (flux_a[hi] - flux_a[lo]) / h
+            flux = flux.reshape(edges)
+            div[_along(a, slice(1, -1))] += (flux[hi] - flux[lo]) / h
         # release this axis's fluxes before the next axis builds its own
-        del flux, flux_a
+        del flux
     return [div.ravel() for div in divs]
 
 
@@ -421,35 +412,30 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
 
     def mass_flux(axis, z_e, q_e):
         rho_e = law.density(z_e, np.einsum("ni,ni->n", q_e, q_e))
-        return (rho_e * q_e.T,)
+        return (rho_e * q_e[:, axis],)
 
-    interior = gridmod.interior_mask(g)
     mass, = edge_divergence(g, (phi,), mass_flux, z=Phi, grads=(grad_phi,))
     poisson = _compact_laplacian(g, Phi) - (rho - data.b)
 
-    exit_idx = state.exit_idx
-    exit_pressure = np.abs(law.pressure(rho[exit_idx]) - data.pex.ravel())
+    exit_pressure = np.abs(law.pressure(g.face(rho, -1, -1)) - data.pex)
 
-    grad_Phi = gridmod.gradient(g, Phi)
-    wall_phi = 0.0
-    wall_Phi = 0.0
-    for axis, sign, fidx, _ in state.op.quad.wall_faces:
-        wall_phi = max(wall_phi, float(np.max(np.abs(grad_phi[fidx, axis]))))
-        wall_Phi = max(wall_Phi, float(np.max(np.abs(grad_Phi[fidx, axis]))))
+    def wall_max(grad):
+        """max |n . grad| over the wall faces."""
+        return max(float(np.max(np.abs(g.face(grad, axis, side)[..., axis])))
+                   for axis, side, _, _ in state.op.quad.wall_faces)
 
-    en_idx = state.op.quad.entrance_idx
-    dirichlet_phi = float(np.max(np.abs(phi[en_idx])))
+    dirichlet_phi = float(np.max(np.abs(g.face(phi, -1, 0))))
     dirichlet_Phi = max(
-        float(np.max(np.abs(Phi[en_idx] - (data.B0 + data.phi_en.ravel())))),
-        float(np.max(np.abs(Phi[exit_idx] - (data.B0 + data.phi_ex.ravel())))),
+        float(np.max(np.abs(g.face(Phi, -1, 0) - (data.B0 + data.phi_en)))),
+        float(np.max(np.abs(g.face(Phi, -1, -1) - (data.B0 + data.phi_ex)))),
     )
 
     components = {
-        "interior_mass": float(np.max(np.abs(mass[interior]))),
-        "interior_poisson": float(np.max(np.abs(poisson[interior]))),
+        "interior_mass": float(np.max(np.abs(g.interior(mass)))),
+        "interior_poisson": float(np.max(np.abs(g.interior(poisson)))),
         "exit_pressure": float(np.max(exit_pressure)),
-        "wall_flux_phi": wall_phi,
-        "wall_flux_Phi": wall_Phi,
+        "wall_flux_phi": wall_max(grad_phi),
+        "wall_flux_Phi": wall_max(gridmod.gradient(g, Phi)),
         "dirichlet_phi": dirichlet_phi,
         "dirichlet_Phi": dirichlet_Phi,
     }

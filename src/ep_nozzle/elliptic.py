@@ -40,7 +40,7 @@ operator is built once, as the 2x2 blocks the mode systems share
 (`_axial_blocks`): the block LU adds the cross eigenvalues to them, and the
 solve's residual (`apply_operator`) applies them along the axis, with the
 cross-section stiffness from the quadrature's edge weights. The right-hand
-side applies the corner rule with slices on the reshaped fields. No
+side applies the corner rule with slices and face views (`Nozzle.face`). No
 command's solve imports scipy.
 """
 
@@ -74,21 +74,20 @@ def splu(A):
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Boundary index sets and the weights of the corner rule.
+    """The weights of the corner rule, as products of 1D trapezoid weights.
 
-    Eager: the boundary sets and the nodal weights the solve path applies
-    with slices (`edge_w`, `mass`). Built on first use and then kept: the
-    per-point maps `qnode`, `w`, `G` and `P`, the independent reference that
-    the CSR blocks of K, `cross_term_sum` and the tests read.
+    Eager: the weights the solve path applies with slices and face views of
+    the nodal fields (`Nozzle.face`). The nodal mass is exit_w ⊗ tau. Built
+    on first use and then kept: the per-point maps `qnode`, `w`, `G` and
+    `P`, the independent reference that the CSR blocks of K,
+    `cross_term_sum` and the tests read.
     """
 
     grid: Nozzle
-    exit_idx: np.ndarray     # exit-plane node indices (C-order of the cross grid)
-    exit_w: np.ndarray       # surface weights on the exit plane
-    entrance_idx: np.ndarray
-    wall_faces: tuple        # (axis, outward_sign, node_idx, surface_w) per face
     edge_w: tuple            # per axis a: trapezoid mass of the other axes, 1 along a
-    mass: np.ndarray         # lumped nodal mass, the trapezoid weight of each node
+    exit_w: np.ndarray       # trapezoid mass of the cross-section, (cross shape)
+    tau: np.ndarray          # trapezoid weights of the axial axis
+    wall_faces: tuple        # (axis, side, outward sign, surface weights) per wall face
 
     @functools.cached_property
     def qnode(self):
@@ -157,30 +156,18 @@ def _face_weights(grid: Nozzle, axes_used):
 def build_quadrature(grid: Nozzle) -> Quadrature:
     d = grid.dim
     shape = grid.shape
-    nodes = np.arange(grid.n_nodes).reshape(shape)
-    exit_idx = nodes[..., -1].ravel()
-    entrance_idx = nodes[..., 0].ravel()
-    exit_w = _face_weights(grid, range(d - 1))
-
-    faces = []
-    for a in range(d - 1):
-        for side, sign in ((0, -1.0), (shape[a] - 1, 1.0)):
-            fidx = np.take(nodes, side, axis=a).ravel()
-            fw = _face_weights(grid, [ax for ax in range(d) if ax != a])
-            faces.append((a, sign, fidx, fw))
-
     # the corner rule summed over the cells around an edge along axis a gives
-    # the edge the weight h_a times the trapezoid mass of the other axes
+    # the edge the weight h_a times the trapezoid mass of the other axes, the
+    # surface weights of the faces normal to axis a
     edge_w = tuple(
         _face_weights(grid, [b for b in range(d) if b != a]).reshape(
             [1 if b == a else n for b, n in enumerate(shape)])
         for a in range(d)
     )
-    return Quadrature(
-        grid=grid, exit_idx=exit_idx, exit_w=exit_w,
-        entrance_idx=entrance_idx, wall_faces=tuple(faces),
-        edge_w=edge_w, mass=_face_weights(grid, range(d)),
-    )
+    faces = tuple((a, side, sign, edge_w[a][_along(a, 0)])
+                  for a in range(d - 1) for side, sign in ((0, -1.0), (-1, 1.0)))
+    return Quadrature(grid=grid, edge_w=edge_w, exit_w=edge_w[-1][..., 0],
+                      tau=_face_weights(grid, [d - 1]), wall_faces=faces)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +292,10 @@ class LinearData:
     F enters in divergence form against the first equation; s1/f are plain
     volume sources; g_exit is the exit datum converted to a conormal flux by
     the background scale; F2 is a divergence-form source of the second
-    equation. Wall fluxes are outward-oriented extra conormal data, given per
-    wall face in the order of Quadrature.wall_faces. W_en/W_ex are the
-    Dirichlet values of W on the entrance/exit planes, written straight into
-    the identity rows of the right-hand side.
+    equation. wall_flux_v/_W are nodal fields (N, d) whose outward normal
+    component on the wall is extra conormal data of the v and W equations.
+    W_en/W_ex are the Dirichlet values of W on the entrance/exit planes,
+    written straight into the identity rows of the right-hand side.
     """
 
     W_en: np.ndarray
@@ -318,31 +305,27 @@ class LinearData:
     f: np.ndarray | None = None
     g_exit: np.ndarray | None = None
     F2: np.ndarray | None = None
-    wall_flux_v: list | None = None
-    wall_flux_W: list | None = None
+    wall_flux_v: np.ndarray | None = None
+    wall_flux_W: np.ndarray | None = None
 
 
 class DiscreteOperator:
     """Operator part of the weak system and its separable factorization
     (background-dependent only).
 
-    Built eagerly: the quadrature, the Dirichlet row masks, the axial 2x2
-    blocks (`axial_blocks`), the cross eigenmodes and the block LU of the
-    mode systems; the factorization and `apply_operator` both read the one
-    set of axial blocks. Built on first use and then kept: the CSR blocks
-    (`blocks`) and the assembled operator `K`, which serve the quadratic
-    form, the coercivity check and the sparse-LU cross-checks.
+    Built eagerly: the quadrature, the axial 2x2 blocks (`axial_blocks`),
+    the cross eigenmodes and the block LU of the mode systems; the
+    factorization and `apply_operator` both read the one set of axial
+    blocks. The Dirichlet rows come from `_dirichlet_rows` alone.
+    Built on first use and then kept: the CSR blocks (`blocks`) and the
+    assembled operator `K`, which serve the quadratic form, the coercivity
+    check and the sparse-LU cross-checks.
     """
 
     def __init__(self, coeffs: BackgroundCoeffs, grid: Nozzle):
         self.coeffs = coeffs
         self.grid = grid
         self.quad = build_quadrature(grid)
-        self.dirichlet_v = np.zeros(grid.n_nodes, dtype=bool)
-        self.dirichlet_v[self.quad.entrance_idx] = True
-        self.dirichlet_W = self.dirichlet_v.copy()
-        self.dirichlet_W[self.quad.exit_idx] = True
-        self.dirichlet = np.concatenate([self.dirichlet_v, self.dirichlet_W])
         self.axial_blocks = _axial_blocks(coeffs, grid)
         self.cross_modes = tuple(_cross_modes(grid, a) for a in range(grid.dim - 1))
         self.mode_lu = _factor_modes(self.axial_blocks, coeffs, grid, self.cross_modes)
@@ -383,14 +366,15 @@ class DiscreteOperator:
         `apply_operator` and the separable solve are checked against."""
         import scipy.sparse as sp
 
-        dir_mask = self.dirichlet
+        identity = np.zeros((2, self.grid.n_nodes))
+        copy_dirichlet_rows(self.grid.shape[-1], identity, 1.0)
+        identity = identity.ravel()
         K = sp.bmat(
             [[self.blocks["Kvv"], self.blocks["KvW"]],
              [self.blocks["KWv"], self.blocks["KWW"]]],
             format="csr",
         )
-        keep = sp.diags((~dir_mask).astype(float))
-        return (keep @ K + sp.diags(dir_mask.astype(float))).tocsr()
+        return (sp.diags(1.0 - identity) @ K + sp.diags(identity)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +382,21 @@ class DiscreteOperator:
 
 
 def _dirichlet_rows(n_axial):
-    """Identity rows of one mode as an (n_axial, 2) mask over (v_k, W_k)."""
+    """Identity rows of one mode as an (n_axial, 2) mask over (v_k, W_k): v
+    on the entrance plane, W on both end planes. Every Dirichlet row of the
+    system is one of these, on every cross node."""
     mask = np.zeros((n_axial, 2), dtype=bool)
     mask[0] = True
     mask[-1, 1] = True
     return mask
+
+
+def copy_dirichlet_rows(n_axial, dst, src):
+    """Set the Dirichlet rows of dst = (v, W), two contiguous nodal fields,
+    in place to those of src = (v, W), or to src itself if it is a scalar."""
+    for i, rows in enumerate(_dirichlet_rows(n_axial).T):
+        view = dst[i].reshape(-1, n_axial)
+        view[:, rows] = src if np.isscalar(src) else src[i].reshape(-1, n_axial)[:, rows]
 
 
 def _cross_modes(grid: Nozzle, axis: int):
@@ -556,7 +550,7 @@ def apply_operator(op: DiscreteOperator, U) -> np.ndarray:
         out[i] = diag[:, i, 0] * x[0] + diag[:, i, 1] * x[1]
         out[i, ..., 1:] += lower[:, i, 0] * x[0, ..., :-1] + lower[:, i, 1] * x[1, ..., :-1]
         out[i, ..., :-1] += upper[:, i, 0] * x[0, ..., 1:] + upper[:, i, 1] * x[1, ..., 1:]
-    out *= q.exit_w.reshape(grid.cross_shape() + (1,))
+    out *= q.exit_w[..., None]
     # out_j += flux_j-1 - flux_j along a cross axis, no flux beyond the ends
     for a in range(grid.dim - 1):
         hi, lo = _along(a + 1, slice(1, None)), _along(a + 1, slice(None, -1))
@@ -565,9 +559,8 @@ def apply_operator(op: DiscreteOperator, U) -> np.ndarray:
         flux[0] *= op.coeffs.aii[:, a]
         out[hi] += flux
         out[lo] -= flux
-    out = out.reshape(-1)
-    out[op.dirichlet] = U[op.dirichlet]
-    return out
+    copy_dirichlet_rows(grid.shape[-1], out, x)
+    return out.reshape(-1)
 
 
 def _divergence_form(quad: Quadrature, F) -> np.ndarray:
@@ -586,49 +579,60 @@ def _divergence_form(quad: Quadrature, F) -> np.ndarray:
     return out.ravel()
 
 
+def _lumped_mass(q: Quadrature, s):
+    """The trapezoid mass times a nodal field, (exit_w ⊗ tau) * s, (n_cross, n_axial)."""
+    out = np.multiply.outer(q.exit_w.ravel(), q.tau)
+    out *= q.grid.sections(s)
+    return out
+
+
+def _wall_flux(q: Quadrature, b, X, update):
+    """update(b, fw (n . X)) in place on every wall face, update np.add or
+    np.subtract: fw the surface weights, n . X the outward normal component
+    of a nodal field X (N, d)."""
+    X = np.asarray(X, dtype=float)
+    for axis, side, sign, fw in q.wall_faces:
+        b_face = q.grid.face(b, axis, side)
+        update(b_face, fw * (sign * q.grid.face(X, axis, side)[..., axis]), out=b_face)
+
+
 def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
     """Right-hand side of K U = rhs; the Dirichlet rows carry the data."""
     grid, q, coeffs = op.grid, op.quad, op.coeffs
-    N = grid.n_nodes
-    bv = np.zeros(N)
-    bW = np.zeros(N)
+    rhs = np.zeros((2, grid.n_nodes))
+    bv, bW = rhs
+    bv_exit = grid.face(bv, -1, -1)
 
     check_wall_compatibility(data.W_en, data.W_ex, grid)
-    W_ex = np.asarray(data.W_ex, dtype=float).ravel()
+    W_ex = np.asarray(data.W_ex, dtype=float).reshape(q.exit_w.shape)
 
     if data.F is not None:
         F = np.asarray(data.F, dtype=float)
         bv += _divergence_form(q, F)
-        for axis, sign, fidx, fw in q.wall_faces:
-            bv[fidx] -= fw * (sign * F[fidx, axis])
-        bv[q.exit_idx] -= q.exit_w * F[q.exit_idx, -1]
+        _wall_flux(q, bv, F, np.subtract)
+        bv_exit -= q.exit_w * grid.face(F, -1, -1)[..., -1]
     if data.s1 is not None:
-        bv -= q.mass * np.asarray(data.s1)
+        bv -= _lumped_mass(q, data.s1).ravel()
     if data.g_exit is not None:
-        bv[q.exit_idx] -= q.exit_w * coeffs.exit_scale * np.asarray(data.g_exit)
+        bv_exit -= q.exit_w * coeffs.exit_scale * np.reshape(data.g_exit, q.exit_w.shape)
     # exit surface term of the coupling flux, determined by the exit trace of W
-    bv[q.exit_idx] += q.exit_w * coeffs.exit_wflux * W_ex
+    bv_exit += q.exit_w * coeffs.exit_wflux * W_ex
 
     if data.f is not None:
-        bW -= q.mass * np.asarray(data.f)
+        bW -= _lumped_mass(q, data.f).ravel()
     if data.F2 is not None:
         F2 = np.asarray(data.F2, dtype=float)
         bW += _divergence_form(q, F2)
-        for axis, sign, fidx, fw in q.wall_faces:
-            bW[fidx] -= fw * (sign * F2[fidx, axis])
+        _wall_flux(q, bW, F2, np.subtract)
     if data.wall_flux_v is not None:
-        for (axis, sign, fidx, fw), flux in zip(q.wall_faces, data.wall_flux_v):
-            if flux is not None:
-                bv[fidx] += fw * np.asarray(flux)
+        _wall_flux(q, bv, data.wall_flux_v, np.add)
     if data.wall_flux_W is not None:
-        for (axis, sign, fidx, fw), flux in zip(q.wall_faces, data.wall_flux_W):
-            if flux is not None:
-                bW[fidx] += fw * np.asarray(flux)
+        _wall_flux(q, bW, data.wall_flux_W, np.add)
 
-    bv[op.dirichlet_v] = 0.0
-    bW[q.entrance_idx] = np.asarray(data.W_en, dtype=float).ravel()
-    bW[q.exit_idx] = W_ex
-    return np.concatenate([bv, bW])
+    copy_dirichlet_rows(grid.shape[-1], rhs, 0.0)
+    grid.face(bW, -1, 0)[...] = np.reshape(data.W_en, q.exit_w.shape)
+    grid.face(bW, -1, -1)[...] = W_ex
+    return rhs.reshape(-1)
 
 
 def solve(op: DiscreteOperator, data: LinearData):
@@ -639,14 +643,12 @@ def solve(op: DiscreteOperator, data: LinearData):
     """
     rhs = assemble_rhs(op, data)
     grid = op.grid
-    N = grid.n_nodes
+    N, n = grid.n_nodes, grid.shape[-1]
     X = np.stack([rhs[:N].reshape(grid.shape), rhs[N:].reshape(grid.shape)], axis=-1)
     # V^T T = V^-1 on the identity rows: their modes are those of the data
-    cross_mass = op.quad.exit_w.reshape(grid.cross_shape())
-    X[..., _dirichlet_rows(grid.shape[-1])] *= cross_mass[..., None]
+    X[..., _dirichlet_rows(n)] *= op.quad.exit_w[..., None]
     X = _cross_transform(X, op.cross_modes, transpose=True)
     # mode-major (mode, k, pair) to the sweep layout (k, pair, mode) and back
-    n = grid.shape[-1]
     R = np.ascontiguousarray(X.reshape(-1, n, 2).transpose(1, 2, 0))
     Y = op.mode_lu.solve(R).transpose(2, 0, 1).reshape(X.shape)
     Y = _cross_transform(Y, op.cross_modes, transpose=False)
@@ -656,7 +658,7 @@ def solve(op: DiscreteOperator, data: LinearData):
     res = apply_operator(op, U) - rhs
     rel = float(np.max(np.abs(res))) / max(float(np.max(np.abs(rhs))), 1e-300)
     # identity rows hold exactly; scrub the rounding of the mode transforms
-    U[op.dirichlet] = rhs[op.dirichlet]
+    copy_dirichlet_rows(n, U.reshape(2, N), rhs.reshape(2, N))
     return U[:N], U[N:], rel
 
 
@@ -700,8 +702,7 @@ def coercivity_check(op: DiscreteOperator, trials: int = 100, seed: int = 42):
     for _ in range(trials):
         xi = rng.standard_normal(N)
         eta = rng.standard_normal(N)
-        xi[op.dirichlet_v] = 0.0
-        eta[op.dirichlet_W] = 0.0
+        copy_dirichlet_rows(op.grid.shape[-1], (xi, eta), 0.0)
         Q, D, _, _ = quadratic_form(op, xi, eta)
         if D <= 0.0:
             raise DomainError("degenerate (zero) test pair")

@@ -4,7 +4,9 @@ The nozzle is a box cross-section times the axial interval (0, L), with the
 axial axis last. A grid is a tensor product, so it keeps only its 1D axes:
 nodes are numbered in C order of `shape`, the entrance and the exit are the
 planes of axial index 0 and n_axial - 1, the wall is the first and last
-index of each cross axis, and the interior is the `[1:-1]` box.
+index of each cross axis, and the interior is the `[1:-1]` box. A boundary
+piece of a nodal field is a view of it (`face`, `interior`), never a set of
+node numbers.
 """
 
 from __future__ import annotations
@@ -41,6 +43,21 @@ class Nozzle:
         field = np.asarray(field)
         return field.reshape((-1, self.shape[-1]) + field.shape[1:])
 
+    def _box(self, field):
+        """A nodal field (N, ...) viewed as (*shape, ...)."""
+        field = np.asarray(field)
+        return field.reshape(self.shape + field.shape[1:])
+
+    def face(self, field, axis, side):
+        """A nodal field (N, ...) on the face of the box at index side (0 or
+        -1) of axis, shaped (other axes..., ...). The exit is face(field, -1,
+        -1). A view: writing to it writes a contiguous field."""
+        return self._box(field)[(slice(None),) * (axis % self.dim) + (side,)]
+
+    def interior(self, field):
+        """A nodal field (N, ...) on the interior `[1:-1]` box, as a view."""
+        return self._box(field)[(slice(1, -1),) * self.dim]
+
 
 def build_grid(dim=2, cross_extents=((0.0, 1.0),), L=1.0, shape=(33, 65)) -> Nozzle:
     if dim not in (2, 3):
@@ -76,13 +93,6 @@ def gradient(grid: Nozzle, field) -> np.ndarray:
         raise DomainError("field must be finite")
     parts = np.gradient(field.reshape(grid.shape), *grid.axes, edge_order=2)
     return np.stack([p.ravel() for p in parts], axis=1)
-
-
-def interior_mask(grid: Nozzle) -> np.ndarray:
-    """Nodal mask of the interior: the `[1:-1]` box on every axis."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[(slice(1, -1),) * grid.dim] = True
-    return mask.ravel()
 
 
 def corner_distance(grid: Nozzle) -> np.ndarray:

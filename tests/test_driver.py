@@ -455,8 +455,8 @@ def test_profile_formulas_match_nodal_formulas(state_profiles):
         assert np.array_equal(have, want)
 
     data = perturb_data(state.background, g, 1e-3)
-    shift = 1e-3 * rng.standard_normal(state.exit_idx.size)
-    idx = state.exit_idx
+    idx = np.flatnonzero(node_coords(g)[:, -1] == g.L)   # exit nodes, C order of the cross grid
+    shift = 1e-3 * rng.standard_normal(idx.size)
     q = Dpsi[idx]
     q_ex = q + q0[idx]
     rho_t = law.density(Phi0[idx] + data.Psi_ex.ravel(), np.einsum("ni,ni->n", q_ex, q_ex))
@@ -467,7 +467,8 @@ def test_profile_formulas_match_nodal_formulas(state_profiles):
     chord[safe] = (law.pressure(rho_t[safe]) - law.pressure(rho_bg[safe])) / drho[safe]
     ghat2 = np.einsum("an,na->n", dqB[:, idx], q) - drho
     want = (data.pex.ravel() + shift - law.pressure(rho_bg)) / chord + ghat2
-    assert np.array_equal(state.exit_datum(Dpsi, data, shift), want)
+    got = state.exit_datum(Dpsi, data, shift.reshape(g.cross_shape()))
+    assert got.shape == g.cross_shape() and np.array_equal(got.ravel(), want)
 
     speed = np.einsum("ni,ni->n", q_tot, q_tot)
     margin = float(np.min(law.dpressure(law.density(Phi0 + Psi, speed)) - speed))

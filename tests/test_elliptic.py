@@ -23,7 +23,7 @@ from ep_nozzle.elliptic import (
 from ep_nozzle import elliptic
 from ep_nozzle.errors import NotSubsonicError, SingularAssemblyError
 from ep_nozzle.gas import GasLaw
-from ep_nozzle.grid import build_grid, interior_mask
+from ep_nozzle.grid import build_grid
 from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
 
 from gridpoints import node_coords
@@ -37,6 +37,20 @@ def _background(n_axial_intervals, params=OneDParams(0.5, 1.2, 0.1, 1.0, 1.0)):
 
 
 CONST_PARAMS = OneDParams(0.5, 1.0, 0.0, 1.0, 1.0)
+
+
+def _dirichlet_mask(g):
+    """Oracle of the identity rows of [v; W]: v where x_n = 0, W where x_n is
+    0 or L."""
+    xn = node_coords(g)[:, -1]
+    return np.concatenate([xn == 0.0, (xn == 0.0) | (xn == g.L)])
+
+
+def _zero_dirichlet(g, xi, eta):
+    """Zero a test pair on the identity rows of the oracle."""
+    mask = _dirichlet_mask(g)
+    xi[mask[:g.n_nodes]] = 0.0
+    eta[mask[g.n_nodes:]] = 0.0
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +153,7 @@ class TestSystemStructure:
     def test_dirichlet_rows_identity(self, setup_small):
         g, bg, coeffs, op = setup_small
         K = op.K.tocsr()
-        dir_mask = np.concatenate([op.dirichlet_v, op.dirichlet_W])
-        for row in np.flatnonzero(dir_mask)[::23]:
+        for row in np.flatnonzero(_dirichlet_mask(g))[::23]:
             sl = slice(K.indptr[row], K.indptr[row + 1])
             cols = K.indices[sl]
             vals = K.data[sl]
@@ -148,16 +161,16 @@ class TestSystemStructure:
             assert np.array_equal(cols[nz], [row])
             assert vals[nz] == pytest.approx([1.0])
 
-    def test_dirichlet_values_exact(self, setup_small):
-        g, bg, coeffs, op = setup_small
-        nc = g.shape[0]
-        W_en = 0.02 * np.cos(np.pi * g.axes[0])
-        W_ex = -0.01 * np.cos(np.pi * g.axes[0])
+    @pytest.mark.parametrize("grid", ["2d", "3d"])
+    def test_dirichlet_values_exact(self, grid):
+        g, op = _operator(grid)
+        W_en = 0.02 * _end_plane_mode(g)
+        W_ex = -0.01 * _end_plane_mode(g)
         v, W, _ = solve(op, LinearData(W_en=W_en, W_ex=W_ex))
         Wm = W.reshape(g.shape)
-        assert Wm[:, 0] == pytest.approx(W_en, abs=1e-15)
-        assert Wm[:, -1] == pytest.approx(W_ex, abs=1e-15)
-        assert np.all(v.reshape(g.shape)[:, 0] == 0.0)
+        assert np.array_equal(Wm[..., 0], W_en)
+        assert np.array_equal(Wm[..., -1], W_ex)
+        assert np.all(v.reshape(g.shape)[..., 0] == 0.0)
 
     def test_cross_terms_cancel_exactly(self, setup_small):
         g, bg, coeffs, op = setup_small
@@ -165,8 +178,7 @@ class TestSystemStructure:
         for _ in range(100):
             xi = rng.standard_normal(g.n_nodes)
             eta = rng.standard_normal(g.n_nodes)
-            xi[op.dirichlet_v] = 0.0
-            eta[op.dirichlet_W] = 0.0
+            _zero_dirichlet(g, xi, eta)
             total, scale = cross_term_sum(op, xi, eta)
             assert abs(total) <= 1e-12 * max(scale, 1.0)
             _, _, c1, c2 = quadratic_form(op, xi, eta)
@@ -182,7 +194,7 @@ class TestSystemStructure:
         rng = np.random.default_rng(1)
         for _ in range(20):
             eta = rng.standard_normal(g.n_nodes)
-            eta[op.dirichlet_W] = 0.0
+            _zero_dirichlet(g, np.zeros(g.n_nodes), eta)
             Q, D, _, _ = quadratic_form(op, np.zeros(g.n_nodes), eta)
             assert Q / D >= 1.0
 
@@ -199,7 +211,7 @@ class TestSystemStructure:
     def test_smallest_eigenvalue_positive(self, setup_small):
         # inverse power iteration on the symmetrized interior block
         g, bg, coeffs, op = setup_small
-        free = ~np.concatenate([op.dirichlet_v, op.dirichlet_W])
+        free = ~_dirichlet_mask(g)
         K = sp.bmat(
             [[op.blocks["Kvv"], op.blocks["KvW"]], [op.blocks["KWv"], op.blocks["KWW"]]],
             format="csr",
@@ -250,7 +262,7 @@ def manufactured(*x):
     return _mms_terms(*x)[:2]
 
 
-def manufactured_data(g, op):
+def manufactured_data(g):
     # constant background: a = diag(1, .., 1, 0.875), dzB = 0.5, dzA = (0, .., 0, 0.25)
     a11, ann, dzB, dzA_n, J0, pp = 1.0, 0.875, 0.5, 0.25, 0.5, 2.0
     dc = g.dim - 1
@@ -260,11 +272,10 @@ def manufactured_data(g, op):
     cross = [c.ravel() for c in np.meshgrid(*g.axes[:-1], indexing="ij")]
     W_en = _mms_terms(*cross, 0.0)[1]
     _, W_ex, grad_v_ex, *_ = _mms_terms(*cross, 1.0)
-    faces = op.quad.wall_faces
+    # the walls are normal to the cross axes, where the conormal of v is a11 grad v
     return LinearData(
         W_en=W_en, W_ex=W_ex, s1=s1, f=f, g_exit=-(J0 / pp) * grad_v_ex[-1],
-        wall_flux_v=[sign * a11 * grad_v[axis][fidx] for axis, sign, fidx, _ in faces],
-        wall_flux_W=[sign * grad_W[axis][fidx] for axis, sign, fidx, _ in faces],
+        wall_flux_v=a11 * np.stack(grad_v, axis=1), wall_flux_W=np.stack(grad_W, axis=1),
     )
 
 
@@ -275,7 +286,7 @@ def _mms_solve(shape):
     bg = _background(shape[-1] - 1, CONST_PARAMS)
     coeffs = make_coeffs(LAW, bg, g)
     op = DiscreteOperator(coeffs, g)
-    data = manufactured_data(g, op)
+    data = manufactured_data(g)
     v, W, residual = solve(op, data)
     v_exact, W_exact = manufactured(*node_coords(g).T)
     return g, op, data, v, W, v_exact, W_exact, residual
@@ -301,10 +312,9 @@ class TestManufactured:
             v_exact, W_exact = manufactured(*node_coords(g).T)
             U = np.concatenate([v_exact, W_exact])
             r = op.K @ U - rhs
-            interior = interior_mask(g)
             cellvol = np.prod(g.spacing)
-            r_v = np.abs(r[: g.n_nodes][interior]) / cellvol
-            r_W = np.abs(r[g.n_nodes :][interior]) / cellvol
+            r_v = np.abs(g.interior(r[: g.n_nodes])) / cellvol
+            r_W = np.abs(g.interior(r[g.n_nodes :])) / cellvol
             res.append(max(r_v.max(), r_W.max()))
         order = np.log2(res[0] / res[1])
         assert order > 1.6
@@ -315,12 +325,9 @@ class TestManufactured:
             g, op, data, v, W, *_ = _mms_solve(shape)
             from ep_nozzle.grid import gradient
 
-            gv = gradient(g, v)
-            worst = 0.0
-            for (axis, sign, fidx, fw), wf in zip(op.quad.wall_faces, data.wall_flux_v):
-                aval = 1.0 if axis == 0 else 0.875
-                worst = max(worst, np.max(np.abs(sign * aval * gv[fidx, axis] - wf)))
-            resid.append(worst)
+            # the walls x = 0 and x = 1, where a11 = 1 and the normal is axis 0
+            walls = (gradient(g, v) - data.wall_flux_v).reshape(g.shape + (2,))[[0, -1], :, 0]
+            resid.append(np.max(np.abs(walls)))
         assert resid[1] < resid[0] / 2.5
 
 
@@ -335,8 +342,7 @@ def test_3d_zero_data_and_cancellation():
     rng = np.random.default_rng(2)
     xi = rng.standard_normal(g.n_nodes)
     eta = rng.standard_normal(g.n_nodes)
-    xi[op.dirichlet_v] = 0.0
-    eta[op.dirichlet_W] = 0.0
+    _zero_dirichlet(g, xi, eta)
     total, scale = cross_term_sum(op, xi, eta)
     assert abs(total) <= 1e-12 * max(scale, 1.0)
     ratio = coercivity_check(op, trials=20, seed=7)
@@ -357,7 +363,7 @@ def _lift_path_solve(op, data):
     W_ex = np.asarray(data.W_ex, dtype=float).reshape(cross)[..., None]
     Wbd = ((1.0 - t) * W_en + t * W_ex).ravel()
     N = g.n_nodes
-    dir_mask = np.concatenate([op.dirichlet_v, op.dirichlet_W])
+    dir_mask = _dirichlet_mask(g)
     rhs = assemble_rhs(op, data)
     rhs[:N] -= op.blocks["KvW"] @ Wbd
     rhs[N:] -= op.blocks["KWW"] @ Wbd
@@ -401,10 +407,8 @@ def _wall_data(g, op):
     data = _random_data(g, 4)
     rng = np.random.default_rng(5)
     H2 = 1e-2 * rng.standard_normal((g.n_nodes, g.dim))
-    data.F2 = H2
-    faces = op.quad.wall_faces
-    data.wall_flux_v = [sign * data.F[fidx, axis] for (axis, sign, fidx, fw) in faces]
-    data.wall_flux_W = [sign * H2[fidx, axis] for (axis, sign, fidx, fw) in faces]
+    data.F2 = data.wall_flux_W = H2
+    data.wall_flux_v = data.F
     return data
 
 
@@ -412,7 +416,7 @@ def _mms_case():
     g = build_grid(dim=2, shape=(17, 33))
     coeffs = make_coeffs(LAW, _background(32, CONST_PARAMS), g)
     op = DiscreteOperator(coeffs, g)
-    return op, manufactured_data(g, op)
+    return op, manufactured_data(g)
 
 
 @pytest.mark.parametrize("case", ["random-2d", "random-3d", "manufactured", "wall-2d", "wall-3d"])
@@ -556,15 +560,20 @@ def test_residual_does_not_read_the_factorization():
     assert solve(op, data)[2] > 1e-8
 
 
+def _arrays(obj):
+    """The arrays held by obj, inside tuples, lists and dicts too."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _arrays(item)]
+    if isinstance(obj, dict):
+        return _arrays(list(obj.values()))
+    return []
+
+
 def _float_arrays(obj):
     """The float arrays held by obj, inside tuples, lists and dicts too."""
-    if isinstance(obj, np.ndarray):
-        return [obj] if obj.dtype.kind == "f" else []
-    if isinstance(obj, (tuple, list)):
-        return [a for item in obj for a in _float_arrays(item)]
-    if isinstance(obj, dict):
-        return _float_arrays(list(obj.values()))
-    return []
+    return [a for a in _arrays(obj) if a.dtype.kind == "f"]
 
 
 @pytest.mark.parametrize("grid", list(GRIDS))
@@ -630,26 +639,36 @@ def test_block_lu_solve_matches_sparse_lu(dim, shape, extents, seed):
 
 def _csr_rhs(op, data):
     """assemble_rhs through the per-point maps: G[a]^T (w F[qnode, a]) for the
-    divergence-form terms and a bincount of w s over qnode for the volume terms."""
-    q, N = op.quad, op.grid.n_nodes
+    divergence-form terms and a bincount of w s over qnode for the volume terms.
+    The boundary planes are found by their coordinates, and their surface
+    weights are the nodal mass over the half cell width normal to them."""
+    g, q, N = op.grid, op.quad, op.grid.n_nodes
     wq, qn = q.w, q.qnode
+    x = node_coords(g)
+    mass = np.bincount(qn, weights=wq, minlength=N)
+    walls = [(axis, sign, idx, mass[idx] / (0.5 * g.spacing[axis]))
+             for axis, extent in enumerate(g.cross_extents)
+             for sign, plane in zip((-1.0, 1.0), extent)
+             for idx in [np.flatnonzero(x[:, axis] == plane)]]
+    entrance, exit_ = np.flatnonzero(x[:, -1] == 0.0), np.flatnonzero(x[:, -1] == g.L)
+    exit_w = mass[exit_] / (0.5 * g.spacing[-1])
     bv = np.zeros(N)
     bW = np.zeros(N)
     for b, F, s in ((bv, data.F, data.s1), (bW, data.F2, data.f)):
-        for a in range(op.grid.dim):
+        for a in range(g.dim):
             b += q.G[a].T @ (wq * F[qn, a])
-        for axis, sign, fidx, fw in q.wall_faces:
-            b[fidx] -= fw * (sign * F[fidx, axis])
+        for axis, sign, idx, fw in walls:
+            b[idx] -= fw * (sign * F[idx, axis])
         b -= np.bincount(qn, weights=wq * s[qn], minlength=N)
-    bv[q.exit_idx] -= q.exit_w * data.F[q.exit_idx, -1]
-    bv[q.exit_idx] -= q.exit_w * op.coeffs.exit_scale * data.g_exit
-    bv[q.exit_idx] += q.exit_w * op.coeffs.exit_wflux * np.ravel(data.W_ex)
-    for b, fluxes in ((bv, data.wall_flux_v), (bW, data.wall_flux_W)):
-        for (axis, sign, fidx, fw), flux in zip(q.wall_faces, fluxes):
-            b[fidx] += fw * flux
-    bv[op.dirichlet_v] = 0.0
-    bW[q.entrance_idx] = np.ravel(data.W_en)
-    bW[q.exit_idx] = np.ravel(data.W_ex)
+    bv[exit_] -= exit_w * data.F[exit_, -1]
+    bv[exit_] -= exit_w * op.coeffs.exit_scale * data.g_exit
+    bv[exit_] += exit_w * op.coeffs.exit_wflux * np.ravel(data.W_ex)
+    for b, flux in ((bv, data.wall_flux_v), (bW, data.wall_flux_W)):
+        for axis, sign, idx, fw in walls:
+            b[idx] += fw * (sign * flux[idx, axis])
+    bv[entrance] = 0.0
+    bW[entrance] = np.ravel(data.W_en)
+    bW[exit_] = np.ravel(data.W_ex)
     return np.concatenate([bv, bW])
 
 
@@ -659,14 +678,13 @@ def test_slice_rhs_matches_csr_maps(grid):
     data = _wall_data(g, op)
     rng = np.random.default_rng(6)
     data.s1 = 1e-2 * rng.standard_normal(g.n_nodes)
-    # a wall flux of its own, not the trace of F or F2
-    data.wall_flux_v = [1e-2 * rng.standard_normal(fidx.size) for _, _, fidx, _ in op.quad.wall_faces]
+    # a wall flux of its own, not F or F2
+    data.wall_flux_v = 1e-2 * rng.standard_normal((g.n_nodes, g.dim))
     want = _csr_rhs(op, data)
     got = assemble_rhs(op, data)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # each term alone, so that no term hides under a larger one
-    zeroed = {k: np.zeros_like(v) if isinstance(v, np.ndarray) else [np.zeros_like(x) for x in v]
-              for k, v in vars(data).items()}
+    zeroed = {k: np.zeros_like(v) for k, v in vars(data).items()}
     for name in ("F", "s1", "f", "F2", "wall_flux_v", "wall_flux_W"):
         one = LinearData(**{**zeroed, name: getattr(data, name)})
         want = _csr_rhs(op, one)
@@ -692,3 +710,9 @@ def test_fixed_point_leaves_the_quadrature_maps_unbuilt():
     driver.run_fixed_point(driver.IterationConfig(), data, state)
     for name in ("G", "P", "qnode", "w"):
         assert name not in state.op.quad.__dict__, name
+    # the block LU aside, the frozen state holds no nodal array: no mask, no
+    # index set and no nodal mass
+    held = [vars(state.op), vars(state.op.quad), vars(state.coeffs)]
+    nodal = [(name, a.shape) for d in held for name, value in d.items() if name != "mode_lu"
+             for a in _arrays(value) if a.size >= g.n_nodes]
+    assert nodal == []

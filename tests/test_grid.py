@@ -3,10 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ep_nozzle.elliptic import build_quadrature
 from ep_nozzle.errors import DomainError
 from ep_nozzle.export import export_deformed_vtk, export_field_csv, export_field_vtk
-from ep_nozzle.grid import build_grid, corner_distance, gradient, interior_mask
+from ep_nozzle.grid import build_grid, corner_distance, gradient
 
 from gridpoints import node_coords
 
@@ -41,38 +40,47 @@ def _vtk_oracle(g, title, dataset, geometry, fields):
     return text
 
 
+def _planes(g):
+    """(lower, upper) plane of each axis, axial last, as a (2, dim) array."""
+    return np.array([[e[0] for e in g.cross_extents] + [0.0],
+                     [e[1] for e in g.cross_extents] + [g.L]])
+
+
 def _two_grids():
     return (build_grid(dim=2, shape=(9, 17)),
             build_grid(dim=3, cross_extents=((0, 1), (0, 2)), shape=(8, 9, 10)))
 
 
 class TestBuild:
-    def test_interior_mask_is_the_inner_box(self):
+    def test_interior_is_the_inner_box(self):
         # oracle: a node is interior when every coordinate lies strictly
         # inside its extent
         for g in _two_grids():
-            x = node_coords(g)
-            lo = np.array([e[0] for e in g.cross_extents] + [0.0])
-            hi = np.array([e[1] for e in g.cross_extents] + [g.L])
-            interior = interior_mask(g)
-            assert np.array_equal(interior, np.all((x > lo) & (x < hi), axis=1))
-            assert np.sum(interior) == np.prod([n - 2 for n in g.shape])
-        assert np.sum(~interior_mask(_two_grids()[0])) == 2 * 9 + 2 * 17 - 4
+            x, (lo, hi) = node_coords(g), _planes(g)
+            inside = np.all((x > lo) & (x < hi), axis=1)
+            assert np.array_equal(g.interior(x).reshape(-1, g.dim), x[inside])
+            assert g.interior(x).shape == tuple(n - 2 for n in g.shape) + (g.dim,)
 
-    def test_boundary_index_sets_cover_the_non_interior_nodes(self):
-        # the entrance, exit and wall-face index sets lie on their planes and
-        # together cover exactly the nodes off the interior box
+    def test_faces_cover_the_non_interior_nodes(self):
+        # each face lies on its plane, and writing True through the face
+        # views marks exactly the nodes off the interior box
         for g in _two_grids():
-            x = node_coords(g)
-            q = build_quadrature(g)
-            assert np.all(x[q.entrance_idx, -1] == 0.0)
-            assert np.all(x[q.exit_idx, -1] == g.L)
+            x, planes = node_coords(g), _planes(g)
             covered = np.zeros(g.n_nodes, dtype=bool)
-            covered[q.entrance_idx] = covered[q.exit_idx] = True
-            for axis, sign, fidx, _ in q.wall_faces:
-                assert np.all(x[fidx, axis] == g.cross_extents[axis][sign > 0])
-                covered[fidx] = True
-            assert np.array_equal(covered, ~interior_mask(g))
+            for axis in range(g.dim):
+                for side, plane in zip((0, -1), planes[:, axis]):
+                    face = g.face(x, axis, side)
+                    assert face.shape == g.shape[:axis] + g.shape[axis + 1:] + (g.dim,)
+                    assert np.all(face[..., axis] == plane)
+                    g.face(covered, axis, side)[...] = True
+            assert np.array_equal(covered, ~np.all((x > planes[0]) & (x < planes[1]), axis=1))
+
+    def test_writing_through_a_face_changes_the_field(self):
+        g = _two_grids()[1]
+        field = np.zeros((g.n_nodes, 2))
+        g.face(field, 1, -1)[..., 1] += 1.0
+        assert np.array_equal(field.reshape(g.shape + (2,))[:, -1, :, 1], np.ones((8, 10)))
+        assert np.sum(field) == 8 * 10
 
     def test_3d_corner_ring_is_the_zero_set_of_corner_distance(self):
         g = _two_grids()[1]
