@@ -387,6 +387,18 @@ def check_trivial_fixed_point():
             f"iterations = {report.iterations}, sup = {pair.sup():.2e}")
 
 
+def check_exit_pressure():
+    grid = gridmod.build_grid(dim=2, shape=(64, 128))
+    background = ode1d.integrate_ivp(_LAW, _MONOTONE, ode1d.aligned_steps(1024, 127))
+    state = driver.PicardState(_LAW, background, grid)
+    data = driver.perturb_data(background, grid, 1e-3)
+    _, report = driver.run_fixed_point(driver.IterationConfig(), data, state)
+    floor, _ = driver.residual_floor(state)
+    exit_resid = report.residual_components["exit_pressure"]
+    return (exit_resid <= 10.0 * floor,
+            f"max |p(rho) - pex| on the exit = {exit_resid:.2e} <= 10 x floor {floor:.2e}")
+
+
 CHECKS = {
     "structural identity": check_structural_identity,
     "enthalpy roundtrip": check_enthalpy_roundtrip,
@@ -396,6 +408,7 @@ CHECKS = {
     "discrete coercivity": check_coercivity,
     "trivial fixed point": check_trivial_fixed_point,
     "separable solve agrees with sparse LU": check_separable_solve,
+    "exit-pressure faithfulness": check_exit_pressure,
 }
 
 

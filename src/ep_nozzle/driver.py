@@ -40,8 +40,8 @@ CHORD_FALLBACK = 1e-12
 # correctness check, not a tuning knob
 SOLVE_RESIDUAL_MAX = 1e-8
 # memory one ladder rung adds, per grid node: the measured peak of a whole
-# 129x129x257 `solve` (1550 MiB over 4.28 M nodes), so the estimate is high
-RUNG_BYTES_PER_NODE = 380
+# 129x129x257 `solve --format vtk` (959 MiB over 4.28 M nodes), so it is high
+RUNG_BYTES_PER_NODE = 236
 
 
 @dataclass(frozen=True)

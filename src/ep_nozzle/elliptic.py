@@ -26,18 +26,19 @@ are whole end planes) leaves one 2 n_axial system per cross mode (Hockney,
 J. ACM 12 (1965)). With the unknowns of axial node k interleaved as
 x_k = (v_k, W_k), each mode system is block tridiagonal with 2x2 blocks.
 The axial blocks are shared by all modes; a mode adds its cross eigenvalue
-times the axial mass to the diagonal blocks. One block LU without pivoting
-(Varah, Math. Comp. 26 (1972)), a loop over the axial nodes vectorized over
-all modes, is factored once per operator; each solve runs its forward and
-backward sweeps. The free rows are positive real, so no pivot block
-vanishes in exact arithmetic, and the solve's residual guards the rounding.
+times the axial mass to the diagonal blocks. Of the block LU without
+pivoting (Varah, Math. Comp. 26 (1972)) only the inverted pivot blocks are
+kept, factored once per operator; each solve runs the block-Thomas sweeps
+over them and the shared axial blocks in the layout (n_axial, 2, *cross).
+The free rows are positive real, so no pivot block vanishes in exact
+arithmetic, and the solve's residual guards the rounding.
 
 The assembled sparse K and the per-point quadrature maps are the reference:
 they are built on first use, for the quadratic form, the coercivity check
 and the sparse-LU cross-checks, and no command's solve builds them. Only
 they broadcast the profiles back to the quadrature points. The axial
 operator is built once, as the 2x2 blocks the mode systems share
-(`_axial_blocks`): the block LU adds the cross eigenvalues to them, and the
+(`_axial_blocks`): the factorization and the sweeps read them, and the
 solve's residual (`apply_operator`) applies them along the axis, with the
 cross-section stiffness from the quadrature's edge weights. The right-hand
 side applies the corner rule with slices and face views (`Nozzle.face`). No
@@ -314,9 +315,9 @@ class DiscreteOperator:
     (background-dependent only).
 
     Built eagerly: the quadrature, the axial 2x2 blocks (`axial_blocks`),
-    the cross eigenmodes and the block LU of the mode systems; the
-    factorization and `apply_operator` both read the one set of axial
-    blocks. The Dirichlet rows come from `_dirichlet_rows` alone.
+    the cross eigenmodes and `pivot_inv`, the one stored factor of the mode
+    systems; the factorization, the sweeps and `apply_operator` read the one
+    set of axial blocks. The Dirichlet rows come from `_dirichlet_rows` alone.
     Built on first use and then kept: the CSR blocks (`blocks`) and the
     assembled operator `K`, which serve the quadratic form, the coercivity
     check and the sparse-LU cross-checks.
@@ -326,9 +327,9 @@ class DiscreteOperator:
         self.coeffs = coeffs
         self.grid = grid
         self.quad = build_quadrature(grid)
-        self.axial_blocks = _axial_blocks(coeffs, grid)
+        self.axial_blocks = _axial_blocks(coeffs, self.quad)
         self.cross_modes = tuple(_cross_modes(grid, a) for a in range(grid.dim - 1))
-        self.mode_lu = _factor_modes(self.axial_blocks, coeffs, grid, self.cross_modes)
+        self.pivot_inv = _factor_modes(self.axial_blocks, coeffs, self.quad, self.cross_modes)
 
     @functools.cached_property
     def blocks(self):
@@ -416,15 +417,14 @@ def _cross_modes(grid: Nozzle, axis: int):
     return V, 2.0 * (1.0 - np.cos(np.pi * j / (n - 1))) / h ** 2
 
 
-def _axial_blocks(coeffs: BackgroundCoeffs, grid: Nozzle):
+def _axial_blocks(coeffs: BackgroundCoeffs, quad: Quadrature):
     """The 2x2 blocks of the axial operator in the interleaved (v_k, W_k)
     order, per unit cross mass: lower[k] (row k+1 on node k), upper[k] (row k
     on node k+1) and diag[k]. They hold the axial corner-rule forms Kvv, KvW,
     KWv = -KvW^T and KWW, with identity rows for the Dirichlet data. Every
     mode system shares lower and upper; `apply_operator` reads all three.
     """
-    n = grid.shape[-1]
-    h = grid.spacing[-1]
+    n, h = quad.grid.shape[-1], quad.grid.spacing[-1]
     A = coeffs.aii[:, -1]
     e = 0.5 * h * (A[:-1] + A[1:]) / h ** 2   # axial v stiffness per edge
     c = 0.5 * coeffs.dzA       # coupling of an edge difference to each end node
@@ -440,7 +440,7 @@ def _axial_blocks(coeffs: BackgroundCoeffs, grid: Nozzle):
     for side in (slice(1, None), slice(None, -1)):
         diag[side, 0, 0] += e
         diag[side, 1, 1] += 1.0 / h
-    diag[:, 1, 1] += _face_weights(grid, [grid.dim - 1]) * coeffs.dzB
+    diag[:, 1, 1] += quad.tau * coeffs.dzB
     # a node couples to its own W by +c from its left edge and -c from its
     # right edge; on free rows only the v row of the exit node keeps a term
     diag[-1, 0, 1] = c[-1]
@@ -451,15 +451,14 @@ def _axial_blocks(coeffs: BackgroundCoeffs, grid: Nozzle):
     return lower, upper, diag
 
 
-def _mode_blocks(axial_blocks, coeffs: BackgroundCoeffs, grid: Nozzle, cross_modes):
+def _mode_blocks(axial_blocks, coeffs: BackgroundCoeffs, quad: Quadrature, cross_modes):
     """The 2x2 blocks of every mode system: the shared axial lower and upper,
     and diag[k, :, :, m], the axial diagonal blocks plus the cross eigenvalue
     of mode m times the axial mass on the free rows. The axial blocks are not
     modified."""
     lower, upper, diag = axial_blocks
-    d = grid.dim
-    n = grid.shape[-1]
-    tau = _face_weights(grid, [d - 1])
+    grid, tau = quad.grid, quad.tau
+    d, n = grid.dim, grid.shape[-1]
     mu = np.zeros((n, 2) + grid.cross_shape())
     for a, (_, lam) in enumerate(cross_modes):
         lam = lam.reshape([-1 if b == a else 1 for b in range(d - 1)])
@@ -469,32 +468,6 @@ def _mode_blocks(axial_blocks, coeffs: BackgroundCoeffs, grid: Nozzle, cross_mod
     mu[_dirichlet_rows(n)] = 0.0
     mu = mu.reshape(n, 2, -1)
     return lower, upper, diag[..., None] + np.eye(2)[:, :, None] * mu[:, :, None, :]
-
-
-@dataclass(frozen=True)
-class ModeLU:
-    """Block LU, without pivoting, of the block-tridiagonal mode systems.
-
-    Row k of a mode system reads lower[k-1] x_k-1 + diag_k x_k + upper[k]
-    x_k+1 = r_k. The factors are the multipliers M_k = lower[k-1] S_k-1^-1,
-    stored at k - 1, and the inverted pivot blocks S_k^-1, where S_0 = diag_0
-    and S_k = diag_k - M_k upper[k-1]. Arrays are (node or edge, 2, 2, mode):
-    every step is vectorized over the modes.
-    """
-
-    multipliers: np.ndarray   # (n - 1, 2, 2, n_modes)
-    pivot_inv: np.ndarray     # (n, 2, 2, n_modes)
-    upper: np.ndarray         # (n - 1, 2, 2), shared by all modes
-
-    def solve(self, R):
-        """Solve in place for R of shape (n, 2, n_modes) and return it."""
-        n = R.shape[0]
-        for k in range(1, n):
-            R[k] -= np.einsum("ijm,jm->im", self.multipliers[k - 1], R[k - 1])
-        R[-1] = np.einsum("ijm,jm->im", self.pivot_inv[-1], R[-1])
-        for k in range(n - 2, -1, -1):
-            R[k] = np.einsum("ijm,jm->im", self.pivot_inv[k], R[k] - self.upper[k] @ R[k + 1])
-        return R
 
 
 def _invert_pivot(S, k):
@@ -507,25 +480,38 @@ def _invert_pivot(S, k):
     return np.stack([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det
 
 
-def _factor_modes(axial_blocks, coeffs: BackgroundCoeffs, grid: Nozzle,
-                  cross_modes) -> ModeLU:
-    """Block LU of all mode systems, built from the axial blocks."""
-    lower, upper, diag = _mode_blocks(axial_blocks, coeffs, grid, cross_modes)
-    n = diag.shape[0]
-    multipliers = np.empty((n - 1,) + diag.shape[1:])
+def _factor_modes(axial_blocks, coeffs: BackgroundCoeffs, quad: Quadrature,
+                  cross_modes) -> np.ndarray:
+    """Block LU, without pivoting, of all mode systems, kept as its inverted
+    pivot blocks S_k^-1, (n, 2, 2, n_modes): S_0 = diag_0 and
+    S_k = diag_k - lower[k-1] S_k-1^-1 upper[k-1], vectorized over the modes."""
+    lower, upper, diag = _mode_blocks(axial_blocks, coeffs, quad, cross_modes)
     pivot_inv = np.empty_like(diag)
     pivot_inv[0] = _invert_pivot(diag[0], 0)
-    for k in range(1, n):
-        multipliers[k - 1] = np.einsum("ij,jlm->ilm", lower[k - 1], pivot_inv[k - 1])
-        S = diag[k] - np.einsum("ijm,jl->ilm", multipliers[k - 1], upper[k - 1])
-        pivot_inv[k] = _invert_pivot(S, k)
-    return ModeLU(multipliers, pivot_inv, upper)
+    for k in range(1, diag.shape[0]):
+        M = np.einsum("ij,jlm->ilm", lower[k - 1], pivot_inv[k - 1])
+        pivot_inv[k] = _invert_pivot(diag[k] - np.einsum("ijm,jl->ilm", M, upper[k - 1]), k)
+    return pivot_inv
+
+
+def _sweep(pivot_inv, axial_blocks, R):
+    """Block-Thomas solve of all mode systems in place for R (n, 2, n_modes):
+    row k reads lower[k-1] x_k-1 + diag_k x_k + upper[k] x_k+1 = r_k, forward
+    y_k = S_k^-1 (r_k - lower[k-1] y_k-1), backward x_k = y_k - S_k^-1 upper[k] x_k+1."""
+    lower, upper, _ = axial_blocks
+    R[0] = np.einsum("ijm,jm->im", pivot_inv[0], R[0])
+    for k in range(1, R.shape[0]):
+        R[k] = np.einsum("ijm,jm->im", pivot_inv[k], R[k] - lower[k - 1] @ R[k - 1])
+    for k in range(R.shape[0] - 2, -1, -1):
+        R[k] -= np.einsum("ijm,jm->im", pivot_inv[k], upper[k] @ R[k + 1])
+    return R
 
 
 def _cross_transform(X, cross_modes, transpose):
-    """Apply V^T (transpose) or V along each leading cross axis of X."""
-    for a, (V, _) in enumerate(cross_modes):
-        X = np.moveaxis(np.tensordot(V, X, axes=(0 if transpose else 1, a)), 0, a)
+    """Apply V^T (transpose) or V along each cross axis of X (n, 2, *cross): each
+    product contracts axis 2 and appends the modes last, so the order comes back."""
+    for V, _ in cross_modes:
+        X = np.tensordot(X, V, axes=(2, 0 if transpose else 1))
     return X
 
 
@@ -644,15 +630,15 @@ def solve(op: DiscreteOperator, data: LinearData):
     rhs = assemble_rhs(op, data)
     grid = op.grid
     N, n = grid.n_nodes, grid.shape[-1]
-    X = np.stack([rhs[:N].reshape(grid.shape), rhs[N:].reshape(grid.shape)], axis=-1)
+    # (v, W) over (*cross, n) to the sweep layout (n, 2, *cross)
+    X = np.moveaxis(rhs.reshape((2,) + grid.shape), -1, 0).copy()
     # V^T T = V^-1 on the identity rows: their modes are those of the data
-    X[..., _dirichlet_rows(n)] *= op.quad.exit_w[..., None]
+    X[_dirichlet_rows(n)] *= op.quad.exit_w
     X = _cross_transform(X, op.cross_modes, transpose=True)
-    # mode-major (mode, k, pair) to the sweep layout (k, pair, mode) and back
-    R = np.ascontiguousarray(X.reshape(-1, n, 2).transpose(1, 2, 0))
-    Y = op.mode_lu.solve(R).transpose(2, 0, 1).reshape(X.shape)
-    Y = _cross_transform(Y, op.cross_modes, transpose=False)
-    U = np.concatenate([Y[..., 0].ravel(), Y[..., 1].ravel()])
+    X = _sweep(op.pivot_inv, op.axial_blocks, X.reshape(n, 2, -1)).reshape(X.shape)
+    X = _cross_transform(X, op.cross_modes, transpose=False)
+    # back to (v, W) over (*cross, n), the one copy out of the sweep layout
+    U = np.moveaxis(X, 0, -1).reshape(-1)
     if not np.all(np.isfinite(U)):
         raise SingularAssemblyError("the banded mode solve gave no finite solution")
     res = apply_operator(op, U) - rhs

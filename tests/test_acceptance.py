@@ -291,11 +291,7 @@ def test_11_domain_perturbation_3d(state_3d):
 
 
 def test_12_exit_pressure_faithfulness(fixed_point_64x128):
-    pair, report, data, floor, floor_parts, _ = fixed_point_64x128
-    exit_resid = report.residual_components["exit_pressure"]
-    assert exit_resid <= 10.0 * floor
-    _report(12, "exit-pressure faithfulness",
-            f"max |p(rho) - pex| on the exit = {exit_resid:.2e} <= 10 x floor {floor:.2e}")
+    _check(12, "exit-pressure faithfulness")
 
 
 def test_12_exit_pressure_faithfulness_3d(fixed_point_3d):

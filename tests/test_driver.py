@@ -275,7 +275,7 @@ class TestLadderMap:
         assert ladder_map(lambda x: os.getpid(), range(4), rung_bytes) == [os.getpid()] * 4
 
     def test_real_memory_keeps_two_processes_on_a_small_grid(self, monkeypatch):
-        # a 128x256 ladder's rungs need about 12 MB each
+        # a 128x256 ladder's rungs need about 8 MB each
         _cpus(monkeypatch, 2)
         assert driver._available_memory() > 0
         assert driver._ladder_width(8, driver.RUNG_BYTES_PER_NODE * 128 * 256) == 2
@@ -476,8 +476,9 @@ def test_profile_formulas_match_nodal_formulas(state_profiles):
 
 
 def test_frozen_state_bytes_per_node():
-    # the mode LU, the apply weights, the quadrature mass and the Dirichlet
-    # masks are nodal; the background is not
+    # the inverted pivot blocks of the mode systems, 32 B per node, are the
+    # one nodal array; the background and the axial blocks are profiles, and
+    # the quadrature weights are face-sized
     g = build_grid(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.0)), shape=(33, 33, 65))
     background = _background(64)
     tracemalloc.start()
@@ -488,4 +489,4 @@ def test_frozen_state_bytes_per_node():
     finally:
         tracemalloc.stop()
     assert state.coeffs.u.shape == (65,)
-    assert held / g.n_nodes <= 130.0
+    assert held / g.n_nodes <= 40.0

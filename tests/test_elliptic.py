@@ -555,7 +555,7 @@ def test_residual_does_not_read_the_factorization():
     g, op = _operator("2d")
     data = _random_data(g, 3)
     assert solve(op, data)[2] < 1e-12
-    pivot_inv = op.mode_lu.pivot_inv
+    pivot_inv = op.pivot_inv
     pivot_inv[pivot_inv.shape[0] // 2, 0, 0, 0] *= 1.01
     assert solve(op, data)[2] > 1e-8
 
@@ -581,7 +581,7 @@ def test_operator_holds_no_nodal_float_array(grid):
     # the quadrature and the factorization aside, the operator keeps axial
     # and cross-axis data only
     g, op = _operator(grid)
-    held = {name: value for name, value in vars(op).items() if name not in ("quad", "mode_lu")}
+    held = {name: value for name, value in vars(op).items() if name not in ("quad", "pivot_inv")}
     assert [a.shape for a in _float_arrays(list(held.values())) if a.size >= g.n_nodes] == []
 
 
@@ -589,7 +589,7 @@ def test_operator_holds_no_nodal_float_array(grid):
 def test_zero_cross_mode_is_the_axial_operator(grid):
     # mode 0 is constant over the cross-section, with eigenvalue 0
     g, op = _operator(grid)
-    lower, upper, diag = elliptic._mode_blocks(op.axial_blocks, op.coeffs, g, op.cross_modes)
+    lower, upper, diag = elliptic._mode_blocks(op.axial_blocks, op.coeffs, op.quad, op.cross_modes)
     assert np.array_equal(diag[..., 0], op.axial_blocks[2])
     assert lower is op.axial_blocks[0] and upper is op.axial_blocks[1]
     assert np.count_nonzero(diag[..., 1:] != diag[..., :1]) > 0
@@ -710,9 +710,9 @@ def test_fixed_point_leaves_the_quadrature_maps_unbuilt():
     driver.run_fixed_point(driver.IterationConfig(), data, state)
     for name in ("G", "P", "qnode", "w"):
         assert name not in state.op.quad.__dict__, name
-    # the block LU aside, the frozen state holds no nodal array: no mask, no
-    # index set and no nodal mass
+    # the inverted pivot blocks aside, the frozen state holds no nodal array:
+    # no mask, no index set and no nodal mass
     held = [vars(state.op), vars(state.op.quad), vars(state.coeffs)]
-    nodal = [(name, a.shape) for d in held for name, value in d.items() if name != "mode_lu"
+    nodal = [(name, a.shape) for d in held for name, value in d.items() if name != "pivot_inv"
              for a in _arrays(value) if a.size >= g.n_nodes]
     assert nodal == []
