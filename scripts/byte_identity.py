@@ -9,7 +9,14 @@ directory. Every case then runs `python -m ep_nozzle.cli` once from REF's
 with the same relative `--out`, so that `config_echo.ini` is comparable too.
 For each case the script prints, per output file, stdout, stderr and exit
 code, this tree's sha256 prefix (or exit code) and whether REF's is the same.
-It exits 0 when all are, and 1 otherwise.
+An item that differs gets a magnitude too:
+- a field file (CSV or VTK, read with the benchmark's readers in
+  `perfbench/gates.py`): per field, the largest |difference| over the
+  field's sup in REF's output;
+- a JSON report or sweep, and stdout, which prints one: the Picard counts
+  (`iterations`) of both sides and the largest relative difference of the
+  numeric entries, with where it is.
+It exits 0 when all items are identical, and 1 otherwise.
 
 The cases are the four benchmark workloads of `perfbench/workloads.py` at
 seeds 0-3, a 3D `perturb-domain` with snapshots, and the wall-shear ladder of
@@ -21,6 +28,7 @@ import argparse
 import configparser
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -28,10 +36,13 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT))
+import numpy as np
 
-from perfbench.workloads import WORKLOADS  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from gates import read_csv_fields, read_vtk_fields  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 ONE_THREAD = {key: "1" for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                    "MKL_NUM_THREADS")}
@@ -67,7 +78,8 @@ def cases():
 
 
 def run(src, workdir, command, text):
-    """Run one case from the package in src; returns {item: sha256 or exit code}."""
+    """Run one case from the package in src. Returns {item: sha256 or exit
+    code} and {item: path of its bytes}."""
     workdir.mkdir(parents=True)
     (workdir / "run.ini").write_text(text)
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
@@ -75,14 +87,66 @@ def run(src, workdir, command, text):
         [sys.executable, "-m", "ep_nozzle.cli", command, "--config", "run.ini", "--out", "out"],
         cwd=workdir, env=env, capture_output=True,
     )
-    digests = {"stdout": hashlib.sha256(proc.stdout).hexdigest(),
-               "stderr": hashlib.sha256(proc.stderr).hexdigest(),
-               "exit code": proc.returncode}
+    paths = {"stdout": workdir / "stdout.txt", "stderr": workdir / "stderr.txt"}
+    paths["stdout"].write_bytes(proc.stdout)
+    paths["stderr"].write_bytes(proc.stderr)
     out = workdir / "out"
     for path in sorted(out.rglob("*")) if out.exists() else ():
         if path.is_file():
-            digests[str(path.relative_to(out))] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
+            paths[str(path.relative_to(out))] = path
+    digests = {item: hashlib.sha256(path.read_bytes()).hexdigest()
+               for item, path in paths.items()}
+    digests["exit code"] = proc.returncode
+    return digests, paths
+
+
+def _numbers(value, where=""):
+    """The numeric leaves of a JSON value by their path."""
+    if isinstance(value, dict):
+        return {k: v for key, item in value.items() for k, v in _numbers(item, f"{where}.{key}").items()}
+    if isinstance(value, list):
+        return {k: v for i, item in enumerate(value) for k, v in _numbers(item, f"{where}[{i}]").items()}
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return {where.lstrip("."): float(value)}
+    return {}
+
+
+def _rel(a, b):
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def magnitude(item, ref_path, here_path, dim):
+    """How far this tree's output item is from REF's, in one line, or ""."""
+    if ref_path is None or here_path is None:
+        return ""
+    if ref_path.suffix in (".csv", ".vtk"):
+        read = read_vtk_fields if ref_path.suffix == ".vtk" else lambda p: read_csv_fields(p, dim)
+        try:
+            ref, here = read(ref_path), read(here_path)
+        except ValueError:
+            return "unreadable fields"
+        if ref.keys() != here.keys() or any(ref[k].shape != here[k].shape for k in ref):
+            return "fields differ in name or size"
+        return ", ".join(f"{k} {np.max(np.abs(here[k] - ref[k])) / max(np.max(np.abs(ref[k])), 1e-300):.2e}"
+                         for k in ref)
+    if ref_path.suffix == ".json" or item == "stdout":
+        try:
+            ref, here = json.loads(ref_path.read_text()), json.loads(here_path.read_text())
+        except ValueError:
+            return ""
+        parts = []
+        if isinstance(ref, dict) and isinstance(here, dict):
+            parts.append(f"iterations {ref.get('iterations')} -> {here.get('iterations')}")
+        ref_n, here_n = _numbers(ref), _numbers(here)
+        if ref_n.keys() != here_n.keys():
+            parts.append("numeric entries differ in place")
+        elif ref_n:
+            worst = max(ref_n, key=lambda k: _rel(ref_n[k], here_n[k]))
+            parts.append(f"max rel {_rel(ref_n[worst], here_n[worst]):.2e} at {worst}")
+        return ", ".join(parts)
+    return ""
 
 
 def main():
@@ -98,13 +162,19 @@ def main():
             tar.extractall(tmp / "ref", filter="data")
         for name, command, text in cases():
             case_dir = tmp / "runs" / name.replace("/", "_")
-            ref = run(tmp / "ref" / "src", case_dir / "ref", command, text)
-            here = run(ROOT / "src", case_dir / "here", command, text)
+            ref, ref_paths = run(tmp / "ref" / "src", case_dir / "ref", command, text)
+            here, here_paths = run(ROOT / "src", case_dir / "here", command, text)
+            parser = configparser.ConfigParser()
+            parser.read_string(text)
+            dim = parser.getint("nozzle", "dim", fallback=2)
             for item in sorted(set(ref) | set(here)):
                 same = ref.get(item) == here.get(item)
                 all_same &= same
                 shown = str(here.get(item, "missing"))[:12]
-                print(f"{name:24} {item:24} {shown:12} {'identical' if same else 'DIFFERS'}")
+                line = f"{name:24} {item:24} {shown:12} {'identical' if same else 'DIFFERS'}"
+                if not same:
+                    line += f"  {magnitude(item, ref_paths.get(item), here_paths.get(item), dim)}"
+                print(line.rstrip())
     print("all identical" if all_same else "some outputs differ")
     return 0 if all_same else 1
 

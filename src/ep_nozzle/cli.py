@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import sys
 import time
@@ -218,7 +217,8 @@ def cmd_sweep(cfg) -> int:
     eps = cfg.values["domain_map"]["eps"]
     if len(eps) > 1:
         payload["wall"] = domainmap.wall_sweep(itcfg, state, eps)
-    tag = hashlib.sha256(json.dumps(payload["sigmas"]).encode()).hexdigest()[:10]
+    from hashlib import sha256   # here only: at import it maps OpenSSL into every command
+    tag = sha256(json.dumps(payload["sigmas"]).encode()).hexdigest()[:10]
     (outdir / f"sweep_{tag}.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK

@@ -60,13 +60,19 @@ def remainder_fields(law: GasLaw, coeffs, Psi, Dpsi):
     Dpsi = np.asarray(Dpsi, dtype=float).reshape(-1, n, d)
     q_tot = Dpsi.copy()
     q_tot[..., -1] += c.u
-    rho_pert = law.density(c.Phi0 + Psi, np.einsum("cni,cni->cn", q_tot, q_tot))
+    speed = np.einsum("cni,cni->cn", q_tot, q_tot)
+    # the total velocity is dropped here, and its axial component formed
+    # again below, before F takes the memory
+    del q_tot
+    rho_pert = law.density(c.Phi0 + Psi, speed)
+    del speed
     # one component at a time: each product then runs along the sections
     # with a profile, not over a trailing axis of length d
     F = np.empty(Dpsi.shape)
     for i in range(d - 1):
         F[..., i] = -(rho_pert * Dpsi[..., i] - c.aii[:, i] * Dpsi[..., i])
     lin_A = Psi * c.dzA + c.aii[:, -1] * Dpsi[..., -1]
-    F[..., -1] = -(rho_pert * q_tot[..., -1] - c.rho_bg * c.u - lin_A)
+    F[..., -1] = -(rho_pert * (Dpsi[..., -1] + c.u) - c.rho_bg * c.u - lin_A)
+    del lin_A
     f = rho_pert - c.rho_bg - (Psi * c.dzB + c.dqB * Dpsi[..., -1])
     return F.reshape(-1, d), f.ravel(), rho_pert.ravel()

@@ -237,12 +237,10 @@ def pushforward_residual(shear: WallShear, state: drv.PicardState, pair: drv.Fie
     phi = (c.phi0 + g.sections(pair.psi)).ravel()
     Phi = (c.Phi0 + g.sections(pair.Psi)).ravel()
 
-    def fluxes(axis, z_e, q_phi, q_Phi):
+    def fluxes(axis, axes_e, z_e, q_phi, q_Phi):
         # one edge Jacobian, at the midpoints of the edges along axis,
         # serves the mass and the field flux; only their axis rows are read
-        axes = list(g.axes)
-        axes[axis] = 0.5 * (axes[axis][:-1] + axes[axis][1:])
-        JT_e, detJT_e = jacobian_JT(shear, axes)
+        JT_e, detJT_e = jacobian_JT(shear, axes_e)
         return (_mass_map(law, z_e, q_phi.T, JT_e, detJT_e, axis)[0],
                 _field_map(JT_e, q_Phi.T, detJT_e, axis))
 

@@ -40,8 +40,13 @@ CHORD_FALLBACK = 1e-12
 # correctness check, not a tuning knob
 SOLVE_RESIDUAL_MAX = 1e-8
 # memory one ladder rung adds, per grid node: the measured peak of a whole
-# 129x129x257 `solve --format vtk` (959 MiB over 4.28 M nodes), so it is high
-RUNG_BYTES_PER_NODE = 236
+# 129x129x257 `solve --format vtk` (661 MiB over 4.28 M nodes), so it is high
+RUNG_BYTES_PER_NODE = 163
+# nodes per slab of `edge_divergence`: its edge temporaries scale with a
+# slab, not with the grid. A slab's arrays stay above glibc's default mmap
+# threshold (128 KiB), so their pages go back to the system when freed: at
+# 1 << 14 the peak RSS of a 160x320 solve was 1.9 MB higher
+SLAB_NODES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -215,15 +220,32 @@ class PicardState:
                     np.max(self.grid.face(grad_norm, -1, -1)))
 
     def step(self, pair: FieldPair, data: BoundaryData, corrections=None,
-             Dpsi=None, maxima=None) -> FieldPair:
-        """One application of the iteration map. Dpsi and maxima, when
-        given, are the nodal gradient of pair.psi and its
-        `gradient_maxima`, already computed by the caller."""
+             gradient=None) -> FieldPair:
+        """One application of the iteration map. gradient, when given and
+        not empty, is a list [Dpsi, maxima] that the caller hands over: the
+        nodal gradient of pair.psi and its `gradient_maxima`, already
+        computed. The step empties it, so that Dpsi is freed with the
+        other sources once the right-hand side exists."""
+        # the linear data go to the solve by no name here: the solve frees
+        # them once it has the right-hand side
+        psi, Psi, residual = elliptic.solve(
+            self.op, self._linear_data(pair, data, corrections, gradient))
+        if not residual <= SOLVE_RESIDUAL_MAX:
+            raise SingularAssemblyError(
+                f"relative residual of the linear solve {residual:.3e} exceeds "
+                f"{SOLVE_RESIDUAL_MAX:.0e}"
+            )
+        return FieldPair(psi=psi, Psi=Psi)
+
+    def _linear_data(self, pair, data, corrections, gradient):
+        """The linear data of one step at pair: the ball checks, the Taylor
+        remainders, the map corrections and the exit datum."""
         c = self.coeffs
-        if Dpsi is None:
+        if gradient:
+            Dpsi, maxima = gradient
+            gradient.clear()
+        else:
             Dpsi = gridmod.gradient(self.grid, pair.psi)
-            maxima = None
-        if maxima is None:
             maxima = self.gradient_maxima(pair, Dpsi)
         _, ball_max, exit_max = maxima
         if ball_max >= 3.0 * c.delta1:
@@ -231,27 +253,21 @@ class PicardState:
         if exit_max >= 2.0 * c.delta2:
             raise AdmissibilityError("exit gradient outside the admissible ball")
 
-        F, f, _ = cf.remainder_fields(self.law, c, pair.Psi, Dpsi)
-        f_tot = f + (c.b_bg - self.grid.sections(data.b)).ravel()
+        F, f = cf.remainder_fields(self.law, c, pair.Psi, Dpsi)[:2]
+        f += (c.b_bg - self.grid.sections(data.b)).ravel()
         extra = None
         if corrections is not None:
             extra = corrections(pair, Dpsi)
-            F = F + extra.H1
-            f_tot = f_tot + extra.src2
+            F += extra.H1
+            f += extra.src2
         g = self.exit_datum(Dpsi, data, None if extra is None else extra.g3)
 
-        lin = elliptic.LinearData(W_en=data.Psi_en, W_ex=data.Psi_ex, F=F, f=f_tot, g_exit=g)
+        lin = elliptic.LinearData(W_en=data.Psi_en, W_ex=data.Psi_ex, F=F, f=f, g_exit=g)
         if extra is not None:
             # recast wall conditions: conormal data from the map corrections
             lin.F2 = lin.wall_flux_W = extra.H2
             lin.wall_flux_v = extra.H1
-        psi, Psi, residual = elliptic.solve(self.op, lin)
-        if not residual <= SOLVE_RESIDUAL_MAX:
-            raise SingularAssemblyError(
-                f"relative residual of the linear solve {residual:.3e} exceeds "
-                f"{SOLVE_RESIDUAL_MAX:.0e}"
-            )
-        return FieldPair(psi=psi, Psi=Psi)
+        return lin
 
     def subsonic_margin(self, pair: FieldPair, Dpsi) -> float:
         """Min of p'(rho) - |grad phi|^2 at the iterate; Dpsi is the nodal
@@ -292,10 +308,11 @@ def run_fixed_point(
     diffs = []
     ratios = []
     converged = False
-    # gradient of pair.psi and its maxima, handed from the ball check to the next step
-    Dpsi = maxima = None
+    # gradient of pair.psi and its maxima, handed from the ball check to the
+    # next step, which takes them out of the list
+    handed = []
     for k in range(config.max_iter):
-        new = state.step(pair, data, corrections, Dpsi=Dpsi, maxima=maxima)
+        new = state.step(pair, data, corrections, handed)
         d = float(
             np.max(np.abs(new.psi - pair.psi)) + np.max(np.abs(new.Psi - pair.Psi))
         )
@@ -318,6 +335,8 @@ def run_fixed_point(
         if d < tol:
             converged = True
             break
+        # the list holds the one reference, so the step can free Dpsi
+        handed, Dpsi = [Dpsi, maxima], None
     if not converged:
         raise MaxIterationsError(f"no convergence within {config.max_iter} steps")
 
@@ -348,13 +367,18 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
 
     For each axis the gradient of every scalar at the edge midpoints uses the
     two-point compact difference along the edge and averaged nodal central
-    differences across it; ``flux_fn(axis, z_mid, *q_mids)`` takes the axis
-    of the edges and node-major edge gradients (n_edges, d), edges in C
-    order, and returns per scalar the axis component of its flux (n_edges,),
-    which is differenced. ``grads``, when given, holds the
+    differences across it. ``flux_fn(axis, axes_e, z_mid, *q_mids)`` takes
+    the axis of the edges, the 1D coordinates of their midpoints (the axis
+    at its half points) and node-major edge gradients (n_edges, d), edges
+    in C order, and returns per scalar the axis component of its flux
+    (n_edges,), which is differenced. ``grads``, when given, holds the
     nodal gradients of the scalars already computed by the caller (None
     where there is none). Returns one divergence per scalar, valid on
     interior nodes.
+
+    The edges of an axis go to flux_fn in slabs of about SLAB_NODES nodes
+    across another axis, so the edge temporaries are a slab's, not the
+    grid's. Every operation is per edge, so the slabs do not change a bit.
     """
     shape = grid.shape
     d = grid.dim
@@ -365,21 +389,27 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
     divs = [np.zeros(shape) for _ in fields]
     for a, h in enumerate(grid.spacing):
         lo, hi = _along(a, slice(0, -1)), _along(a, slice(1, None))
-        edges = fields[0][lo].shape
-        q_mids = []
-        for f, gr in zip(fields, grads):
-            q_e = np.empty(edges + (d,))
-            q_e[..., a] = (f[hi] - f[lo]) / h
-            for b in range(d):
-                if b != a:
-                    q_e[..., b] = 0.5 * (gr[lo][..., b] + gr[hi][..., b])
-            q_mids.append(q_e.reshape(-1, d))
-        z_e = None if z_m is None else (0.5 * (z_m[lo] + z_m[hi])).ravel()
-        for div, flux in zip(divs, flux_fn(a, z_e, *q_mids)):
-            flux = flux.reshape(edges)
-            div[_along(a, slice(1, -1))] += (flux[hi] - flux[lo]) / h
-        # release this axis's fluxes before the next axis builds its own
-        del flux
+        axes_e = list(grid.axes)
+        axes_e[a] = 0.5 * (axes_e[a][:-1] + axes_e[a][1:])
+        c = 1 if a == 0 else 0          # the slab axis
+        rows = max(1, SLAB_NODES * shape[c] // grid.n_nodes)
+        for start in range(0, shape[c], rows):
+            slab = _along(c, slice(start, start + rows))
+            axes_e[c] = grid.axes[c][start:start + rows]
+            edges = fields[0][slab][lo].shape
+            q_mids = []
+            for f, gr in zip(fields, grads):
+                f, gr = f[slab], gr[slab]
+                q_e = np.empty(edges + (d,))
+                q_e[..., a] = (f[hi] - f[lo]) / h
+                for b in range(d):
+                    if b != a:
+                        q_e[..., b] = 0.5 * (gr[lo][..., b] + gr[hi][..., b])
+                q_mids.append(q_e.reshape(-1, d))
+            z_e = None if z_m is None else (0.5 * (z_m[slab][lo] + z_m[slab][hi])).ravel()
+            for div, flux in zip(divs, flux_fn(a, tuple(axes_e), z_e, *q_mids)):
+                flux = flux.reshape(edges)
+                div[slab][_along(a, slice(1, -1))] += (flux[hi] - flux[lo]) / h
     return [div.ravel() for div in divs]
 
 
@@ -399,31 +429,38 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
     Interior equations use compact conservative stencils; boundary rows check
     the exit pressure, the wall-normal derivatives, and the Dirichlet traces.
     Returns the max residual and a per-component dictionary.
+
+    Each nodal field is dropped once its components are read, and the wall
+    derivatives of Phi come from the nodes next to the wall alone.
     """
     g = state.grid
     law = state.law
     c = state.coeffs
+    wall_faces = state.op.quad.wall_faces
     phi = (c.phi0 + g.sections(pair.psi)).ravel()
     Phi = (c.Phi0 + g.sections(pair.Psi)).ravel()
 
     grad_phi = gridmod.gradient(g, phi)
-    speed = np.einsum("ni,ni->n", grad_phi, grad_phi)
-    rho = law.density(Phi, speed)
+    rho = law.density(Phi, np.einsum("ni,ni->n", grad_phi, grad_phi))
+    # max |n . grad phi| over the wall faces
+    wall_flux_phi = max(float(np.max(np.abs(g.face(grad_phi, axis, side)[..., axis])))
+                        for axis, side, _, _ in wall_faces)
 
-    def mass_flux(axis, z_e, q_e):
+    def mass_flux(axis, axes_e, z_e, q_e):
         rho_e = law.density(z_e, np.einsum("ni,ni->n", q_e, q_e))
         return (rho_e * q_e[:, axis],)
 
     mass, = edge_divergence(g, (phi,), mass_flux, z=Phi, grads=(grad_phi,))
+    del grad_phi
+    interior_mass = float(np.max(np.abs(g.interior(mass))))
+    del mass
     poisson = _compact_laplacian(g, Phi) - (rho - data.b)
+    interior_poisson = float(np.max(np.abs(g.interior(poisson))))
+    del poisson
 
     exit_pressure = np.abs(law.pressure(g.face(rho, -1, -1)) - data.pex)
-
-    def wall_max(grad):
-        """max |n . grad| over the wall faces."""
-        return max(float(np.max(np.abs(g.face(grad, axis, side)[..., axis])))
-                   for axis, side, _, _ in state.op.quad.wall_faces)
-
+    wall_flux_Phi = max(float(np.max(np.abs(gridmod.normal_derivative(g, Phi, axis, side))))
+                        for axis, side, _, _ in wall_faces)
     dirichlet_phi = float(np.max(np.abs(g.face(phi, -1, 0))))
     dirichlet_Phi = max(
         float(np.max(np.abs(g.face(Phi, -1, 0) - (data.B0 + data.phi_en)))),
@@ -431,11 +468,11 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
     )
 
     components = {
-        "interior_mass": float(np.max(np.abs(g.interior(mass)))),
-        "interior_poisson": float(np.max(np.abs(g.interior(poisson)))),
+        "interior_mass": interior_mass,
+        "interior_poisson": interior_poisson,
         "exit_pressure": float(np.max(exit_pressure)),
-        "wall_flux_phi": wall_max(grad_phi),
-        "wall_flux_Phi": wall_max(gridmod.gradient(g, Phi)),
+        "wall_flux_phi": wall_flux_phi,
+        "wall_flux_Phi": wall_flux_Phi,
         "dirichlet_phi": dirichlet_phi,
         "dirichlet_Phi": dirichlet_Phi,
     }

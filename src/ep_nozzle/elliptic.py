@@ -621,13 +621,22 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
     return rhs.reshape(-1)
 
 
+def _max_abs(a) -> float:
+    """max |a| without the copy np.abs makes; the same bits, and NaN if a
+    holds one (both reductions propagate it)."""
+    return float(max(a.max(), -a.min()))
+
+
 def solve(op: DiscreteOperator, data: LinearData):
     """Separable direct solve of one linearized problem.
 
     Returns v, W and the algebraic residual max|K U - rhs| / max|rhs| of the
-    solve. The Dirichlet entries of v and W equal the data exactly.
+    solve. The Dirichlet entries of v and W equal the data exactly. The data
+    are dropped once the right-hand side exists: a caller that hands them
+    over without keeping them (a Picard step) frees its sources here.
     """
     rhs = assemble_rhs(op, data)
+    del data
     grid = op.grid
     N, n = grid.n_nodes, grid.shape[-1]
     # (v, W) over (*cross, n) to the sweep layout (n, 2, *cross)
@@ -639,10 +648,12 @@ def solve(op: DiscreteOperator, data: LinearData):
     X = _cross_transform(X, op.cross_modes, transpose=False)
     # back to (v, W) over (*cross, n), the one copy out of the sweep layout
     U = np.moveaxis(X, 0, -1).reshape(-1)
+    del X
     if not np.all(np.isfinite(U)):
         raise SingularAssemblyError("the banded mode solve gave no finite solution")
-    res = apply_operator(op, U) - rhs
-    rel = float(np.max(np.abs(res))) / max(float(np.max(np.abs(rhs))), 1e-300)
+    res = apply_operator(op, U)
+    res -= rhs
+    rel = _max_abs(res) / max(_max_abs(rhs), 1e-300)
     # identity rows hold exactly; scrub the rounding of the mode transforms
     copy_dirichlet_rows(n, U.reshape(2, N), rhs.reshape(2, N))
     return U[:N], U[N:], rel

@@ -50,8 +50,9 @@ class Nozzle:
 
     def face(self, field, axis, side):
         """A nodal field (N, ...) on the face of the box at index side (0 or
-        -1) of axis, shaped (other axes..., ...). The exit is face(field, -1,
-        -1). A view: writing to it writes a contiguous field."""
+        -1) of axis, shaped (other axes..., ...); another index gives the
+        plane of nodes that far in. The exit is face(field, -1, -1). A view:
+        writing to it writes a contiguous field."""
         return self._box(field)[(slice(None),) * (axis % self.dim) + (side,)]
 
     def interior(self, field):
@@ -91,8 +92,38 @@ def gradient(grid: Nozzle, field) -> np.ndarray:
         raise DomainError("field does not conform to the grid")
     if not np.all(np.isfinite(field)):
         raise DomainError("field must be finite")
-    parts = np.gradient(field.reshape(grid.shape), *grid.axes, edge_order=2)
-    return np.stack([p.ravel() for p in parts], axis=1)
+    box = field.reshape(grid.shape)
+    # one axis at a time, so one component is in flight besides the result
+    out = np.empty((grid.n_nodes, grid.dim))
+    for a, x in enumerate(grid.axes):
+        out[:, a] = np.gradient(box, x, axis=a, edge_order=2).ravel()
+    return out
+
+
+def normal_derivative(grid: Nozzle, field, axis, side) -> np.ndarray:
+    """Component axis of `gradient(grid, field)` on the face at index side
+    (0 or -1) of that axis, from the three nodes next to the face alone.
+
+    np.gradient's second-order edge formula. Its uniform-spacing
+    coefficients apply exactly when np.gradient applies them, which is when
+    the whole axis is uniform: a three-node slice would decide for itself.
+    """
+    dx = np.diff(grid.axes[axis])
+    near = [grid.face(field, axis, i) for i in ((0, 1, 2) if side == 0 else (-3, -2, -1))]
+    if (dx == dx[0]).all():
+        h = dx[0]
+        a, b, c = (-1.5 / h, 2.0 / h, -0.5 / h) if side == 0 else (0.5 / h, -2.0 / h, 1.5 / h)
+    elif side == 0:
+        dx1, dx2 = dx[0], dx[1]
+        a = -(2.0 * dx1 + dx2) / (dx1 * (dx1 + dx2))
+        b = (dx1 + dx2) / (dx1 * dx2)
+        c = -dx1 / (dx2 * (dx1 + dx2))
+    else:
+        dx1, dx2 = dx[-2], dx[-1]
+        a = dx2 / (dx1 * (dx1 + dx2))
+        b = -(dx2 + dx1) / (dx1 * dx2)
+        c = (2.0 * dx2 + dx1) / (dx2 * (dx1 + dx2))
+    return a * near[0] + b * near[1] + c * near[2]
 
 
 def corner_distance(grid: Nozzle) -> np.ndarray:

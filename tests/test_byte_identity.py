@@ -1,8 +1,10 @@
 """`scripts/byte_identity.py` edits the benchmark's workload configs into its
 extra cases. Each case must be a config the program accepts, with the edits
-applied, or the check would compare two identical refusals."""
+applied, or the check would compare two identical refusals. An item that
+differs is printed with its magnitude (`magnitude`)."""
 
 import importlib.util
+import json
 import pathlib
 
 from ep_nozzle.config import parse_config
@@ -10,11 +12,15 @@ from ep_nozzle.config import parse_config
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "byte_identity.py"
 
 
-def _cases():
+def _module():
     spec = importlib.util.spec_from_file_location("byte_identity", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return list(module.cases())
+    return module
+
+
+def _cases():
+    return list(_module().cases())
 
 
 def test_cases_are_accepted_configs_with_their_edits():
@@ -30,3 +36,19 @@ def test_cases_are_accepted_configs_with_their_edits():
     # the edit keeps every other key of the workload's config
     ladder = dict(values["sweep-2d/eps-ladder"], domain_map=None)
     assert ladder == dict(values["sweep-2d/seed3"], domain_map=None)
+
+
+def test_magnitude_of_fields_and_reports(tmp_path):
+    magnitude = _module().magnitude
+    ref, here = tmp_path / "ref", tmp_path / "here"
+    ref.mkdir()
+    here.mkdir()
+    (ref / "fields.csv").write_text("x,y,psi,Psi\n0,0,2,-4\n0,1,1,1\n")
+    (here / "fields.csv").write_text("x,y,psi,Psi\n0,0,2,-4\n0,1,1.5,1\n")
+    assert magnitude("fields.csv", ref / "fields.csv", here / "fields.csv", 2) == \
+        "psi 2.50e-01, Psi 0.00e+00"
+    (ref / "report.json").write_text(json.dumps({"iterations": 5, "diffs": [1.0, 0.5], "a": "x"}))
+    (here / "report.json").write_text(json.dumps({"iterations": 6, "diffs": [1.0, 0.4], "a": "x"}))
+    assert magnitude("report.json", ref / "report.json", here / "report.json", 2) == \
+        "iterations 5 -> 6, max rel 2.00e-01 at diffs[1]"
+    assert magnitude("stderr", ref / "fields.csv", None, 2) == ""

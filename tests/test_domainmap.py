@@ -116,13 +116,6 @@ def _rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-def _edge_axes(g, axis):
-    """The grid axes with one axis replaced by its half points."""
-    axes = list(g.axes)
-    axes[axis] = 0.5 * (axes[axis][:-1] + axes[axis][1:])
-    return axes
-
-
 def _random_shear(rng, dim):
     """A shear with random extents, length and eps, and sorted random axes;
     |eps| pi / span <= 0.9 keeps every cross entry 1 + eps w_a' s of the
@@ -296,8 +289,8 @@ class TestPullback:
         g = state_small.grid
         shear = shear_map(2e-3, g.L, g.cross_extents)
 
-        def mass_flux(axis, z_e, q_e):
-            JT_e, detJT_e = jacobian_JT(shear, _edge_axes(g, axis))
+        def mass_flux(axis, axes_e, z_e, q_e):
+            JT_e, detJT_e = jacobian_JT(shear, axes_e)
             return (_mass_map(LAW, z_e, q_e.T, JT_e, detJT_e, axis)[0],)
 
         # potential of the 1D background satisfies the flat equations exactly;
@@ -440,6 +433,20 @@ class TestSolvePerturbed:
         pair, report = solve_perturbed(shear, driver.IterationConfig(), data, state)
         assert report.converged
         pushforward_residual(shear, state, pair, data)
+
+    @pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
+    def test_pushforward_residual_does_not_depend_on_the_slabs(self, state, request,
+                                                               monkeypatch):
+        # the edges go to the fluxes in slabs; one row per slab changes no bit
+        state = request.getfixturevalue(state)
+        g = state.grid
+        data = driver.perturb_data(state.background, g, 1e-3)
+        shear = shear_map(2e-3, g.L, g.cross_extents)
+        pair, _ = solve_perturbed(shear, driver.IterationConfig(), data, state)
+        whole = pushforward_residual(shear, state, pair, data)
+        assert g.n_nodes <= driver.SLAB_NODES
+        monkeypatch.setattr(driver, "SLAB_NODES", 1)
+        assert pushforward_residual(shear, state, pair, data) == whole
 
     @pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
     def test_pushforward_evaluates_each_jacobian_once(self, state, request, monkeypatch):

@@ -1,4 +1,7 @@
 import os
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -7,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ep_nozzle import coeffs as cf, driver
+from ep_nozzle import coeffs as cf, driver, elliptic
 from ep_nozzle.driver import (
     Amplitudes,
     FieldPair,
@@ -21,9 +24,9 @@ from ep_nozzle.driver import (
     ladder_map,
     stability_sweep,
 )
-from ep_nozzle.errors import AdmissibilityError, DomainError
+from ep_nozzle.errors import AdmissibilityError, DomainError, SingularAssemblyError
 from ep_nozzle.gas import GasLaw
-from ep_nozzle.grid import build_grid
+from ep_nozzle.grid import build_grid, gradient
 from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
 
 from gridpoints import node_coords
@@ -144,6 +147,34 @@ class TestFixedPoint:
         assert np.max(np.abs(pair1.psi - pair2.psi)) < 1e-8
         assert np.max(np.abs(pair1.Psi - pair2.Psi)) < 1e-8
 
+    def test_handed_gradient_is_taken_out_and_changes_no_bit(self, state_small):
+        g = state_small.grid
+        N = g.n_nodes
+        data = perturb_data(state_small.background, g, 1e-3)
+        pair = state_small.step(FieldPair(np.zeros(N), np.zeros(N)), data)
+        Dpsi = gradient(g, pair.psi)
+        handed = [Dpsi, state_small.gradient_maxima(pair, Dpsi)]
+        given = state_small.step(pair, data, None, handed)
+        assert handed == []
+        computed = state_small.step(pair, data)
+        assert np.array_equal(given.psi, computed.psi)
+        assert np.array_equal(given.Psi, computed.Psi)
+
+    def test_nan_solve_residual_trips_the_guard(self, state_small, monkeypatch):
+        # the residual is reduced without np.abs; a NaN in it still fails
+        apply = elliptic.apply_operator
+
+        def nan_at_one_node(op, U):
+            out = apply(op, U)
+            out[7] = np.nan
+            return out
+
+        monkeypatch.setattr(elliptic, "apply_operator", nan_at_one_node)
+        N = state_small.grid.n_nodes
+        data = perturb_data(state_small.background, state_small.grid, 1e-3)
+        with pytest.raises(SingularAssemblyError, match="linear solve nan exceeds 1e-08"):
+            state_small.step(FieldPair(np.zeros(N), np.zeros(N)), data)
+
     def test_oversized_sigma_refused(self, state_small):
         sigma = state_small.coeffs.delta3  # M * sigma far beyond delta3
         data = perturb_data(state_small.background, state_small.grid, min(sigma, 0.2))
@@ -192,6 +223,19 @@ class TestResidual:
         r_one = nonlinear_residual(state_small, one_step, data)[0]
         r_fix = report.nonlinear_residual
         assert r_fix <= r_one
+
+    @pytest.mark.parametrize("state", ["state_medium", "state_3d"])
+    def test_residual_does_not_depend_on_the_slabs(self, state, request, monkeypatch):
+        # every edge operation is per edge, so no slab size changes a bit
+        state = request.getfixturevalue(state)
+        data = perturb_data(state.background, state.grid, 1e-3)
+        N = state.grid.n_nodes
+        pair = state.step(FieldPair(np.zeros(N), np.zeros(N)), data)
+        results = []
+        for slab in (1, 1000, driver.SLAB_NODES, 10 * N):
+            monkeypatch.setattr(driver, "SLAB_NODES", slab)
+            results.append(nonlinear_residual(state, pair, data))
+        assert all(r == results[0] for r in results[1:])
 
 
 class TestNorms:
@@ -275,7 +319,7 @@ class TestLadderMap:
         assert ladder_map(lambda x: os.getpid(), range(4), rung_bytes) == [os.getpid()] * 4
 
     def test_real_memory_keeps_two_processes_on_a_small_grid(self, monkeypatch):
-        # a 128x256 ladder's rungs need about 8 MB each
+        # a 128x256 ladder's rungs need about 5 MB each
         _cpus(monkeypatch, 2)
         assert driver._available_memory() > 0
         assert driver._ladder_width(8, driver.RUNG_BYTES_PER_NODE * 128 * 256) == 2
@@ -490,3 +534,46 @@ def test_frozen_state_bytes_per_node():
         tracemalloc.stop()
     assert state.coeffs.u.shape == (65,)
     assert held / g.n_nodes <= 40.0
+
+
+def _rise_per_node(n_nodes, fn, *args):
+    """fn(*args), and the peak of the traced memory during the call over its
+    value at entry, per node."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, (tracemalloc.get_traced_memory()[1] - entry) / n_nodes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def state_3d():
+    g = build_grid(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.0)), shape=(33, 33, 65))
+    return PicardState(LAW, _background(64), g)
+
+
+def test_step_and_residual_rise_bytes_per_node(state_3d):
+    # one step holds the gradient and the remainders until the right-hand
+    # side exists, and then only the solve's own arrays: 81 B per node
+    # measured, with the gradient formed in the step; the residual drops each
+    # nodal field once read and holds the edge states of one slab, here
+    # about half the grid: 88 measured
+    g = state_3d.grid
+    N = g.n_nodes
+    data = perturb_data(state_3d.background, g, 1e-3)
+    pair, step_rise = _rise_per_node(N, state_3d.step, FieldPair(np.zeros(N), np.zeros(N)), data)
+    _, residual_rise = _rise_per_node(N, nonlinear_residual, state_3d, pair, data)
+    assert step_rise <= 100.0
+    assert residual_rise <= 108.0
+
+
+def test_importing_the_cli_leaves_openssl_unloaded():
+    # hashlib maps OpenSSL (about 3.4 MB of RSS) into the process; only
+    # `sweep` names its output file by a hash, and imports it then
+    script = "import sys, ep_nozzle.cli; print(sorted({'_hashlib', 'hashlib'} & set(sys.modules)))"
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["[]"]

@@ -560,6 +560,22 @@ def test_residual_does_not_read_the_factorization():
     assert solve(op, data)[2] > 1e-8
 
 
+def test_solve_residual_is_the_absolute_residual_and_keeps_the_data():
+    # max |a| is reduced as max(a.max(), -a.min()): negation is exact, so the
+    # bits are np.abs's; the solve leaves the caller's data as they were
+    rng = np.random.default_rng(5)
+    for a in (rng.standard_normal(1001), -np.abs(rng.standard_normal(64)), np.zeros(3)):
+        assert elliptic._max_abs(a) == float(np.max(np.abs(a)))
+    assert np.isnan(elliptic._max_abs(np.array([1.0, np.nan, -2.0])))
+    g, op = _operator("2d")
+    data = _random_data(g, 3)
+    kept = {name: np.copy(getattr(data, name)) for name in vars(data)}
+    first = solve(op, data)
+    assert all(np.array_equal(getattr(data, name), value) for name, value in kept.items())
+    second = solve(op, data)
+    assert all(np.array_equal(x, y) for x, y in zip(first, second))
+
+
 def _arrays(obj):
     """The arrays held by obj, inside tuples, lists and dicts too."""
     if isinstance(obj, np.ndarray):

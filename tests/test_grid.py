@@ -5,7 +5,7 @@ import pytest
 
 from ep_nozzle.errors import DomainError
 from ep_nozzle.export import export_deformed_vtk, export_field_csv, export_field_vtk
-from ep_nozzle.grid import build_grid, corner_distance, gradient
+from ep_nozzle.grid import build_grid, corner_distance, gradient, normal_derivative
 
 from gridpoints import node_coords
 
@@ -154,6 +154,32 @@ class TestDifferenceOperators:
         g = build_grid(dim=2, shape=(9, 17))
         with pytest.raises(DomainError):
             gradient(g, np.zeros(g.n_nodes + 1))
+
+    def test_gradient_equals_numpy_over_all_axes(self):
+        # one axis at a time gives the bits of one np.gradient call
+        for g in _two_grids() + (build_grid(dim=2, shape=(160, 40)),):
+            f = np.sin(3.0 * node_coords(g)).sum(axis=1)
+            parts = np.gradient(f.reshape(g.shape), *g.axes, edge_order=2)
+            assert np.array_equal(gradient(g, f), np.stack([p.ravel() for p in parts], axis=1))
+
+    @pytest.mark.parametrize("cross", [
+        np.linspace(0.0, 1.0, 9),       # uniform: np.gradient's uniform formula
+        # not uniform as a whole, but its end triples are: np.gradient on a
+        # three-node slice would take the uniform formula and other bits
+        np.linspace(0.0, 1.0, 160),
+        np.geomspace(1.0, 3.0, 11),     # nowhere uniform
+    ])
+    def test_normal_derivative_is_the_gradient_on_the_face(self, cross):
+        base = build_grid(dim=3, cross_extents=((0, 1), (0, 2)), shape=(8, 9, 10))
+        g = dataclasses.replace(base, shape=(cross.size,) + base.shape[1:],
+                                axes=(cross,) + base.axes[1:])
+        x = node_coords(g)
+        f = np.exp(x @ np.array([0.7, -0.3, 0.2])) + np.cos(5.0 * x[:, 0])
+        grad = gradient(g, f)
+        for axis in range(g.dim):
+            for side in (0, -1):
+                assert np.array_equal(normal_derivative(g, f, axis, side),
+                                      g.face(grad, axis, side)[..., axis])
 
 
 class TestCornerDistance:
