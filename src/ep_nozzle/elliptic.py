@@ -271,8 +271,8 @@ def check_wall_compatibility(W_en, W_ex, grid: Nozzle) -> None:
 
     violation = 0.0
     for data in (W_en, W_ex):
-        for a, x in enumerate(grid.axes[:-1]):
-            gr = np.gradient(data, x, axis=a, edge_order=2)
+        for a, dx in enumerate(grid.spacing[:-1]):
+            gr = np.gradient(data, dx, axis=a, edge_order=2)
             violation = max(violation, float(np.max(np.abs(np.take(gr, [0, -1], axis=a)))))
     if violation > warn_tol:
         warnings.warn(

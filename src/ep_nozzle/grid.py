@@ -25,7 +25,7 @@ class Nozzle:
     L: float
     shape: tuple
     axes: tuple      # one 1D coordinate array per axis, axial last
-    spacing: tuple
+    spacing: tuple   # one step per axis, the metric of every nodal stencil
 
     @property
     def n_nodes(self) -> int:
@@ -86,7 +86,8 @@ def build_grid(dim=2, cross_extents=((0.0, 1.0),), L=1.0, shape=(33, 65)) -> Noz
 
 
 def gradient(grid: Nozzle, field) -> np.ndarray:
-    """Nodal gradient: central interior, one-sided second order at boundaries."""
+    """Nodal gradient at the axes' spacing: central interior, one-sided second
+    order at boundaries."""
     field = np.asarray(field, dtype=float)
     if field.size != grid.n_nodes:
         raise DomainError("field does not conform to the grid")
@@ -95,34 +96,18 @@ def gradient(grid: Nozzle, field) -> np.ndarray:
     box = field.reshape(grid.shape)
     # one axis at a time, so one component is in flight besides the result
     out = np.empty((grid.n_nodes, grid.dim))
-    for a, x in enumerate(grid.axes):
-        out[:, a] = np.gradient(box, x, axis=a, edge_order=2).ravel()
+    for a, h in enumerate(grid.spacing):
+        out[:, a] = np.gradient(box, h, axis=a, edge_order=2).ravel()
     return out
 
 
 def normal_derivative(grid: Nozzle, field, axis, side) -> np.ndarray:
     """Component axis of `gradient(grid, field)` on the face at index side
-    (0 or -1) of that axis, from the three nodes next to the face alone.
-
-    np.gradient's second-order edge formula. Its uniform-spacing
-    coefficients apply exactly when np.gradient applies them, which is when
-    the whole axis is uniform: a three-node slice would decide for itself.
-    """
-    dx = np.diff(grid.axes[axis])
+    (0 or -1) of that axis, from the three nodes next to the face alone:
+    np.gradient's second-order edge formula at the axis's spacing."""
+    h = grid.spacing[axis]
     near = [grid.face(field, axis, i) for i in ((0, 1, 2) if side == 0 else (-3, -2, -1))]
-    if (dx == dx[0]).all():
-        h = dx[0]
-        a, b, c = (-1.5 / h, 2.0 / h, -0.5 / h) if side == 0 else (0.5 / h, -2.0 / h, 1.5 / h)
-    elif side == 0:
-        dx1, dx2 = dx[0], dx[1]
-        a = -(2.0 * dx1 + dx2) / (dx1 * (dx1 + dx2))
-        b = (dx1 + dx2) / (dx1 * dx2)
-        c = -dx1 / (dx2 * (dx1 + dx2))
-    else:
-        dx1, dx2 = dx[-2], dx[-1]
-        a = dx2 / (dx1 * (dx1 + dx2))
-        b = -(dx2 + dx1) / (dx1 * dx2)
-        c = (2.0 * dx2 + dx1) / (dx2 * (dx1 + dx2))
+    a, b, c = (-1.5 / h, 2.0 / h, -0.5 / h) if side == 0 else (0.5 / h, -2.0 / h, 1.5 / h)
     return a * near[0] + b * near[1] + c * near[2]
 
 

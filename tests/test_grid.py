@@ -159,20 +159,26 @@ class TestDifferenceOperators:
         # one axis at a time gives the bits of one np.gradient call
         for g in _two_grids() + (build_grid(dim=2, shape=(160, 40)),):
             f = np.sin(3.0 * node_coords(g)).sum(axis=1)
+            parts = np.gradient(f.reshape(g.shape), *g.spacing, edge_order=2)
+            assert np.array_equal(gradient(g, f), np.stack([p.ravel() for p in parts], axis=1))
+
+    def test_gradient_on_exactly_uniform_axes_is_the_coordinate_gradient(self):
+        # where every linspace step is the same float, the spacing is that
+        # step and np.gradient of the coordinates takes the same formula
+        for g in (build_grid(dim=2, shape=(17, 33)),
+                  build_grid(dim=3, cross_extents=((0, 1), (0, 2)), shape=(9, 9, 17))):
+            assert all((np.diff(x) == h).all() for x, h in zip(g.axes, g.spacing))
+            f = np.sin(3.0 * node_coords(g)).sum(axis=1)
             parts = np.gradient(f.reshape(g.shape), *g.axes, edge_order=2)
             assert np.array_equal(gradient(g, f), np.stack([p.ravel() for p in parts], axis=1))
 
     @pytest.mark.parametrize("cross", [
-        np.linspace(0.0, 1.0, 9),       # uniform: np.gradient's uniform formula
-        # not uniform as a whole, but its end triples are: np.gradient on a
-        # three-node slice would take the uniform formula and other bits
-        np.linspace(0.0, 1.0, 160),
-        np.geomspace(1.0, 3.0, 11),     # nowhere uniform
+        np.linspace(0.0, 1.0, 9),       # steps exactly equal
+        np.linspace(0.0, 1.0, 160),     # steps uneven in the last bits
     ])
     def test_normal_derivative_is_the_gradient_on_the_face(self, cross):
-        base = build_grid(dim=3, cross_extents=((0, 1), (0, 2)), shape=(8, 9, 10))
-        g = dataclasses.replace(base, shape=(cross.size,) + base.shape[1:],
-                                axes=(cross,) + base.axes[1:])
+        g = build_grid(dim=3, cross_extents=((0, 1), (0, 2)), shape=(cross.size, 9, 10))
+        assert np.array_equal(g.axes[0], cross)
         x = node_coords(g)
         f = np.exp(x @ np.array([0.7, -0.3, 0.2])) + np.cos(5.0 * x[:, 0])
         grad = gradient(g, f)
