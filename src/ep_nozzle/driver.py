@@ -109,21 +109,9 @@ class SolveReport:
     tol: float
     meta: dict = field(default_factory=dict)
 
-    def to_json(self, **extra):
-        payload = {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "diffs": list(map(float, self.diffs)),
-            "contraction_factors": list(map(float, self.contraction_factors)),
-            "subsonic_margin": self.subsonic_margin,
-            "nonlinear_residual": self.nonlinear_residual,
-            "residual_components": self.residual_components,
-            "norm_summary": self.norm_summary,
-            "sigma": self.sigma,
-            "tol": self.tol,
-        }
+    def to_json(self):
+        payload = {k: v for k, v in vars(self).items() if k != "meta"}
         payload.update(self.meta)
-        payload.update(extra)
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
