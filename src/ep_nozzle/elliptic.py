@@ -186,7 +186,6 @@ class BackgroundCoeffs:
     coupling dzA = -dqB is purely axial, so only its axial component is kept.
     """
 
-    law: GasLaw
     Phi0: np.ndarray
     u: np.ndarray
     E: np.ndarray
@@ -198,7 +197,6 @@ class BackgroundCoeffs:
     dqB: np.ndarray          # = -dzA, shared-negation exact
     dzB: np.ndarray
     b_bg: np.ndarray         # background charge
-    J0: float
     lam: float
     delta1: float
     delta2: float
@@ -246,10 +244,9 @@ def make_coeffs(law: GasLaw, sol: BackgroundSolution, grid: Nozzle) -> Backgroun
     delta3 = min(delta1, delta2, 1.0)
 
     return BackgroundCoeffs(
-        law=law, Phi0=Phi0, u=u, E=E, phi0=phi0, rho_bg=rho_bg, pprime=pprime,
+        Phi0=Phi0, u=u, E=E, phi0=phi0, rho_bg=rho_bg, pprime=pprime,
         aii=aii, dzA=lin.dA_dz[:, -1], dqB=lin.dB_dq[:, -1], dzB=lin.dB_dz, b_bg=b_bg,
-        J0=float(sol.J0), lam=float(np.min(aii)),
-        delta1=float(delta1), delta2=float(delta2), delta3=float(delta3),
+        lam=float(np.min(aii)), delta1=float(delta1), delta2=float(delta2), delta3=float(delta3),
         exit_scale=float(aii[-1, -1] * pprime[-1] / sol.J0),
         exit_wflux=float(sol.J0 / pprime[-1]),
     )
