@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import random
 import sys
 import threading
 import warnings
@@ -491,9 +492,10 @@ def field_norms(f, grid: Nozzle, quad: elliptic.Quadrature, alpha: float = 0.5,
     for a, edge_w in enumerate(quad.edge_w):
         df = np.diff(fm, axis=a)
         h1_sq += float(np.sum(edge_w * df * df)) / grid.spacing[a]
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, grid.n_nodes, size=2000)
-    j = rng.integers(0, grid.n_nodes, size=2000)
+    # the stdlib sampler: numpy.random would load OpenSSL through `secrets`
+    rng, nodes = random.Random(seed), range(grid.n_nodes)
+    i = np.array(rng.choices(nodes, k=2000))
+    j = np.array(rng.choices(nodes, k=2000))
     keep = i != j
     i, j = i[keep], j[keep]
     at_i, at_j = np.unravel_index(i, grid.shape), np.unravel_index(j, grid.shape)

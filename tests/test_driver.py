@@ -577,3 +577,20 @@ def test_importing_the_cli_leaves_openssl_unloaded():
     out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
                          check=True, capture_output=True, text=True).stdout
     assert out.split() == ["[]"]
+
+
+def test_solve_and_perturb_domain_leave_numpy_random_and_openssl_unloaded(tmp_path):
+    # numpy.random imports `secrets`, which maps OpenSSL; the norms sample
+    # their node pairs with the stdlib `random`
+    (tmp_path / "run.ini").write_text("[nozzle]\nnodes_cross = 9\nnodes_axial = 17\n")
+    script = (
+        "import sys\n"
+        "from ep_nozzle import cli\n"
+        "for command in ('solve', 'perturb-domain'):\n"
+        "    assert cli.main([command, '--config', 'run.ini', '--out', command]) == 0\n"
+        "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    err = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                         cwd=tmp_path, check=True, capture_output=True, text=True).stderr
+    assert err.split() == ["[]"]
