@@ -14,6 +14,8 @@ counted. The phases are
 - step: one `PicardState.step`, with the gradient `run_fixed_point` hands it
 - elliptic.solve: the linear solve inside a step
 - nonlinear_residual and pair_norms: their one call at the end
+- grid.gradient, GasLaw.density and driver.edge_divergence: every call,
+  inside the phases above or not
 
 The calls are seen through a profile hook, not a wrapper, so no extra
 reference keeps an argument alive. Run it with one BLAS thread
@@ -25,7 +27,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from ep_nozzle import cli, driver, elliptic
+from ep_nozzle import cli, driver, elliptic, gas, grid as gridmod
 from ep_nozzle.config import parse_config
 
 PHASES = {
@@ -34,6 +36,9 @@ PHASES = {
     "elliptic.solve": elliptic.solve,
     "nonlinear_residual": driver.nonlinear_residual,
     "pair_norms": driver.pair_norms,
+    "grid.gradient": gridmod.gradient,
+    "GasLaw.density": gas.GasLaw.density,
+    "driver.edge_divergence": driver.edge_divergence,
 }
 
 
@@ -92,10 +97,10 @@ def main():
     n = grid.n_nodes
     print(f"grid {'x'.join(map(str, grid.shape))} ({n} nodes), "
           f"{report.iterations} Picard steps; bytes per node")
-    print(f"{'phase':20} {'calls':>5} {'rise':>8} {'kept':>8}")
+    print(f"{'phase':24} {'calls':>5} {'rise':>8} {'kept':>8}")
     for name in PHASES:
         kept = f"{meter.kept[name] / n:8.1f}" if name == "PicardState" else ""
-        print(f"{name:20} {meter.calls[name]:5d} {meter.rise[name] / n:8.1f} {kept}")
+        print(f"{name:24} {meter.calls[name]:5d} {meter.rise[name] / n:8.1f} {kept}")
     return 0
 
 
