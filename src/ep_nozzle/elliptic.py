@@ -28,8 +28,9 @@ x_k = (v_k, W_k), each mode system is block tridiagonal with 2x2 blocks.
 The axial blocks are shared by all modes; a mode adds its cross eigenvalue
 times the axial mass to the diagonal blocks. Of the block LU without
 pivoting (Varah, Math. Comp. 26 (1972)) only the inverted pivot blocks are
-kept, factored once per operator; each solve runs the block-Thomas sweeps
-over them and the shared axial blocks in the layout (n_axial, 2, *cross).
+kept, factored once per operator in one pass over the axial nodes; each
+solve runs the block-Thomas sweeps over them and the shared axial blocks in
+the layout (n_axial, 2, *cross).
 The free rows are positive real, so no pivot block vanishes in exact
 arithmetic, and the solve's residual guards the rounding.
 
@@ -313,8 +314,8 @@ class DiscreteOperator:
 
     Built eagerly: the quadrature, the axial 2x2 blocks (`axial_blocks`),
     the cross eigenmodes and `pivot_inv`, the one stored factor of the mode
-    systems; the factorization, the sweeps and `apply_operator` read the one
-    set of axial blocks. The Dirichlet rows come from `_dirichlet_rows` alone.
+    systems and the one (n_axial, 2, 2, n_modes) array it makes; the
+    factorization, the sweeps and `apply_operator` read the axial blocks. The Dirichlet rows come from `_dirichlet_rows` alone.
     Built on first use and then kept: the CSR blocks (`blocks`) and the
     assembled operator `K`, which serve the quadratic form, the coercivity
     check and the sparse-LU cross-checks.
@@ -448,46 +449,39 @@ def _axial_blocks(coeffs: BackgroundCoeffs, quad: Quadrature):
     return lower, upper, diag
 
 
-def _mode_blocks(axial_blocks, coeffs: BackgroundCoeffs, quad: Quadrature, cross_modes):
-    """The 2x2 blocks of every mode system: the shared axial lower and upper,
-    and diag[k, :, :, m], the axial diagonal blocks plus the cross eigenvalue
-    of mode m times the axial mass on the free rows. The axial blocks are not
-    modified."""
-    lower, upper, diag = axial_blocks
-    grid, tau = quad.grid, quad.tau
-    d, n = grid.dim, grid.shape[-1]
-    mu = np.zeros((n, 2) + grid.cross_shape())
-    for a, (_, lam) in enumerate(cross_modes):
-        lam = lam.reshape([-1 if b == a else 1 for b in range(d - 1)])
-        axial = (n,) + (1,) * (d - 1)
-        mu[:, 0] += (tau * coeffs.aii[:, a]).reshape(axial) * lam
-        mu[:, 1] += tau.reshape(axial) * lam
-    mu[_dirichlet_rows(n)] = 0.0
-    mu = mu.reshape(n, 2, -1)
-    return lower, upper, diag[..., None] + np.eye(2)[:, :, None] * mu[:, :, None, :]
-
-
-def _invert_pivot(S, k):
-    """Inverse of the 2x2 pivot blocks S[:, :, mode] of axial node k."""
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    if not np.all(np.isfinite(det) & (det != 0.0)):
-        raise SingularAssemblyError(
-            f"banded factorization of the mode systems failed "
-            f"(singular pivot block at axial node {k})")
-    return np.stack([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det
-
-
 def _factor_modes(axial_blocks, coeffs: BackgroundCoeffs, quad: Quadrature,
                   cross_modes) -> np.ndarray:
     """Block LU, without pivoting, of all mode systems, kept as its inverted
-    pivot blocks S_k^-1, (n, 2, 2, n_modes): S_0 = diag_0 and
-    S_k = diag_k - lower[k-1] S_k-1^-1 upper[k-1], vectorized over the modes."""
-    lower, upper, diag = _mode_blocks(axial_blocks, coeffs, quad, cross_modes)
-    pivot_inv = np.empty_like(diag)
-    pivot_inv[0] = _invert_pivot(diag[0], 0)
-    for k in range(1, diag.shape[0]):
-        M = np.einsum("ij,jlm->ilm", lower[k - 1], pivot_inv[k - 1])
-        pivot_inv[k] = _invert_pivot(diag[k] - np.einsum("ijm,jl->ilm", M, upper[k - 1]), k)
+    pivot blocks S_k^-1, (n, 2, 2, n_modes): S_0 = D_0 and S_k = D_k -
+    lower[k-1] S_k-1^-1 upper[k-1], one pass over the axial nodes vectorized
+    over the modes, each inverse written into its row. D_k, formed per node,
+    is diag[k] plus mu[k], the cross eigenvalue times the axial mass on the
+    free rows. An overflow or a zero determinant is a singular pivot block."""
+    lower, upper, diag = axial_blocks
+    grid, tau = quad.grid, quad.tau
+    d, n = grid.dim, grid.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.zeros((n, 2) + grid.cross_shape())
+        for a, (_, lam) in enumerate(cross_modes):
+            lam = lam.reshape([-1 if b == a else 1 for b in range(d - 1)])
+            axial = (n,) + (1,) * (d - 1)
+            mu[:, 0] += (tau * coeffs.aii[:, a]).reshape(axial) * lam
+            mu[:, 1] += tau.reshape(axial) * lam
+        mu[_dirichlet_rows(n)] = 0.0
+        mu = mu.reshape(n, 2, 1, -1)
+        eye, pivot_inv = np.eye(2)[:, :, None], np.empty((n, 2, 2, mu.shape[-1]))
+        for k in range(n):
+            S = diag[k][..., None] + eye * mu[k]
+            if k:
+                M = np.einsum("ij,jlm->ilm", lower[k - 1], pivot_inv[k - 1])
+                S -= np.einsum("ijm,jl->ilm", M, upper[k - 1])
+            det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+            if not np.all(np.isfinite(det) & (det != 0.0)):
+                raise SingularAssemblyError("banded factorization of the mode systems failed "
+                                            f"(singular pivot block at axial node {k})")
+            out = pivot_inv[k]
+            out[0, 0], out[0, 1], out[1, 0], out[1, 1] = S[1, 1], -S[0, 1], -S[1, 0], S[0, 0]
+            out /= det
     return pivot_inv
 
 

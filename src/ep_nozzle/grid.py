@@ -75,13 +75,19 @@ def build_grid(dim=2, cross_extents=((0.0, 1.0),), L=1.0, shape=(33, 65)) -> Noz
 
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(cross_extents, shape[:-1])]
     axes.append(np.linspace(0.0, L, shape[-1]))
+    spacing = tuple(float(ax[1] - ax[0]) for ax in axes)
+    for a, h in enumerate(spacing):
+        # the stencils divide by h^2 and the wall check scales by h^3
+        if not all(0.0 < p < np.inf for p in (h * h, h * h * h)):
+            raise DomainError(f"grid step {h:.3g} of axis {a} is out of range "
+                              f"(its square or cube is not a positive finite float)")
     return Nozzle(
         dim=dim,
         cross_extents=tuple(tuple(map(float, e)) for e in cross_extents),
         L=float(L),
         shape=tuple(int(n) for n in shape),
         axes=tuple(axes),
-        spacing=tuple(float(ax[1] - ax[0]) for ax in axes),
+        spacing=spacing,
     )
 
 

@@ -440,6 +440,14 @@ PROBES = [
                  id="J0-tiny", marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     pytest.param("solve", edited("background", "ode_steps", "8"), (), 1, "error",
                  id="ode-steps-below-16"),
+    # a grid step whose cube or square overflows, or whose square underflows
+    # to 0: refused by the grid, with no traceback or numpy warning
+    pytest.param("solve", edited("nozzle", "cross_max", "1e150"), (), 1, "error",
+                 id="cross-max-1e150", marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param("solve", edited("nozzle", "cross_max", "1e200"), (), 1, "error",
+                 id="cross-max-1e200", marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param("solve", edited("nozzle", "length", "1e-300"), (), 1, "error",
+                 id="length-1e-300", marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     pytest.param("solve", edited("perturbation", "sigma", "0.05"), (), 4, "admissibility",
                  id="oversized-sigma"),
     pytest.param("solve", edited("perturbation", "c_pex", "2"), (), 4, "admissibility",
@@ -473,21 +481,33 @@ class TestExitCodes:
             run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o"))
 
     def test_singular_factor_exits_1(self, tmp_path, capsys, monkeypatch):
-        blocks = elliptic._mode_blocks
+        axial_blocks = elliptic._axial_blocks
 
         def singular(*args):
             # node 0 holds identity rows only, so the pivot block of node 1
-            # is its diagonal block: zero it in every mode
-            lower, upper, diag = blocks(*args)
+            # is its diagonal block: zero the axial one, which is the whole
+            # block of mode 0 (cross eigenvalue 0)
+            lower, upper, diag = axial_blocks(*args)
             diag[1] = 0.0
             return lower, upper, diag
 
-        monkeypatch.setattr(elliptic, "_mode_blocks", singular)
+        monkeypatch.setattr(elliptic, "_axial_blocks", singular)
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(SMALL)
         assert run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: banded factorization"), err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_pivot_block_exits_1(self, tmp_path, capsys):
+        # the cross eigenvalues of a 1e-100 wide section overflow the pivot
+        # determinants: the singular-pivot error alone, no numpy warning
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(edited("nozzle", "cross_max", "1e-100"))
+        assert run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: banded factorization of the mode systems failed "
+                       "(singular pivot block at axial node 1)"], err
 
 
     def test_solve_residual_above_bound_exits_1(self, tmp_path, capsys, monkeypatch):

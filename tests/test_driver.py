@@ -522,7 +522,9 @@ def test_profile_formulas_match_nodal_formulas(state_profiles):
 def test_frozen_state_bytes_per_node():
     # the inverted pivot blocks of the mode systems, 32 B per node, are the
     # one nodal array; the background and the axial blocks are profiles, and
-    # the quadrature weights are face-sized
+    # the quadrature weights are face-sized. Building them, the cross
+    # eigenvalue terms (16 B per node) are the one other nodal array: no
+    # stack of the mode systems' diagonal blocks
     g = build_grid(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.0)), shape=(33, 33, 65))
     background = _background(64)
     tracemalloc.start()
@@ -530,10 +532,12 @@ def test_frozen_state_bytes_per_node():
         before = tracemalloc.get_traced_memory()[0]
         state = PicardState(LAW, background, g)
         held = tracemalloc.get_traced_memory()[0] - before
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert state.coeffs.u.shape == (65,)
     assert held / g.n_nodes <= 40.0
+    assert peak / g.n_nodes <= 64.0
 
 
 def _rise_per_node(n_nodes, fn, *args):

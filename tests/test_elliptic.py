@@ -603,23 +603,31 @@ def test_operator_holds_no_nodal_float_array(grid):
 
 @pytest.mark.parametrize("grid", list(GRIDS))
 def test_zero_cross_mode_is_the_axial_operator(grid):
-    # mode 0 is constant over the cross-section, with eigenvalue 0
+    # mode 0 is constant over the cross-section, with eigenvalue 0, so its
+    # pivot blocks are those of the axial blocks alone: the block LU of the
+    # axial operator, each pivot inverted by np.linalg.inv
     g, op = _operator(grid)
-    lower, upper, diag = elliptic._mode_blocks(op.axial_blocks, op.coeffs, op.quad, op.cross_modes)
-    assert np.array_equal(diag[..., 0], op.axial_blocks[2])
-    assert lower is op.axial_blocks[0] and upper is op.axial_blocks[1]
-    assert np.count_nonzero(diag[..., 1:] != diag[..., :1]) > 0
+    assert all(lam[0] == 0.0 for _, lam in op.cross_modes)
+    lower, upper, diag = op.axial_blocks
+    expected = [np.linalg.inv(diag[0])]
+    for k in range(1, g.shape[-1]):
+        expected.append(np.linalg.inv(diag[k] - lower[k - 1] @ expected[-1] @ upper[k - 1]))
+    expected = np.array(expected)
+    np.testing.assert_allclose(op.pivot_inv[..., 0], expected,
+                               rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+    assert np.count_nonzero(op.pivot_inv[..., 1:] != op.pivot_inv[..., :1]) > 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_pivot_block_raises(monkeypatch):
-    blocks = elliptic._mode_blocks
+    axial_blocks = elliptic._axial_blocks
 
     def non_finite(*args):
-        lower, upper, diag = blocks(*args)
-        diag[3, 0, 0, 2] = np.nan
+        lower, upper, diag = axial_blocks(*args)
+        diag[3, 0, 0] = np.nan
         return lower, upper, diag
 
-    monkeypatch.setattr(elliptic, "_mode_blocks", non_finite)
+    monkeypatch.setattr(elliptic, "_axial_blocks", non_finite)
     with pytest.raises(SingularAssemblyError, match="singular pivot block at axial node 3"):
         _operator("3d")
 

@@ -103,6 +103,25 @@ class TestBuild:
         with pytest.raises(DomainError):
             build_grid(dim=4, cross_extents=((0, 1), (0, 1), (0, 1)), shape=(8, 8, 8, 8))
 
+    @pytest.mark.parametrize("extents, L, axis", [
+        (((0.0, 1e150),), 1.0, 0),                 # h^3 overflows
+        (((0.0, 1e200),), 1.0, 0),                 # h^2 overflows
+        (((0.0, 1.0),), 1e-300, 1),                # h^2 underflows to 0
+        (((0.0, 1e-110),), 1.0, 0),                # h^3 underflows to 0
+        (((0.0, 1.0), (-1e150, 1e150)), 1.0, 1),   # the second cross axis
+    ])
+    def test_refuses_a_step_whose_square_or_cube_is_not_a_positive_finite_float(
+            self, extents, L, axis):
+        with pytest.raises(DomainError, match=f"of axis {axis} is out of range"):
+            build_grid(dim=len(extents) + 1, cross_extents=extents, L=L,
+                       shape=(9,) * len(extents) + (17,))
+
+    def test_accepts_a_step_whose_square_and_cube_are_finite(self):
+        for extents in (((0.0, 1e100),), ((0.0, 1e-100),), ((5e-324, 0.1),)):
+            g = build_grid(dim=2, cross_extents=extents, shape=(9, 17))
+            h = g.spacing[0]
+            assert 0.0 < h * h * h < np.inf and 0.0 < h * h < np.inf
+
 
 class TestDifferenceOperators:
     def test_linear_field_exact(self):
