@@ -312,10 +312,11 @@ class DiscreteOperator:
     """Operator part of the weak system and its separable factorization
     (background-dependent only).
 
-    Built eagerly: the quadrature, the axial 2x2 blocks (`axial_blocks`),
-    the cross eigenmodes and `pivot_inv`, the one stored factor of the mode
-    systems and the one (n_axial, 2, 2, n_modes) array it makes; the
-    factorization, the sweeps and `apply_operator` read the axial blocks. The Dirichlet rows come from `_dirichlet_rows` alone.
+    Built eagerly: the quadrature, the axial 2x2 blocks (`axial_blocks`), the
+    cross eigenmodes and `pivot_inv`, the one stored factor of the mode
+    systems and their one (n_axial, 2, 2, n_modes) array; the factorization,
+    the sweeps and `apply_operator` read the axial blocks, and the Dirichlet
+    rows come from `_dirichlet_rows` alone.
     Built on first use and then kept: the CSR blocks (`blocks`) and the
     assembled operator `K`, which serve the quadratic form, the coercivity
     check and the sparse-LU cross-checks.
@@ -451,27 +452,26 @@ def _axial_blocks(coeffs: BackgroundCoeffs, quad: Quadrature):
 
 def _factor_modes(axial_blocks, coeffs: BackgroundCoeffs, quad: Quadrature,
                   cross_modes) -> np.ndarray:
-    """Block LU, without pivoting, of all mode systems, kept as its inverted
-    pivot blocks S_k^-1, (n, 2, 2, n_modes): S_0 = D_0 and S_k = D_k -
-    lower[k-1] S_k-1^-1 upper[k-1], one pass over the axial nodes vectorized
-    over the modes, each inverse written into its row. D_k, formed per node,
-    is diag[k] plus mu[k], the cross eigenvalue times the axial mass on the
-    free rows. An overflow or a zero determinant is a singular pivot block."""
+    """Block LU, without pivoting, of all mode systems in one pass over the
+    axial nodes, vectorized over the modes, kept as its inverted pivot blocks
+    S_k^-1 (n, 2, 2, n_modes): S_0 = D_0, S_k = D_k - lower[k-1] S_k-1^-1
+    upper[k-1]. D_k = diag[k] + mu[k], mu the cross eigenvalue times the axial
+    mass on the free rows, is formed per node; an overflow is a singular pivot."""
     lower, upper, diag = axial_blocks
-    grid, tau = quad.grid, quad.tau
-    d, n = grid.dim, grid.shape[-1]
+    grid, tau, n = quad.grid, quad.tau, quad.grid.shape[-1]
+    eye, pivot_inv = np.eye(2)[:, :, None], np.empty((n, 2, 2, grid.n_nodes // n))
+    # mu is held in place, in pivot_inv[:, :, 0]: row k is read before pivot_inv[k] is written
+    mu = pivot_inv.reshape((n, 2, 2) + grid.cross_shape())[:, :, 0]
+    mu[...] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.zeros((n, 2) + grid.cross_shape())
         for a, (_, lam) in enumerate(cross_modes):
-            lam = lam.reshape([-1 if b == a else 1 for b in range(d - 1)])
-            axial = (n,) + (1,) * (d - 1)
+            lam = lam.reshape([-1 if b == a else 1 for b in range(grid.dim - 1)])
+            axial = (n,) + (1,) * (grid.dim - 1)
             mu[:, 0] += (tau * coeffs.aii[:, a]).reshape(axial) * lam
             mu[:, 1] += tau.reshape(axial) * lam
         mu[_dirichlet_rows(n)] = 0.0
-        mu = mu.reshape(n, 2, 1, -1)
-        eye, pivot_inv = np.eye(2)[:, :, None], np.empty((n, 2, 2, mu.shape[-1]))
         for k in range(n):
-            S = diag[k][..., None] + eye * mu[k]
+            S = diag[k][..., None] + eye * mu[k].reshape(2, 1, -1)
             if k:
                 M = np.einsum("ij,jlm->ilm", lower[k - 1], pivot_inv[k - 1])
                 S -= np.einsum("ijm,jl->ilm", M, upper[k - 1])

@@ -522,9 +522,8 @@ def test_profile_formulas_match_nodal_formulas(state_profiles):
 def test_frozen_state_bytes_per_node():
     # the inverted pivot blocks of the mode systems, 32 B per node, are the
     # one nodal array; the background and the axial blocks are profiles, and
-    # the quadrature weights are face-sized. Building them, the cross
-    # eigenvalue terms (16 B per node) are the one other nodal array: no
-    # stack of the mode systems' diagonal blocks
+    # the quadrature weights are face-sized. The factorization runs in place,
+    # with no stack of the mode systems' diagonal blocks
     g = build_grid(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.0)), shape=(33, 33, 65))
     background = _background(64)
     tracemalloc.start()
