@@ -455,8 +455,8 @@ def _factor_modes(axial_blocks, coeffs: BackgroundCoeffs, quad: Quadrature,
     """Block LU, without pivoting, of all mode systems in one pass over the
     axial nodes, vectorized over the modes, kept as its inverted pivot blocks
     S_k^-1 (n, 2, 2, n_modes): S_0 = D_0, S_k = D_k - lower[k-1] S_k-1^-1
-    upper[k-1]. D_k = diag[k] + mu[k], mu the cross eigenvalue times the axial
-    mass on the free rows, is formed per node; an overflow is a singular pivot."""
+    upper[k-1]. D_k = diag[k] + mu[k] is formed per node, mu being the cross
+    eigenvalue times the axial mass on the free rows; an overflow is singular."""
     lower, upper, diag = axial_blocks
     grid, tau, n = quad.grid, quad.tau, quad.grid.shape[-1]
     eye, pivot_inv = np.eye(2)[:, :, None], np.empty((n, 2, 2, grid.n_nodes // n))

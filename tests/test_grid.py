@@ -117,7 +117,6 @@ class TestBuild:
                        shape=(9,) * len(extents) + (17,))
 
 
-
 class TestDifferenceOperators:
     def test_linear_field_exact(self):
         g = build_grid(dim=2, shape=(9, 17))
