@@ -10,18 +10,15 @@ strong-form residuals are recorded along the way.
 from __future__ import annotations
 
 import json
-import os
-import pickle
 import random
 import sys
-import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import coeffs as cf
-from . import elliptic, grid as gridmod
+from . import elliptic, grid as gridmod, pool
 from .elliptic import _along
 from .errors import (
     AdmissibilityError,
@@ -209,19 +206,21 @@ class PicardState:
                     np.max(self.grid.face(grad_norm, -1, -1)))
 
     def step(self, pair: FieldPair, data: BoundaryData, corrections=None,
-             gradient=None) -> FieldPair:
+             gradient=None, iteration=None) -> FieldPair:
         """One application of the iteration map. gradient, when given and
         not empty, is a list [Dpsi, maxima] that the caller hands over: the
         nodal gradient of pair.psi and its `gradient_maxima`, already
         computed. The step empties it, so that Dpsi is freed with the
-        other sources once the right-hand side exists."""
+        other sources once the right-hand side exists. iteration, the
+        Picard iteration this step makes, is named by the residual guard."""
         # the linear data go to the solve by no name here: the solve frees
         # them once it has the right-hand side
         psi, Psi, residual = elliptic.solve(
             self.op, self._linear_data(pair, data, corrections, gradient))
         if not residual <= SOLVE_RESIDUAL_MAX:
+            where = "" if iteration is None else f"Picard iteration {iteration}: "
             raise SingularAssemblyError(
-                f"relative residual of the linear solve {residual:.3e} exceeds "
+                f"{where}relative residual of the linear solve {residual:.3e} exceeds "
                 f"{SOLVE_RESIDUAL_MAX:.0e}"
             )
         return FieldPair(psi=psi, Psi=Psi)
@@ -301,7 +300,7 @@ def run_fixed_point(
     # next step, which takes them out of the list
     handed = []
     for k in range(config.max_iter):
-        new = state.step(pair, data, corrections, handed)
+        new = state.step(pair, data, corrections, handed, iteration=k + 1)
         d = float(
             np.max(np.abs(new.psi - pair.psi)) + np.max(np.abs(new.Psi - pair.Psi))
         )
@@ -532,36 +531,12 @@ def loglog_slope(x, y) -> float:
 # ladders: independent rungs split over the usable CPUs
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:        # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _available_memory() -> int | None:
-    """Bytes of memory available for new work, or None if unknown: Linux's
-    MemAvailable, else the free physical pages."""
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):   # no such call or name here
-        return None
-
-
 def _ladder_width(n_rungs, rung_bytes):
     """Processes for a ladder: one per usable CPU and rung, and no more than
     the available memory holds rungs of rung_bytes each (at least one)."""
-    w = min(_usable_cpus(), n_rungs)
+    w = pool.width(n_rungs)
     if w > 1 and rung_bytes > 0:
-        available = _available_memory()
+        available = pool._available_memory()
         if available is not None:
             w = min(w, max(1, available // rung_bytes))
     return w
@@ -602,40 +577,6 @@ def _reissue(notes):
                                    vars(module).setdefault("__warningregistry__", {}))
 
 
-def _fork_share(fn, items, indices):
-    """Fork a child that runs its share of the rungs and pickles their
-    results and warnings back over a pipe. It stops at its first failing
-    rung, which, like the rungs after it, is missing from what it sends.
-    Returns the child's pid and the read end of the pipe."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            results, notes, _ = _run_rungs(fn, items, indices)
-            payload = pickle.dumps((results, notes), pickle.HIGHEST_PROTOCOL)
-            with os.fdopen(write_fd, "wb") as fh:
-                fh.write(payload)
-            code = 0
-        finally:
-            os._exit(code)        # no atexit handler, no flush of inherited buffers
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _read_all(fd) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
 def ladder_map(fn, items, rung_bytes=0):
     """[fn(item) for item in items], the independent rungs of a ladder split
     over the usable CPUs.
@@ -654,37 +595,21 @@ def ladder_map(fn, items, rung_bytes=0):
       could not be forked, run here;
     - the warnings of every rung are shown in rung order, through the
       filters in force here.
-    With w = 1, without `os.fork`, or with other threads running (a fork
-    copies no thread but the caller), it is the plain loop.
+    With w = 1, which `pool.width` gives without `os.fork`, with other
+    threads running or inside a pool share, it is the plain loop.
     """
     items = list(items)
     w = _ladder_width(len(items), rung_bytes)
-    if w <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if w <= 1:
         return [fn(item) for item in items]
-    children = []          # (pid, read end of its pipe), each reaped below
-    try:
-        for j in range(1, w):
-            try:
-                children.append(_fork_share(fn, items, range(j, len(items), w)))
-            except OSError:   # no process to spare: the missing shares run here
-                break
-        results, notes, failure = _run_rungs(fn, items, range(0, len(items), w))
-        payloads = [_read_all(read_fd) for _, read_fd in children]
-    except BaseException:
-        from signal import SIGKILL   # on this path only: the module costs import time
-        for pid, _ in children:
-            os.kill(pid, SIGKILL)
-        raise
-    finally:
-        statuses = []
-        for pid, read_fd in children:
-            os.close(read_fd)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for payload, status in zip(payloads, statuses):
-        if os.waitstatus_to_exitcode(status) == 0:   # else the payload may be cut short
-            share_results, share_notes = pickle.loads(payload)
-            results.update(share_results)
-            notes.update(share_notes)
+    # a child stops at its first failing rung, which, like the rungs after
+    # it, is missing from what it sends back
+    (results, notes, failure), shares = pool.fork_shares(
+        w, lambda j: _run_rungs(fn, items, range(j, len(items), w))[:2],
+        lambda: _run_rungs(fn, items, range(0, len(items), w)))
+    for share_results, share_notes in shares.values():
+        results.update(share_results)
+        notes.update(share_notes)
     out = []
     for i, item in enumerate(items):
         if i in results:

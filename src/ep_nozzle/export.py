@@ -4,17 +4,65 @@ Coordinate columns are text columns built from the grid axes: each axis
 value is formatted once, not once per node. The deformed writers take only
 the mapped cross coordinates, because the wall shear keeps x_n: their axial
 column is the grid axis too.
+
+A table's rows are formatted on every usable CPU: w contiguous shares, w =
+min(usable CPUs, float values / MIN_SHARE_VALUES), at least 1, through the
+fork pool of `pool` that the stability ladders use too. A row's text does
+not depend on its share, so the bytes do not depend on the CPU count, and
+the children write to unnamed files, so nothing but the output is left on
+disk.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
+from . import pool
 from .errors import DomainError
 from .grid import Nozzle
 
 # rows per `%` call: bounds the size of the temporary strings
 BLOCK_ROWS = 4096
+
+# float values per process at least: a fork costs about 2-3 ms at 40 MiB
+# and "%.17g" about 0.6 us per value, so a share is several forks long
+MIN_SHARE_VALUES = 1 << 15
+
+
+def _format_rows(fh, row, columns, start, stop):
+    """Rows start:stop of the columns, BLOCK_ROWS rows per `%` call."""
+    k = len(columns)
+    for begin in range(start, stop, BLOCK_ROWS):
+        end = min(begin + BLOCK_ROWS, stop)
+        values = [None] * ((end - begin) * k)
+        for j, c in enumerate(columns):
+            values[j::k] = c.flat[begin:end].tolist()
+        fh.write(row * (end - begin) % tuple(values))
+
+
+def _unnamed_files(directory, count):
+    """count unnamed temporary files in directory (Linux's O_TMPFILE): they
+    have no name, so nothing is left on disk whatever happens. [] where the
+    platform or the file system makes none."""
+    fds = []
+    try:
+        for _ in range(count):
+            fds.append(os.open(directory, os.O_TMPFILE | os.O_RDWR, 0o600))
+    except (AttributeError, OSError):   # no O_TMPFILE here, or no such file
+        for fd in fds:
+            os.close(fd)
+        return []
+    return fds
+
+
+def _append(fh, fd):
+    """The whole of file fd after what fh holds."""
+    fh.flush()
+    offset = 0
+    while sent := os.sendfile(fh.fileno(), fd, offset, 1 << 30):
+        offset += sent
 
 
 def _write_table(fh, columns, sep):
@@ -25,17 +73,41 @@ def _write_table(fh, columns, sep):
     Every column is read in its `.flat` order, BLOCK_ROWS rows at a time, so
     a text column may be a broadcast view of a few strings: it is never
     expanded to one object per row.
+
+    The rows are split into w contiguous shares, w = `pool.width` of the
+    float values over MIN_SHARE_VALUES. This process formats share 0 into fh
+    while forked child j formats share j into an unnamed file in fh's
+    directory; the children's files are then appended in order, and a share
+    whose child did not finish is formatted here. A row's text does not
+    depend on its share, so the bytes do not depend on w.
     """
     columns = [c if isinstance(c, np.ndarray) and c.dtype == object
                else np.asarray(c, dtype=float).ravel() for c in columns]
     row = sep.join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
-    n, k = columns[0].size, len(columns)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        values = [None] * ((stop - start) * k)
-        for j, c in enumerate(columns):
-            values[j::k] = c.flat[start:stop].tolist()
-        fh.write(row * (stop - start) % tuple(values))
+    n = columns[0].size
+    n_float = sum(c.dtype != object for c in columns)
+    w = pool.width(n * n_float // MIN_SHARE_VALUES)
+    spills = _unnamed_files(os.path.dirname(fh.name) or ".", w - 1) if w > 1 else []
+    if not spills:
+        _format_rows(fh, row, columns, 0, n)
+        return
+    bounds = [n * j // w for j in range(w + 1)]
+
+    def child(j):
+        with open(spills[j - 1], "w", encoding=fh.encoding, closefd=False) as out:
+            _format_rows(out, row, columns, bounds[j], bounds[j + 1])
+
+    try:
+        _, done = pool.fork_shares(
+            w, child, lambda: _format_rows(fh, row, columns, 0, bounds[1]))
+        for j in range(1, w):
+            if j in done:
+                _append(fh, spills[j - 1])
+            else:
+                _format_rows(fh, row, columns, bounds[j], bounds[j + 1])
+    finally:
+        for fd in spills:
+            os.close(fd)
 
 
 def _axis_text(grid: Nozzle, axis):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ep_nozzle import cli, driver, elliptic
+from ep_nozzle import cli, driver, elliptic, export, pool
 from ep_nozzle.config import TEMPLATE, parse_config, serialize_config
 from ep_nozzle.errors import DomainError
 
@@ -177,7 +177,7 @@ LADDERS = {
 
 def sweep_with_cpus(tmp_path, capsys, monkeypatch, text, n):
     """`sweep` with n usable CPUs: exit code, stdout, stderr, sweep_*.json bytes."""
-    monkeypatch.setattr(driver, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: n)
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text(text)
     out = tmp_path / f"o{n}"
@@ -226,14 +226,14 @@ class TestLadderProcesses:
         cfgfile.write_text(LADDERS["sigma-2d"])
         script = "\n".join([
             "import sys, warnings",
-            "from ep_nozzle import cli, driver",
+            "from ep_nozzle import cli, driver, pool",
             "run_fixed_point = driver.run_fixed_point",
             "def warns(config, data, state, **kwargs):",
             "    warnings.warn(f'rung at sigma {data.sigma}', RuntimeWarning)",
             "    warnings.warn('every rung', RuntimeWarning)",
             "    return run_fixed_point(config, data, state, **kwargs)",
             "driver.run_fixed_point = warns",
-            "driver._usable_cpus = lambda: int(sys.argv[1])",
+            "pool._usable_cpus = lambda: int(sys.argv[1])",
             f"sys.exit(cli.main(['sweep', '--config', {str(cfgfile)!r}, "
             f"'--out', {str(tmp_path / 'o')!r}]))",
         ])
@@ -247,6 +247,33 @@ class TestLadderProcesses:
         assert sum("RuntimeWarning: every rung" in line for line in lines) == 1
         assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == \
             [(runs[0].returncode, runs[0].stdout, runs[0].stderr)]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable CPU")
+def test_solve_outputs_independent_of_the_cpus(tmp_path):
+    # four float columns just above two shares: the table is split over two
+    # processes unless the command may run on one CPU only
+    axial = 257
+    cross = 2 * export.MIN_SHARE_VALUES // (4 * axial) + 1
+    assert 4 * cross * axial // export.MIN_SHARE_VALUES == 2
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[nozzle]\nnodes_cross = {cross}\nnodes_axial = {axial}\n"
+                       "[perturbation]\nsigma = 0.0005\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cpu = min(os.sched_getaffinity(0))
+    outputs = []
+    for pin in (lambda: os.sched_setaffinity(0, {cpu}), None):
+        cwd = tmp_path / ("one" if pin else "all")
+        cwd.mkdir()
+        run = subprocess.run([sys.executable, "-m", "ep_nozzle.cli", "solve", "--config",
+                              str(cfgfile), "--out", "out"], cwd=cwd, env=env,
+                             preexec_fn=pin, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert os.listdir(cwd) == ["out"]
+        outputs.append({p.name: p.read_bytes() for p in (cwd / "out").iterdir()})
+    assert sorted(outputs[0]) == ["config_echo.ini", "fields.csv", "report.json"]
+    assert outputs[0] == outputs[1]
 
 
 class TestPerturbDomain:
@@ -522,7 +549,8 @@ class TestExitCodes:
         cfgfile.write_text(SMALL)
         assert run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: relative residual of the linear solve 2.000e-08 exceeds 1e-08"]
+        assert err == ["error: Picard iteration 1: relative residual of the linear solve "
+                       "2.000e-08 exceeds 1e-08"]
 
 
 # node counts and ODE steps stay small so a drawn run takes milliseconds

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ep_nozzle import coeffs as cf, driver, elliptic
+from ep_nozzle import coeffs as cf, driver, elliptic, pool
 from ep_nozzle.driver import (
     Amplitudes,
     FieldPair,
@@ -286,7 +286,7 @@ class TestSweep:
 
 
 def _cpus(monkeypatch, n):
-    monkeypatch.setattr(driver, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: n)
 
 
 def _reports(sweep):
@@ -313,15 +313,15 @@ class TestLadderMap:
         _cpus(monkeypatch, 2)
         rung_bytes = driver.RUNG_BYTES_PER_NODE * 128 * 256
         for held, w in [(1, 1), (1.9, 1), (2, 2), (100, 2)]:
-            monkeypatch.setattr(driver, "_available_memory", lambda: int(held * rung_bytes))
+            monkeypatch.setattr(pool, "_available_memory", lambda: int(held * rung_bytes))
             assert driver._ladder_width(8, rung_bytes) == w
-        monkeypatch.setattr(driver, "_available_memory", lambda: rung_bytes)
+        monkeypatch.setattr(pool, "_available_memory", lambda: rung_bytes)
         assert ladder_map(lambda x: os.getpid(), range(4), rung_bytes) == [os.getpid()] * 4
 
     def test_real_memory_keeps_two_processes_on_a_small_grid(self, monkeypatch):
         # a 128x256 ladder's rungs need about 5 MB each
         _cpus(monkeypatch, 2)
-        assert driver._available_memory() > 0
+        assert pool._available_memory() > 0
         assert driver._ladder_width(8, driver.RUNG_BYTES_PER_NODE * 128 * 256) == 2
 
     def test_sigma_ladder_passes_its_rung_bytes(self, state_small, monkeypatch):
