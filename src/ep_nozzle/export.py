@@ -87,7 +87,7 @@ def _write_table(fh, columns, sep):
     n = columns[0].size
     n_float = sum(c.dtype != object for c in columns)
     w = pool.width(n * n_float // MIN_SHARE_VALUES)
-    spills = _unnamed_files(os.path.dirname(fh.name) or ".", w - 1) if w > 1 else []
+    spills = _unnamed_files(os.path.dirname(fh.name) or ".", w - 1)
     if not spills:
         _format_rows(fh, row, columns, 0, n)
         return
