@@ -14,6 +14,9 @@ counted. The phases are
 - step: one `PicardState.step`, with the gradient `run_fixed_point` hands it
 - elliptic.solve: the linear solve inside a step
 - nonlinear_residual and pair_norms: their one call at the end
+- the stages that set a step's peak: coeffs.remainder_fields,
+  elliptic.assemble_rhs, elliptic._divergence_form, elliptic._cross_transform
+  and elliptic.apply_operator
 - grid.gradient, GasLaw.density and driver.edge_divergence: every call,
   inside the phases above or not
 
@@ -27,7 +30,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from ep_nozzle import cli, driver, elliptic, gas, grid as gridmod
+from ep_nozzle import cli, coeffs, driver, elliptic, gas, grid as gridmod
 from ep_nozzle.config import parse_config
 
 PHASES = {
@@ -36,6 +39,11 @@ PHASES = {
     "elliptic.solve": elliptic.solve,
     "nonlinear_residual": driver.nonlinear_residual,
     "pair_norms": driver.pair_norms,
+    "coeffs.remainder_fields": coeffs.remainder_fields,
+    "elliptic.assemble_rhs": elliptic.assemble_rhs,
+    "elliptic._divergence_form": elliptic._divergence_form,
+    "elliptic._cross_transform": elliptic._cross_transform,
+    "elliptic.apply_operator": elliptic.apply_operator,
     "grid.gradient": gridmod.gradient,
     "GasLaw.density": gas.GasLaw.density,
     "driver.edge_divergence": driver.edge_divergence,

@@ -134,7 +134,7 @@ def _write_fields(cfg, grid, fields, path_base, cross=None):
 
 
 def _echo_config(cfg, outdir):
-    (outdir / "config_echo.ini").write_text(cfgmod.serialize_config(cfg))
+    export.write_text(outdir / "config_echo.ini", cfgmod.serialize_config(cfg))
 
 
 def cmd_background(cfg) -> int:
@@ -154,7 +154,7 @@ def cmd_background(cfg) -> int:
         "Phi_en0": sol.phi_en0, "B00": sol.B00, "pex0": sol.pex0,
         "nu0": sol.nu0, "monotone_margins": margins, "monotone_admissible": ok,
     }
-    (outdir / "background.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    export.write_text(outdir / "background.json", json.dumps(summary, indent=2, sort_keys=True))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -192,7 +192,7 @@ def cmd_solve(cfg) -> int:
         "Phi": (c.Phi0 + grid.sections(pair.Psi)).ravel(),
     }
     _write_fields(cfg, grid, fields, outdir / "fields")
-    (outdir / "report.json").write_text(report.to_json())
+    export.write_text(outdir / "report.json", report.to_json())
     print(report.to_json())
     return EXIT_OK if report.subsonic_margin > 0.0 else EXIT_NONCONTRACTION
 
@@ -219,7 +219,7 @@ def cmd_sweep(cfg) -> int:
         payload["wall"] = domainmap.wall_sweep(itcfg, state, eps)
     from hashlib import sha256   # here only: at import it maps OpenSSL into every command
     tag = sha256(json.dumps(payload["sigmas"]).encode()).hexdigest()[:10]
-    (outdir / f"sweep_{tag}.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    export.write_text(outdir / f"sweep_{tag}.json", json.dumps(payload, indent=2, sort_keys=True))
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -239,7 +239,7 @@ def cmd_perturb_domain(cfg) -> int:
     report.meta["pushforward_residual"] = parts
     fields = {"psi": pair.psi, "Psi": pair.Psi}
     _write_fields(cfg, grid, fields, outdir / "fields_deformed", cross=shear.map_cross(grid))
-    (outdir / "report_perturbed.json").write_text(report.to_json())
+    export.write_text(outdir / "report_perturbed.json", report.to_json())
     print(report.to_json())
     return EXIT_OK
 

@@ -66,13 +66,28 @@ def remainder_fields(law: GasLaw, coeffs, Psi, Dpsi):
     del q_tot
     rho_pert = law.density(c.Phi0 + Psi, speed)
     del speed
-    # one component at a time: each product then runs along the sections
-    # with a profile, not over a trailing axis of length d
+    # F's components and f are formed in place, each product in one scratch
+    # buffer, with the order of operations of the formulas
+    #   F_i = -(rho D_i - aii_i D_i),  F_n = -(rho (D_n + u) - rho_bg u - lin_A),
+    #   lin_A = Psi dzA + aii_n D_n,   f = rho - rho_bg - (Psi dzB + dqB D_n);
+    # one component at a time, so each product runs along the sections with a
+    # profile, not over a trailing axis of length d
     F = np.empty(Dpsi.shape)
+    D_n, F_n = Dpsi[..., -1], F[..., -1]
+    scratch = np.empty(Psi.shape)
     for i in range(d - 1):
-        F[..., i] = -(rho_pert * Dpsi[..., i] - c.aii[:, i] * Dpsi[..., i])
-    lin_A = Psi * c.dzA + c.aii[:, -1] * Dpsi[..., -1]
-    F[..., -1] = -(rho_pert * (Dpsi[..., -1] + c.u) - c.rho_bg * c.u - lin_A)
-    del lin_A
-    f = rho_pert - c.rho_bg - (Psi * c.dzB + c.dqB * Dpsi[..., -1])
+        np.multiply(rho_pert, Dpsi[..., i], out=F[..., i])
+        F[..., i] -= np.multiply(c.aii[:, i], Dpsi[..., i], out=scratch)
+        np.negative(F[..., i], out=F[..., i])
+    np.multiply(Psi, c.dzA, out=F_n)                  # lin_A, held in F_n
+    F_n += np.multiply(c.aii[:, -1], D_n, out=scratch)
+    np.add(D_n, c.u, out=scratch)
+    scratch *= rho_pert
+    scratch -= c.rho_bg * c.u
+    scratch -= F_n
+    np.negative(scratch, out=F_n)
+    f = np.multiply(Psi, c.dzB)                       # lin_B, held in f
+    f += np.multiply(c.dqB, D_n, out=scratch)
+    np.subtract(rho_pert, c.rho_bg, out=scratch)
+    np.subtract(scratch, f, out=f)
     return F.reshape(-1, d), f.ravel(), rho_pert.ravel()

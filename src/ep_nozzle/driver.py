@@ -40,10 +40,11 @@ SOLVE_RESIDUAL_MAX = 1e-8
 # memory one ladder rung adds, per grid node: the measured peak of a whole
 # 129x129x257 `solve --format vtk` (661 MiB over 4.28 M nodes), so it is high
 RUNG_BYTES_PER_NODE = 163
-# nodes per slab of `edge_divergence`: its edge temporaries scale with a
-# slab, not with the grid. A slab's arrays stay above glibc's default mmap
-# threshold (128 KiB), so their pages go back to the system when freed: at
-# 1 << 14 the peak RSS of a 160x320 solve was 1.9 MB higher
+# nodes per slab of `slabs`: the temporaries of `edge_divergence` and of
+# `nonlinear_residual` scale with a slab, not with the grid. A slab's arrays
+# stay above glibc's default mmap threshold (128 KiB), so their pages go back
+# to the system when freed: at 1 << 14 the peak RSS of a 160x320 solve was
+# 1.9 MB higher
 SLAB_NODES = 1 << 15
 
 
@@ -350,6 +351,24 @@ def run_fixed_point(
 # strong-form residuals
 
 
+def slabs(grid: Nozzle, axis, halo=0):
+    """The slabs of about SLAB_NODES nodes across one axis, in order.
+
+    Yields (rows, own) per slab: rows, a slice of the axis, is the slab
+    widened by up to halo rows on each side, within the grid, and own, a
+    slice of rows, is the slab itself. A stencil that reaches halo rows
+    across the axis gives on own what it gives on the whole grid. A slab is
+    at least four times as wide as its two halos, so the halo rows add at
+    most a quarter to the work of a pass over the slabs.
+    """
+    n = grid.shape[axis]
+    step = max(1, SLAB_NODES * n // grid.n_nodes, 8 * halo)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        lo, hi = max(start - halo, 0), min(stop + halo, n)
+        yield slice(lo, hi), slice(start - lo, stop - lo)
+
+
 def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
     """Compact conservative divergences of fluxes built from edge states.
 
@@ -364,9 +383,11 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
     where there is none). Returns one divergence per scalar, valid on
     interior nodes.
 
-    The edges of an axis go to flux_fn in slabs of about SLAB_NODES nodes
-    across another axis, so the edge temporaries are a slab's, not the
-    grid's. Every operation is per edge, so the slabs do not change a bit.
+    The edges of an axis go to flux_fn in the `slabs` across another axis,
+    so the edge temporaries are a slab's, not the grid's. Every operation is
+    per edge, so the slabs do not change a bit. In a slab the midpoints of z,
+    the edge gradients and the flux differences are formed in their own
+    buffers.
     """
     shape = grid.shape
     d = grid.dim
@@ -377,27 +398,40 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
     divs = [np.zeros(shape) for _ in fields]
     for a, h in enumerate(grid.spacing):
         lo, hi = _along(a, slice(0, -1)), _along(a, slice(1, None))
+        inner = _along(a, slice(1, -1))
         axes_e = list(grid.axes)
         axes_e[a] = 0.5 * (axes_e[a][:-1] + axes_e[a][1:])
         c = 1 if a == 0 else 0          # the slab axis
-        rows = max(1, SLAB_NODES * shape[c] // grid.n_nodes)
-        for start in range(0, shape[c], rows):
-            slab = _along(c, slice(start, start + rows))
-            axes_e[c] = grid.axes[c][start:start + rows]
+        for rows, _ in slabs(grid, c):
+            slab = _along(c, rows)
+            axes_e[c] = grid.axes[c][rows]
             edges = fields[0][slab][lo].shape
             q_mids = []
             for f, gr in zip(fields, grads):
                 f, gr = f[slab], gr[slab]
                 q_e = np.empty(edges + (d,))
-                q_e[..., a] = (f[hi] - f[lo]) / h
+                q_a = np.subtract(f[hi], f[lo], out=q_e[..., a])
+                q_a /= h
                 for b in range(d):
                     if b != a:
-                        q_e[..., b] = 0.5 * (gr[lo][..., b] + gr[hi][..., b])
+                        q_b = np.add(gr[lo][..., b], gr[hi][..., b], out=q_e[..., b])
+                        q_b *= 0.5
                 q_mids.append(q_e.reshape(-1, d))
-            z_e = None if z_m is None else (0.5 * (z_m[slab][lo] + z_m[slab][hi])).ravel()
-            for div, flux in zip(divs, flux_fn(a, tuple(axes_e), z_e, *q_mids)):
+            z_e = None
+            if z_m is not None:
+                z_e = np.add(z_m[slab][lo], z_m[slab][hi])
+                z_e *= 0.5
+                z_e = z_e.ravel()
+            fluxes = flux_fn(a, tuple(axes_e), z_e, *q_mids)
+            del q_mids, z_e
+            diff = np.empty(fields[0][slab][inner].shape)
+            for div, flux in zip(divs, fluxes):
                 flux = flux.reshape(edges)
-                div[slab][_along(a, slice(1, -1))] += (flux[hi] - flux[lo]) / h
+                np.subtract(flux[hi], flux[lo], out=diff)
+                diff /= h
+                div[slab][inner] += diff
+            # nothing of this slab is held while the next one is formed
+            del fluxes, flux, diff
     return [div.ravel() for div in divs]
 
 
@@ -407,7 +441,12 @@ def _compact_laplacian(grid: Nozzle, f):
     for a, h in enumerate(grid.spacing):
         inner = _along(a, slice(1, -1))
         hi, lo = _along(a, slice(2, None)), _along(a, slice(0, -2))
-        out[inner] += (fm[hi] - 2.0 * fm[inner] + fm[lo]) / h ** 2
+        # (fm[hi] - 2 fm[inner] + fm[lo]) / h^2 in one buffer
+        term = np.multiply(fm[inner], 2.0)
+        np.subtract(fm[hi], term, out=term)
+        term += fm[lo]
+        term /= h ** 2
+        out[inner] += term
     return out.ravel()
 
 
@@ -418,51 +457,79 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
     the exit pressure, the wall-normal derivatives, and the Dirichlet traces.
     Returns the max residual and a per-component dictionary.
 
-    Each nodal field is dropped once its components are read, and the wall
-    derivatives of Phi come from the nodes next to the wall alone.
+    The fields are formed per `slabs` across cross axis 0, with a halo of
+    two rows, so that no nodal field is the grid's: per slab phi, Phi and
+    grad phi, the mass divergence, then the density and the Poisson
+    residual. Each field is dropped once its components are folded into the
+    slab's maxima. Every stencil reaches one row across the axis, and
+    np.gradient's one-sided rule at a wall three, so the components are the
+    whole grid's, bit for bit.
     """
-    g = state.grid
-    law = state.law
-    c = state.coeffs
-    wall_faces = state.op.quad.wall_faces
-    phi = (c.phi0 + g.sections(pair.psi)).ravel()
-    Phi = (c.Phi0 + g.sections(pair.Psi)).ravel()
+    g, law, c = state.grid, state.law, state.coeffs
+    n0, d = g.shape[0], g.dim
+    walls = [face[:2] for face in state.op.quad.wall_faces]
+    maxima = {}     # (component, part) -> the maximum of each slab that has the part
 
-    grad_phi = gridmod.gradient(g, phi)
-    rho = law.density(Phi, np.einsum("ni,ni->n", grad_phi, grad_phi))
-    # max |n . grad phi| over the wall faces
-    wall_flux_phi = max(float(np.max(np.abs(g.face(grad_phi, axis, side)[..., axis])))
-                        for axis, side, _, _ in wall_faces)
+    def fold(key, values):
+        if values.size:
+            maxima.setdefault(key, []).append(np.max(values))
 
     def mass_flux(axis, axes_e, z_e, q_e):
-        rho_e = law.density(z_e, np.einsum("ni,ni->n", q_e, q_e))
-        return (rho_e * q_e[:, axis],)
+        flux = law.density(z_e, np.einsum("ni,ni->n", q_e, q_e))
+        flux *= q_e[:, axis]
+        return (flux,)
 
-    mass, = edge_divergence(g, (phi,), mass_flux, z=Phi, grads=(grad_phi,))
-    del grad_phi
-    interior_mass = float(np.max(np.abs(g.interior(mass))))
-    del mass
-    poisson = _compact_laplacian(g, Phi) - (rho - data.b)
-    interior_poisson = float(np.max(np.abs(g.interior(poisson))))
-    del poisson
+    for rows, own in slabs(g, 0, halo=2):
+        sub = g.rows(rows)
+        span = slice(rows.start + own.start, rows.start + own.stop)   # own, in the grid
+        interior = ((slice(max(own.start, 1 - rows.start), min(own.stop, n0 - 1 - rows.start)),)
+                    + (slice(1, -1),) * (d - 1))
+        # the wall faces that own meets, and the part of each face of sub on own
+        faces = [(axis, side, own if axis else slice(None)) for axis, side in walls
+                 if axis or (span.start == 0 if side == 0 else span.stop == n0)]
 
-    exit_pressure = np.abs(law.pressure(g.face(rho, -1, -1)) - data.pex)
-    wall_flux_Phi = max(float(np.max(np.abs(gridmod.normal_derivative(g, Phi, axis, side))))
-                        for axis, side, _, _ in wall_faces)
-    dirichlet_phi = float(np.max(np.abs(g.face(phi, -1, 0))))
-    dirichlet_Phi = max(
-        float(np.max(np.abs(g.face(Phi, -1, 0) - (data.B0 + data.phi_en)))),
-        float(np.max(np.abs(g.face(Phi, -1, -1) - (data.B0 + data.phi_ex)))),
-    )
+        phi = (c.phi0 + sub.sections(g.slab(pair.psi, rows))).ravel()
+        Phi = (c.Phi0 + sub.sections(g.slab(pair.Psi, rows))).ravel()
+        fold("dirichlet_phi", np.abs(sub.face(phi, -1, 0)[own]))
+        for side, datum in ((0, data.phi_en), (-1, data.phi_ex)):
+            fold(("dirichlet_Phi", side),
+                 np.abs(sub.face(Phi, -1, side)[own] - (data.B0 + datum[span])))
+        for axis, side, part in faces:
+            fold(("wall_flux_Phi", axis, side),
+                 np.abs(gridmod.normal_derivative(sub, Phi, axis, side)[part]))
+
+        grad_phi = gridmod.gradient(sub, phi)
+        for axis, side, part in faces:
+            fold(("wall_flux_phi", axis, side),
+                 np.abs(sub.face(grad_phi, axis, side)[part][..., axis]))
+        mass, = edge_divergence(sub, (phi,), mass_flux, z=Phi, grads=(grad_phi,))
+        del phi
+        fold("interior_mass", np.abs(mass.reshape(sub.shape)[interior]))
+        del mass
+
+        rho = law.density(Phi, np.einsum("ni,ni->n", grad_phi, grad_phi))
+        del grad_phi
+        fold("exit_pressure",
+             np.abs(law.pressure(sub.face(rho, -1, -1)[own]) - data.pex[span]))
+        poisson = _compact_laplacian(sub, Phi)
+        del Phi
+        rho -= g.slab(data.b, rows)
+        poisson -= rho                  # the Laplacian less (rho - b)
+        del rho
+        fold("interior_poisson", np.abs(poisson.reshape(sub.shape)[interior]))
+        del poisson
+
+    def whole(key):
+        return float(np.max(maxima[key]))
 
     components = {
-        "interior_mass": interior_mass,
-        "interior_poisson": interior_poisson,
-        "exit_pressure": float(np.max(exit_pressure)),
-        "wall_flux_phi": wall_flux_phi,
-        "wall_flux_Phi": wall_flux_Phi,
-        "dirichlet_phi": dirichlet_phi,
-        "dirichlet_Phi": dirichlet_Phi,
+        "interior_mass": whole("interior_mass"),
+        "interior_poisson": whole("interior_poisson"),
+        "exit_pressure": whole("exit_pressure"),
+        "wall_flux_phi": max(whole(("wall_flux_phi", *face)) for face in walls),
+        "wall_flux_Phi": max(whole(("wall_flux_Phi", *face)) for face in walls),
+        "dirichlet_phi": whole("dirichlet_phi"),
+        "dirichlet_Phi": max(whole(("dirichlet_Phi", 0)), whole(("dirichlet_Phi", -1))),
     }
     return max(components.values()), components
 

@@ -498,12 +498,12 @@ def _sweep(pivot_inv, axial_blocks, R):
     return R
 
 
-def _cross_transform(X, cross_modes, transpose):
-    """Apply V^T (transpose) or V along each cross axis of X (n, 2, *cross): each
-    product contracts axis 2 and appends the modes last, so the order comes back."""
-    for V, _ in cross_modes:
-        X = np.tensordot(X, V, axes=(2, 0 if transpose else 1))
-    return X
+def _cross_transform(X, V, transpose):
+    """Apply V^T (transpose) or V along one cross axis of X (n, 2, *cross):
+    the product contracts axis 2 and appends the modes last, so applied once
+    per cross axis the order comes back. One axis per call, so the caller
+    holds only the array in transform."""
+    return np.tensordot(X, V, axes=(2, 0 if transpose else 1))
 
 
 def _along(axis, sl):
@@ -518,42 +518,58 @@ def apply_operator(op: DiscreteOperator, U) -> np.ndarray:
     mass of the cross-section; on each cross axis: the Neumann stiffness with
     the corner-rule edge weights, times aii on the v rows; Dirichlet rows:
     identity. Equal to `op.K @ U` up to the rounding of the summation order.
+    Each product and each cross-axis flux is formed in one nodal scratch
+    buffer and added to out from there.
     """
     grid, q = op.grid, op.quad
     lower, upper, diag = op.axial_blocks
     x = U.reshape((2,) + grid.shape)
     out = np.empty_like(x)
+    scratch = np.empty(grid.shape)
+    bands = ((lower, slice(1, None), slice(None, -1)), (upper, slice(None, -1), slice(1, None)))
     for i in range(2):
-        out[i] = diag[:, i, 0] * x[0] + diag[:, i, 1] * x[1]
-        out[i, ..., 1:] += lower[:, i, 0] * x[0, ..., :-1] + lower[:, i, 1] * x[1, ..., :-1]
-        out[i, ..., :-1] += upper[:, i, 0] * x[0, ..., 1:] + upper[:, i, 1] * x[1, ..., 1:]
+        np.multiply(diag[:, i, 0], x[0], out=out[i])
+        out[i] += np.multiply(diag[:, i, 1], x[1], out=scratch)
+        # a band's two products are added one at a time, so one scratch
+        # buffer serves them
+        for band, dst, src in bands:
+            for j in range(2):
+                out[i, ..., dst] += np.multiply(band[:, i, j], x[j, ..., src],
+                                                out=scratch[..., src])
     out *= q.exit_w[..., None]
     # out_j += flux_j-1 - flux_j along a cross axis, no flux beyond the ends
-    for a in range(grid.dim - 1):
-        hi, lo = _along(a + 1, slice(1, None)), _along(a + 1, slice(None, -1))
-        flux = np.diff(x, axis=a + 1)
-        flux *= q.edge_w[a] / grid.spacing[a]
-        flux[0] *= op.coeffs.aii[:, a]
-        out[hi] += flux
-        out[lo] -= flux
+    for ax in range(grid.dim - 1):
+        hi, lo = _along(ax, slice(1, None)), _along(ax, slice(None, -1))
+        weight = q.edge_w[ax] / grid.spacing[ax]
+        for i in range(2):
+            flux = np.subtract(x[i][hi], x[i][lo], out=scratch[lo])
+            flux *= weight
+            if i == 0:
+                flux *= op.coeffs.aii[:, ax]
+            out[i][hi] += flux
+            out[i][lo] -= flux
     copy_dirichlet_rows(grid.shape[-1], out, x)
     return out.reshape(-1)
 
 
-def _divergence_form(quad: Quadrature, F) -> np.ndarray:
-    """sum_a G[a]^T (w F[qnode, a]) with slices: the corner rule puts the flux
-    (1/2) T_other (F_a[lo] + F_a[hi]) on each edge along axis a, + to hi and
-    - to lo, where T_other is the trapezoid mass of the other axes."""
+def _divergence_form(quad: Quadrature, F, out) -> np.ndarray:
+    """sum_a G[a]^T (w F[qnode, a]) with slices, added into the nodal field
+    out in place: the corner rule puts the flux (1/2) T_other (F_a[lo] +
+    F_a[hi]) on each edge along axis a, + to hi and - to lo, where T_other is
+    the trapezoid mass of the other axes. Returns out."""
     shape = quad.grid.shape
     F = np.asarray(F, dtype=float).reshape(shape + (len(shape),))
-    out = np.zeros(shape)
+    box = out.reshape(shape)
+    buffer = np.empty(quad.grid.n_nodes)     # the edge fluxes of one axis at a time
     for a, edge_w in enumerate(quad.edge_w):
         hi, lo = _along(a, slice(1, None)), _along(a, slice(None, -1))
         Fa = F[..., a]
-        flux = 0.5 * edge_w * (Fa[lo] + Fa[hi])
-        out[hi] += flux
-        out[lo] -= flux
-    return out.ravel()
+        edges = Fa[lo].shape
+        flux = np.add(Fa[lo], Fa[hi], out=buffer[:np.prod(edges)].reshape(edges))
+        flux *= 0.5 * edge_w
+        box[hi] += flux
+        box[lo] -= flux
+    return out
 
 
 def _lumped_mass(q: Quadrature, s):
@@ -585,7 +601,9 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
 
     if data.F is not None:
         F = np.asarray(data.F, dtype=float)
-        bv += _divergence_form(q, F)
+        # bv holds zeros here, so the sums go straight into it: each node's
+        # additions run in the order of a separate sum added to zero
+        _divergence_form(q, F, bv)
         _wall_flux(q, bv, F, np.subtract)
         bv_exit -= q.exit_w * grid.face(F, -1, -1)[..., -1]
     if data.s1 is not None:
@@ -599,7 +617,7 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
         bW -= _lumped_mass(q, data.f).ravel()
     if data.F2 is not None:
         F2 = np.asarray(data.F2, dtype=float)
-        bW += _divergence_form(q, F2)
+        bW += _divergence_form(q, F2, np.zeros(grid.n_nodes))
         _wall_flux(q, bW, F2, np.subtract)
     if data.wall_flux_v is not None:
         _wall_flux(q, bv, data.wall_flux_v, np.add)
@@ -634,9 +652,11 @@ def solve(op: DiscreteOperator, data: LinearData):
     X = np.moveaxis(rhs.reshape((2,) + grid.shape), -1, 0).copy()
     # V^T T = V^-1 on the identity rows: their modes are those of the data
     X[_dirichlet_rows(n)] *= op.quad.exit_w
-    X = _cross_transform(X, op.cross_modes, transpose=True)
+    for V, _ in op.cross_modes:
+        X = _cross_transform(X, V, transpose=True)
     X = _sweep(op.pivot_inv, op.axial_blocks, X.reshape(n, 2, -1)).reshape(X.shape)
-    X = _cross_transform(X, op.cross_modes, transpose=False)
+    for V, _ in op.cross_modes:
+        X = _cross_transform(X, V, transpose=False)
     # back to (v, W) over (*cross, n), the one copy out of the sweep layout
     U = np.moveaxis(X, 0, -1).reshape(-1)
     del X

@@ -136,11 +136,29 @@ def _cross_columns(grid: Nozzle, cross, order):
     return [col.reshape(grid.shape).ravel(order=order) for col in cross.T]
 
 
+def open_new(path):
+    """path opened for writing as a new file. A file already there is
+    unlinked first, not truncated: a truncated file waits for the writeback
+    of its old contents, and a new one does not. So a symlink at path is
+    replaced, not written through. Every output file is opened here."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w")
+
+
+def write_text(path, text):
+    """text as a new file at path (`open_new`)."""
+    with open_new(path) as fh:
+        fh.write(text)
+
+
 def write_csv(path, columns):
     """(name, values) pairs of equal length as a CSV table with a header row.
     values is a float column or a text column (see `_write_table`)."""
     names, values = zip(*columns)
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         fh.write(",".join(names) + "\n")
         _write_table(fh, values, ",")
 
@@ -169,7 +187,7 @@ def _write_vtk(grid: Nozzle, path, title, dataset, geometry, fields):
     # VTK wants the first axis varying fastest
     scalars = {name: _conforming(grid, name, v, order="F") for name, v in fields.items()}
     dims = " ".join(map(str, tuple(grid.shape) + (1,) * (3 - grid.dim)))
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
                  f"DATASET {dataset}\nDIMENSIONS {dims}\n")
         for text, columns in geometry:

@@ -73,24 +73,40 @@ class GasLaw:
         return float(self.enthalpy(self.rho_floor))
 
     def enthalpy_inverse(self, s):
-        s = np.asarray(s, dtype=float)
-        if np.any(~np.isfinite(s)) or np.any(s <= self.vacuum_threshold()):
+        return self._invert(np.array(s, dtype=float))
+
+    def _invert(self, s):
+        """enthalpy_inverse of the float array s, computed over s in place.
+        A 0-d s gives a scalar by the scalar power, as the expression
+        (k0^(g-1) + (g-1)/g s)^(1/(g-1)) on a 0-d array does."""
+        if not np.all(np.isfinite(s)) or np.any(s <= self.vacuum_threshold()):
             raise VacuumError(
                 "enthalpy argument at or below the density-floor threshold"
             )
         if self.gamma == 1.0:
-            rho = self.k0 * np.exp(s)
-        else:
-            g = self.gamma
-            rho = (self.k0 ** (g - 1.0) + (g - 1.0) / g * s) ** (1.0 / (g - 1.0))
-        return rho
+            np.exp(s, out=s)
+            s *= self.k0
+            return s if s.ndim else s[()]
+        g = self.gamma
+        s *= (g - 1.0) / g
+        s += self.k0 ** (g - 1.0)
+        if not s.ndim:
+            return s[()] ** (1.0 / (g - 1.0))
+        s **= 1.0 / (g - 1.0)
+        return s
 
     def density(self, phi_potential, speed_sq):
-        """Density closure rho = h^{-1}(Phi - |grad phi|^2 / 2)."""
+        """Density closure rho = h^{-1}(Phi - |grad phi|^2 / 2).
+
+        The enthalpy argument is formed in one new buffer and inverted in it:
+        the inputs are only read, and no other nodal temporary is made."""
         speed_sq = np.asarray(speed_sq, dtype=float)
         if np.any(speed_sq < 0.0):
             raise DomainError("speed_sq must be nonnegative")
-        return self.enthalpy_inverse(np.asarray(phi_potential, float) - 0.5 * speed_sq)
+        phi = np.asarray(phi_potential, dtype=float)
+        s = np.multiply(speed_sq, 0.5,
+                        out=np.empty(np.broadcast_shapes(phi.shape, speed_sq.shape)))
+        return self._invert(np.subtract(phi, s, out=s))
 
 
 def bernoulli(law: GasLaw, speed_sq, rho):

@@ -11,7 +11,7 @@ node numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,6 +58,22 @@ class Nozzle:
     def interior(self, field):
         """A nodal field (N, ...) on the interior `[1:-1]` box, as a view."""
         return self._box(field)[(slice(1, -1),) * self.dim]
+
+    def rows(self, rows):
+        """The nodes at rows (a slice) of cross axis 0 as a grid of their own,
+        at the same spacing: its nodal fields are the `slab(field, rows)` of
+        the grid's, and a nodal stencil on it reads these nodes only. Its
+        faces on axis 0 are walls only where rows reach them."""
+        axis0 = self.axes[0][rows]
+        return replace(self, shape=(axis0.size,) + self.shape[1:],
+                       axes=(axis0,) + self.axes[1:])
+
+    def slab(self, field, rows):
+        """The nodes of a nodal field (N, ...) at rows (a slice) of cross axis
+        0, a contiguous view: the field on the grid `rows(rows)`."""
+        field = np.asarray(field)
+        tail = field.shape[1:]
+        return field.reshape((self.shape[0], -1) + tail)[rows].reshape((-1,) + tail)
 
 
 def build_grid(dim=2, cross_extents=((0.0, 1.0),), L=1.0, shape=(33, 65)) -> Nozzle:

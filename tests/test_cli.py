@@ -140,6 +140,45 @@ class TestSolve:
         assert head.startswith("# vtk DataFile")
 
 
+class TestOutputFilesAreReplaced:
+    # every output is written as a new file: one already there is unlinked,
+    # not truncated, so a rerun gives the same bytes in new inodes
+
+    @pytest.mark.parametrize("argv", [("background",), ("solve",), ("solve", "--format", "vtk"),
+                                      ("sweep",), ("perturb-domain", "--format", "vtk")],
+                             ids=lambda argv: "-".join(a.strip("-") for a in argv))
+    def test_rerun_writes_new_files_with_the_same_bytes(self, tmp_path, argv):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(SMALL)
+        out, kept = tmp_path / "o", tmp_path / "kept"
+        kept.mkdir()
+        assert run_cli(argv[0], "--config", str(cfgfile), "--out", str(out), *argv[1:]) == 0
+        first = {}
+        for path in out.iterdir():
+            # a second link keeps the old inode alive, so its number is not reused
+            os.link(path, kept / path.name)
+            first[path.name] = (path.read_bytes(), path.stat().st_ino)
+        assert run_cli(argv[0], "--config", str(cfgfile), "--out", str(out), *argv[1:]) == 0
+        second = {path.name: (path.read_bytes(), path.stat().st_ino) for path in out.iterdir()}
+        assert sorted(second) == sorted(first) and len(first) >= 2
+        for name, (data, inode) in second.items():
+            assert data == first[name][0]
+            assert inode != first[name][1]
+            assert (kept / name).read_bytes() == data     # the old file was not written
+
+    def test_a_symlink_at_an_output_path_is_replaced(self, tmp_path):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(SMALL)
+        out, target = tmp_path / "o", tmp_path / "elsewhere.json"
+        out.mkdir()
+        target.write_text("kept\n")
+        (out / "report.json").symlink_to(target)
+        assert run_cli("solve", "--config", str(cfgfile), "--out", str(out)) == 0
+        assert not (out / "report.json").is_symlink()
+        assert json.loads((out / "report.json").read_text())["converged"] is True
+        assert target.read_text() == "kept\n"
+
+
 class TestSweep:
     def test_slope_reported(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.ini"

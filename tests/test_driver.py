@@ -224,18 +224,61 @@ class TestResidual:
         r_fix = report.nonlinear_residual
         assert r_fix <= r_one
 
-    @pytest.mark.parametrize("state", ["state_medium", "state_3d"])
+    @pytest.mark.parametrize("state", ["state_small", "state_medium", "state_3d"])
     def test_residual_does_not_depend_on_the_slabs(self, state, request, monkeypatch):
-        # every edge operation is per edge, so no slab size changes a bit
+        # every edge operation is per edge and every nodal stencil reaches one
+        # row across a slab (np.gradient's one-sided rule at a wall three,
+        # which the halo holds), so no slab size changes a bit of any
+        # component, of the converged pair's residual or of the floor
         state = request.getfixturevalue(state)
         data = perturb_data(state.background, state.grid, 1e-3)
         N = state.grid.n_nodes
         pair = state.step(FieldPair(np.zeros(N), np.zeros(N)), data)
-        results = []
+
+        def residual_bits():
+            return [(float(total).hex(), {k: float(v).hex() for k, v in parts.items()})
+                    for total, parts in (nonlinear_residual(state, pair, data),
+                                         residual_floor(state))]
+
+        results, widths = [], []
         for slab in (1, 1000, driver.SLAB_NODES, 10 * N):
             monkeypatch.setattr(driver, "SLAB_NODES", slab)
-            results.append(nonlinear_residual(state, pair, data))
+            widths.append(len(list(driver.slabs(state.grid, 0, halo=2))))
+            results.append(residual_bits())
+        monkeypatch.setattr(driver, "slabs", _one_row_slabs)
+        results.append(residual_bits())
+        assert widths[0] > 1 and widths[-1] == 1
+        assert set(results[0][0][1]) == {
+            "interior_mass", "interior_poisson", "exit_pressure", "wall_flux_phi",
+            "wall_flux_Phi", "dirichlet_phi", "dirichlet_Phi"}
         assert all(r == results[0] for r in results[1:])
+
+
+def _one_row_slabs(grid, axis, halo=0):
+    """`driver.slabs` with every row a slab of its own."""
+    n = grid.shape[axis]
+    for start in range(n):
+        lo, hi = max(start - halo, 0), min(start + 1 + halo, n)
+        yield slice(lo, hi), slice(start - lo, start + 1 - lo)
+
+
+@pytest.mark.parametrize("shape", [(17, 33), (18, 9), (33, 33, 65), (65, 9, 9)])
+@pytest.mark.parametrize("halo", [0, 2])
+@pytest.mark.parametrize("slab_nodes", [1, 300, driver.SLAB_NODES])
+def test_slabs_cover_each_row_once(shape, halo, slab_nodes, monkeypatch):
+    monkeypatch.setattr(driver, "SLAB_NODES", slab_nodes)
+    g = build_grid(dim=len(shape), cross_extents=((0.0, 1.0),) * (len(shape) - 1), shape=shape)
+    n, covered = shape[0], []
+    for rows, own in driver.slabs(g, 0, halo):
+        assert 0 <= rows.start and rows.stop <= n
+        inner = range(rows.start, rows.stop)[own]
+        covered.extend(inner)
+        # the halo is there wherever the grid goes on
+        assert inner.start - rows.start == min(halo, inner.start)
+        assert rows.stop - inner.stop == min(halo, n - inner.stop)
+        # a slab is at least four times as wide as its two halos, or ends the axis
+        assert len(inner) >= 8 * halo or inner.stop == n
+    assert covered == list(range(n))
 
 
 class TestNorms:

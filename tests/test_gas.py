@@ -111,6 +111,75 @@ class TestDensityFromState:
             GasLaw(2.0, 1.0).density(1.0, -0.1)
 
 
+def copying_density(law, phi, speed_sq):
+    """The copying closure: the argument phi - speed_sq / 2 formed in new
+    arrays and inverted by the formulas, each step a new array."""
+    s = np.asarray(phi, float) - 0.5 * np.asarray(speed_sq, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if law.gamma == 1.0:
+        return law.k0 * np.exp(s)
+    g = law.gamma
+    return (law.k0 ** (g - 1.0) + (g - 1.0) / g * s) ** (1.0 / (g - 1.0))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestDensityInPlace:
+    # the closure is formed in one buffer, in place; it gives the copying
+    # closure's bits and leaves its inputs as they were
+
+    # a 0-d argument takes the scalar power, which differs from the array
+    # power in the last bit at some values: the scalar cases run many values
+    PHI = np.linspace(0.2, 1.5, 97)
+    CASES = {
+        "arrays": [(PHI, np.linspace(0.0, 0.6, PHI.size))],
+        "broadcast profile": [(np.linspace(0.3, 1.2, 33), np.full((5, 33), 0.25))],
+        "0-d arrays": [(np.array(p), np.array(0.3)) for p in PHI],
+        "python floats": [(float(p), 0.3) for p in PHI],
+        "mixed": [(0.7, np.linspace(0.0, 0.5, 9))],
+    }
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bits_of_the_copying_closure(self, gamma, case):
+        law = GasLaw(gamma=gamma, k0=1.3)
+        for phi, speed in self.CASES[case]:
+            phi_before, speed_before = np.copy(phi), np.copy(speed)
+            got = law.density(phi, speed)
+            want = copying_density(law, phi, speed)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(bits(got), bits(want))
+            assert np.array_equal(bits(phi), bits(phi_before))
+            assert np.array_equal(bits(speed), bits(speed_before))
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    def test_enthalpy_inverse_copies(self, gamma):
+        law = GasLaw(gamma=gamma)
+        s = np.linspace(-0.2, 0.9, 101)
+        before = s.copy()
+        rho = law.enthalpy_inverse(s)
+        assert rho is not s and np.array_equal(s, before)
+        assert np.array_equal(bits(rho), bits(copying_density(law, s, 0.0)))
+
+    def test_vacuum_message(self):
+        law = GasLaw(2.0, 1.0)
+        phi = np.array([0.5, -3.0, 0.5])
+        before = phi.copy()
+        with pytest.raises(VacuumError, match="^enthalpy argument at or below the "
+                                              "density-floor threshold$"):
+            law.density(phi, np.zeros(3))
+        with pytest.raises(VacuumError, match="density-floor threshold"):
+            law.density(np.array([0.5, np.nan]), np.zeros(2))
+        assert np.array_equal(phi, before)
+
+    def test_negative_speed_message(self):
+        with pytest.raises(DomainError, match="^speed_sq must be nonnegative$"):
+            GasLaw(2.0, 1.0).density(np.ones(3), np.array([0.1, -0.1, 0.0]))
+
+
 class TestBernoulli:
     def test_vanishes_at_rest_reference(self):
         assert bernoulli(GasLaw(2.0, 1.0), 0.0, 1.0) == 0.0
