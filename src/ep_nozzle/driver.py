@@ -38,9 +38,9 @@ CHORD_FALLBACK = 1e-12
 # correctness check, not a tuning knob
 SOLVE_RESIDUAL_MAX = 1e-8
 # memory one ladder rung adds, per grid node: the measured peak of a whole
-# 129x129x257 `solve --format vtk` (661 MiB over 4.28 M nodes), so it is high
-RUNG_BYTES_PER_NODE = 163
-# nodes per slab of `slabs`: the temporaries of `edge_divergence` and of
+# 129x129x257 `solve --format vtk` (564 MiB over 4.28 M nodes), so it is high
+RUNG_BYTES_PER_NODE = 139
+# nodes per slab (`slabs`): the temporaries of `edge_divergence` and of
 # `nonlinear_residual` scale with a slab, not with the grid. A slab's arrays
 # stay above glibc's default mmap threshold (128 KiB), so their pages go back
 # to the system when freed: at 1 << 14 the peak RSS of a 160x320 solve was

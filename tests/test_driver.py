@@ -602,10 +602,10 @@ def state_3d():
 
 def test_step_and_residual_rise_bytes_per_node(state_3d):
     # one step holds the gradient and the remainders until the right-hand
-    # side exists, and then only the solve's own arrays: 81 B per node
-    # measured, with the gradient formed in the step; the residual drops each
-    # nodal field once read and holds the edge states of one slab, here
-    # about half the grid: 88 measured
+    # side exists, and then only the solve's own arrays: 73 B per node
+    # measured, with the gradient formed in the step; the residual forms its
+    # fields per slab of 16 rows and their halos, here about half the grid:
+    # 50 measured (tests/test_phase_memory.py holds the tighter bounds)
     g = state_3d.grid
     N = g.n_nodes
     data = perturb_data(state_3d.background, g, 1e-3)
