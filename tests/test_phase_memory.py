@@ -1,10 +1,10 @@
 """Memory budget of a Picard step and of the strong residual.
 
-The rise of `PicardState.step` and of `nonlinear_residual` over their entry,
-in bytes per grid node, is measured under tracemalloc by the `PhaseMeter` of
-`scripts/phase_memory.py` on one small 2D and one small 3D solve. The bounds
-are the measured figures plus about 10%, so a whole-grid temporary that comes
-back into either phase fails here.
+The rise of `PicardState.step`, of `nonlinear_residual` and of
+`GasLaw.density` over their entry, in bytes per grid node, is measured under
+tracemalloc by the `PhaseMeter` of `scripts/phase_memory.py` on one small 2D
+and one small 3D solve. The bounds are the measured figures plus about 10%,
+so a whole-grid temporary that comes back into any of them fails here.
 """
 
 import importlib.util
