@@ -9,9 +9,12 @@ prints one). The script builds the gas law, the grid and the background as
 tracemalloc. It prints, in bytes per grid node, the rise of each phase: the
 peak of the traced memory during a call less the traced memory at its
 entry, the largest over the calls. What the caller already holds is not
-counted. The phases are
+counted. Beside it, it prints the process's peak RSS (`VmHWM` in
+/proc/self/status, "n/a" where that file is absent) at the exit of the
+phase's last call, in MiB, so that the gap between traced bytes and RSS
+shows in one run. The phases are
 - PicardState: its construction, and also what it keeps
-- step: one `PicardState.step`, with the gradient `run_fixed_point` hands it
+- step: one `PicardState.step`, which assembles its right-hand side per slab
 - elliptic.solve: the linear solve inside a step
 - nonlinear_residual and pair_norms: their one call at the end
 - the stages that set a step's peak: coeffs.remainder_fields,
@@ -50,15 +53,27 @@ PHASES = {
 }
 
 
+def vm_hwm():
+    """The process's peak RSS in KiB (`VmHWM`), or None where
+    /proc/self/status is absent."""
+    try:
+        with open("/proc/self/status") as status:
+            return next((int(line.split()[1]) for line in status
+                         if line.startswith("VmHWM:")), None)
+    except OSError:
+        return None
+
+
 class PhaseMeter:
     """Entry, peak and exit of the traced memory around the calls of the
-    phases, nested or not."""
+    phases, nested or not, and the peak RSS at each exit."""
 
     def __init__(self, phases):
         self.names = {fn.__code__: name for name, fn in phases.items()}
         self.rise = dict.fromkeys(phases, 0)
         self.kept = {}       # traced memory at exit over entry, last call
         self.calls = dict.fromkeys(phases, 0)
+        self.hwm = dict.fromkeys(phases)   # VmHWM in KiB at the last exit
         self._open = []      # [entry, peak so far] of every call in progress
 
     def _fold_peak(self):
@@ -83,6 +98,9 @@ class PhaseMeter:
         self.rise[name] = max(self.rise[name], peak - entry)
         self.kept[name] = tracemalloc.get_traced_memory()[0] - entry
         self.calls[name] += 1
+        self.hwm[name] = vm_hwm()
+        # reading the file is the meter's own allocation: no phase's peak
+        tracemalloc.reset_peak()
 
 
 def main():
@@ -105,10 +123,12 @@ def main():
     n = grid.n_nodes
     print(f"grid {'x'.join(map(str, grid.shape))} ({n} nodes), "
           f"{report.iterations} Picard steps; bytes per node")
-    print(f"{'phase':24} {'calls':>5} {'rise':>8} {'kept':>8}")
+    print(f"{'phase':26} {'calls':>5} {'rise':>8} {'kept':>8} {'VmHWM MiB':>10}")
     for name in PHASES:
         kept = f"{meter.kept[name] / n:8.1f}" if name == "PicardState" else ""
-        print(f"{name:24} {meter.calls[name]:5d} {meter.rise[name] / n:8.1f} {kept}")
+        hwm = meter.hwm[name]
+        hwm = "n/a" if hwm is None else f"{hwm / 1024:.1f}"
+        print(f"{name:26} {meter.calls[name]:5d} {meter.rise[name] / n:8.1f} {kept:>8} {hwm:>10}")
     return 0
 
 

@@ -197,6 +197,19 @@ def cmd_solve(cfg) -> int:
     return EXIT_OK if report.subsonic_margin > 0.0 else EXIT_NONCONTRACTION
 
 
+def _sha256(data):
+    """SHA-256 of data by CPython's builtin module, as `random` takes its
+    sha512: hashlib would map OpenSSL (3.3 MB of RSS) into the process."""
+    try:
+        from _sha2 import sha256            # 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256      # 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data)
+
+
 def cmd_sweep(cfg) -> int:
     law, grid, background = _inputs(cfg)
     outdir = _outdir(cfg)
@@ -217,8 +230,7 @@ def cmd_sweep(cfg) -> int:
     eps = cfg.values["domain_map"]["eps"]
     if len(eps) > 1:
         payload["wall"] = domainmap.wall_sweep(itcfg, state, eps)
-    from hashlib import sha256   # here only: at import it maps OpenSSL into every command
-    tag = sha256(json.dumps(payload["sigmas"]).encode()).hexdigest()[:10]
+    tag = _sha256(json.dumps(payload["sigmas"]).encode()).hexdigest()[:10]
     export.write_text(outdir / f"sweep_{tag}.json", json.dumps(payload, indent=2, sort_keys=True))
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK

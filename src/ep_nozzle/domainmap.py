@@ -173,20 +173,28 @@ def correction_terms(
     JT: tuple,
     detJT: np.ndarray,
     pair: drv.FieldPair,
-    b: np.ndarray,
+    b: drv.ChargeField,
     Dpsi: np.ndarray | None = None,
+    rows=slice(None),
 ):
     """Recast sources at the current iterate for the transformed problem,
-    with J_T and det J_T as jacobian_JT returns them."""
+    with J_T and det J_T as jacobian_JT returns them on the nodes, on the
+    nodes at rows (a slice) of cross axis 0, all by default. Dpsi, when
+    given, is the gradient of pair.psi there. The gradients are the whole
+    grid's on the rows (`grid.gradient`) and every other term is pointwise,
+    so the rows get the whole grid's bits."""
     g = state.grid
     c = state.coeffs
+    sub = g.rows(rows)
+    (diag, axial), detJT = JT, g.slab(detJT, rows)
+    JT = tuple(tuple(g.slab(x, rows) for x in part) for part in (diag, axial))
     if Dpsi is None:
-        Dpsi = gridmod.gradient(g, pair.psi)
+        Dpsi = gridmod.gradient(g, pair.psi, rows)
     grad_phi = Dpsi.copy()
-    g.sections(grad_phi)[..., -1] += c.u
-    grad_Phi = gridmod.gradient(g, pair.Psi)
-    g.sections(grad_Phi)[..., -1] += c.E
-    z = (c.Phi0 + g.sections(pair.Psi)).ravel()
+    sub.sections(grad_phi)[..., -1] += c.u
+    grad_Phi = gridmod.gradient(g, pair.Psi, rows)
+    sub.sections(grad_Phi)[..., -1] += c.E
+    z = (c.Phi0 + sub.sections(g.slab(pair.Psi, rows))).ravel()
 
     speed_flat = _sqnorm(grad_phi.T)
     rho_flat = law.density(z, speed_flat)
@@ -196,8 +204,9 @@ def correction_terms(
     H1 = A_flat - A1_map.T
     del A1_map  # released before the field map
     H2 = grad_Phi - _field_map(JT, grad_Phi.T, detJT).T
+    b = b.nodal(rows)
     src2 = (rho_map - b) / detJT - (rho_flat - b)
-    g3 = law.pressure(g.face(rho_flat, -1, -1)) - law.pressure(g.face(rho_map, -1, -1))
+    g3 = law.pressure(sub.face(rho_flat, -1, -1)) - law.pressure(sub.face(rho_map, -1, -1))
     return Corrections(H1=H1, H2=H2, src2=src2, g3=g3)
 
 
@@ -212,8 +221,8 @@ def solve_perturbed(
     on_iterate goes to `driver.run_fixed_point`."""
     JT, detJT = jacobian_JT(shear, state.grid.axes)
 
-    def corrections(pair, Dpsi):
-        return correction_terms(state.law, state, JT, detJT, pair, data.b, Dpsi)
+    def corrections(pair, Dpsi, rows):
+        return correction_terms(state.law, state, JT, detJT, pair, data.b, Dpsi, rows)
 
     scale = data.sigma + shear.sigmaG
     pair, report = drv.run_fixed_point(
@@ -250,7 +259,7 @@ def pushforward_residual(shear: WallShear, state: drv.PicardState, pair: drv.Fie
 
     JT, detJT = jacobian_JT(shear, g.axes)
     rho_map = law.density(Phi, _sqnorm(_JT_times(JT, grad_phi.T)))
-    source = (rho_map - data.b) / detJT
+    source = (rho_map - data.b.nodal()) / detJT
 
     r1 = float(np.max(np.abs(g.interior(div_mass))))
     r2 = float(np.max(np.abs(g.interior(div_field) - g.interior(source))))

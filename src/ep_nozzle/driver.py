@@ -38,14 +38,8 @@ CHORD_FALLBACK = 1e-12
 # correctness check, not a tuning knob
 SOLVE_RESIDUAL_MAX = 1e-8
 # memory one ladder rung adds, per grid node: the measured peak of a whole
-# 129x129x257 `solve --format vtk` (564 MiB over 4.28 M nodes), so it is high
-RUNG_BYTES_PER_NODE = 139
-# nodes per slab (`slabs`): the temporaries of `edge_divergence` and of
-# `nonlinear_residual` scale with a slab, not with the grid. A slab's arrays
-# stay above glibc's default mmap threshold (128 KiB), so their pages go back
-# to the system when freed: at 1 << 14 the peak RSS of a 160x320 solve was
-# 1.9 MB higher
-SLAB_NODES = 1 << 15
+# 129x129x257 `solve --format vtk` (435.5 MiB over 4.28 M nodes), so it is high
+RUNG_BYTES_PER_NODE = 107
 
 
 @dataclass(frozen=True)
@@ -68,6 +62,22 @@ class Amplitudes:
     charge: float = 0.5
 
 
+@dataclass(frozen=True)
+class ChargeField:
+    """The charge b = profile + axial * cross, kept as its separable parts:
+    the background profile and the scaled axial mode (n_axial,) and the
+    cross mode (cross shape). No reader holds b on every node."""
+
+    profile: np.ndarray
+    axial: np.ndarray
+    cross: np.ndarray
+
+    def nodal(self, rows=slice(None)):
+        """b at the nodes at rows (a slice) of cross axis 0, all by default,
+        in C order: the one expression of every reader."""
+        return (self.profile + self.axial * self.cross[rows][..., None]).ravel()
+
+
 @dataclass
 class BoundaryData:
     """Perturbed boundary data and charge field at magnitude sigma."""
@@ -77,7 +87,7 @@ class BoundaryData:
     phi_en: np.ndarray        # entrance potential difference (cross grid)
     phi_ex: np.ndarray        # exit potential difference (cross grid)
     pex: np.ndarray           # exit pressure (cross grid)
-    b: np.ndarray             # charge on all nodes
+    b: ChargeField            # charge, formed on the nodes where it is read
     Psi_en: np.ndarray
     Psi_ex: np.ndarray
 
@@ -147,8 +157,8 @@ def perturb_data(
 
     xn = grid.axes[-1]
     axial_mode = np.cos(np.pi * xn / grid.L)
-    b_bg = background.b_values()[background.index_of(xn)]
-    b = (b_bg + sigma * amp.charge * axial_mode * mode[..., None]).ravel()
+    b = ChargeField(profile=background.b_values()[background.index_of(xn)],
+                    axial=sigma * amp.charge * axial_mode, cross=mode)
 
     Psi_en = (B0 - B00) + (phi_en - phi_en0)
     Psi_ex = (B0 - B00) + phi_ex
@@ -175,49 +185,61 @@ class PicardState:
         self.op = elliptic.DiscreteOperator(c, grid)
         self._h_min = min(grid.spacing)
 
-    def exit_datum(self, Dpsi, data: BoundaryData, pex_shift=None):
+    def exit_datum(self, Dpsi, data: BoundaryData, pex_shift=None, rows=slice(None)):
         """Exit datum of the conormal condition at the current gradient, on
-        the exit face (cross shape)."""
+        the exit face of the nodes at rows (a slice) of cross axis 0, all by
+        default: Dpsi is the gradient there, and the datum is pointwise."""
         c = self.coeffs
-        q = self.grid.face(Dpsi, -1, -1)
+        q = self.grid.rows(rows).face(Dpsi, -1, -1)
         q_tot = q.copy()
         q_tot[..., -1] += c.u[-1]
-        z_tot = c.Phi0[-1] + data.Psi_ex
+        z_tot = c.Phi0[-1] + data.Psi_ex[rows]
         rho_t = self.law.density(z_tot, np.einsum("...i,...i->...", q_tot, q_tot))
         drho = rho_t - c.rho_bg[-1]
         pex0 = self.law.pressure(c.rho_bg[-1])
         chord = np.full(drho.shape, c.pprime[-1])
         safe = np.abs(drho) >= CHORD_FALLBACK
         chord[safe] = (self.law.pressure(rho_t[safe]) - pex0) / drho[safe]
-        pex = data.pex
+        pex = data.pex[rows]
         if pex_shift is not None:
             pex = pex + pex_shift
         # dqB is axial: it meets the axial component of q only
         ghat2 = c.dqB[-1] * q[..., -1] - drho
         return (pex - pex0) / chord + ghat2
 
-    def gradient_maxima(self, pair: FieldPair, Dpsi):
-        """The maxima the ball checks read, with |∇ψ| the pointwise norm of
-        Dpsi, the nodal gradient of pair.psi: max |∇ψ|, max(|Psi| + |∇ψ|)
-        and the max of |∇ψ| over the exit rows. The nodal norm is dropped
-        here, so no caller holds it through a step."""
+    @staticmethod
+    def _maxima(part: Nozzle, Psi, Dpsi):
+        """max |∇ψ|, max(|Psi| + |∇ψ|) and the max of |∇ψ| over the exit
+        rows on the grid part, with Psi and Dpsi its nodal Psi and gradient
+        of psi, and |∇ψ| the pointwise norm of Dpsi: the squares summed
+        component by component, in order, which gives the bits of
+        np.linalg.norm(Dpsi, axis=1) without its copies of Dpsi."""
         with np.errstate(over="ignore"):   # an overflowed norm is inf and trips the checks
-            grad_norm = np.linalg.norm(Dpsi, axis=1)
-            return (np.max(grad_norm), np.max(np.abs(pair.Psi) + grad_norm),
-                    np.max(self.grid.face(grad_norm, -1, -1)))
+            grad_norm = Dpsi[:, 0] * Dpsi[:, 0]
+            for i in range(1, Dpsi.shape[1]):
+                grad_norm += Dpsi[:, i] * Dpsi[:, i]
+            np.sqrt(grad_norm, out=grad_norm)
+            return (np.max(grad_norm), np.max(np.abs(Psi) + grad_norm),
+                    np.max(part.face(grad_norm, -1, -1)))
+
+    def gradient_maxima(self, pair: FieldPair):
+        """The maxima the ball checks read (`_maxima`) at pair, folded per
+        slab of cross axis 0 (`grid.slabs`): no gradient or norm of the
+        whole grid is formed."""
+        g = self.grid
+        per_slab = [self._maxima(g.rows(rows), g.slab(pair.Psi, rows),
+                                 gridmod.gradient(g, pair.psi, rows))
+                    for rows, _ in gridmod.slabs(g, 0)]
+        return tuple(np.max(column) for column in zip(*per_slab))
 
     def step(self, pair: FieldPair, data: BoundaryData, corrections=None,
-             gradient=None, iteration=None) -> FieldPair:
-        """One application of the iteration map. gradient, when given and
-        not empty, is a list [Dpsi, maxima] that the caller hands over: the
-        nodal gradient of pair.psi and its `gradient_maxima`, already
-        computed. The step empties it, so that Dpsi is freed with the
-        other sources once the right-hand side exists. iteration, the
-        Picard iteration this step makes, is named by the residual guard."""
-        # the linear data go to the solve by no name here: the solve frees
-        # them once it has the right-hand side
-        psi, Psi, residual = elliptic.solve(
-            self.op, self._linear_data(pair, data, corrections, gradient))
+             iteration=None) -> FieldPair:
+        """One application of the iteration map. corrections, when given,
+        is called as corrections(pair, Dpsi, rows) per slab, with Dpsi the
+        gradient of pair.psi at the rows (`domainmap.correction_terms`).
+        iteration, the Picard iteration this step makes, is named by the
+        residual guard."""
+        psi, Psi, residual = elliptic.solve(self.op, self._rhs(pair, data, corrections))
         if not residual <= SOLVE_RESIDUAL_MAX:
             where = "" if iteration is None else f"Picard iteration {iteration}: "
             raise SingularAssemblyError(
@@ -226,47 +248,81 @@ class PicardState:
             )
         return FieldPair(psi=psi, Psi=Psi)
 
-    def _linear_data(self, pair, data, corrections, gradient):
-        """The linear data of one step at pair: the ball checks, the Taylor
-        remainders, the map corrections and the exit datum."""
-        c = self.coeffs
-        if gradient:
-            Dpsi, maxima = gradient
-            gradient.clear()
-        else:
-            Dpsi = gridmod.gradient(self.grid, pair.psi)
-            maxima = self.gradient_maxima(pair, Dpsi)
-        _, ball_max, exit_max = maxima
-        if ball_max >= 3.0 * c.delta1:
-            raise AdmissibilityError("iterate outside the remainder-definition ball")
-        if exit_max >= 2.0 * c.delta2:
+    def _rhs(self, pair, data, corrections):
+        """The right-hand side of one step at pair, per slab of cross axis 0
+        (`grid.slabs`, halo one row): the gradient of psi on the slab's rows,
+        the ball checks on its own rows, then the slab's linear data and
+        their terms (`elliptic.assemble_rhs` on `DiscreteOperator.rows`),
+        whose own rows go into the whole right-hand side. Every term is
+        pointwise or reaches one row across, so each node gets the whole
+        grid's additions in their order, bit for bit. The one slab of a
+        small grid is assembled in place."""
+        g, c = self.grid, self.coeffs
+        elliptic.check_wall_compatibility(data.Psi_en, data.Psi_ex, g)
+        rhs, exit_out = None, False
+        for rows, own in gridmod.slabs(g, 0, halo=1):
+            sub = g.rows(rows)
+            Dpsi = gridmod.gradient(g, pair.psi, rows)
+            Psi = g.slab(pair.Psi, rows)
+            _, ball_max, exit_max = self._maxima(sub.rows(own), sub.slab(Psi, own),
+                                                 sub.slab(Dpsi, own))
+            if ball_max >= 3.0 * c.delta1:
+                raise AdmissibilityError("iterate outside the remainder-definition ball")
+            # the exit check waits for the ball check of every slab, as on
+            # the whole grid; from a failing slab on, no terms are formed
+            exit_out = exit_out or exit_max >= 2.0 * c.delta2
+            if exit_out:
+                continue
+            lin = self._linear_data(sub, rows, pair, Psi, Dpsi, data, corrections)
+            del Dpsi
+            part = elliptic.assemble_rhs(self.op.rows(rows), lin)
+            del lin
+            if sub.shape == g.shape:
+                rhs = part
+                continue
+            if rhs is None:
+                rhs = np.empty((2,) + g.shape)
+            span = slice(rows.start + own.start, rows.start + own.stop)
+            rhs[:, span] = part.reshape((2,) + sub.shape)[:, own]
+        if exit_out:
             raise AdmissibilityError("exit gradient outside the admissible ball")
+        return rhs.reshape(-1)
 
-        F, f = cf.remainder_fields(self.law, c, pair.Psi, Dpsi)[:2]
-        f += (c.b_bg - self.grid.sections(data.b)).ravel()
+    def _linear_data(self, sub, rows, pair, Psi, Dpsi, data, corrections):
+        """The linear data of one step on the grid sub of rows: the Taylor
+        remainders, the map corrections and the exit datum, with Psi and
+        Dpsi the iterate's Psi and gradient of psi there."""
+        c = self.coeffs
+        F, f = cf.remainder_fields(self.law, c, Psi, Dpsi)[:2]
+        f += (c.b_bg - sub.sections(data.b.nodal(rows))).ravel()
         extra = None
         if corrections is not None:
-            extra = corrections(pair, Dpsi)
+            extra = corrections(pair, Dpsi, rows)
             F += extra.H1
             f += extra.src2
-        g = self.exit_datum(Dpsi, data, None if extra is None else extra.g3)
+        g = self.exit_datum(Dpsi, data, None if extra is None else extra.g3, rows)
 
-        lin = elliptic.LinearData(W_en=data.Psi_en, W_ex=data.Psi_ex, F=F, f=f, g_exit=g)
+        lin = elliptic.LinearData(W_en=data.Psi_en[rows], W_ex=data.Psi_ex[rows],
+                                  F=F, f=f, g_exit=g)
         if extra is not None:
             # recast wall conditions: conormal data from the map corrections
             lin.F2 = lin.wall_flux_W = extra.H2
             lin.wall_flux_v = extra.H1
         return lin
 
-    def subsonic_margin(self, pair: FieldPair, Dpsi) -> float:
-        """Min of p'(rho) - |grad phi|^2 at the iterate; Dpsi is the nodal
-        gradient of pair.psi."""
-        c, sections = self.coeffs, self.grid.sections
-        q_tot = sections(Dpsi).copy()
-        q_tot[..., -1] += c.u
-        speed = np.einsum("cni,cni->cn", q_tot, q_tot)
-        rho = self.law.density(c.Phi0 + sections(pair.Psi), speed)
-        return float(np.min(self.law.dpressure(rho) - speed))
+    def subsonic_margin(self, pair: FieldPair) -> float:
+        """Min of p'(rho) - |grad phi|^2 at the iterate, folded per slab of
+        cross axis 0 (`grid.slabs`)."""
+        c, g = self.coeffs, self.grid
+        margins = []
+        for rows, _ in gridmod.slabs(g, 0):
+            part = g.rows(rows)
+            q_tot = part.sections(gridmod.gradient(g, pair.psi, rows))
+            q_tot[..., -1] += c.u
+            speed = np.einsum("cni,cni->cn", q_tot, q_tot)
+            rho = self.law.density(c.Phi0 + part.sections(g.slab(pair.Psi, rows)), speed)
+            margins.append(np.min(self.law.dpressure(rho) - speed))
+        return float(np.min(margins))
 
     def tolerance(self, scale: float, config: IterationConfig) -> float:
         return max(config.tol_floor, config.tol_scale * scale * self._h_min ** 2)
@@ -297,11 +353,8 @@ def run_fixed_point(
     diffs = []
     ratios = []
     converged = False
-    # gradient of pair.psi and its maxima, handed from the ball check to the
-    # next step, which takes them out of the list
-    handed = []
     for k in range(config.max_iter):
-        new = state.step(pair, data, corrections, handed, iteration=k + 1)
+        new = state.step(pair, data, corrections, iteration=k + 1)
         d = float(
             np.max(np.abs(new.psi - pair.psi)) + np.max(np.abs(new.Psi - pair.Psi))
         )
@@ -311,10 +364,8 @@ def run_fixed_point(
         pair = new
         if on_iterate is not None:
             on_iterate(k + 1, pair)
-        Dpsi = gridmod.gradient(state.grid, pair.psi)
-        maxima = state.gradient_maxima(pair, Dpsi)
         with np.errstate(over="ignore"):   # an overflowed sum is inf and trips the check
-            ball = pair.sup() + float(maxima[0])
+            ball = pair.sup() + float(state.gradient_maxima(pair)[0])
         if scale > 0.0 and ball > 2.0 * config.ball_multiplier * scale:
             raise AdmissibilityError("iterate left the iteration ball")
         if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
@@ -324,12 +375,10 @@ def run_fixed_point(
         if d < tol:
             converged = True
             break
-        # the list holds the one reference, so the step can free Dpsi
-        handed, Dpsi = [Dpsi, maxima], None
     if not converged:
         raise MaxIterationsError(f"no convergence within {config.max_iter} steps")
 
-    margin = state.subsonic_margin(pair, Dpsi)
+    margin = state.subsonic_margin(pair)
     resid, components = nonlinear_residual(state, pair, data)
     report = SolveReport(
         iterations=len(diffs),
@@ -351,24 +400,6 @@ def run_fixed_point(
 # strong-form residuals
 
 
-def slabs(grid: Nozzle, axis, halo=0):
-    """The slabs of about SLAB_NODES nodes across one axis, in order.
-
-    Yields (rows, own) per slab: rows, a slice of the axis, is the slab
-    widened by up to halo rows on each side, within the grid, and own, a
-    slice of rows, is the slab itself. A stencil that reaches halo rows
-    across the axis gives on own what it gives on the whole grid. A slab is
-    at least four times as wide as its two halos, so the halo rows add at
-    most a quarter to the work of a pass over the slabs.
-    """
-    n = grid.shape[axis]
-    step = max(1, SLAB_NODES * n // grid.n_nodes, 8 * halo)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        lo, hi = max(start - halo, 0), min(stop + halo, n)
-        yield slice(lo, hi), slice(start - lo, stop - lo)
-
-
 def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
     """Compact conservative divergences of fluxes built from edge states.
 
@@ -383,7 +414,7 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
     where there is none). Returns one divergence per scalar, valid on
     interior nodes.
 
-    The edges of an axis go to flux_fn in the `slabs` across another axis,
+    The edges of an axis go to flux_fn in the `grid.slabs` across another axis,
     so the edge temporaries are a slab's, not the grid's. Every operation is
     per edge, so the slabs do not change a bit. In a slab the midpoints of z,
     the edge gradients and the flux differences are formed in their own
@@ -402,7 +433,7 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
         axes_e = list(grid.axes)
         axes_e[a] = 0.5 * (axes_e[a][:-1] + axes_e[a][1:])
         c = 1 if a == 0 else 0          # the slab axis
-        for rows, _ in slabs(grid, c):
+        for rows, _ in gridmod.slabs(grid, c):
             slab = _along(c, rows)
             axes_e[c] = grid.axes[c][rows]
             edges = fields[0][slab][lo].shape
@@ -457,7 +488,7 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
     the exit pressure, the wall-normal derivatives, and the Dirichlet traces.
     Returns the max residual and a per-component dictionary.
 
-    The fields are formed per `slabs` across cross axis 0, with a halo of
+    The fields are formed per `grid.slabs` across cross axis 0, with a halo of
     two rows, so that no nodal field is the grid's: per slab phi, Phi and
     grad phi, the mass divergence, then the density and the Poisson
     residual. Each field is dropped once its components are folded into the
@@ -479,7 +510,7 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
         flux *= q_e[:, axis]
         return (flux,)
 
-    for rows, own in slabs(g, 0, halo=2):
+    for rows, own in gridmod.slabs(g, 0, halo=2):
         sub = g.rows(rows)
         span = slice(rows.start + own.start, rows.start + own.stop)   # own, in the grid
         interior = ((slice(max(own.start, 1 - rows.start), min(own.stop, n0 - 1 - rows.start)),)
@@ -513,7 +544,7 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
              np.abs(law.pressure(sub.face(rho, -1, -1)[own]) - data.pex[span]))
         poisson = _compact_laplacian(sub, Phi)
         del Phi
-        rho -= g.slab(data.b, rows)
+        rho -= data.b.nodal(rows)
         poisson -= rho                  # the Laplacian less (rho - b)
         del rho
         fold("interior_poisson", np.abs(poisson.reshape(sub.shape)[interior]))

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeffs as cf
+from . import grid as gridmod
 from .errors import DomainError, NotSubsonicError, SingularAssemblyError
 from .gas import GasLaw
 from .grid import Nozzle
@@ -90,6 +91,17 @@ class Quadrature:
     exit_w: np.ndarray       # trapezoid mass of the cross-section, (cross shape)
     tau: np.ndarray          # trapezoid weights of the axial axis
     wall_faces: tuple        # (axis, side, outward sign, surface weights) per wall face
+
+    def rows(self, rows):
+        """The weights on the nodes at rows (a slice) of cross axis 0, for the
+        grid of those rows (`Nozzle.rows`): views of this quadrature's, so
+        each row keeps the whole grid's weights. Its faces of axis 0 are
+        the rows' first and last rows, walls or not."""
+        edge_w = tuple(w if a == 0 else w[rows] for a, w in enumerate(self.edge_w))
+        faces = tuple((a, side, sign, fw if a == 0 else fw[rows])
+                      for a, side, sign, fw in self.wall_faces)
+        return Quadrature(grid=self.grid.rows(rows), edge_w=edge_w, exit_w=self.exit_w[rows],
+                          tau=self.tau, wall_faces=faces)
 
     @functools.cached_property
     def qnode(self):
@@ -330,6 +342,16 @@ class DiscreteOperator:
         self.cross_modes = tuple(_cross_modes(grid, a) for a in range(grid.dim - 1))
         self.pivot_inv = _factor_modes(self.axial_blocks, coeffs, self.quad, self.cross_modes)
 
+    def rows(self, rows):
+        """The operator on the nodes at rows (a slice) of cross axis 0, for
+        `assemble_rhs` and `apply_operator`: this operator itself if rows
+        are all of them, else an `OperatorRows` of those rows."""
+        lo, hi, _ = rows.indices(self.grid.shape[0])
+        if (lo, hi) == (0, self.grid.shape[0]):
+            return self
+        quad = self.quad.rows(slice(lo, hi))
+        return OperatorRows(quad.grid, quad, self.coeffs, self.axial_blocks)
+
     @functools.cached_property
     def blocks(self):
         """CSR blocks Kvv, KvW, KWv, KWW of K and the Dirichlet form Dsemi."""
@@ -375,6 +397,22 @@ class DiscreteOperator:
             format="csr",
         )
         return (sp.diags(1.0 - identity) @ K + sp.diags(identity)).tocsr()
+
+
+@dataclass(frozen=True)
+class OperatorRows:
+    """A `DiscreteOperator` on the nodes at some rows of cross axis 0
+    (`DiscreteOperator.rows`): its profiles, axial blocks and weights
+    (`Quadrature.rows`), with the grid of the rows. `assemble_rhs` and
+    `apply_operator` reach one row across, so on every row but the first
+    and the last, which they take for walls, they give the whole
+    operator's bits.
+    """
+
+    grid: Nozzle
+    quad: Quadrature
+    coeffs: BackgroundCoeffs
+    axial_blocks: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +536,21 @@ def _sweep(pivot_inv, axial_blocks, R):
     return R
 
 
+def _axis_last(X):
+    """X (n, 2, *cross) with axis 2 moved last, C-contiguous: X itself when
+    it is last already (2D), else a copy, which the caller keeps in place of
+    X, so that the input is freed before the product."""
+    return np.ascontiguousarray(X.swapaxes(2, -1))
+
+
 def _cross_transform(X, V, transpose):
-    """Apply V^T (transpose) or V along one cross axis of X (n, 2, *cross):
-    the product contracts axis 2 and appends the modes last, so applied once
-    per cross axis the order comes back. One axis per call, so the caller
-    holds only the array in transform."""
-    return np.tensordot(X, V, axes=(2, 0 if transpose else 1))
+    """Apply V^T (transpose) or V along the last axis of X (n, 2, ..., c),
+    C-contiguous, in one product; the modes stay last. With axis 2 moved
+    last before each call (`_axis_last`), applied once per cross axis the
+    order comes back. It is the product of np.tensordot over axis 2, the
+    same call on the same bytes, without the input held beside its
+    transposed copy."""
+    return np.dot(X.reshape(-1, X.shape[-1]), V if transpose else V.T).reshape(X.shape)
 
 
 def _along(axis, sl):
@@ -512,7 +559,8 @@ def _along(axis, sl):
 
 
 def apply_operator(op: DiscreteOperator, U) -> np.ndarray:
-    """K U without the assembled K or the factorization.
+    """K U without the assembled K or the factorization; op may be an
+    `OperatorRows`, and U is then the pair on its rows, (2, *its shape).
 
     Along the axis: the axial blocks of the mode systems, times the trapezoid
     mass of the cross-section; on each cross axis: the Neumann stiffness with
@@ -590,13 +638,15 @@ def _wall_flux(q: Quadrature, b, X, update):
 
 
 def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
-    """Right-hand side of K U = rhs; the Dirichlet rows carry the data."""
+    """Right-hand side of K U = rhs; the Dirichlet rows carry the data. op
+    may be an `OperatorRows`, with data on its rows. The end-plane data are
+    checked by the callers (`check_wall_compatibility`), on the whole
+    planes."""
     grid, q, coeffs = op.grid, op.quad, op.coeffs
     rhs = np.zeros((2, grid.n_nodes))
     bv, bW = rhs
     bv_exit = grid.face(bv, -1, -1)
 
-    check_wall_compatibility(data.W_en, data.W_ex, grid)
     W_ex = np.asarray(data.W_ex, dtype=float).reshape(q.exit_w.shape)
 
     if data.F is not None:
@@ -636,35 +686,59 @@ def _max_abs(a) -> float:
     return float(max(a.max(), -a.min()))
 
 
-def solve(op: DiscreteOperator, data: LinearData):
+def _residual_max(op: DiscreteOperator, U, rhs) -> float:
+    """max |K U - rhs| (`_max_abs`), folded per slab of cross axis 0
+    (`grid.slabs`, halo one row): `apply_operator` reaches one row across,
+    so a slab's own rows are the whole grid's, and no nodal residual of the
+    whole grid is formed. A max is exact, so the bits are the whole one's,
+    and a NaN anywhere gives NaN."""
+    shape = (2,) + op.grid.shape
+    worst = []
+    for rows, own in gridmod.slabs(op.grid, 0, halo=1):
+        U_rows = U.reshape(shape)[:, rows]
+        res = apply_operator(op.rows(rows), U_rows).reshape(U_rows.shape)[:, own]
+        res -= rhs.reshape(shape)[:, rows][:, own]
+        worst.append(_max_abs(res))
+    return float(np.max(worst))
+
+
+def solve(op: DiscreteOperator, data):
     """Separable direct solve of one linearized problem.
 
-    Returns v, W and the algebraic residual max|K U - rhs| / max|rhs| of the
-    solve. The Dirichlet entries of v and W equal the data exactly. The data
-    are dropped once the right-hand side exists: a caller that hands them
-    over without keeping them (a Picard step) frees its sources here.
+    data is its `LinearData`, or its right-hand side as `assemble_rhs`
+    gives it, which a Picard step assembles per slab. Returns v, W and the
+    algebraic residual max|K U - rhs| / max|rhs| of the solve. The Dirichlet
+    entries of v and W equal the data exactly. The data are dropped once the
+    right-hand side exists. Besides the right-hand side, at most two nodal
+    arrays are held at a time: the operand of a transform and its product.
     """
-    rhs = assemble_rhs(op, data)
+    if isinstance(data, LinearData):
+        check_wall_compatibility(data.W_en, data.W_ex, op.grid)
+        rhs = assemble_rhs(op, data)
+    else:
+        rhs = data
     del data
     grid = op.grid
     N, n = grid.n_nodes, grid.shape[-1]
-    # (v, W) over (*cross, n) to the sweep layout (n, 2, *cross)
-    X = np.moveaxis(rhs.reshape((2,) + grid.shape), -1, 0).copy()
+    # (v, W) over (*cross, n) to the sweep layout (n, 2, *cross), cross axis
+    # 0 last, where the first transform reads it: the one copy out of rhs
+    X = np.ascontiguousarray(np.moveaxis(rhs.reshape((2,) + grid.shape), (-1, 1), (0, -1)))
     # V^T T = V^-1 on the identity rows: their modes are those of the data
-    X[_dirichlet_rows(n)] *= op.quad.exit_w
-    for V, _ in op.cross_modes:
+    X[_dirichlet_rows(n)] *= op.quad.exit_w.T
+    for a, (V, _) in enumerate(op.cross_modes):
+        if a:
+            X = _axis_last(X)
         X = _cross_transform(X, V, transpose=True)
     X = _sweep(op.pivot_inv, op.axial_blocks, X.reshape(n, 2, -1)).reshape(X.shape)
     for V, _ in op.cross_modes:
+        X = _axis_last(X)
         X = _cross_transform(X, V, transpose=False)
     # back to (v, W) over (*cross, n), the one copy out of the sweep layout
     U = np.moveaxis(X, 0, -1).reshape(-1)
     del X
     if not np.all(np.isfinite(U)):
         raise SingularAssemblyError("the banded mode solve gave no finite solution")
-    res = apply_operator(op, U)
-    res -= rhs
-    rel = _max_abs(res) / max(_max_abs(rhs), 1e-300)
+    rel = _residual_max(op, U, rhs) / max(_max_abs(rhs), 1e-300)
     # identity rows hold exactly; scrub the rounding of the mode transforms
     copy_dirichlet_rows(n, U.reshape(2, N), rhs.reshape(2, N))
     return U[:N], U[N:], rel

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ep_nozzle import domainmap, driver
+from ep_nozzle import domainmap, driver, grid as gridmod
 from ep_nozzle.domainmap import (
     _field_map,
     _mass_map,
@@ -444,8 +444,8 @@ class TestSolvePerturbed:
         shear = shear_map(2e-3, g.L, g.cross_extents)
         pair, _ = solve_perturbed(shear, driver.IterationConfig(), data, state)
         whole = pushforward_residual(shear, state, pair, data)
-        assert g.n_nodes <= driver.SLAB_NODES
-        monkeypatch.setattr(driver, "SLAB_NODES", 1)
+        assert g.n_nodes <= gridmod.SLAB_NODES
+        monkeypatch.setattr(gridmod, "SLAB_NODES", 1)
         assert pushforward_residual(shear, state, pair, data) == whole
 
     @pytest.mark.parametrize("state", ["state_small", "state_3d_small"])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -10,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ep_nozzle import coeffs as cf, driver, elliptic, pool
+from ep_nozzle import coeffs as cf, driver, elliptic, grid as gridmod, pool
 from ep_nozzle.driver import (
     Amplitudes,
     FieldPair,
@@ -24,6 +26,7 @@ from ep_nozzle.driver import (
     ladder_map,
     stability_sweep,
 )
+from ep_nozzle.domainmap import shear_map, solve_perturbed
 from ep_nozzle.errors import AdmissibilityError, DomainError, SingularAssemblyError
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid, gradient
@@ -56,7 +59,7 @@ class TestPerturbData:
         data = perturb_data(state_small.background, state_small.grid, 0.0)
         assert np.max(np.abs(data.Psi_en)) == 0.0
         assert np.max(np.abs(data.Psi_ex)) == 0.0
-        assert np.max(np.abs(state_small.grid.sections(data.b) - state_small.coeffs.b_bg)) == 0.0
+        assert np.max(np.abs(state_small.grid.sections(data.b.nodal()) - state_small.coeffs.b_bg)) == 0.0
         assert np.max(np.abs(data.pex - state_small.background.pex0)) == 0.0
 
     def test_magnitudes_bounded_by_sigma(self, state_small):
@@ -68,7 +71,7 @@ class TestPerturbData:
         assert np.max(np.abs(data.phi_ex)) <= tol
         assert np.max(np.abs(data.pex - bg.pex0)) <= tol
         assert abs(data.B0 - bg.B00) <= tol
-        assert np.max(np.abs(g.sections(data.b) - state_small.coeffs.b_bg)) <= tol
+        assert np.max(np.abs(g.sections(data.b.nodal()) - state_small.coeffs.b_bg)) <= tol
 
     def test_compatibility_of_modes(self, state_small):
         # cosine modes: wall-normal derivative vanishes analytically at edges
@@ -146,19 +149,6 @@ class TestFixedPoint:
         pair2, _ = run_fixed_point(cfg, data, state_small, start=start)
         assert np.max(np.abs(pair1.psi - pair2.psi)) < 1e-8
         assert np.max(np.abs(pair1.Psi - pair2.Psi)) < 1e-8
-
-    def test_handed_gradient_is_taken_out_and_changes_no_bit(self, state_small):
-        g = state_small.grid
-        N = g.n_nodes
-        data = perturb_data(state_small.background, g, 1e-3)
-        pair = state_small.step(FieldPair(np.zeros(N), np.zeros(N)), data)
-        Dpsi = gradient(g, pair.psi)
-        handed = [Dpsi, state_small.gradient_maxima(pair, Dpsi)]
-        given = state_small.step(pair, data, None, handed)
-        assert handed == []
-        computed = state_small.step(pair, data)
-        assert np.array_equal(given.psi, computed.psi)
-        assert np.array_equal(given.Psi, computed.Psi)
 
     def test_nan_solve_residual_trips_the_guard(self, state_small, monkeypatch):
         # the residual is reduced without np.abs; a NaN in it still fails
@@ -241,11 +231,11 @@ class TestResidual:
                                          residual_floor(state))]
 
         results, widths = [], []
-        for slab in (1, 1000, driver.SLAB_NODES, 10 * N):
-            monkeypatch.setattr(driver, "SLAB_NODES", slab)
-            widths.append(len(list(driver.slabs(state.grid, 0, halo=2))))
+        for slab in (1, 1000, gridmod.SLAB_NODES, 10 * N):
+            monkeypatch.setattr(gridmod, "SLAB_NODES", slab)
+            widths.append(len(list(gridmod.slabs(state.grid, 0, halo=2))))
             results.append(residual_bits())
-        monkeypatch.setattr(driver, "slabs", _one_row_slabs)
+        monkeypatch.setattr(gridmod, "slabs", _one_row_slabs)
         results.append(residual_bits())
         assert widths[0] > 1 and widths[-1] == 1
         assert set(results[0][0][1]) == {
@@ -254,8 +244,76 @@ class TestResidual:
         assert all(r == results[0] for r in results[1:])
 
 
+@pytest.fixture(scope="module")
+def state_3d_small():
+    g = build_grid(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.0)), shape=(17, 17, 33))
+    return PicardState(LAW, _background(32), g)
+
+
+@pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
+@pytest.mark.parametrize("eps", [None, 2e-3], ids=["flat", "sheared"])
+def test_step_does_not_depend_on_the_slabs(state, eps, request, monkeypatch):
+    # a step's terms are pointwise or reach one row across a slab, and the
+    # gradient on a slab's rows is the whole grid's (grid.gradient), as is
+    # the guard's residual: no slab size changes a bit of the converged
+    # pair, of the differences or of the report, with the map corrections
+    # or without
+    state = request.getfixturevalue(state)
+    g = state.grid
+    data = perturb_data(state.background, g, 1e-3)
+
+    def run():
+        if eps is None:
+            pair, report = run_fixed_point(IterationConfig(), data, state)
+        else:
+            pair, report = solve_perturbed(shear_map(eps, g.L, g.cross_extents),
+                                           IterationConfig(), data, state)
+        return pair.psi.tobytes() + pair.Psi.tobytes(), report.diffs, report.to_json()
+
+    results, widths = [], []
+    for slab in (1, 1000, gridmod.SLAB_NODES, 10 * g.n_nodes):
+        monkeypatch.setattr(gridmod, "SLAB_NODES", slab)
+        widths.append(len(list(gridmod.slabs(g, 0, halo=1))))
+        results.append(run())
+    monkeypatch.setattr(gridmod, "slabs", _one_row_slabs)
+    results.append(run())
+    assert widths[0] > 1 and widths[-1] == 1
+    assert all(r == results[0] for r in results[1:])
+
+
+@pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
+def test_ball_maxima_are_those_of_the_norm(state, request):
+    # the squares summed component by component give np.linalg.norm's bits
+    state = request.getfixturevalue(state)
+    g = state.grid
+    rng = np.random.default_rng(7)
+    Psi = rng.standard_normal(g.n_nodes)
+    Dpsi = rng.standard_normal((g.n_nodes, g.dim)) * 10.0 ** rng.integers(-8, 8, (g.n_nodes, 1))
+    norm = np.linalg.norm(Dpsi, axis=1)
+    want = (np.max(norm), np.max(np.abs(Psi) + norm), np.max(g.face(norm, -1, -1)))
+    assert PicardState._maxima(g, Psi, Dpsi) == want
+
+
+def test_step_checks_the_ball_in_every_slab_before_the_exit(state_small, monkeypatch):
+    # the whole grid's order of the checks: an exit gradient outside its
+    # ball in the first slab gives way to an iterate outside the remainder
+    # ball in the last one
+    monkeypatch.setattr(gridmod, "SLAB_NODES", 1)
+    g, c = state_small.grid, state_small.coeffs
+    assert len(list(gridmod.slabs(g, 0, halo=1))) > 1
+    assert 2.0 * c.delta2 < 3.0 * c.delta1
+    x, xn = node_coords(g).T
+    psi = (c.delta2 + 1.5 * c.delta1) * xn        # |grad psi| between the two bounds
+    Psi = np.where(x == g.axes[0][-1], 3.0 * c.delta1, 0.0)
+    data = perturb_data(state_small.background, g, 1e-3)
+    with pytest.raises(AdmissibilityError, match="exit gradient outside"):
+        state_small.step(FieldPair(psi, np.zeros(g.n_nodes)), data)
+    with pytest.raises(AdmissibilityError, match="remainder-definition ball"):
+        state_small.step(FieldPair(psi, Psi), data)
+
+
 def _one_row_slabs(grid, axis, halo=0):
-    """`driver.slabs` with every row a slab of its own."""
+    """`grid.slabs` with every row a slab of its own."""
     n = grid.shape[axis]
     for start in range(n):
         lo, hi = max(start - halo, 0), min(start + 1 + halo, n)
@@ -264,12 +322,12 @@ def _one_row_slabs(grid, axis, halo=0):
 
 @pytest.mark.parametrize("shape", [(17, 33), (18, 9), (33, 33, 65), (65, 9, 9)])
 @pytest.mark.parametrize("halo", [0, 2])
-@pytest.mark.parametrize("slab_nodes", [1, 300, driver.SLAB_NODES])
+@pytest.mark.parametrize("slab_nodes", [1, 300, gridmod.SLAB_NODES])
 def test_slabs_cover_each_row_once(shape, halo, slab_nodes, monkeypatch):
-    monkeypatch.setattr(driver, "SLAB_NODES", slab_nodes)
+    monkeypatch.setattr(gridmod, "SLAB_NODES", slab_nodes)
     g = build_grid(dim=len(shape), cross_extents=((0.0, 1.0),) * (len(shape) - 1), shape=shape)
     n, covered = shape[0], []
-    for rows, own in driver.slabs(g, 0, halo):
+    for rows, own in gridmod.slabs(g, 0, halo):
         assert 0 <= rows.start and rows.stop <= n
         inner = range(rows.start, rows.stop)[own]
         covered.extend(inner)
@@ -557,9 +615,12 @@ def test_profile_formulas_match_nodal_formulas(state_profiles):
     got = state.exit_datum(Dpsi, data, shift.reshape(g.cross_shape()))
     assert got.shape == g.cross_shape() and np.array_equal(got.ravel(), want)
 
+    # the margin forms the gradient of psi itself, slab by slab
+    psi = 1e-3 * rng.standard_normal(N)
+    q_tot = gradient(g, psi) + q0
     speed = np.einsum("ni,ni->n", q_tot, q_tot)
     margin = float(np.min(law.dpressure(law.density(Phi0 + Psi, speed)) - speed))
-    assert state.subsonic_margin(FieldPair(np.zeros(N), Psi), Dpsi) == margin
+    assert state.subsonic_margin(FieldPair(psi, Psi)) == margin
 
 
 def test_frozen_state_bytes_per_node():
@@ -601,11 +662,11 @@ def state_3d():
 
 
 def test_step_and_residual_rise_bytes_per_node(state_3d):
-    # one step holds the gradient and the remainders until the right-hand
-    # side exists, and then only the solve's own arrays: 73 B per node
-    # measured, with the gradient formed in the step; the residual forms its
-    # fields per slab of 16 rows and their halos, here about half the grid:
-    # 50 measured (tests/test_phase_memory.py holds the tighter bounds)
+    # one step forms the gradient and the remainders per slab of 15 rows
+    # and their halos, here about half the grid, beside the whole
+    # right-hand side, and then holds the solve's own arrays: 63 B per node
+    # measured; the residual forms its fields per slab of 16 rows and their
+    # halos: 50 measured (tests/test_phase_memory.py holds the tighter bounds)
     g = state_3d.grid
     N = g.n_nodes
     data = perturb_data(state_3d.background, g, 1e-3)
@@ -625,18 +686,27 @@ def test_importing_the_cli_leaves_openssl_unloaded():
     assert out.split() == ["[]"]
 
 
-def test_solve_and_perturb_domain_leave_numpy_random_and_openssl_unloaded(tmp_path):
-    # numpy.random imports `secrets`, which maps OpenSSL; the norms sample
-    # their node pairs with the stdlib `random`
-    (tmp_path / "run.ini").write_text("[nozzle]\nnodes_cross = 9\nnodes_axial = 17\n")
+def test_commands_load_no_heavy_extras(tmp_path):
+    # numpy.random imports `secrets`, and hashlib `_hashlib`: both map
+    # OpenSSL. The norms sample their node pairs with the stdlib `random`,
+    # `sweep` tags its file by CPython's builtin SHA-256, and scipy serves
+    # `verify` and the cross-checks only
+    (tmp_path / "run.ini").write_text("[nozzle]\nnodes_cross = 9\nnodes_axial = 17\n"
+                                      "[sweep]\nsigmas = 0.0001,0.0002\n")
     script = (
         "import sys\n"
         "from ep_nozzle import cli\n"
-        "for command in ('solve', 'perturb-domain'):\n"
+        "for command in ('solve', 'sweep', 'perturb-domain'):\n"
         "    assert cli.main([command, '--config', 'run.ini', '--out', command]) == 0\n"
-        "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)), file=sys.stderr)\n"
+        "print(sorted({'_hashlib', '_ssl', 'scipy', 'numpy.random'} & set(sys.modules)),\n"
+        "      file=sys.stderr)\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     err = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
                          cwd=tmp_path, check=True, capture_output=True, text=True).stderr
     assert err.split() == ["[]"]
+    # the tag is hashlib's sha256 of the sigmas' JSON, as it always was
+    written = list((tmp_path / "sweep").glob("sweep_*.json"))
+    sigmas = json.loads(written[0].read_text())["sigmas"]
+    tag = hashlib.sha256(json.dumps(sigmas).encode()).hexdigest()[:10]
+    assert [path.name for path in written] == [f"sweep_{tag}.json"]
