@@ -19,9 +19,12 @@ An item that differs gets a magnitude too:
 It exits 0 when all items are identical, and 1 otherwise.
 
 The cases are the four benchmark workloads of `perfbench/workloads.py` at
-seeds 0-3, a 3D `perturb-domain` with snapshots, and the wall-shear ladder of
-`sweep` in 2D and 3D. The configs are built from this tree's
-`perfbench/workloads.py`, which the script only reads.
+seeds 0-3, a 3D `perturb-domain` with snapshots, the wall-shear ladder of
+`sweep` in 2D and 3D, and two refused solves: a `solve` out of Picard steps
+(exit 3) and a `perturb-domain` whose first iterate leaves the iteration
+ball (exit 4), whose stderr line and config echo are compared. The configs
+are built from this tree's `perfbench/workloads.py`, which the script only
+reads.
 """
 
 import argparse
@@ -75,6 +78,10 @@ def cases():
            edited(solve3d.config(0), domain_map={"eps": "0.001,0.002,0.004,0.008"}))
     yield ("sweep-2d/eps-ladder", "sweep",
            edited(WORKLOADS["sweep-2d"].config(3), domain_map={"eps": "0.001,0.002,0.004"}))
+    yield ("solve-2d/max-iter-2", "solve",
+           edited(WORKLOADS["solve-2d"].config(0), iteration={"max_iter": "2"}))
+    yield ("perturb-2d/small-ball", "perturb-domain",
+           edited(WORKLOADS["perturb-2d"].config(0), iteration={"ball_multiplier": "0.5"}))
 
 
 def run(src, workdir, command, text):

@@ -375,8 +375,10 @@ def check_separable_solve():
         f=1e-2 * rng.standard_normal(N), g_exit=1e-2 * rng.standard_normal(mode.size), F2=F2,
         wall_flux_v=F, wall_flux_W=F2,
     )
-    v, W, residual = elliptic.solve(op, data)
-    ref = elliptic.splu(op.K.tocsc()).solve(elliptic.assemble_rhs(op, data))
+    elliptic.check_wall_compatibility(data.W_en, data.W_ex, grid)
+    rhs = elliptic.assemble_rhs(op, data)
+    v, W, residual = elliptic.solve(op, rhs)
+    ref = elliptic.splu(op.K.tocsc()).solve(rhs)
     worst = max(float(np.max(np.abs(u - r)) / np.max(np.abs(r)))
                 for u, r in ((v, ref[:N]), (W, ref[N:])))
     # the solve's residual applies K from the 1D factors; compare it with K

@@ -234,11 +234,13 @@ class PicardState:
 
     def step(self, pair: FieldPair, data: BoundaryData, corrections=None,
              iteration=None) -> FieldPair:
-        """One application of the iteration map. corrections, when given,
-        is called as corrections(pair, Dpsi, rows) per slab, with Dpsi the
-        gradient of pair.psi at the rows (`domainmap.correction_terms`).
-        iteration, the Picard iteration this step makes, is named by the
-        residual guard."""
+        """One application of the iteration map. Its caller has checked
+        that pair lies in the remainder and exit balls and that the
+        end-plane data are compatible (`run_fixed_point`). corrections, when
+        given, is called as corrections(pair, Dpsi, rows) per slab, with
+        Dpsi the gradient of pair.psi at the rows
+        (`domainmap.correction_terms`). iteration, the Picard iteration this
+        step makes, is named by the residual guard."""
         psi, Psi, residual = elliptic.solve(self.op, self._rhs(pair, data, corrections))
         if not residual <= SOLVE_RESIDUAL_MAX:
             where = "" if iteration is None else f"Picard iteration {iteration}: "
@@ -251,30 +253,17 @@ class PicardState:
     def _rhs(self, pair, data, corrections):
         """The right-hand side of one step at pair, per slab of cross axis 0
         (`grid.slabs`, halo one row): the gradient of psi on the slab's rows,
-        the ball checks on its own rows, then the slab's linear data and
-        their terms (`elliptic.assemble_rhs` on `DiscreteOperator.rows`),
-        whose own rows go into the whole right-hand side. Every term is
-        pointwise or reaches one row across, so each node gets the whole
-        grid's additions in their order, bit for bit. The one slab of a
-        small grid is assembled in place."""
-        g, c = self.grid, self.coeffs
-        elliptic.check_wall_compatibility(data.Psi_en, data.Psi_ex, g)
-        rhs, exit_out = None, False
+        then the slab's linear data and their terms (`elliptic.assemble_rhs`
+        on `DiscreteOperator.rows`), whose own rows go into the whole
+        right-hand side. Every term is pointwise or reaches one row across,
+        so each node gets the whole grid's additions in their order, bit for
+        bit. The one slab of a small grid is assembled in place."""
+        g = self.grid
+        rhs = None
         for rows, own in gridmod.slabs(g, 0, halo=1):
             sub = g.rows(rows)
-            Dpsi = gridmod.gradient(g, pair.psi, rows)
-            Psi = g.slab(pair.Psi, rows)
-            _, ball_max, exit_max = self._maxima(sub.rows(own), sub.slab(Psi, own),
-                                                 sub.slab(Dpsi, own))
-            if ball_max >= 3.0 * c.delta1:
-                raise AdmissibilityError("iterate outside the remainder-definition ball")
-            # the exit check waits for the ball check of every slab, as on
-            # the whole grid; from a failing slab on, no terms are formed
-            exit_out = exit_out or exit_max >= 2.0 * c.delta2
-            if exit_out:
-                continue
-            lin = self._linear_data(sub, rows, pair, Psi, Dpsi, data, corrections)
-            del Dpsi
+            lin = self._linear_data(sub, rows, pair, g.slab(pair.Psi, rows),
+                                    gridmod.gradient(g, pair.psi, rows), data, corrections)
             part = elliptic.assemble_rhs(self.op.rows(rows), lin)
             del lin
             if sub.shape == g.shape:
@@ -284,8 +273,6 @@ class PicardState:
                 rhs = np.empty((2,) + g.shape)
             span = slice(rows.start + own.start, rows.start + own.stop)
             rhs[:, span] = part.reshape((2,) + sub.shape)[:, own]
-        if exit_out:
-            raise AdmissibilityError("exit gradient outside the admissible ball")
         return rhs.reshape(-1)
 
     def _linear_data(self, sub, rows, pair, Psi, Dpsi, data, corrections):
@@ -337,8 +324,13 @@ def run_fixed_point(
     scale: float | None = None,
     on_iterate=None,
 ):
-    """Successive substitution from the zero pair until the sup difference
-    drops below the tolerance. Raises on non-contraction, admissibility exit
+    """Successive substitution from the zero pair, or from start, until the
+    sup difference drops below the tolerance. The ball maxima of each iterate
+    are folded once (`PicardState.gradient_maxima`) and checked in order:
+    before the step it enters, the remainder ball (3 delta1), then the exit
+    ball (2 delta2); after the step that made it, the iteration ball
+    (2 M sigma), then contraction, then convergence. The end-plane data are
+    checked once per solve. Raises on an admissibility exit, non-contraction
     or iteration-budget exhaustion."""
     c = state.coeffs
     scale = data.sigma if scale is None else scale
@@ -348,12 +340,23 @@ def run_fixed_point(
             f"delta3 = {c.delta3:.3e}; refusing to iterate"
         )
     tol = state.tolerance(scale, config)
+    elliptic.check_wall_compatibility(data.Psi_en, data.Psi_ex, state.grid)
     N = state.grid.n_nodes
-    pair = start.copy() if start is not None else FieldPair(np.zeros(N), np.zeros(N))
+    if start is None:
+        # the zero pair's maxima are exact zeros
+        pair, maxima = FieldPair(np.zeros(N), np.zeros(N)), (0.0, 0.0, 0.0)
+    else:
+        pair = start.copy()
+        maxima = state.gradient_maxima(pair)
     diffs = []
     ratios = []
     converged = False
     for k in range(config.max_iter):
+        _, ball_max, exit_max = maxima
+        if ball_max >= 3.0 * c.delta1:
+            raise AdmissibilityError("iterate outside the remainder-definition ball")
+        if exit_max >= 2.0 * c.delta2:
+            raise AdmissibilityError("exit gradient outside the admissible ball")
         new = state.step(pair, data, corrections, iteration=k + 1)
         d = float(
             np.max(np.abs(new.psi - pair.psi)) + np.max(np.abs(new.Psi - pair.Psi))
@@ -364,8 +367,9 @@ def run_fixed_point(
         pair = new
         if on_iterate is not None:
             on_iterate(k + 1, pair)
+        maxima = state.gradient_maxima(pair)
         with np.errstate(over="ignore"):   # an overflowed sum is inf and trips the check
-            ball = pair.sup() + float(state.gradient_maxima(pair)[0])
+            ball = pair.sup() + float(maxima[0])
         if scale > 0.0 and ball > 2.0 * config.ball_multiplier * scale:
             raise AdmissibilityError("iterate left the iteration ball")
         if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
@@ -400,14 +404,15 @@ def run_fixed_point(
 # strong-form residuals
 
 
-def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
+def edge_divergence(grid: Nozzle, scalars, flux_fn, z, grads=None):
     """Compact conservative divergences of fluxes built from edge states.
 
     For each axis the gradient of every scalar at the edge midpoints uses the
     two-point compact difference along the edge and averaged nodal central
     differences across it. ``flux_fn(axis, axes_e, z_mid, *q_mids)`` takes
     the axis of the edges, the 1D coordinates of their midpoints (the axis
-    at its half points) and node-major edge gradients (n_edges, d), edges
+    at its half points), the mean of the nodal field z over each edge
+    (n_edges,) and node-major edge gradients (n_edges, d), edges
     in C order, and returns per scalar the axis component of its flux
     (n_edges,), which is differenced. ``grads``, when given, holds the
     nodal gradients of the scalars already computed by the caller (None
@@ -425,7 +430,7 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
     fields = [np.asarray(s, dtype=float).reshape(shape) for s in scalars]
     grads = [(gridmod.gradient(grid, f) if gr is None else gr).reshape(shape + (d,))
              for f, gr in zip(fields, grads or [None] * len(fields))]
-    z_m = None if z is None else np.asarray(z, dtype=float).reshape(shape)
+    z_m = np.asarray(z, dtype=float).reshape(shape)
     divs = [np.zeros(shape) for _ in fields]
     for a, h in enumerate(grid.spacing):
         lo, hi = _along(a, slice(0, -1)), _along(a, slice(1, None))
@@ -448,11 +453,9 @@ def edge_divergence(grid: Nozzle, scalars, flux_fn, z=None, grads=None):
                         q_b = np.add(gr[lo][..., b], gr[hi][..., b], out=q_e[..., b])
                         q_b *= 0.5
                 q_mids.append(q_e.reshape(-1, d))
-            z_e = None
-            if z_m is not None:
-                z_e = np.add(z_m[slab][lo], z_m[slab][hi])
-                z_e *= 0.5
-                z_e = z_e.ravel()
+            z_e = np.add(z_m[slab][lo], z_m[slab][hi])
+            z_e *= 0.5
+            z_e = z_e.ravel()
             fluxes = flux_fn(a, tuple(axes_e), z_e, *q_mids)
             del q_mids, z_e
             diff = np.empty(fields[0][slab][inner].shape)

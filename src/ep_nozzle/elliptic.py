@@ -300,9 +300,9 @@ def check_wall_compatibility(W_en, W_ex, grid: Nozzle) -> None:
 class LinearData:
     """Right-hand-side data of one linearized solve.
 
-    F enters in divergence form against the first equation; s1/f are plain
-    volume sources; g_exit is the exit datum converted to a conormal flux by
-    the background scale; F2 is a divergence-form source of the second
+    F enters in divergence form against the first equation; g_exit is the
+    exit datum converted to a conormal flux by the background scale; f is a
+    plain volume source and F2 a divergence-form source of the second
     equation. wall_flux_v/_W are nodal fields (N, d) whose outward normal
     component on the wall is extra conormal data of the v and W equations.
     W_en/W_ex are the Dirichlet values of W on the entrance/exit planes,
@@ -312,7 +312,6 @@ class LinearData:
     W_en: np.ndarray
     W_ex: np.ndarray
     F: np.ndarray | None = None
-    s1: np.ndarray | None = None
     f: np.ndarray | None = None
     g_exit: np.ndarray | None = None
     F2: np.ndarray | None = None
@@ -656,8 +655,6 @@ def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
         _divergence_form(q, F, bv)
         _wall_flux(q, bv, F, np.subtract)
         bv_exit -= q.exit_w * grid.face(F, -1, -1)[..., -1]
-    if data.s1 is not None:
-        bv -= _lumped_mass(q, data.s1).ravel()
     if data.g_exit is not None:
         bv_exit -= q.exit_w * coeffs.exit_scale * np.reshape(data.g_exit, q.exit_w.shape)
     # exit surface term of the coupling flux, determined by the exit trace of W
@@ -702,22 +699,15 @@ def _residual_max(op: DiscreteOperator, U, rhs) -> float:
     return float(np.max(worst))
 
 
-def solve(op: DiscreteOperator, data):
-    """Separable direct solve of one linearized problem.
-
-    data is its `LinearData`, or its right-hand side as `assemble_rhs`
-    gives it, which a Picard step assembles per slab. Returns v, W and the
-    algebraic residual max|K U - rhs| / max|rhs| of the solve. The Dirichlet
-    entries of v and W equal the data exactly. The data are dropped once the
-    right-hand side exists. Besides the right-hand side, at most two nodal
-    arrays are held at a time: the operand of a transform and its product.
+def solve(op: DiscreteOperator, rhs):
+    """Separable direct solve of one linearized problem, given its
+    right-hand side as `assemble_rhs` gives it (a Picard step assembles it
+    per slab). Returns v, W and the algebraic residual
+    max|K U - rhs| / max|rhs| of the solve. The Dirichlet entries of v and
+    W equal those of rhs exactly, and rhs is left as it was. Besides rhs, at
+    most two nodal arrays are held at a time: the operand of a transform and
+    its product.
     """
-    if isinstance(data, LinearData):
-        check_wall_compatibility(data.W_en, data.W_ex, op.grid)
-        rhs = assemble_rhs(op, data)
-    else:
-        rhs = data
-    del data
     grid = op.grid
     N, n = grid.n_nodes, grid.shape[-1]
     # (v, W) over (*cross, n) to the sweep layout (n, 2, *cross), cross axis

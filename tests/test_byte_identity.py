@@ -25,7 +25,7 @@ def _cases():
 
 def test_cases_are_accepted_configs_with_their_edits():
     cases = _cases()
-    assert len(cases) == 4 * 4 + 3
+    assert len(cases) == 4 * 4 + 5
     values = {name: parse_config(text).values for name, _, text in cases}
     perturb = values["perturb-3d/snapshots"]
     assert perturb["nozzle"]["dim"] == 3 and perturb["output"]["snapshots"] is True
@@ -36,6 +36,12 @@ def test_cases_are_accepted_configs_with_their_edits():
     # the edit keeps every other key of the workload's config
     ladder = dict(values["sweep-2d/eps-ladder"], domain_map=None)
     assert ladder == dict(values["sweep-2d/seed3"], domain_map=None)
+    # the refused solves: one Picard-step budget and one iteration ball cut
+    assert values["solve-2d/max-iter-2"]["iteration"]["max_iter"] == 2
+    assert values["perturb-2d/small-ball"]["iteration"]["ball_multiplier"] == 0.5
+    for name, base in (("solve-2d/max-iter-2", "solve-2d/seed0"),
+                       ("perturb-2d/small-ball", "perturb-2d/seed0")):
+        assert dict(values[name], iteration=None) == dict(values[base], iteration=None)
 
 
 def test_magnitude_of_fields_and_reports(tmp_path):

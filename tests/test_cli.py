@@ -579,8 +579,8 @@ class TestExitCodes:
     def test_solve_residual_above_bound_exits_1(self, tmp_path, capsys, monkeypatch):
         solve = elliptic.solve
 
-        def inaccurate(op, data):
-            v, W, _ = solve(op, data)
+        def inaccurate(op, rhs):
+            v, W, _ = solve(op, rhs)
             return v, W, 2e-8
 
         monkeypatch.setattr(elliptic, "solve", inaccurate)

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ep_nozzle.coeffs import derivatives, remainder_fields
-from ep_nozzle.driver import FieldPair, PicardState, perturb_data
+from ep_nozzle.driver import PicardState, perturb_data
 from ep_nozzle.elliptic import make_coeffs
-from ep_nozzle.errors import AdmissibilityError, DomainError, NotSubsonicError, VacuumError
+from ep_nozzle.errors import DomainError, NotSubsonicError, VacuumError
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
 from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
-
-from gridpoints import node_coords
 
 LAW = GasLaw(gamma=2.0, k0=1.0)
 # constant background: rho = 1, axial speed 0.5
@@ -286,14 +284,6 @@ class TestRemainders:
         lin_scale = charge_B(LAW, PHI0, Q0) * eps
         assert abs(f[0]) < 1e-3 * lin_scale
 
-    def test_admissibility_ball(self, state_const):
-        # the step refuses iterates outside the ball where remainders are defined
-        N = state_const.grid.n_nodes
-        data = perturb_data(state_const.background, state_const.grid, 0.0)
-        Psi = np.full(N, 3.0 * state_const.coeffs.delta1)
-        with pytest.raises(AdmissibilityError, match="remainder-definition ball"):
-            state_const.step(FieldPair(np.zeros(N), Psi), data)
-
     def test_vectorized_matches_pointwise(self):
         rng = np.random.default_rng(5)
         n = 50
@@ -347,17 +337,6 @@ class TestExitDatum:
             rho_t = charge_B(LAW, PHI0 + Psi_ex, Q0 + q)
             g = _exit_datum(state_const, q, Psi_ex, float(LAW.pressure(rho_t)))
             assert np.max(np.abs(base.dB_dq @ q - g)) < 1e-10
-
-    def test_admissibility(self, state_const):
-        # an axial slope inside the remainder ball but beyond the exit radius
-        c = state_const.coeffs
-        slope = 0.5 * (2.0 * c.delta2 + 3.0 * c.delta1)
-        assert 2.0 * c.delta2 <= slope < 3.0 * c.delta1
-        g = state_const.grid
-        data = perturb_data(state_const.background, g, 0.0)
-        pair = FieldPair(slope * node_coords(g)[:, -1], np.zeros(g.n_nodes))
-        with pytest.raises(AdmissibilityError, match="exit gradient"):
-            state_const.step(pair, data)
 
 
 class TestConormalScale:

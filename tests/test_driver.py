@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -294,22 +295,101 @@ def test_ball_maxima_are_those_of_the_norm(state, request):
     assert PicardState._maxima(g, Psi, Dpsi) == want
 
 
-def test_step_checks_the_ball_in_every_slab_before_the_exit(state_small, monkeypatch):
-    # the whole grid's order of the checks: an exit gradient outside its
-    # ball in the first slab gives way to an iterate outside the remainder
-    # ball in the last one
+@pytest.fixture
+def no_solve(monkeypatch):
+    """elliptic.solve raising: a refusal comes before any linear solve."""
+    def refuse(op, rhs):
+        raise AssertionError("a linear solve ran")
+
+    monkeypatch.setattr(elliptic, "solve", refuse)
+
+
+def test_fixed_point_refuses_a_start_outside_the_remainder_ball(state_small, no_solve):
+    # the ball where the remainders are defined, 3 delta1
+    N = state_small.grid.n_nodes
+    data = perturb_data(state_small.background, state_small.grid, 0.0)
+    start = FieldPair(np.zeros(N), np.full(N, 3.0 * state_small.coeffs.delta1))
+    with pytest.raises(AdmissibilityError, match="remainder-definition ball"):
+        run_fixed_point(IterationConfig(), data, state_small, start=start)
+
+
+def test_fixed_point_refuses_a_start_outside_the_exit_ball(state_small, no_solve):
+    # an axial slope inside the remainder ball but beyond the exit radius
+    c, g = state_small.coeffs, state_small.grid
+    slope = 0.5 * (2.0 * c.delta2 + 3.0 * c.delta1)
+    assert 2.0 * c.delta2 <= slope < 3.0 * c.delta1
+    data = perturb_data(state_small.background, g, 0.0)
+    start = FieldPair(slope * node_coords(g)[:, -1], np.zeros(g.n_nodes))
+    with pytest.raises(AdmissibilityError, match="exit gradient"):
+        run_fixed_point(IterationConfig(), data, state_small, start=start)
+
+
+def test_fixed_point_checks_the_remainder_ball_before_the_exit(state_small, no_solve,
+                                                               monkeypatch):
+    # both balls are checked on the whole grid's maxima, folded per slab: an
+    # exit gradient outside its ball in every slab gives way to an iterate
+    # outside the remainder ball in the last one
     monkeypatch.setattr(gridmod, "SLAB_NODES", 1)
     g, c = state_small.grid, state_small.coeffs
-    assert len(list(gridmod.slabs(g, 0, halo=1))) > 1
+    assert len(list(gridmod.slabs(g, 0))) > 1
     assert 2.0 * c.delta2 < 3.0 * c.delta1
     x, xn = node_coords(g).T
     psi = (c.delta2 + 1.5 * c.delta1) * xn        # |grad psi| between the two bounds
     Psi = np.where(x == g.axes[0][-1], 3.0 * c.delta1, 0.0)
     data = perturb_data(state_small.background, g, 1e-3)
     with pytest.raises(AdmissibilityError, match="exit gradient outside"):
-        state_small.step(FieldPair(psi, np.zeros(g.n_nodes)), data)
+        run_fixed_point(IterationConfig(), data, state_small,
+                        start=FieldPair(psi, np.zeros(g.n_nodes)))
     with pytest.raises(AdmissibilityError, match="remainder-definition ball"):
-        state_small.step(FieldPair(psi, Psi), data)
+        run_fixed_point(IterationConfig(), data, state_small, start=FieldPair(psi, Psi))
+
+
+def test_fixed_point_checks_no_ball_of_the_converged_pair(state_small, monkeypatch):
+    # the balls are checked on the pair a step enters: a last step that
+    # crosses the exit radius by less than the tolerance ends the solve
+    c, g = state_small.coeffs, state_small.grid
+    xn = node_coords(g)[:, -1]
+    inside, outside = (s * 2.0 * c.delta2 * xn for s in (0.999, 1.001))
+    monkeypatch.setattr(elliptic, "solve",
+                        lambda op, rhs: (outside.copy(), np.zeros(g.n_nodes), 0.0))
+    data = perturb_data(state_small.background, g, 0.0)
+    pair, report = run_fixed_point(IterationConfig(tol_floor=1e-3), data, state_small,
+                                   start=FieldPair(inside, np.zeros(g.n_nodes)))
+    assert report.iterations == 1 and np.array_equal(pair.psi, outside)
+
+
+@pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
+def test_fixed_point_folds_the_ball_maxima_once_per_iterate(state, request, monkeypatch):
+    # the zero start needs no fold, and each new iterate one, a `_maxima`
+    # call per slab
+    state = request.getfixturevalue(state)
+    g = state.grid
+    monkeypatch.setattr(gridmod, "SLAB_NODES", g.n_nodes // 3)
+    n_slabs = len(list(gridmod.slabs(g, 0)))
+    assert n_slabs >= 2
+    maxima, calls = PicardState._maxima, []
+
+    def counted(*args):
+        calls.append(None)
+        return maxima(*args)
+
+    monkeypatch.setattr(PicardState, "_maxima", staticmethod(counted))
+    data = perturb_data(state.background, g, 1e-3)
+    _, report = run_fixed_point(IterationConfig(), data, state)
+    assert report.iterations >= 2
+    assert len(calls) == report.iterations * n_slabs
+
+
+def test_incompatible_end_planes_warn_once_per_solve(state_small):
+    # the end-plane data are fixed for the solve: one check, not one per step
+    g = state_small.grid
+    data = perturb_data(state_small.background, g, 1e-3)
+    bad = dataclasses.replace(data, Psi_en=data.Psi_en + 0.01 * np.sin(np.pi * g.axes[0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, report = run_fixed_point(IterationConfig(), bad, state_small)
+    assert report.iterations >= 2
+    assert [str(w.message)[:40] for w in caught] == ["end-plane data violate the wall compatib"]
 
 
 def _one_row_slabs(grid, axis, halo=0):

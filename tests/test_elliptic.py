@@ -145,7 +145,7 @@ class TestSystemStructure:
     def test_trivial_data_zero_solution(self, setup_small):
         g, bg, coeffs, op = setup_small
         nc = g.shape[0]
-        v, W, residual = solve(op, LinearData(W_en=np.zeros(nc), W_ex=np.zeros(nc)))
+        v, W, residual = solve(op, assemble_rhs(op, LinearData(W_en=np.zeros(nc), W_ex=np.zeros(nc))))
         assert residual == 0.0
         assert np.all(v == 0.0)
         assert np.all(W == 0.0)
@@ -166,7 +166,7 @@ class TestSystemStructure:
         g, op = _operator(grid)
         W_en = 0.02 * _end_plane_mode(g)
         W_ex = -0.01 * _end_plane_mode(g)
-        v, W, _ = solve(op, LinearData(W_en=W_en, W_ex=W_ex))
+        v, W, _ = solve(op, assemble_rhs(op, LinearData(W_en=W_en, W_ex=W_ex)))
         Wm = W.reshape(g.shape)
         assert np.array_equal(Wm[..., 0], W_en)
         assert np.array_equal(Wm[..., -1], W_ex)
@@ -263,6 +263,8 @@ def manufactured(*x):
 
 
 def manufactured_data(g):
+    """The linear data of the manufactured problem, and s1, the volume
+    source of its v equation, which `LinearData` has no field for."""
     # constant background: a = diag(1, .., 1, 0.875), dzB = 0.5, dzA = (0, .., 0, 0.25)
     a11, ann, dzB, dzA_n, J0, pp = 1.0, 0.875, 0.5, 0.25, 0.5, 2.0
     dc = g.dim - 1
@@ -274,9 +276,21 @@ def manufactured_data(g):
     _, W_ex, grad_v_ex, *_ = _mms_terms(*cross, 1.0)
     # the walls are normal to the cross axes, where the conormal of v is a11 grad v
     return LinearData(
-        W_en=W_en, W_ex=W_ex, s1=s1, f=f, g_exit=-(J0 / pp) * grad_v_ex[-1],
+        W_en=W_en, W_ex=W_ex, f=f, g_exit=-(J0 / pp) * grad_v_ex[-1],
         wall_flux_v=a11 * np.stack(grad_v, axis=1), wall_flux_W=np.stack(grad_W, axis=1),
-    )
+    ), s1
+
+
+def manufactured_rhs(op):
+    """The manufactured data and right-hand side: `assemble_rhs` less the
+    trapezoid mass of s1 on the free rows of v."""
+    g = op.grid
+    data, s1 = manufactured_data(g)
+    rhs = assemble_rhs(op, data)
+    bv = rhs[:g.n_nodes]
+    bv -= elliptic._lumped_mass(op.quad, s1).ravel()
+    g.face(bv, -1, 0)[...] = 0.0
+    return data, rhs
 
 
 def _mms_solve(shape):
@@ -286,8 +300,8 @@ def _mms_solve(shape):
     bg = _background(shape[-1] - 1, CONST_PARAMS)
     coeffs = make_coeffs(LAW, bg, g)
     op = DiscreteOperator(coeffs, g)
-    data = manufactured_data(g)
-    v, W, residual = solve(op, data)
+    data, rhs = manufactured_rhs(op)
+    v, W, residual = solve(op, rhs)
     v_exact, W_exact = manufactured(*node_coords(g).T)
     return g, op, data, v, W, v_exact, W_exact, residual
 
@@ -307,8 +321,8 @@ class TestManufactured:
         # second order on interior rows
         res = []
         for shape in [(17, 33), (33, 65)]:
-            g, op, data, *_ = _mms_solve(shape)
-            rhs = assemble_rhs(op, data)
+            g, op, *_ = _mms_solve(shape)
+            _, rhs = manufactured_rhs(op)
             v_exact, W_exact = manufactured(*node_coords(g).T)
             U = np.concatenate([v_exact, W_exact])
             r = op.K @ U - rhs
@@ -337,7 +351,7 @@ def test_3d_zero_data_and_cancellation():
     coeffs = make_coeffs(LAW, bg, g)
     op = DiscreteOperator(coeffs, g)
     nc = g.cross_shape()
-    v, W, _ = solve(op, LinearData(W_en=np.zeros(nc), W_ex=np.zeros(nc)))
+    v, W, _ = solve(op, assemble_rhs(op, LinearData(W_en=np.zeros(nc), W_ex=np.zeros(nc))))
     assert np.all(v == 0.0) and np.all(W == 0.0)
     rng = np.random.default_rng(2)
     xi = rng.standard_normal(g.n_nodes)
@@ -353,18 +367,17 @@ def test_3d_zero_data_and_cancellation():
 # cross-check against the boundary-lift formulation of the same system
 
 
-def _lift_path_solve(op, data):
-    """Oracle: move a linear-in-axial lift of the end data to the right-hand
-    side, solve with zero Dirichlet rows, and add the lift back."""
+def _lift_path_solve(op, rhs):
+    """Oracle: move a linear-in-axial lift of the end data, the W entries
+    of rhs on the end planes, to the right-hand side, solve with zero
+    Dirichlet rows, and add the lift back."""
     g = op.grid
-    cross = g.cross_shape()
-    t = (g.axes[-1] / g.L).reshape((1,) * (g.dim - 1) + (-1,))
-    W_en = np.asarray(data.W_en, dtype=float).reshape(cross)[..., None]
-    W_ex = np.asarray(data.W_ex, dtype=float).reshape(cross)[..., None]
-    Wbd = ((1.0 - t) * W_en + t * W_ex).ravel()
+    t = g.axes[-1] / g.L
+    W = rhs[g.n_nodes:].reshape(g.shape)
+    Wbd = ((1.0 - t) * W[..., :1] + t * W[..., -1:]).ravel()
     N = g.n_nodes
     dir_mask = _dirichlet_mask(g)
-    rhs = assemble_rhs(op, data)
+    rhs = rhs.copy()
     rhs[:N] -= op.blocks["KvW"] @ Wbd
     rhs[N:] -= op.blocks["KWW"] @ Wbd
     rhs[dir_mask] = 0.0
@@ -416,18 +429,18 @@ def _mms_case():
     g = build_grid(dim=2, shape=(17, 33))
     coeffs = make_coeffs(LAW, _background(32, CONST_PARAMS), g)
     op = DiscreteOperator(coeffs, g)
-    return op, manufactured_data(g)
+    return op, manufactured_rhs(op)[1]
 
 
 @pytest.mark.parametrize("case", ["random-2d", "random-3d", "manufactured", "wall-2d", "wall-3d"])
 def test_identity_row_solve_matches_lift_path(case):
     if case == "manufactured":
-        op, data = _mms_case()
+        op, rhs = _mms_case()
     else:
         g, op = _operator(case.split("-")[1])
-        data = _wall_data(g, op) if case.startswith("wall") else _random_data(g, 3)
-    v, W, residual = solve(op, data)
-    v_ref, W_ref = _lift_path_solve(op, data)
+        rhs = assemble_rhs(op, _wall_data(g, op) if case.startswith("wall") else _random_data(g, 3))
+    v, W, residual = solve(op, rhs)
+    v_ref, W_ref = _lift_path_solve(op, rhs)
     assert residual < 1e-12
     assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
     assert np.max(np.abs(W - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))
@@ -488,9 +501,9 @@ def test_quadrature_matches_coo_construction(grid):
 @pytest.mark.parametrize("grid", list(GRIDS))
 def test_separable_solve_matches_sparse_lu(grid):
     g, op = _operator(grid)
-    data = _wall_data(g, op)
-    v, W, residual = solve(op, data)
-    U = splu(op.K.tocsc()).solve(assemble_rhs(op, data))
+    rhs = assemble_rhs(op, _wall_data(g, op))
+    v, W, residual = solve(op, rhs)
+    U = splu(op.K.tocsc()).solve(rhs)
     N = g.n_nodes
     assert residual < 1e-12
     assert np.max(np.abs(v - U[:N])) <= 1e-12 * np.max(np.abs(U[:N]))
@@ -553,26 +566,26 @@ def test_fixed_point_leaves_the_operator_unassembled():
 
 def test_residual_does_not_read_the_factorization():
     g, op = _operator("2d")
-    data = _random_data(g, 3)
-    assert solve(op, data)[2] < 1e-12
+    rhs = assemble_rhs(op, _random_data(g, 3))
+    assert solve(op, rhs)[2] < 1e-12
     pivot_inv = op.pivot_inv
     pivot_inv[pivot_inv.shape[0] // 2, 0, 0, 0] *= 1.01
-    assert solve(op, data)[2] > 1e-8
+    assert solve(op, rhs)[2] > 1e-8
 
 
 def test_solve_residual_is_the_absolute_residual_and_keeps_the_data():
     # max |a| is reduced as max(a.max(), -a.min()): negation is exact, so the
-    # bits are np.abs's; the solve leaves the caller's data as they were
+    # bits are np.abs's; the solve leaves the caller's right-hand side as it was
     rng = np.random.default_rng(5)
     for a in (rng.standard_normal(1001), -np.abs(rng.standard_normal(64)), np.zeros(3)):
         assert elliptic._max_abs(a) == float(np.max(np.abs(a)))
     assert np.isnan(elliptic._max_abs(np.array([1.0, np.nan, -2.0])))
     g, op = _operator("2d")
-    data = _random_data(g, 3)
-    kept = {name: np.copy(getattr(data, name)) for name in vars(data)}
-    first = solve(op, data)
-    assert all(np.array_equal(getattr(data, name), value) for name, value in kept.items())
-    second = solve(op, data)
+    rhs = assemble_rhs(op, _random_data(g, 3))
+    kept = rhs.copy()
+    first = solve(op, rhs)
+    assert np.array_equal(rhs, kept)
+    second = solve(op, rhs)
     assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
 
@@ -648,9 +661,9 @@ def test_block_lu_solve_matches_sparse_lu(dim, shape, extents, seed):
     g = build_grid(dim=dim, cross_extents=tuple((0.0, e) for e in extents[:dim - 1]),
                    shape=tuple(shape[:dim]))
     op = DiscreteOperator(make_coeffs(LAW, _background(g.shape[-1] - 1), g), g)
-    data = _random_data(g, seed)
-    v, W, residual = solve(op, data)
-    U = splu(op.K.tocsc()).solve(assemble_rhs(op, data))
+    rhs = assemble_rhs(op, _random_data(g, seed))
+    v, W, residual = solve(op, rhs)
+    U = splu(op.K.tocsc()).solve(rhs)
     N = g.n_nodes
     assert residual < 1e-12
     assert np.max(np.abs(v - U[:N])) <= 1e-12 * np.max(np.abs(U[:N]))
@@ -678,12 +691,12 @@ def _csr_rhs(op, data):
     exit_w = mass[exit_] / (0.5 * g.spacing[-1])
     bv = np.zeros(N)
     bW = np.zeros(N)
-    for b, F, s in ((bv, data.F, data.s1), (bW, data.F2, data.f)):
+    for b, F in ((bv, data.F), (bW, data.F2)):
         for a in range(g.dim):
             b += q.G[a].T @ (wq * F[qn, a])
         for axis, sign, idx, fw in walls:
             b[idx] -= fw * (sign * F[idx, axis])
-        b -= np.bincount(qn, weights=wq * s[qn], minlength=N)
+    bW -= np.bincount(qn, weights=wq * data.f[qn], minlength=N)
     bv[exit_] -= exit_w * data.F[exit_, -1]
     bv[exit_] -= exit_w * op.coeffs.exit_scale * data.g_exit
     bv[exit_] += exit_w * op.coeffs.exit_wflux * np.ravel(data.W_ex)
@@ -701,7 +714,6 @@ def test_slice_rhs_matches_csr_maps(grid):
     g, op = _operator(grid)
     data = _wall_data(g, op)
     rng = np.random.default_rng(6)
-    data.s1 = 1e-2 * rng.standard_normal(g.n_nodes)
     # a wall flux of its own, not F or F2
     data.wall_flux_v = 1e-2 * rng.standard_normal((g.n_nodes, g.dim))
     want = _csr_rhs(op, data)
@@ -709,7 +721,7 @@ def test_slice_rhs_matches_csr_maps(grid):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # each term alone, so that no term hides under a larger one
     zeroed = {k: np.zeros_like(v) for k, v in vars(data).items()}
-    for name in ("F", "s1", "f", "F2", "wall_flux_v", "wall_flux_W"):
+    for name in ("F", "f", "F2", "wall_flux_v", "wall_flux_W"):
         one = LinearData(**{**zeroed, name: getattr(data, name)})
         want = _csr_rhs(op, one)
         assert np.max(np.abs(want)) > 0.0, name
