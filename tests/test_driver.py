@@ -389,7 +389,7 @@ def test_incompatible_end_planes_warn_once_per_solve(state_small):
         warnings.simplefilter("always")
         _, report = run_fixed_point(IterationConfig(), bad, state_small)
     assert report.iterations >= 2
-    assert [str(w.message)[:40] for w in caught] == ["end-plane data violate the wall compatib"]
+    assert len(caught) == 1 and "wall compatibility condition" in str(caught[0].message)
 
 
 def _one_row_slabs(grid, axis, halo=0):
