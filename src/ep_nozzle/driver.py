@@ -254,7 +254,7 @@ class PicardState:
         """The right-hand side of one step at pair, per slab of cross axis 0
         (`grid.slabs`, halo one row): the gradient of psi on the slab's rows,
         then the slab's linear data and their terms (`elliptic.assemble_rhs`
-        on `DiscreteOperator.rows`), whose own rows go into the whole
+        on the rows), whose own rows go into the whole
         right-hand side. Every term is pointwise or reaches one row across,
         so each node gets the whole grid's additions in their order, bit for
         bit. The one slab of a small grid is assembled in place."""
@@ -264,7 +264,7 @@ class PicardState:
             sub = g.rows(rows)
             lin = self._linear_data(sub, rows, pair, g.slab(pair.Psi, rows),
                                     gridmod.gradient(g, pair.psi, rows), data, corrections)
-            part = elliptic.assemble_rhs(self.op.rows(rows), lin)
+            part = elliptic.assemble_rhs(self.op, lin, rows)
             del lin
             if sub.shape == g.shape:
                 rhs = part
@@ -484,6 +484,25 @@ def _compact_laplacian(grid: Nozzle, f):
     return out.ravel()
 
 
+def residual_slabs(grid: Nozzle):
+    """The slabs of a strong residual, (rows, own, sub, interior) per slab:
+    rows and own of `grid.slabs` across cross axis 0 with a two-row halo,
+    sub the grid of the rows (`Nozzle.rows`), and interior the index of the
+    grid's interior nodes on own in a field of sub shaped as sub. A stencil
+    reaches one row across (np.gradient's one-sided rule at a wall three,
+    which the halo holds), so own gets the whole grid's bits."""
+    n0 = grid.shape[0]
+    for rows, own in gridmod.slabs(grid, 0, halo=2):
+        inner = slice(max(own.start, 1 - rows.start), min(own.stop, n0 - 1 - rows.start))
+        yield rows, own, grid.rows(rows), (inner,) + (slice(1, -1),) * (grid.dim - 1)
+
+
+def _fold(maxima, name, values):
+    """Append the max of values to maxima[name], if values has any."""
+    if values.size:
+        maxima.setdefault(name, []).append(np.max(values))
+
+
 def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
     """Strong-form residuals of the nonlinear problem at (phi0+psi, Phi0+Psi).
 
@@ -491,80 +510,62 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
     the exit pressure, the wall-normal derivatives, and the Dirichlet traces.
     Returns the max residual and a per-component dictionary.
 
-    The fields are formed per `grid.slabs` across cross axis 0, with a halo of
-    two rows, so that no nodal field is the grid's: per slab phi, Phi and
-    grad phi, the mass divergence, then the density and the Poisson
-    residual. Each field is dropped once its components are folded into the
-    slab's maxima. Every stencil reaches one row across the axis, and
-    np.gradient's one-sided rule at a wall three, so the components are the
-    whole grid's, bit for bit.
+    The fields are formed per slab (`residual_slabs`), so that no nodal
+    field is the grid's: per slab phi, Phi and grad phi, the mass
+    divergence, then the density and the Poisson residual. Each field is
+    dropped once its components are folded into the slab's maxima; a max
+    is exact, so the components are the whole grid's, bit for bit.
     """
     g, law, c = state.grid, state.law, state.coeffs
-    n0, d = g.shape[0], g.dim
+    n0 = g.shape[0]
     walls = [face[:2] for face in state.op.quad.wall_faces]
-    maxima = {}     # (component, part) -> the maximum of each slab that has the part
-
-    def fold(key, values):
-        if values.size:
-            maxima.setdefault(key, []).append(np.max(values))
+    maxima = {}     # component -> the maxima of the slabs and faces that have it
 
     def mass_flux(axis, axes_e, z_e, q_e):
         flux = law.density(z_e, np.einsum("ni,ni->n", q_e, q_e))
         flux *= q_e[:, axis]
         return (flux,)
 
-    for rows, own in gridmod.slabs(g, 0, halo=2):
-        sub = g.rows(rows)
+    for rows, own, sub, interior in residual_slabs(g):
         span = slice(rows.start + own.start, rows.start + own.stop)   # own, in the grid
-        interior = ((slice(max(own.start, 1 - rows.start), min(own.stop, n0 - 1 - rows.start)),)
-                    + (slice(1, -1),) * (d - 1))
         # the wall faces that own meets, and the part of each face of sub on own
         faces = [(axis, side, own if axis else slice(None)) for axis, side in walls
                  if axis or (span.start == 0 if side == 0 else span.stop == n0)]
 
         phi = (c.phi0 + sub.sections(g.slab(pair.psi, rows))).ravel()
         Phi = (c.Phi0 + sub.sections(g.slab(pair.Psi, rows))).ravel()
-        fold("dirichlet_phi", np.abs(sub.face(phi, -1, 0)[own]))
+        _fold(maxima, "dirichlet_phi", np.abs(sub.face(phi, -1, 0)[own]))
         for side, datum in ((0, data.phi_en), (-1, data.phi_ex)):
-            fold(("dirichlet_Phi", side),
-                 np.abs(sub.face(Phi, -1, side)[own] - (data.B0 + datum[span])))
+            _fold(maxima, "dirichlet_Phi",
+                  np.abs(sub.face(Phi, -1, side)[own] - (data.B0 + datum[span])))
         for axis, side, part in faces:
-            fold(("wall_flux_Phi", axis, side),
-                 np.abs(gridmod.normal_derivative(sub, Phi, axis, side)[part]))
+            _fold(maxima, "wall_flux_Phi",
+                  np.abs(gridmod.normal_derivative(sub, Phi, axis, side)[part]))
 
         grad_phi = gridmod.gradient(sub, phi)
         for axis, side, part in faces:
-            fold(("wall_flux_phi", axis, side),
-                 np.abs(sub.face(grad_phi, axis, side)[part][..., axis]))
+            _fold(maxima, "wall_flux_phi",
+                  np.abs(sub.face(grad_phi, axis, side)[part][..., axis]))
         mass, = edge_divergence(sub, (phi,), mass_flux, z=Phi, grads=(grad_phi,))
         del phi
-        fold("interior_mass", np.abs(mass.reshape(sub.shape)[interior]))
+        _fold(maxima, "interior_mass", np.abs(mass.reshape(sub.shape)[interior]))
         del mass
 
         rho = law.density(Phi, np.einsum("ni,ni->n", grad_phi, grad_phi))
         del grad_phi
-        fold("exit_pressure",
-             np.abs(law.pressure(sub.face(rho, -1, -1)[own]) - data.pex[span]))
+        _fold(maxima, "exit_pressure",
+              np.abs(law.pressure(sub.face(rho, -1, -1)[own]) - data.pex[span]))
         poisson = _compact_laplacian(sub, Phi)
         del Phi
         rho -= data.b.nodal(rows)
         poisson -= rho                  # the Laplacian less (rho - b)
         del rho
-        fold("interior_poisson", np.abs(poisson.reshape(sub.shape)[interior]))
+        _fold(maxima, "interior_poisson", np.abs(poisson.reshape(sub.shape)[interior]))
         del poisson
 
-    def whole(key):
-        return float(np.max(maxima[key]))
-
-    components = {
-        "interior_mass": whole("interior_mass"),
-        "interior_poisson": whole("interior_poisson"),
-        "exit_pressure": whole("exit_pressure"),
-        "wall_flux_phi": max(whole(("wall_flux_phi", *face)) for face in walls),
-        "wall_flux_Phi": max(whole(("wall_flux_Phi", *face)) for face in walls),
-        "dirichlet_phi": whole("dirichlet_phi"),
-        "dirichlet_Phi": max(whole(("dirichlet_Phi", 0)), whole(("dirichlet_Phi", -1))),
-    }
+    components = {name: float(np.max(maxima[name])) for name in (
+        "interior_mass", "interior_poisson", "exit_pressure", "wall_flux_phi",
+        "wall_flux_Phi", "dirichlet_phi", "dirichlet_Phi")}
     return max(components.values()), components
 
 

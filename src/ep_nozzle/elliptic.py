@@ -341,16 +341,6 @@ class DiscreteOperator:
         self.cross_modes = tuple(_cross_modes(grid, a) for a in range(grid.dim - 1))
         self.pivot_inv = _factor_modes(self.axial_blocks, coeffs, self.quad, self.cross_modes)
 
-    def rows(self, rows):
-        """The operator on the nodes at rows (a slice) of cross axis 0, for
-        `assemble_rhs` and `apply_operator`: this operator itself if rows
-        are all of them, else an `OperatorRows` of those rows."""
-        lo, hi, _ = rows.indices(self.grid.shape[0])
-        if (lo, hi) == (0, self.grid.shape[0]):
-            return self
-        quad = self.quad.rows(slice(lo, hi))
-        return OperatorRows(quad.grid, quad, self.coeffs, self.axial_blocks)
-
     @functools.cached_property
     def blocks(self):
         """CSR blocks Kvv, KvW, KWv, KWW of K and the Dirichlet form Dsemi."""
@@ -396,22 +386,6 @@ class DiscreteOperator:
             format="csr",
         )
         return (sp.diags(1.0 - identity) @ K + sp.diags(identity)).tocsr()
-
-
-@dataclass(frozen=True)
-class OperatorRows:
-    """A `DiscreteOperator` on the nodes at some rows of cross axis 0
-    (`DiscreteOperator.rows`): its profiles, axial blocks and weights
-    (`Quadrature.rows`), with the grid of the rows. `assemble_rhs` and
-    `apply_operator` reach one row across, so on every row but the first
-    and the last, which they take for walls, they give the whole
-    operator's bits.
-    """
-
-    grid: Nozzle
-    quad: Quadrature
-    coeffs: BackgroundCoeffs
-    axial_blocks: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +531,11 @@ def _along(axis, sl):
     return (slice(None),) * axis + (sl,)
 
 
-def apply_operator(op: DiscreteOperator, U) -> np.ndarray:
-    """K U without the assembled K or the factorization; op may be an
-    `OperatorRows`, and U is then the pair on its rows, (2, *its shape).
+def apply_operator(op: DiscreteOperator, U, rows=slice(None)) -> np.ndarray:
+    """K U without the assembled K or the factorization, on the nodes at
+    rows (a slice) of cross axis 0, all by default, with U the pair there:
+    it reaches one row across, so on all rows but the first and the last,
+    which it takes for walls, it gives the whole operator's bits.
 
     Along the axis: the axial blocks of the mode systems, times the trapezoid
     mass of the cross-section; on each cross axis: the Neumann stiffness with
@@ -568,7 +544,8 @@ def apply_operator(op: DiscreteOperator, U) -> np.ndarray:
     Each product and each cross-axis flux is formed in one nodal scratch
     buffer and added to out from there.
     """
-    grid, q = op.grid, op.quad
+    q = op.quad.rows(rows)
+    grid = q.grid
     lower, upper, diag = op.axial_blocks
     x = U.reshape((2,) + grid.shape)
     out = np.empty_like(x)
@@ -636,12 +613,13 @@ def _wall_flux(q: Quadrature, b, X, update):
         update(b_face, fw * (sign * q.grid.face(X, axis, side)[..., axis]), out=b_face)
 
 
-def assemble_rhs(op: DiscreteOperator, data: LinearData) -> np.ndarray:
-    """Right-hand side of K U = rhs; the Dirichlet rows carry the data. op
-    may be an `OperatorRows`, with data on its rows. The end-plane data are
-    checked by the callers (`check_wall_compatibility`), on the whole
-    planes."""
-    grid, q, coeffs = op.grid, op.quad, op.coeffs
+def assemble_rhs(op: DiscreteOperator, data: LinearData, rows=slice(None)) -> np.ndarray:
+    """Right-hand side of K U = rhs; the Dirichlet rows carry the data. On
+    the nodes at rows of cross axis 0, as `apply_operator`, with data there.
+    The end-plane data are checked by the callers
+    (`check_wall_compatibility`), on the whole planes."""
+    q, coeffs = op.quad.rows(rows), op.coeffs
+    grid = q.grid
     rhs = np.zeros((2, grid.n_nodes))
     bv, bW = rhs
     bv_exit = grid.face(bv, -1, -1)
@@ -693,7 +671,7 @@ def _residual_max(op: DiscreteOperator, U, rhs) -> float:
     worst = []
     for rows, own in gridmod.slabs(op.grid, 0, halo=1):
         U_rows = U.reshape(shape)[:, rows]
-        res = apply_operator(op.rows(rows), U_rows).reshape(U_rows.shape)[:, own]
+        res = apply_operator(op, U_rows, rows).reshape(U_rows.shape)[:, own]
         res -= rhs.reshape(shape)[:, rows][:, own]
         worst.append(_max_abs(res))
     return float(np.max(worst))

@@ -5,8 +5,8 @@ axial axis last. A grid is a tensor product, so it keeps only its 1D axes:
 nodes are numbered in C order of `shape`, the entrance and the exit are the
 planes of axial index 0 and n_axial - 1, the wall is the first and last
 index of each cross axis, and the interior is the `[1:-1]` box. A boundary
-piece of a nodal field is a view of it (`face`, `interior`), never a set of
-node numbers.
+piece of a nodal field is a view of it (`face`), never a set of node
+numbers.
 """
 
 from __future__ import annotations
@@ -49,21 +49,14 @@ class Nozzle:
         field = np.asarray(field)
         return field.reshape((-1, self.shape[-1]) + field.shape[1:])
 
-    def _box(self, field):
-        """A nodal field (N, ...) viewed as (*shape, ...)."""
-        field = np.asarray(field)
-        return field.reshape(self.shape + field.shape[1:])
-
     def face(self, field, axis, side):
         """A nodal field (N, ...) on the face of the box at index side (0 or
         -1) of axis, shaped (other axes..., ...); another index gives the
         plane of nodes that far in. The exit is face(field, -1, -1). A view:
         writing to it writes a contiguous field."""
-        return self._box(field)[(slice(None),) * (axis % self.dim) + (side,)]
-
-    def interior(self, field):
-        """A nodal field (N, ...) on the interior `[1:-1]` box, as a view."""
-        return self._box(field)[(slice(1, -1),) * self.dim]
+        field = np.asarray(field)
+        box = field.reshape(self.shape + field.shape[1:])
+        return box[(slice(None),) * (axis % self.dim) + (side,)]
 
     def rows(self, rows):
         """The nodes at rows (a slice) of cross axis 0 as a grid of their own,

@@ -25,11 +25,16 @@ def _cases():
 
 def test_cases_are_accepted_configs_with_their_edits():
     cases = _cases()
-    assert len(cases) == 4 * 4 + 5
+    assert len(cases) == 4 * 4 + 6
     values = {name: parse_config(text).values for name, _, text in cases}
     perturb = values["perturb-3d/snapshots"]
     assert perturb["nozzle"]["dim"] == 3 and perturb["output"]["snapshots"] is True
     assert perturb["domain_map"]["eps"] == (0.0025,)
+    # perturb-2d on solve-2d's grid, two slabs in the step and the residuals
+    assert values["perturb-2d/two-slabs"]["nozzle"] == values["solve-2d/seed0"]["nozzle"]
+    assert values["perturb-2d/two-slabs"]["nozzle"]["nodes_cross"] == 160
+    assert dict(values["perturb-2d/two-slabs"], nozzle=None) == \
+        dict(values["perturb-2d/seed0"], nozzle=None)
     assert values["sweep-3d/eps-ladder"]["nozzle"]["dim"] == 3
     assert values["sweep-3d/eps-ladder"]["domain_map"]["eps"] == (0.001, 0.002, 0.004, 0.008)
     assert values["sweep-2d/eps-ladder"]["domain_map"]["eps"] == (0.001, 0.002, 0.004)

@@ -20,7 +20,7 @@ from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
 from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
 
-from gridpoints import node_coords
+from gridpoints import node_coords, one_row_slabs
 
 LAW = GasLaw(gamma=2.0, k0=1.0)
 
@@ -298,7 +298,8 @@ class TestPullback:
         c = state_small.coeffs
         phi0, Phi0 = (np.broadcast_to(p, g.shape).ravel() for p in (c.phi0, c.Phi0))
         div, = driver.edge_divergence(g, (phi0,), mass_flux, z=Phi0)
-        assert np.max(np.abs(g.interior(div))) < 5e-3  # O(eps) sources, small grid
+        interior = div.reshape(g.shape)[(slice(1, -1),) * g.dim]
+        assert np.max(np.abs(interior)) < 5e-3  # O(eps) sources, small grid
 
 
 def _assert_identity_gives_exact_zeros(state):
@@ -434,19 +435,34 @@ class TestSolvePerturbed:
         assert report.converged
         pushforward_residual(shear, state, pair, data)
 
-    @pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
+    @pytest.mark.parametrize("state", ["state_small", "state_3d_medium"])
     def test_pushforward_residual_does_not_depend_on_the_slabs(self, state, request,
                                                                monkeypatch):
-        # the edges go to the fluxes in slabs; one row per slab changes no bit
+        # the residual runs in the strong residual's slabs and the wall
+        # rung folds its corrections per slab; every term is pointwise or
+        # reaches one row across, so no slab size changes a bit of the
+        # residual or of the wall ladder
         state = request.getfixturevalue(state)
         g = state.grid
         data = driver.perturb_data(state.background, g, 1e-3)
         shear = shear_map(2e-3, g.L, g.cross_extents)
         pair, _ = solve_perturbed(shear, driver.IterationConfig(), data, state)
-        whole = pushforward_residual(shear, state, pair, data)
-        assert g.n_nodes <= gridmod.SLAB_NODES
-        monkeypatch.setattr(gridmod, "SLAB_NODES", 1)
-        assert pushforward_residual(shear, state, pair, data) == whole
+
+        def bits():
+            total, parts = pushforward_residual(shear, state, pair, data)
+            return (float(total).hex(), {k: float(v).hex() for k, v in parts.items()},
+                    repr(domainmap.wall_sweep(driver.IterationConfig(), state, [1e-3, 2e-3])))
+
+        results, widths = [], []
+        for slab in (1, 1000, gridmod.SLAB_NODES, 10 * g.n_nodes):
+            monkeypatch.setattr(gridmod, "SLAB_NODES", slab)
+            widths.append(len(list(driver.residual_slabs(g))))
+            results.append(bits())
+        monkeypatch.setattr(gridmod, "slabs", one_row_slabs)
+        results.append(bits())
+        assert widths[0] > 1 and widths[-1] == 1
+        assert set(results[0][1]) == {"mass", "poisson"}
+        assert all(r == results[0] for r in results[1:])
 
     @pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
     def test_pushforward_evaluates_each_jacobian_once(self, state, request, monkeypatch):

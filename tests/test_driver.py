@@ -33,7 +33,7 @@ from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid, gradient
 from ep_nozzle.ode1d import OneDParams, aligned_steps, integrate_ivp
 
-from gridpoints import node_coords
+from gridpoints import node_coords, one_row_slabs
 
 LAW = GasLaw(gamma=2.0, k0=1.0)
 
@@ -155,8 +155,8 @@ class TestFixedPoint:
         # the residual is reduced without np.abs; a NaN in it still fails
         apply = elliptic.apply_operator
 
-        def nan_at_one_node(op, U):
-            out = apply(op, U)
+        def nan_at_one_node(op, U, rows=slice(None)):
+            out = apply(op, U, rows)
             out[7] = np.nan
             return out
 
@@ -236,7 +236,7 @@ class TestResidual:
             monkeypatch.setattr(gridmod, "SLAB_NODES", slab)
             widths.append(len(list(gridmod.slabs(state.grid, 0, halo=2))))
             results.append(residual_bits())
-        monkeypatch.setattr(gridmod, "slabs", _one_row_slabs)
+        monkeypatch.setattr(gridmod, "slabs", one_row_slabs)
         results.append(residual_bits())
         assert widths[0] > 1 and widths[-1] == 1
         assert set(results[0][0][1]) == {
@@ -276,7 +276,7 @@ def test_step_does_not_depend_on_the_slabs(state, eps, request, monkeypatch):
         monkeypatch.setattr(gridmod, "SLAB_NODES", slab)
         widths.append(len(list(gridmod.slabs(g, 0, halo=1))))
         results.append(run())
-    monkeypatch.setattr(gridmod, "slabs", _one_row_slabs)
+    monkeypatch.setattr(gridmod, "slabs", one_row_slabs)
     results.append(run())
     assert widths[0] > 1 and widths[-1] == 1
     assert all(r == results[0] for r in results[1:])
@@ -390,14 +390,6 @@ def test_incompatible_end_planes_warn_once_per_solve(state_small):
         _, report = run_fixed_point(IterationConfig(), bad, state_small)
     assert report.iterations >= 2
     assert len(caught) == 1 and "wall compatibility condition" in str(caught[0].message)
-
-
-def _one_row_slabs(grid, axis, halo=0):
-    """`grid.slabs` with every row a slab of its own."""
-    n = grid.shape[axis]
-    for start in range(n):
-        lo, hi = max(start - halo, 0), min(start + 1 + halo, n)
-        yield slice(lo, hi), slice(start - lo, start + 1 - lo)
 
 
 @pytest.mark.parametrize("shape", [(17, 33), (18, 9), (33, 33, 65), (65, 9, 9)])

@@ -52,15 +52,6 @@ def _two_grids():
 
 
 class TestBuild:
-    def test_interior_is_the_inner_box(self):
-        # oracle: a node is interior when every coordinate lies strictly
-        # inside its extent
-        for g in _two_grids():
-            x, (lo, hi) = node_coords(g), _planes(g)
-            inside = np.all((x > lo) & (x < hi), axis=1)
-            assert np.array_equal(g.interior(x).reshape(-1, g.dim), x[inside])
-            assert g.interior(x).shape == tuple(n - 2 for n in g.shape) + (g.dim,)
-
     def test_faces_cover_the_non_interior_nodes(self):
         # each face lies on its plane, and writing True through the face
         # views marks exactly the nodes off the interior box

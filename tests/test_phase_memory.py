@@ -1,10 +1,11 @@
-"""Memory budget of a Picard step and of the strong residual.
+"""Memory budget of a Picard step and of the strong residuals.
 
 The rise of `PicardState.step`, of `nonlinear_residual` and of
 `GasLaw.density` over their entry, in bytes per grid node, is measured under
 tracemalloc by the `PhaseMeter` of `scripts/phase_memory.py` on one small 2D
-and one small 3D solve. The bounds are the measured figures plus about 10%,
-so a whole-grid temporary that comes back into any of them fails here.
+and one small 3D solve, and that of `domainmap.pushforward_residual` after
+one small 3D perturbed solve. The bounds are the measured figures plus about
+10%, so a whole-grid temporary that comes back into any of them fails here.
 """
 
 import importlib.util
@@ -14,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from ep_nozzle import driver
+from ep_nozzle import domainmap, driver
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
 from ep_nozzle.ode1d import OneDParams, integrate_ivp
@@ -30,24 +31,33 @@ def _phase_memory():
     return module
 
 
-def _rises(shape):
-    """Rise per node of every phase of the script over one fixed-point solve."""
+def _meter(shape, phases, solve):
+    """The script's `PhaseMeter` on phases over solve(state, data): one
+    fixed-point solve at sigma 1e-3 on the grid of shape, its `PicardState`
+    built under the meter too."""
     script = _phase_memory()
     dim = len(shape)
     grid = build_grid(dim=dim, cross_extents=((0.0, 1.0),) * (dim - 1), shape=shape)
     background = integrate_ivp(LAW, OneDParams(0.5, 1.2, 0.1, 1.0, 1.0), shape[-1] - 1)
     data = driver.perturb_data(background, grid, 1e-3)
-    meter = script.PhaseMeter(script.PHASES)
+    meter = script.PhaseMeter(phases)
     tracemalloc.start()
     sys.setprofile(meter)
     try:
-        state = driver.PicardState(LAW, background, grid)
-        driver.run_fixed_point(driver.IterationConfig(), data, state)
+        solve(driver.PicardState(LAW, background, grid), data)
     finally:
         sys.setprofile(None)
         tracemalloc.stop()
+    return meter, grid.n_nodes
+
+
+def _rises(shape):
+    """Rise per node of every phase of the script over one fixed-point solve."""
+    meter, n = _meter(shape, _phase_memory().PHASES,
+                      lambda state, data: driver.run_fixed_point(driver.IterationConfig(),
+                                                                 data, state))
     assert meter.calls["step"] >= 2 and meter.calls["nonlinear_residual"] == 1
-    return {name: rise / grid.n_nodes for name, rise in meter.rise.items()}
+    return {name: rise / n for name, rise in meter.rise.items()}
 
 
 # rise per node measured with this code (one BLAS thread); the 128x256 solve
@@ -63,3 +73,23 @@ def test_step_and_residual_stay_within_their_budget(shape):
     rises = _rises(shape)
     for phase, measured in MEASURED[shape].items():
         assert rises[phase] <= 1.1 * measured, (phase, rises[phase])
+
+
+# rise per node of the pushforward residual at 33x33x65 after a wall-shear
+# solve at eps 2e-3, measured with this code (one BLAS thread): two residual
+# slabs of 16 rows and their halos; 144.6 when it was formed on the whole grid
+PUSHFORWARD_MEASURED = 110.7
+
+
+def test_pushforward_residual_stays_within_its_budget():
+    def solve(state, data):
+        g = state.grid
+        shear = domainmap.shear_map(2e-3, g.L, g.cross_extents)
+        pair, _ = domainmap.solve_perturbed(shear, driver.IterationConfig(), data, state)
+        domainmap.pushforward_residual(shear, state, pair, data)
+
+    meter, n = _meter((33, 33, 65), {"pushforward_residual": domainmap.pushforward_residual},
+                      solve)
+    assert meter.calls["pushforward_residual"] == 1
+    rise = meter.rise["pushforward_residual"] / n
+    assert rise <= 1.1 * PUSHFORWARD_MEASURED, rise
