@@ -76,8 +76,9 @@ def test_step_and_residual_stay_within_their_budget(shape):
 
 
 # rise per node of the pushforward residual at 33x33x65 after a wall-shear
-# solve at eps 2e-3, measured with this code (one BLAS thread): two residual
-# slabs of 16 rows and their halos; 144.6 when it was formed on the whole grid
+# solve at eps 2e-3, measured with this code (one BLAS thread): residual
+# slabs of 16, 16 and 1 rows and their halos; 144.6 when it was formed on the
+# whole grid
 PUSHFORWARD_MEASURED = 110.7
 
 
