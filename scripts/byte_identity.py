@@ -3,8 +3,8 @@
 
 usage: python scripts/byte_identity.py REF
 
-REF (a commit, branch or tag) is exported with `git archive` into a temporary
-directory. Every case then runs `python -m ep_nozzle.cli` once from REF's
+REF (a commit, branch or tag) is exported with `git archive` (`revision.py`)
+into a temporary directory. Every case then runs `python -m ep_nozzle.cli` once from REF's
 `src` and once from this tree's, with one BLAS thread, in a fresh directory
 with the same relative `--out`, so that `config_echo.ini` is comparable too.
 For each case the script prints, per output file, stdout, stderr and exit
@@ -37,20 +37,17 @@ import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
 
 from gates import read_csv_fields, read_vtk_fields  # noqa: E402
+from revision import ONE_THREAD, export  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
-
-ONE_THREAD = {key: "1" for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                                   "MKL_NUM_THREADS")}
 
 
 def edited(text, **sections):
@@ -168,13 +165,10 @@ def main():
     all_same = True
     with tempfile.TemporaryDirectory(prefix="byte_identity_") as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "ref", filter="data")
+        ref_src = export(args.ref, tmp / "ref")
         for name, command, text in cases():
             case_dir = tmp / "runs" / name.replace("/", "_")
-            ref, ref_paths = run(tmp / "ref" / "src", case_dir / "ref", command, text)
+            ref, ref_paths = run(ref_src, case_dir / "ref", command, text)
             here, here_paths = run(ROOT / "src", case_dir / "here", command, text)
             parser = configparser.ConfigParser()
             parser.read_string(text)

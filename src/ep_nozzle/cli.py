@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import json
 import sys
 import time
@@ -437,6 +438,11 @@ def cmd_verify(cfg) -> int:
 
 
 def main(argv=None) -> int:
+    # the imports' objects (about 22 k) move to the permanent generation, which
+    # the collections at exit and in a forked pool child skip, so a fork does
+    # not copy their pages on write. Once per process: a later call freezes none
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = argparse.ArgumentParser(
         prog="ep-nozzle",
         description="Steady subsonic Euler-Poisson nozzle flows: backgrounds, "

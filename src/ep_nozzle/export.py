@@ -5,12 +5,13 @@ value is formatted once, not once per node. The deformed writers take only
 the mapped cross coordinates, because the wall shear keeps x_n: their axial
 column is the grid axis too.
 
-A table's rows are formatted on every usable CPU: w contiguous shares, w =
-min(usable CPUs, float values / MIN_SHARE_VALUES), at least 1, through the
-fork pool of `pool` that the stability ladders use too. A row's text does
-not depend on its share, so the bytes do not depend on the CPU count, and
-the children write to unnamed files, so nothing but the output is left on
-disk.
+A file's tables (a CSV's one, a VTK file's geometry and scalar blocks) are
+formatted on every usable CPU as one run of rows: w contiguous shares, w =
+min(usable CPUs, the file's float values / MIN_SHARE_VALUES), at least 1,
+decided once per file, through the fork pool of `pool` that the stability
+ladders use too. A row's text does not depend on its share, so the bytes do
+not depend on the CPU count, and the children write to unnamed files, so
+nothing but the output is left on disk.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .grid import Nozzle
 # rows per `%` call: bounds the size of the temporary strings
 BLOCK_ROWS = 4096
 
-# float values per process at least: a fork costs about 2-3 ms at 40 MiB
-# and "%.17g" about 0.6 us per value, so a share is several forks long
+# float values per process at least: "%.17g" costs about 0.25 us per value
+# and a share's child (fork, copy-on-write faults, append) about 3 ms at
+# 40 MiB, so a share is several children long
 MIN_SHARE_VALUES = 1 << 15
 
 
@@ -65,46 +67,66 @@ def _append(fh, fd):
         offset += sent
 
 
-def _write_table(fh, columns, sep):
-    """Columns of equal length as rows joined by sep.
+def _write_tables(fh, tables, sep):
+    """(leading text, columns) tables, one after another: each table's text,
+    then its columns, of equal length, as rows joined by sep.
 
     A float column is printed with "%.17g". A text column (an object array of
     str) is printed as it is, so a value formatted once may serve many rows.
     Every column is read in its `.flat` order, BLOCK_ROWS rows at a time, so
     a text column may be a broadcast view of a few strings: it is never
-    expanded to one object per row.
+    expanded to one object per row. A table may have no columns, and so no
+    rows: its text is written alone.
 
-    The rows are split into w contiguous shares, w = `pool.width` of the
-    float values over MIN_SHARE_VALUES. This process formats share 0 into fh
-    while forked child j formats share j into an unnamed file in fh's
-    directory; the children's files are then appended in order, and a share
-    whose child did not finish is formatted here. A row's text does not
-    depend on its share, so the bytes do not depend on w.
+    The pool width is decided once per file: the rows of all the tables are
+    split into w contiguous shares, w = `pool.width` of the file's float
+    values over MIN_SHARE_VALUES, and a share's run of rows may cross from
+    one table into the next. A table's text is written by the share that
+    holds the table's first row (by the last share if the table has no rows
+    and ends the file). This process formats share 0 into fh while forked
+    child j formats share j into an unnamed file in fh's directory; the
+    children's files are then appended in order, and a share whose child did
+    not finish is formatted here. A row's text does not depend on its share,
+    so the bytes do not depend on w.
     """
-    columns = [c if isinstance(c, np.ndarray) and c.dtype == object
-               else np.asarray(c, dtype=float).ravel() for c in columns]
-    row = sep.join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
-    n = columns[0].size
-    n_float = sum(c.dtype != object for c in columns)
-    w = pool.width(n * n_float // MIN_SHARE_VALUES)
+    parts = []           # (first row in the file, rows, text, row format, columns)
+    n = n_float = 0
+    for text, columns in tables:
+        columns = [c if isinstance(c, np.ndarray) and c.dtype == object
+                   else np.asarray(c, dtype=float).ravel() for c in columns]
+        rows = columns[0].size if columns else 0
+        row = sep.join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
+        parts.append((n, rows, text, row, columns))
+        n += rows
+        n_float += rows * sum(c.dtype != object for c in columns)
+
+    def share(out, start, stop):
+        """Rows start:stop of the file, with the texts of the tables they open."""
+        for first, rows, text, row, columns in parts:
+            if start <= first < stop or first == stop == n:
+                out.write(text)
+            lo, hi = max(start, first), min(stop, first + rows)
+            if lo < hi:
+                _format_rows(out, row, columns, lo - first, hi - first)
+
+    w = pool.width(n_float // MIN_SHARE_VALUES)
     spills = _unnamed_files(os.path.dirname(fh.name) or ".", w - 1)
     if not spills:
-        _format_rows(fh, row, columns, 0, n)
+        share(fh, 0, n)
         return
     bounds = [n * j // w for j in range(w + 1)]
 
     def child(j):
         with open(spills[j - 1], "w", encoding=fh.encoding, closefd=False) as out:
-            _format_rows(out, row, columns, bounds[j], bounds[j + 1])
+            share(out, bounds[j], bounds[j + 1])
 
     try:
-        _, done = pool.fork_shares(
-            w, child, lambda: _format_rows(fh, row, columns, 0, bounds[1]))
+        _, done = pool.fork_shares(w, child, lambda: share(fh, 0, bounds[1]))
         for j in range(1, w):
             if j in done:
                 _append(fh, spills[j - 1])
             else:
-                _format_rows(fh, row, columns, bounds[j], bounds[j + 1])
+                share(fh, bounds[j], bounds[j + 1])
     finally:
         for fd in spills:
             os.close(fd)
@@ -156,11 +178,10 @@ def write_text(path, text):
 
 def write_csv(path, columns):
     """(name, values) pairs of equal length as a CSV table with a header row.
-    values is a float column or a text column (see `_write_table`)."""
+    values is a float column or a text column (see `_write_tables`)."""
     names, values = zip(*columns)
     with open_new(path) as fh:
-        fh.write(",".join(names) + "\n")
-        _write_table(fh, values, ",")
+        _write_tables(fh, [(",".join(names) + "\n", values)], ",")
 
 
 def export_field_csv(grid: Nozzle, fields: dict, path, cross=None):
@@ -190,13 +211,9 @@ def _write_vtk(grid: Nozzle, path, title, dataset, geometry, fields):
     with open_new(path) as fh:
         fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
                  f"DATASET {dataset}\nDIMENSIONS {dims}\n")
-        for text, columns in geometry:
-            fh.write(text)
-            _write_table(fh, columns, " ")
-        fh.write(f"POINT_DATA {grid.n_nodes}\n")
-        for name, column in scalars.items():
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            _write_table(fh, [column], " ")
+        _write_tables(fh, [*geometry, (f"POINT_DATA {grid.n_nodes}\n", []),
+                           *((f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", [column])
+                             for name, column in scalars.items())], " ")
 
 
 def export_field_vtk(grid: Nozzle, fields: dict, path):

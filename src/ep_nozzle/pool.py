@@ -5,8 +5,8 @@ A caller splits its work into w shares (`width` gives w) and hands them to
 j, sharing this process's memory copy-on-write and sending back only what
 its share returns. A share whose child did not finish is missing from what
 comes back, and the caller runs it itself, so the outcome never depends on
-w. The stability ladders (`driver.ladder_map`) and the table writer
-(`export._write_table`) are the users.
+w. The users are the file writer (`export._write_tables`, one pool per
+file) and the stability ladders (`driver.ladder_map`).
 """
 
 from __future__ import annotations

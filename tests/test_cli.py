@@ -315,6 +315,25 @@ def test_solve_outputs_independent_of_the_cpus(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_heap_frozen_once_per_process(tmp_path):
+    # a fresh interpreter: the first call freezes, the second freezes nothing more
+    script = "\n".join([
+        "import gc, sys",
+        "from ep_nozzle import cli",
+        "counts = [gc.get_freeze_count()]",
+        "for k in range(2):",
+        f"    cli.main(['background', '--out', {str(tmp_path)!r} + f'/{{k}}'])",
+        "    counts.append(gc.get_freeze_count())",
+        "print(*counts, file=sys.stderr)",
+    ])
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == 0, run.stderr
+    before, first, second = map(int, run.stderr.split())
+    assert before == 0 < first == second
+
+
 class TestPerturbDomain:
     def test_identity_matches_solve(self, tmp_path):
         cfgfile = tmp_path / "run.ini"

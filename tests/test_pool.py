@@ -1,4 +1,4 @@
-"""The fork pool: the table writer's shares and the ladders' rungs in forked
+"""The fork pool: the file writer's shares and the ladders' rungs in forked
 children, with the outcome of one process."""
 
 import os
@@ -97,6 +97,61 @@ def test_real_share_minimum_splits_a_table_of_two_shares(tmp_path, monkeypatch):
         written.append((path.read_bytes(), len(forked), os.listdir(path.parent)))
     assert written[1] == (written[0][0], 1, ["field.csv"])
     assert written[0][1] == 0
+
+
+def test_deformed_vtk_of_the_perturb_grid_forks_once(tmp_path, monkeypatch):
+    # perturb-2d's file: the points and two scalar blocks of 2^15 values each,
+    # one share apiece, so only the file's width splits it
+    g = build_grid(dim=2, shape=(128, 256))
+    assert g.n_nodes // export.MIN_SHARE_VALUES == 1
+    fields = {"psi": test_grid._awkward(g.n_nodes), "Psi": test_grid._awkward(g.n_nodes, 5)}
+    cross = test_grid._awkward(g.n_nodes, 3)[:, None]
+    written = []
+    for w in (1, 2):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: w)
+        forked = _recording_fork(monkeypatch)
+        path = tmp_path / f"{w}" / "fields_deformed.vtk"
+        path.parent.mkdir()
+        export_deformed_vtk(g, cross, fields, path)
+        written.append((path.read_bytes(), len(forked), os.listdir(path.parent)))
+    assert written[0][1] == 0
+    assert written[1] == (written[0][0], 1, ["fields_deformed.vtk"])
+
+
+def _tables(m, w):
+    """Tables of m, 1, 0, 2 and m (w - 1) - 3 rows, then one of none that
+    ends the file: w shares of m rows, the first boundary on the first row
+    of a table of one row, and three tables shorter than a share."""
+    n_last = m * (w - 1) - 3
+    text = np.array(["a", "bb", "-0"], dtype=object)
+    return [("T0\n", [test_grid._awkward(m), text[np.arange(m) % 3]]),
+            ("T1 ", [test_grid._awkward(1, 4)]),
+            ("T2\n", []),
+            ("T3\n", [test_grid._awkward(2, 1), test_grid._awkward(2, 7)]),
+            ("T4\n", [np.broadcast_to(text[1:2], (n_last,)), test_grid._awkward(n_last, 2)]),
+            ("END\n", [])]
+
+
+@pytest.mark.parametrize("w", [2, 3, 4, 5])
+def test_shares_cross_tables_with_the_bytes_of_one_process(tmp_path, monkeypatch, w):
+    m = 7
+    tables = _tables(m, w)
+    assert sum(c[0].size for _, c in tables if c) == m * w
+    assert m in [m * w * j // w for j in range(w + 1)]     # a boundary on T1's row
+    oracle = "".join(text + "".join(
+        " ".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row) + "\n"
+        for row in zip(*columns)) for text, columns in tables)
+    written = []
+    for processes in (1, w):
+        _processes(monkeypatch, processes)
+        forked = _recording_fork(monkeypatch)
+        path = tmp_path / f"{processes}" / "tables.txt"
+        path.parent.mkdir()
+        with export.open_new(path) as fh:
+            export._write_tables(fh, tables, " ")
+        written.append((path.read_text(), len(forked), os.listdir(path.parent)))
+    assert written[0] == (oracle, 0, ["tables.txt"])
+    assert written[1] == (oracle, w - 1, ["tables.txt"])
 
 
 def test_share_of_a_dead_child_formatted_here(tmp_path, monkeypatch):
