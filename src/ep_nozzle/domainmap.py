@@ -168,26 +168,24 @@ class Corrections:
 
 
 def correction_terms(
-    law: GasLaw,
     state: drv.PicardState,
-    JT: tuple,
-    detJT: np.ndarray,
+    shear: WallShear,
     pair: drv.FieldPair,
     b: drv.ChargeField,
     Dpsi: np.ndarray | None = None,
     rows=slice(None),
 ):
-    """Recast sources at the current iterate for the transformed problem,
-    with J_T and det J_T as jacobian_JT returns them on the nodes, on the
-    nodes at rows (a slice) of cross axis 0, all by default. Dpsi, when
-    given, is the gradient of pair.psi there. The gradients are the whole
+    """Recast sources at the current iterate for the transformed problem
+    under shear, on the nodes at rows (a slice) of cross axis 0, all by
+    default. Dpsi, when given, is the gradient of pair.psi there. J_T is
+    formed on the rows alone (`jacobian_JT`); the gradients are the whole
     grid's on the rows (`grid.gradient`) and every other term is pointwise,
     so the rows get the whole grid's bits."""
     g = state.grid
     c = state.coeffs
+    law = state.law
     sub = g.rows(rows)
-    (diag, axial), detJT = JT, g.slab(detJT, rows)
-    JT = tuple(tuple(g.slab(x, rows) for x in part) for part in (diag, axial))
+    JT, detJT = jacobian_JT(shear, sub.axes)
     if Dpsi is None:
         Dpsi = gridmod.gradient(g, pair.psi, rows)
     grad_phi = Dpsi.copy()
@@ -219,10 +217,8 @@ def solve_perturbed(
 ):
     """Fixed-point solve of the transformed problem on the reference grid;
     on_iterate goes to `driver.run_fixed_point`."""
-    JT, detJT = jacobian_JT(shear, state.grid.axes)
-
     def corrections(pair, Dpsi, rows):
-        return correction_terms(state.law, state, JT, detJT, pair, data.b, Dpsi, rows)
+        return correction_terms(state, shear, pair, data.b, Dpsi, rows)
 
     scale = data.sigma + shear.sigmaG
     pair, report = drv.run_fixed_point(
@@ -291,18 +287,17 @@ def wall_sweep(config: drv.IterationConfig, state: drv.PicardState, eps) -> dict
     data = drv.perturb_data(state.background, g, 0.0)
     zero = drv.FieldPair(np.zeros(g.n_nodes), np.zeros(g.n_nodes))
 
-    def sup_corrections(JT, detJT):
+    def sup_corrections(shear):
         # sup |H1| and sup |H2| at the zero pair, folded per slab of cross axis 0
         per_slab = []
         for rows, _ in gridmod.slabs(g, 0):
-            corr = correction_terms(state.law, state, JT, detJT, zero, data.b, rows=rows)
+            corr = correction_terms(state, shear, zero, data.b, rows=rows)
             per_slab.append((np.max(np.abs(corr.H1)), np.max(np.abs(corr.H2))))
         return [float(np.max(column)) for column in zip(*per_slab)]
 
     def rung(e):
         shear = shear_map(e, g.L, g.cross_extents)
-        # the nodal Jacobian is dropped before the solve, which forms its own
-        sup_H1, sup_H2 = sup_corrections(*jacobian_JT(shear, g.axes))
+        sup_H1, sup_H2 = sup_corrections(shear)
         pair, report = solve_perturbed(shear, config, data, state)
         resid, _ = pushforward_residual(shear, state, pair, data)
         return pair.sup(), sup_H1, sup_H2, report.iterations, resid

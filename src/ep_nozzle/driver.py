@@ -266,7 +266,7 @@ class PicardState:
                                     gridmod.gradient(g, pair.psi, rows), data, corrections)
             part = elliptic.assemble_rhs(self.op, lin, rows)
             del lin
-            if sub.shape == g.shape:
+            if own == slice(0, g.shape[0]):
                 rhs = part
                 continue
             if rhs is None:
@@ -331,7 +331,8 @@ def run_fixed_point(
     ball (2 delta2); after the step that made it, the iteration ball
     (2 M sigma), then contraction, then convergence. The end-plane data are
     checked once per solve. Raises on an admissibility exit, non-contraction
-    or iteration-budget exhaustion."""
+    or iteration-budget exhaustion, and on a fixed point that is not
+    subsonic (`PicardState.subsonic_margin` not positive)."""
     c = state.coeffs
     scale = data.sigma if scale is None else scale
     if scale > 0.0 and config.ball_multiplier * scale > c.delta3:
@@ -383,6 +384,8 @@ def run_fixed_point(
         raise MaxIterationsError(f"no convergence within {config.max_iter} steps")
 
     margin = state.subsonic_margin(pair)
+    if not margin > 0.0:
+        raise AdmissibilityError(f"subsonic margin {margin:.3e} of the fixed point is not positive")
     resid, components = nonlinear_residual(state, pair, data)
     report = SolveReport(
         iterations=len(diffs),

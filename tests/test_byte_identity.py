@@ -8,6 +8,7 @@ import json
 import pathlib
 
 from ep_nozzle.config import parse_config
+from ep_nozzle.grid import build_grid, slabs
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "byte_identity.py"
 
@@ -25,11 +26,25 @@ def _cases():
 
 def test_cases_are_accepted_configs_with_their_edits():
     cases = _cases()
-    assert len(cases) == 4 * 4 + 6
+    assert len(cases) == 4 * 4 + 7
     values = {name: parse_config(text).values for name, _, text in cases}
     perturb = values["perturb-3d/snapshots"]
     assert perturb["nozzle"]["dim"] == 3 and perturb["output"]["snapshots"] is True
     assert perturb["domain_map"]["eps"] == (0.0025,)
+    # solve-3d's seed-1 config on a 33x33x65 grid: three slabs in a Picard step
+    three = values["perturb-3d/three-slabs"]
+    assert (three["nozzle"]["nodes_cross"], three["nozzle"]["nodes_cross2"],
+            three["nozzle"]["nodes_axial"]) == (33, 33, 65)
+    assert three["domain_map"]["eps"] == (0.0025,)
+    assert dict(three, nozzle=None, domain_map=None) == \
+        dict(values["solve-3d/seed1"], nozzle=None, domain_map=None)
+    assert dict(three["nozzle"], nodes_cross=None, nodes_cross2=None, nodes_axial=None) == \
+        dict(values["solve-3d/seed1"]["nozzle"], nodes_cross=None, nodes_cross2=None,
+             nodes_axial=None)
+    commands = {name: command for name, command, _ in cases}
+    assert commands["perturb-3d/three-slabs"] == "perturb-domain"
+    g = build_grid(dim=3, cross_extents=((0.0, 1.0),) * 2, shape=(33, 33, 65))
+    assert len(list(slabs(g, 0, halo=1))) == 3
     # perturb-2d on solve-2d's grid, two slabs in the step and the residuals
     assert values["perturb-2d/two-slabs"]["nozzle"] == values["solve-2d/seed0"]["nozzle"]
     assert values["perturb-2d/two-slabs"]["nozzle"]["nodes_cross"] == 160

@@ -595,6 +595,23 @@ class TestExitCodes:
                        "(singular pivot block at axial node 1)"], err
 
 
+    @pytest.mark.parametrize("command, text, report", [
+        ("solve", SMALL, "report.json"),
+        ("perturb-domain", edited("domain_map", "eps", "0.002"), "report_perturbed.json"),
+    ], ids=["solve", "perturb-domain"])
+    def test_fixed_point_not_subsonic_exits_4(self, tmp_path, capsys, monkeypatch,
+                                              command, text, report):
+        # every command refuses a fixed point that is not subsonic alike:
+        # exit 4, one line naming the margin, and no report
+        monkeypatch.setattr(driver.PicardState, "subsonic_margin", lambda self, pair: -1.0)
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(text)
+        assert run_cli(command, "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["admissibility: subsonic margin -1.000e+00 of the fixed point "
+                       "is not positive"], err
+        assert not (tmp_path / "o" / report).exists()
+
     def test_solve_residual_above_bound_exits_1(self, tmp_path, capsys, monkeypatch):
         solve = elliptic.solve
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ep_nozzle import domainmap, driver, grid as gridmod
+from ep_nozzle import domainmap, driver, grid as gridmod, pool
 from ep_nozzle.domainmap import (
     _field_map,
     _mass_map,
@@ -52,6 +52,19 @@ def state_3d_small():
 def state_3d_medium():
     g = build_grid(dim=3, cross_extents=((0.0, 1.0),) * 2, shape=(17, 17, 33))
     return driver.PicardState(LAW, _background(32), g)
+
+
+@pytest.fixture
+def jacobian_calls(monkeypatch):
+    """The axes of every `domainmap.jacobian_JT` call from here on, in order."""
+    calls = []
+
+    def counted(shear, axes):
+        calls.append(axes)
+        return jacobian_JT(shear, axes)
+
+    monkeypatch.setattr(domainmap, "jacobian_JT", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +322,8 @@ def _assert_identity_gives_exact_zeros(state):
     _assert_identity_entries(JT, detJT)
     data = driver.perturb_data(state.background, g, 0.0)
     corr = correction_terms(
-        LAW, state, JT, detJT, driver.FieldPair(np.zeros(N), np.zeros(N)), data.b
+        state, shear_map(0.0, g.L, g.cross_extents),
+        driver.FieldPair(np.zeros(N), np.zeros(N)), data.b
     )
     assert np.all(corr.H1 == 0.0)
     assert np.all(corr.H2 == 0.0)
@@ -330,7 +344,7 @@ def _assert_end_cap_rigidity(state):
         assert np.max(np.abs(axial[a][caps])) < 1e-14
     data = driver.perturb_data(state.background, g, 0.0)
     corr = correction_terms(
-        LAW, state, JT, detJT, driver.FieldPair(np.zeros(N), np.zeros(N)), data.b
+        state, shear, driver.FieldPair(np.zeros(N), np.zeros(N)), data.b
     )
     assert np.max(np.abs(corr.H1[caps])) < 1e-14
     assert np.max(np.abs(corr.H2[caps])) < 1e-14
@@ -359,8 +373,7 @@ class TestCorrections:
         sups = []
         for eps in eps_list:
             shear = shear_map(float(eps), g.L, g.cross_extents)
-            JT, detJT = jacobian_JT(shear, g.axes)
-            corr = correction_terms(LAW, state_small, JT, detJT, zero, data.b)
+            corr = correction_terms(state_small, shear, zero, data.b)
             sups.append(np.max(np.abs(corr.H1)))
         slope = np.polyfit(np.log(eps_list), np.log(sups), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.15)
@@ -483,3 +496,39 @@ class TestSolvePerturbed:
         pushforward_residual(shear, state, pair, data)
         assert len(calls) == g.dim + 1
         assert calls[-1] == g.n_nodes
+
+    @pytest.mark.parametrize("state", ["state_small", "state_3d_medium"])
+    def test_corrections_form_the_jacobian_on_each_step_slab(self, state, request,
+                                                             monkeypatch, jacobian_calls):
+        # no nodal J_T is held through the solve: the corrections form J_T on
+        # the rows of each step slab, once per slab and Picard step
+        state = request.getfixturevalue(state)
+        g = state.grid
+        monkeypatch.setattr(gridmod, "SLAB_NODES", g.n_nodes // 3)
+        step_rows = [rows for rows, _ in gridmod.slabs(g, 0, halo=1)]
+        assert len(step_rows) >= 2
+        data = driver.perturb_data(state.background, g, 1e-3)
+        shear = shear_map(2e-3, g.L, g.cross_extents)
+        _, report = solve_perturbed(shear, driver.IterationConfig(), data, state)
+        assert len(jacobian_calls) == report.iterations * len(step_rows)
+        for axes, rows in zip(jacobian_calls, step_rows * report.iterations):
+            assert axes[0].size < g.shape[0]
+            assert np.array_equal(axes[0], g.axes[0][rows])
+            assert all(np.array_equal(a, b) for a, b in zip(axes[1:], g.axes[1:]))
+
+    def test_wall_rung_forms_no_jacobian_of_the_whole_grid(self, state_medium, monkeypatch,
+                                                           jacobian_calls):
+        # the wall rung's corrections, solve and pushforward residual each form
+        # J_T on a slab's nodes or edge midpoints: a contiguous run of the
+        # grid's cross axis 0, or of its half points, shorter than the grid's
+        g = state_medium.grid
+        monkeypatch.setattr(gridmod, "SLAB_NODES", g.n_nodes // 3)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)   # every rung runs here
+        domainmap.wall_sweep(driver.IterationConfig(), state_medium, [1e-3, 2e-3])
+        assert jacobian_calls
+        axis0 = g.axes[0]
+        half = 0.5 * (axis0[:-1] + axis0[1:])
+        for axes in jacobian_calls:
+            assert axes[0].size < half.size
+            assert any(np.array_equal(axes[0], run[i:i + axes[0].size])
+                       for run in (axis0, half) for i in range(run.size - axes[0].size + 1))

@@ -251,14 +251,21 @@ def state_3d_small():
     return PicardState(LAW, _background(32), g)
 
 
-@pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
+@pytest.fixture(scope="module")
+def state_nine_rows():
+    g = build_grid(dim=2, shape=(9, 33))
+    return PicardState(LAW, _background(32), g)
+
+
+@pytest.mark.parametrize("state", ["state_small", "state_3d_small", "state_nine_rows"])
 @pytest.mark.parametrize("eps", [None, 2e-3], ids=["flat", "sheared"])
 def test_step_does_not_depend_on_the_slabs(state, eps, request, monkeypatch):
     # a step's terms are pointwise or reach one row across a slab, and the
     # gradient on a slab's rows is the whole grid's (grid.gradient), as is
     # the guard's residual: no slab size changes a bit of the converged
     # pair, of the differences or of the report, with the map corrections
-    # or without
+    # or without. Nine rows in slabs of eight: the first slab's halo
+    # reaches the last row, and a second slab follows
     state = request.getfixturevalue(state)
     g = state.grid
     data = perturb_data(state.background, g, 1e-3)
