@@ -16,7 +16,8 @@ REF's command and this tree's alternately, one at a time, N pairs (default
 too. Each command is `cli.main` in a fresh interpreter, started from the
 side's `src`, as the `ep-nozzle` entry point starts it, under the benchmark
 harness's address-space limit (`RLIMIT_AS` of 3 GiB, set before the
-package is imported), and the output directory is removed before each run.
+package is imported), with glibc's `MALLOC_TRIM_THRESHOLD_` set (`FIXED_HEAP`),
+and the output directory is removed before each run.
 It prints the median and the quartiles of the wall time (child start to
 exit) and of the command's own peak RSS (its `VmHWM`, read as it exits, or
 "n/a" where /proc/self/status is absent) of each side, the per-pair
@@ -44,6 +45,11 @@ from revision import ONE_THREAD, export  # noqa: E402
 from workloads import VARIANTS, WORKLOADS  # noqa: E402
 
 MEM_CAP = 3 << 30    # the address-space limit of the harness's children (perfbench/run.py)
+# glibc's default trim threshold, set: a set value turns off malloc's dynamic
+# mmap threshold, which otherwise rises with the blocks a process has freed, so
+# the heap layout, and the own peak, moved with unrelated inputs (up to 1.5 MB
+# on sweep-2d with the length of the checkout's path)
+FIXED_HEAP = {"MALLOC_TRIM_THRESHOLD_": "131072"}
 
 # the command under the limit, then its own peak in KiB written to argv[1]
 ENTRY = f"""\
@@ -66,7 +72,7 @@ def timed(src, workdir, command):
     """One run of command from the package in src; returns (wall s, the
     command's own peak in MB, or None where it cannot be read)."""
     shutil.rmtree(workdir / "out", ignore_errors=True)
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
+    env = {**os.environ, **ONE_THREAD, **FIXED_HEAP, "PYTHONPATH": str(src)}
     argv = [sys.executable, "-c", ENTRY, "peak.txt", command, "--config", "run.ini",
             "--out", "out"]
     with open(workdir / "stderr.txt", "wb") as err:

@@ -126,8 +126,8 @@ def jacobian_JT(shear: WallShear, axes):
     J_T = [[diag(1 / A_aa), 0], [-b_a / A_aa, 1]]. Returns J_T as
     (diag, axial) with diag[a] = J_T[a, a] and axial[a] = J_T[-1, a], one
     (n_points,) array per cross axis a, and det J_T (n_points,). A non-finite
-    or nonpositive determinant is a fold-over; a map that overflows gives
-    one, so it is evaluated without overflow warnings.
+    or nonpositive determinant is a fold-over (a nan fails both tests); a map
+    that overflows gives one, so it is evaluated without overflow warnings.
     """
     *cross, xn = np.meshgrid(*axes, indexing="ij", sparse=True)
     dc = len(cross)
@@ -135,14 +135,13 @@ def jacobian_JT(shear: WallShear, axes):
     with np.errstate(over="ignore", invalid="ignore"):
         factors = [shear.cross(a, x) for a, x in enumerate(cross)]
         A = [1.0 + shear.eps * dw * s for _, dw in factors]
-        b = [shear.eps * w * ds for w, _ in factors]
+        minus_b = [-shear.eps * w * ds for w, _ in factors]
         detM = A[0] * A[1] if dc == 2 else A[0]
-        folded = ~np.isfinite(detM) | (detM <= 0.0)
-    if np.any(folded):
+    if not (np.min(detM) > 0.0 and np.max(detM) < np.inf):
         raise FoldOverError("deformation folds over: nonpositive or non-finite Jacobian determinant")
-    diag = [(A[1 - a] if dc == 2 else 1.0) / detM for a in range(dc)]
-    axial = tuple(-(d_a * b_a).ravel() for d_a, b_a in zip(diag, b))
-    return (tuple(d_a.ravel() for d_a in diag), axial), (1.0 / detM).ravel()
+    diag = [A[1 - a] / detM for a in range(dc)] if dc == 2 else [1.0 / detM]
+    axial = tuple((d_a * mb_a).ravel() for d_a, mb_a in zip(diag, minus_b))
+    return (tuple(d_a.ravel() for d_a in diag), axial), (1.0 / detM if dc == 2 else diag[0]).ravel()
 
 
 def _field_map(JT, q, detJT, axis=None):

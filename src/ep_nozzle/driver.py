@@ -222,26 +222,28 @@ class PicardState:
             return (np.max(grad_norm), np.max(np.abs(Psi) + grad_norm),
                     np.max(part.face(grad_norm, -1, -1)))
 
-    def gradient_maxima(self, pair: FieldPair):
-        """The maxima the ball checks read (`_maxima`) at pair, folded per
-        slab of cross axis 0 (`grid.slabs`): no gradient or norm of the
-        whole grid is formed."""
-        g = self.grid
-        per_slab = [self._maxima(g.rows(rows), g.slab(pair.Psi, rows),
-                                 gridmod.gradient(g, pair.psi, rows))
-                    for rows, _ in gridmod.slabs(g, 0)]
-        return tuple(np.max(column) for column in zip(*per_slab))
+    def _outside(self, maxima):
+        """A pair's refusal by its ball maxima (`_maxima`) before a step, or None."""
+        if maxima[1] >= 3.0 * self.coeffs.delta1:
+            return "iterate outside the remainder-definition ball"
+        if maxima[2] >= 2.0 * self.coeffs.delta2:
+            return "exit gradient outside the admissible ball"
 
     def step(self, pair: FieldPair, data: BoundaryData, corrections=None,
-             iteration=None) -> FieldPair:
-        """One application of the iteration map. Its caller has checked
-        that pair lies in the remainder and exit balls and that the
-        end-plane data are compatible (`run_fixed_point`). corrections, when
-        given, is called as corrections(pair, Dpsi, rows) per slab, with
-        Dpsi the gradient of pair.psi at the rows
-        (`domainmap.correction_terms`). iteration, the Picard iteration this
-        step makes, is named by the residual guard."""
-        psi, Psi, residual = elliptic.solve(self.op, self._rhs(pair, data, corrections))
+             iteration=None, admit=None) -> FieldPair:
+        """One application of the iteration map. One walk (`_rhs`) folds pair's
+        ball maxima and assembles the right-hand side, then admit(maxima), when
+        given (`run_fixed_point`), and `_outside` check pair before the solve.
+        corrections(pair, Dpsi, rows) (`domainmap.correction_terms`), when given,
+        is called per slab with Dpsi pair.psi's gradient there. iteration, the
+        Picard iteration this step makes, is named by the residual guard."""
+        rhs, maxima, outside = self._rhs(pair, data, corrections)
+        if admit is not None:
+            admit(maxima)
+        outside = self._outside(maxima) or outside   # a slab's nan can hide another's breach
+        if outside:
+            raise AdmissibilityError(outside)
+        psi, Psi, residual = elliptic.solve(self.op, rhs)
         if not residual <= SOLVE_RESIDUAL_MAX:
             where = "" if iteration is None else f"Picard iteration {iteration}: "
             raise SingularAssemblyError(
@@ -251,19 +253,24 @@ class PicardState:
         return FieldPair(psi=psi, Psi=Psi)
 
     def _rhs(self, pair, data, corrections):
-        """The right-hand side of one step at pair, per slab of cross axis 0
-        (`grid.slabs`, halo one row): the gradient of psi on the slab's rows,
-        then the slab's linear data and their terms (`elliptic.assemble_rhs`
-        on the rows), whose own rows go into the whole
-        right-hand side. Every term is pointwise or reaches one row across,
-        so each node gets the whole grid's additions in their order, bit for
-        bit. The one slab of a small grid is assembled in place."""
+        """The right-hand side of one step at pair and pair's ball maxima, per
+        slab of cross axis 0 (`grid.slabs`, halo one row): the gradient of psi
+        on the rows, its maxima (`_maxima`), then the linear data and their
+        terms (`elliptic.assemble_rhs` on the rows), whose own rows go into the
+        whole right-hand side. Every term is pointwise or reaches one row across
+        and a max over overlapping rows is the whole grid's, so the slabs keep
+        every bit. From the first slab outside a ball (`_outside`, returned) the
+        maxima alone, and no right-hand side. One slab is assembled in place."""
         g = self.grid
-        rhs = None
+        rhs, per_slab, outside = None, [], None
         for rows, own in gridmod.slabs(g, 0, halo=1):
-            sub = g.rows(rows)
-            lin = self._linear_data(sub, rows, pair, g.slab(pair.Psi, rows),
-                                    gridmod.gradient(g, pair.psi, rows), data, corrections)
+            sub, Psi, Dpsi = g.rows(rows), g.slab(pair.Psi, rows), gridmod.gradient(g, pair.psi, rows)
+            per_slab.append(self._maxima(sub, Psi, Dpsi))
+            outside = outside or self._outside(per_slab[-1])
+            if outside:
+                continue
+            lin = self._linear_data(sub, rows, pair, Psi, Dpsi, data, corrections)
+            del Dpsi    # not held through the assembly, where the step peaks
             part = elliptic.assemble_rhs(self.op, lin, rows)
             del lin
             if own == slice(0, g.shape[0]):
@@ -273,7 +280,8 @@ class PicardState:
                 rhs = np.empty((2,) + g.shape)
             span = slice(rows.start + own.start, rows.start + own.stop)
             rhs[:, span] = part.reshape((2,) + sub.shape)[:, own]
-        return rhs.reshape(-1)
+        maxima = tuple(np.max(column) for column in zip(*per_slab))
+        return None if outside else rhs.reshape(-1), maxima, outside
 
     def _linear_data(self, sub, rows, pair, Psi, Dpsi, data, corrections):
         """The linear data of one step on the grid sub of rows: the Taylor
@@ -297,19 +305,23 @@ class PicardState:
             lin.wall_flux_v = extra.H1
         return lin
 
-    def subsonic_margin(self, pair: FieldPair) -> float:
-        """Min of p'(rho) - |grad phi|^2 at the iterate, folded per slab of
-        cross axis 0 (`grid.slabs`)."""
+    def maxima_and_margin(self, pair: FieldPair):
+        """The ball maxima (`_maxima`) and the margin min p'(rho) - |grad phi|^2
+        of the last iterate pair, in one walk per slab of cross axis 0; a slab
+        outside the remainder ball, where rho need not exist, has a nan margin."""
         c, g = self.coeffs, self.grid
-        margins = []
+        per_slab, margins = [], []
         for rows, _ in gridmod.slabs(g, 0):
-            part = g.rows(rows)
-            q_tot = part.sections(gridmod.gradient(g, pair.psi, rows))
-            q_tot[..., -1] += c.u
-            speed = np.einsum("cni,cni->cn", q_tot, q_tot)
-            rho = self.law.density(c.Phi0 + part.sections(g.slab(pair.Psi, rows)), speed)
-            margins.append(np.min(self.law.dpressure(rho) - speed))
-        return float(np.min(margins))
+            part, Psi, Dpsi = g.rows(rows), g.slab(pair.Psi, rows), gridmod.gradient(g, pair.psi, rows)
+            per_slab.append(self._maxima(part, Psi, Dpsi))
+            margins.append(np.nan)
+            if not per_slab[-1][1] >= 3.0 * c.delta1:
+                q_tot = part.sections(Dpsi)
+                q_tot[..., -1] += c.u
+                speed = np.einsum("cni,cni->cn", q_tot, q_tot)
+                rho = self.law.density(c.Phi0 + part.sections(Psi), speed)
+                margins[-1] = np.min(self.law.dpressure(rho) - speed)
+        return tuple(np.max(column) for column in zip(*per_slab)), float(np.min(margins))
 
     def tolerance(self, scale: float, config: IterationConfig) -> float:
         return max(config.tol_floor, config.tol_scale * scale * self._h_min ** 2)
@@ -325,14 +337,13 @@ def run_fixed_point(
     on_iterate=None,
 ):
     """Successive substitution from the zero pair, or from start, until the
-    sup difference drops below the tolerance. The ball maxima of each iterate
-    are folded once (`PicardState.gradient_maxima`) and checked in order:
-    before the step it enters, the remainder ball (3 delta1), then the exit
-    ball (2 delta2); after the step that made it, the iteration ball
-    (2 M sigma), then contraction, then convergence. The end-plane data are
-    checked once per solve. Raises on an admissibility exit, non-contraction
-    or iteration-budget exhaustion, and on a fixed point that is not
-    subsonic (`PicardState.subsonic_margin` not positive)."""
+    sup difference drops below the tolerance. An iterate's gradient is formed
+    once, by the walk of the step that enters it or, for the last one, by
+    `PicardState.maxima_and_margin`. Its checks: if a step made it, the
+    iteration ball (2 M sigma), then contraction (`admit`); then the remainder
+    and exit balls before the step's solve, or convergence, then the subsonic
+    margin. The end-plane data are checked once per solve. Raises on an
+    admissibility exit, non-contraction, budget exhaustion or no margin."""
     c = state.coeffs
     scale = data.sigma if scale is None else scale
     if scale > 0.0 and config.ball_multiplier * scale > c.delta3:
@@ -343,22 +354,22 @@ def run_fixed_point(
     tol = state.tolerance(scale, config)
     elliptic.check_wall_compatibility(data.Psi_en, data.Psi_ex, state.grid)
     N = state.grid.n_nodes
-    if start is None:
-        # the zero pair's maxima are exact zeros
-        pair, maxima = FieldPair(np.zeros(N), np.zeros(N)), (0.0, 0.0, 0.0)
-    else:
-        pair = start.copy()
-        maxima = state.gradient_maxima(pair)
+    pair = FieldPair(np.zeros(N), np.zeros(N)) if start is None else start.copy()
     diffs = []
     ratios = []
-    converged = False
+
+    def admit(maxima):
+        with np.errstate(over="ignore"):   # an overflowed sum is inf and trips the check
+            ball = pair.sup() + float(maxima[0])
+        if scale > 0.0 and ball > 2.0 * config.ball_multiplier * scale:
+            raise AdmissibilityError("iterate left the iteration ball")
+        if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
+            raise NonContractionError(
+                f"difference ratios {ratios[-3:]} show no contraction"
+            )
+
     for k in range(config.max_iter):
-        _, ball_max, exit_max = maxima
-        if ball_max >= 3.0 * c.delta1:
-            raise AdmissibilityError("iterate outside the remainder-definition ball")
-        if exit_max >= 2.0 * c.delta2:
-            raise AdmissibilityError("exit gradient outside the admissible ball")
-        new = state.step(pair, data, corrections, iteration=k + 1)
+        new = state.step(pair, data, corrections, iteration=k + 1, admit=admit if k else None)
         d = float(
             np.max(np.abs(new.psi - pair.psi)) + np.max(np.abs(new.Psi - pair.Psi))
         )
@@ -368,22 +379,12 @@ def run_fixed_point(
         pair = new
         if on_iterate is not None:
             on_iterate(k + 1, pair)
-        maxima = state.gradient_maxima(pair)
-        with np.errstate(over="ignore"):   # an overflowed sum is inf and trips the check
-            ball = pair.sup() + float(maxima[0])
-        if scale > 0.0 and ball > 2.0 * config.ball_multiplier * scale:
-            raise AdmissibilityError("iterate left the iteration ball")
-        if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
-            raise NonContractionError(
-                f"difference ratios {ratios[-3:]} show no contraction"
-            )
         if d < tol:
-            converged = True
             break
-    if not converged:
+    maxima, margin = state.maxima_and_margin(pair)
+    admit(maxima)
+    if not (diffs and diffs[-1] < tol):
         raise MaxIterationsError(f"no convergence within {config.max_iter} steps")
-
-    margin = state.subsonic_margin(pair)
     if not margin > 0.0:
         raise AdmissibilityError(f"subsonic margin {margin:.3e} of the fixed point is not positive")
     resid, components = nonlinear_residual(state, pair, data)

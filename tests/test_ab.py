@@ -66,3 +66,21 @@ def test_entry_sets_the_address_space_limit_before_the_import(tmp_path):
         assert int(peak) > 0
     else:
         assert peak == "n/a"
+
+
+def test_command_sees_the_fixed_trim_threshold(tmp_path, monkeypatch):
+    # glibc's default value, set in the command's environment whatever this
+    # process has, so that malloc's dynamic mmap threshold is off
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "1")
+    pkg = tmp_path / "src" / "ep_nozzle"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(
+        "import os, pathlib\n"
+        "def main(argv):\n"
+        "    pathlib.Path('seen.txt').write_text(os.environ.get('MALLOC_TRIM_THRESHOLD_', 'unset'))\n"
+        "    return 0\n")
+    workdir = tmp_path / "run"
+    workdir.mkdir()
+    _module().timed(tmp_path / "src", workdir, "solve")
+    assert (workdir / "seen.txt").read_text() == "131072"

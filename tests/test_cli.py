@@ -603,7 +603,9 @@ class TestExitCodes:
                                               command, text, report):
         # every command refuses a fixed point that is not subsonic alike:
         # exit 4, one line naming the margin, and no report
-        monkeypatch.setattr(driver.PicardState, "subsonic_margin", lambda self, pair: -1.0)
+        walk = driver.PicardState.maxima_and_margin
+        monkeypatch.setattr(driver.PicardState, "maxima_and_margin",
+                            lambda self, pair: (walk(self, pair)[0], -1.0))
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(text)
         assert run_cli(command, "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 4

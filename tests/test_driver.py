@@ -351,6 +351,21 @@ def test_fixed_point_checks_the_remainder_ball_before_the_exit(state_small, no_s
         run_fixed_point(IterationConfig(), data, state_small, start=FieldPair(psi, Psi))
 
 
+def test_a_nan_in_one_slab_hides_no_breach_in_another(state_small, no_solve, monkeypatch):
+    # a nan maximum makes the fold nan, which passes the ball checks; the walk
+    # that stopped at another slab's breach still refuses the pair, before
+    # any solve
+    g, c = state_small.grid, state_small.coeffs
+    monkeypatch.setattr(gridmod, "SLAB_NODES", g.n_nodes // 3)
+    assert len(list(gridmod.slabs(g, 0, halo=1))) >= 2
+    Psi = np.zeros(g.shape)
+    Psi[0], Psi[-1] = 3.0 * c.delta1, np.nan
+    data = perturb_data(state_small.background, g, 0.0)
+    with pytest.raises(AdmissibilityError, match="remainder-definition ball"):
+        run_fixed_point(IterationConfig(), data, state_small,
+                        start=FieldPair(np.zeros(g.n_nodes), Psi.ravel()))
+
+
 def test_fixed_point_checks_no_ball_of_the_converged_pair(state_small, monkeypatch):
     # the balls are checked on the pair a step enters: a last step that
     # crosses the exit radius by less than the tolerance ends the solve
@@ -365,15 +380,67 @@ def test_fixed_point_checks_no_ball_of_the_converged_pair(state_small, monkeypat
     assert report.iterations == 1 and np.array_equal(pair.psi, outside)
 
 
+def _halo_breach(state, monkeypatch, value):
+    """Three step slabs on state's grid (halo one) and elliptic.solve patched to
+    return, at every call, the pair that is value on the first row slab 1
+    owns, the halo row slab 0 borrows, and zero elsewhere; returns the solve
+    calls and that pair."""
+    g = state.grid
+    monkeypatch.setattr(gridmod, "SLAB_NODES", g.n_nodes // 3)
+    step_slabs = list(gridmod.slabs(g, 0, halo=1))
+    assert len(step_slabs) >= 3
+    row = step_slabs[0][0].stop - 1
+    assert step_slabs[1][0].start + step_slabs[1][1].start == row
+    Psi = np.zeros(g.shape)
+    Psi[row] = value
+    solves = []
+
+    def solve(op, rhs):
+        solves.append(None)
+        return np.zeros(g.n_nodes), Psi.ravel().copy(), 0.0
+
+    monkeypatch.setattr(elliptic, "solve", solve)
+    return solves, FieldPair(np.zeros(g.n_nodes), Psi.ravel())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_walk_stops_at_a_halo_row_outside_the_remainder_ball(state_small, monkeypatch):
+    # a step's walk checks its slabs' rows, halos included, before it forms
+    # their remainders: an iterate whose density fails on the one row that
+    # slab 0 borrows from slab 1 is refused before the second solve, with no
+    # remainder formed there (sigma = 0: there is no iteration ball)
+    c = state_small.coeffs
+    solves, _ = _halo_breach(state_small, monkeypatch, -1e3)
+    assert 1e3 >= 3.0 * c.delta1
+    data = perturb_data(state_small.background, state_small.grid, 0.0)
+    with pytest.raises(AdmissibilityError, match="remainder-definition ball"):
+        run_fixed_point(IterationConfig(), data, state_small)
+    assert len(solves) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_last_walk_forms_no_margin_outside_the_remainder_ball(state_small, monkeypatch):
+    # the converged pair's balls are not checked, but its margin is not
+    # formed where the density need not exist: the margin is nan, refused
+    solves, pair = _halo_breach(state_small, monkeypatch, -1e3)
+    assert np.isnan(state_small.maxima_and_margin(pair)[1])
+    data = perturb_data(state_small.background, state_small.grid, 0.0)
+    with pytest.raises(AdmissibilityError, match="subsonic margin nan of the fixed point"):
+        run_fixed_point(IterationConfig(tol_floor=1e4), data, state_small)
+    assert len(solves) == 1
+
+
 @pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
 def test_fixed_point_folds_the_ball_maxima_once_per_iterate(state, request, monkeypatch):
-    # the zero start needs no fold, and each new iterate one, a `_maxima`
-    # call per slab
+    # each step folds the maxima of the iterate it enters, the zero start
+    # included, one `_maxima` call per slab of its walk (halo one), and the
+    # last iterate's walk one per slab of its own
     state = request.getfixturevalue(state)
     g = state.grid
     monkeypatch.setattr(gridmod, "SLAB_NODES", g.n_nodes // 3)
-    n_slabs = len(list(gridmod.slabs(g, 0)))
-    assert n_slabs >= 2
+    step_slabs = len(list(gridmod.slabs(g, 0, halo=1)))
+    last_slabs = len(list(gridmod.slabs(g, 0)))
+    assert step_slabs >= 2 and last_slabs >= 2
     maxima, calls = PicardState._maxima, []
 
     def counted(*args):
@@ -384,7 +451,31 @@ def test_fixed_point_folds_the_ball_maxima_once_per_iterate(state, request, monk
     data = perturb_data(state.background, g, 1e-3)
     _, report = run_fixed_point(IterationConfig(), data, state)
     assert report.iterations >= 2
-    assert len(calls) == report.iterations * n_slabs
+    assert len(calls) == report.iterations * step_slabs + last_slabs
+
+
+@pytest.mark.parametrize("slabs", [1, 3])
+@pytest.mark.parametrize("state", ["state_small", "state_3d_small"])
+def test_fixed_point_forms_each_gradient_once(state, slabs, request, monkeypatch):
+    # one gradient of each iterate: per slab of the step that enters it, or
+    # of the last iterate's walk; the strong residual forms grad phi per slab
+    state = request.getfixturevalue(state)
+    g = state.grid
+    monkeypatch.setattr(gridmod, "SLAB_NODES", 10 * g.n_nodes if slabs == 1 else g.n_nodes // 3)
+    step_slabs = len(list(gridmod.slabs(g, 0, halo=1)))
+    assert step_slabs == slabs
+    gradient, calls = gridmod.gradient, []
+
+    def counted(*args):
+        calls.append(None)
+        return gradient(*args)
+
+    monkeypatch.setattr(gridmod, "gradient", counted)
+    data = perturb_data(state.background, g, 1e-3)
+    _, report = run_fixed_point(IterationConfig(), data, state)
+    assert report.iterations >= 2
+    assert len(calls) == (report.iterations * step_slabs + len(list(gridmod.slabs(g, 0)))
+                          + len(list(driver.residual_slabs(g))))
 
 
 def test_incompatible_end_planes_warn_once_per_solve(state_small):
@@ -694,12 +785,12 @@ def test_profile_formulas_match_nodal_formulas(state_profiles):
     got = state.exit_datum(Dpsi, data, shift.reshape(g.cross_shape()))
     assert got.shape == g.cross_shape() and np.array_equal(got.ravel(), want)
 
-    # the margin forms the gradient of psi itself, slab by slab
+    # the last walk forms the gradient of psi itself, slab by slab
     psi = 1e-3 * rng.standard_normal(N)
     q_tot = gradient(g, psi) + q0
     speed = np.einsum("ni,ni->n", q_tot, q_tot)
     margin = float(np.min(law.dpressure(law.density(Phi0 + Psi, speed)) - speed))
-    assert state.subsonic_margin(FieldPair(psi, Psi)) == margin
+    assert state.maxima_and_margin(FieldPair(psi, Psi))[1] == margin
 
 
 def test_frozen_state_bytes_per_node():
