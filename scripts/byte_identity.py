@@ -16,7 +16,10 @@ An item that differs gets a magnitude too:
 - a JSON report or sweep, and stdout, which prints one: the Picard counts
   (`iterations`) of both sides and the largest relative difference of the
   numeric entries, with where it is.
-It exits 0 when all items are identical, and 1 otherwise.
+Its last line says whether all items are identical and gives the largest of
+these field differences and the largest of these relative report
+differences over all cases, each with its case. It exits 0 when all items
+are identical, and 1 otherwise.
 
 The cases are the four benchmark workloads of `perfbench/workloads.py` at
 seeds 0-3, a 3D `perturb-domain` with snapshots, a 3D `perturb-domain` on a
@@ -129,8 +132,11 @@ def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def magnitude(item, ref_path, here_path, dim):
-    """How far this tree's output item is from REF's, in one line, or ""."""
+def magnitude(item, ref_path, here_path, dim, seen=None):
+    """How far this tree's output item is from REF's, in one line, or "".
+    seen, a dict, gets the largest field difference over the sup ("field")
+    or the largest relative report difference ("report") of the item."""
+    seen = {} if seen is None else seen
     if ref_path is None or here_path is None:
         return ""
     if ref_path.suffix in (".csv", ".vtk"):
@@ -141,8 +147,10 @@ def magnitude(item, ref_path, here_path, dim):
             return "unreadable fields"
         if ref.keys() != here.keys() or any(ref[k].shape != here[k].shape for k in ref):
             return "fields differ in name or size"
-        return ", ".join(f"{k} {np.max(np.abs(here[k] - ref[k])) / max(np.max(np.abs(ref[k])), 1e-300):.2e}"
-                         for k in ref)
+        diffs = {k: np.max(np.abs(here[k] - ref[k])) / max(np.max(np.abs(ref[k])), 1e-300)
+                 for k in ref}
+        seen["field"] = max(diffs.values(), default=0.0)
+        return ", ".join(f"{k} {d:.2e}" for k, d in diffs.items())
     if ref_path.suffix == ".json" or item == "stdout":
         try:
             ref, here = json.loads(ref_path.read_text()), json.loads(here_path.read_text())
@@ -156,7 +164,8 @@ def magnitude(item, ref_path, here_path, dim):
             parts.append("numeric entries differ in place")
         elif ref_n:
             worst = max(ref_n, key=lambda k: _rel(ref_n[k], here_n[k]))
-            parts.append(f"max rel {_rel(ref_n[worst], here_n[worst]):.2e} at {worst}")
+            seen["report"] = _rel(ref_n[worst], here_n[worst])
+            parts.append(f"max rel {seen['report']:.2e} at {worst}")
         return ", ".join(parts)
     return ""
 
@@ -166,6 +175,7 @@ def main():
     ap.add_argument("ref", help="git revision to compare with")
     args = ap.parse_args()
     all_same = True
+    largest = {"field": (0.0, "no case"), "report": (0.0, "no case")}
     with tempfile.TemporaryDirectory(prefix="byte_identity_") as tmp:
         tmp = Path(tmp)
         ref_src = export(args.ref, tmp / "ref")
@@ -182,9 +192,15 @@ def main():
                 shown = str(here.get(item, "missing"))[:12]
                 line = f"{name:24} {item:24} {shown:12} {'identical' if same else 'DIFFERS'}"
                 if not same:
-                    line += f"  {magnitude(item, ref_paths.get(item), here_paths.get(item), dim)}"
+                    seen = {}
+                    line += f"  {magnitude(item, ref_paths.get(item), here_paths.get(item), dim, seen)}"
+                    for kind, value in seen.items():
+                        if value > largest[kind][0]:
+                            largest[kind] = (value, name)
                 print(line.rstrip())
-    print("all identical" if all_same else "some outputs differ")
+    print(f"{'all identical' if all_same else 'some outputs differ'}; largest field difference "
+          "over the sup {:.2e} ({}), largest relative report difference {:.2e} ({})".format(
+              *largest["field"], *largest["report"]))
     return 0 if all_same else 1
 
 

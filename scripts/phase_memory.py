@@ -5,10 +5,11 @@ usage: python scripts/phase_memory.py CONFIG
 
 CONFIG is an `ep-nozzle` INI config (`ep-nozzle solve --emit-template`
 prints one). The script builds the gas law, the grid and the background as
-`solve` does, and runs `run_fixed_point` on the config's perturbation under
-tracemalloc. It prints, in bytes per grid node, the rise of each phase: the
-peak of the traced memory during a call less the traced memory at its
-entry, the largest over the calls. What the caller already holds is not
+`solve` does, and runs `run_fixed_point` on the config's perturbation and
+`pair_norms` on its fixed point, as `solve` does, under tracemalloc. It
+prints, in bytes per grid node, the rise of each phase: the peak of the
+traced memory during a call less the traced memory at its entry, the
+largest over the calls. What the caller already holds is not
 counted. Beside it, it prints the process's peak RSS (`VmHWM` in
 /proc/self/status, "n/a" where that file is absent) at the exit of the
 phase's last call, in MiB, so that the gap between traced bytes and RSS
@@ -116,7 +117,9 @@ def main():
     sys.setprofile(meter)
     try:
         state = driver.PicardState(law, background, grid)
-        _, report = driver.run_fixed_point(cli._iteration_config(cfg), data, state)
+        itcfg = cli._iteration_config(cfg)
+        pair, report = driver.run_fixed_point(itcfg, data, state)
+        driver.pair_norms(pair, grid, state.op.quad, seed=itcfg.seed)
     finally:
         sys.setprofile(None)
         tracemalloc.stop()

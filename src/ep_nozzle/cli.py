@@ -178,6 +178,7 @@ def _solve_common(cfg, law, grid, background, corrections_map=None, outdir=None)
     else:
         pair, report = domainmap.solve_perturbed(corrections_map, itcfg, data, state,
                                                  on_iterate=on_iterate)
+    report.norm_summary = driver.pair_norms(pair, grid, state.op.quad, seed=itcfg.seed)
     return state, data, pair, report
 
 

@@ -113,9 +113,9 @@ class SolveReport:
     subsonic_margin: float
     nonlinear_residual: float
     residual_components: dict
-    norm_summary: dict
     sigma: float
     tol: float
+    norm_summary: dict | None = None   # `pair_norms`, set by the commands that write it
     meta: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -336,14 +336,17 @@ def run_fixed_point(
     scale: float | None = None,
     on_iterate=None,
 ):
-    """Successive substitution from the zero pair, or from start, until the
-    sup difference drops below the tolerance. An iterate's gradient is formed
-    once, by the walk of the step that enters it or, for the last one, by
-    `PicardState.maxima_and_margin`. Its checks: if a step made it, the
-    iteration ball (2 M sigma), then contraction (`admit`); then the remainder
-    and exit balls before the step's solve, or convergence, then the subsonic
-    margin. The end-plane data are checked once per solve. Raises on an
-    admissibility exit, non-contraction, budget exhaustion or no margin."""
+    """Successive substitution from the zero pair, or from start (refused before
+    any step if not finite), until the sup difference drops below the tolerance.
+    An iterate's gradient is formed once, by the walk of the step that enters it
+    or, for the last one, by `PicardState.maxima_and_margin`. Its checks: if a
+    step made it, the iteration ball (2 M sigma), then contraction (`admit`);
+    then the remainder and exit balls before the step's solve, or convergence,
+    then the subsonic margin. The end-plane data are checked once per solve.
+    Raises on an admissibility exit, non-contraction, budget exhaustion or no
+    margin. The norms are left to the caller (`pair_norms`)."""
+    if start is not None and not all(np.isfinite(f).all() for f in (start.psi, start.Psi)):
+        raise DomainError("the start pair holds a value that is not finite")
     c = state.coeffs
     scale = data.sigma if scale is None else scale
     if scale > 0.0 and config.ball_multiplier * scale > c.delta3:
@@ -396,7 +399,6 @@ def run_fixed_point(
         subsonic_margin=margin,
         nonlinear_residual=resid,
         residual_components=components,
-        norm_summary=pair_norms(pair, state.grid, state.op.quad, seed=config.seed),
         sigma=data.sigma,
         tol=tol,
         meta={"grid": list(state.grid.shape)},

@@ -27,10 +27,10 @@ J. ACM 12 (1965)). With the unknowns of axial node k interleaved as
 x_k = (v_k, W_k), each mode system is block tridiagonal with 2x2 blocks.
 The axial blocks are shared by all modes; a mode adds its cross eigenvalue
 times the axial mass to the diagonal blocks. Of the block LU without
-pivoting (Varah, Math. Comp. 26 (1972)) only the inverted pivot blocks are
-kept, factored once per operator in one pass over the axial nodes; each
-solve runs the block-Thomas sweeps over them and the shared axial blocks in
-the layout (n_axial, 2, *cross).
+pivoting (Varah, Math. Comp. 26 (1972)), run from both ends of the axis
+(`_fold`), only the inverted pivot blocks are kept, factored once per
+operator in one pass; each solve runs the two-ended sweeps over them and
+the shared axial blocks in the layout (n_axial, 2, *cross), nodes folded.
 The free rows are positive real, so no pivot block vanishes in exact
 arithmetic, and the solve's residual guards the rounding.
 
@@ -323,11 +323,11 @@ class DiscreteOperator:
     """Operator part of the weak system and its separable factorization
     (background-dependent only).
 
-    Built eagerly: the quadrature, the axial 2x2 blocks (`axial_blocks`), the
-    cross eigenmodes and `pivot_inv`, the one stored factor of the mode
-    systems and their one (n_axial, 2, 2, n_modes) array; the factorization,
-    the sweeps and `apply_operator` read the axial blocks, and the Dirichlet
-    rows come from `_dirichlet_rows` alone.
+    Built eagerly: the quadrature, the axial 2x2 blocks (`axial_blocks`) and
+    their two-ended order (`fold`), the cross eigenmodes and `pivot_inv`, the
+    one stored factor of the mode systems and their one (n_axial, 2, 2,
+    n_modes) array; the factorization, the sweeps and `apply_operator` read
+    the axial blocks, and the Dirichlet rows come from `_dirichlet_rows` alone.
     Built on first use and then kept: the CSR blocks (`blocks`) and the
     assembled operator `K`, which serve the quadratic form, the coercivity
     check and the sparse-LU cross-checks.
@@ -339,7 +339,8 @@ class DiscreteOperator:
         self.quad = build_quadrature(grid)
         self.axial_blocks = _axial_blocks(coeffs, self.quad)
         self.cross_modes = tuple(_cross_modes(grid, a) for a in range(grid.dim - 1))
-        self.pivot_inv = _factor_modes(self.axial_blocks, coeffs, self.quad, self.cross_modes)
+        self.fold = _fold(self.axial_blocks)
+        self.pivot_inv = _factor_modes(self.fold, coeffs, self.quad, self.cross_modes)
 
     @functools.cached_property
     def blocks(self):
@@ -461,51 +462,83 @@ def _axial_blocks(coeffs: BackgroundCoeffs, quad: Quadrature):
     return lower, upper, diag
 
 
-def _factor_modes(axial_blocks, coeffs: BackgroundCoeffs, quad: Quadrature,
-                  cross_modes) -> np.ndarray:
-    """Block LU, without pivoting, of all mode systems in one pass over the
-    axial nodes, vectorized over the modes, kept as its inverted pivot blocks
-    S_k^-1 (n, 2, 2, n_modes): S_0 = D_0, S_k = D_k - lower[k-1] S_k-1^-1
-    upper[k-1]. D_k = diag[k] + mu[k] is formed per node, mu being the cross
-    eigenvalue times the axial mass on the free rows; an overflow is singular."""
+def _fold(axial_blocks):
+    """The two-ended order (Parlett and Dhillon, Linear Algebra Appl. 267
+    (1997)): a top front eliminates axial nodes 0, 1, ..., a bottom front
+    n-1, n-2, ... (block UL), meeting at the twist node n // 2. Position j
+    holds node j // 2 (even j) or n-1 - j // 2 (odd j), the twist last.
+    Returns that order, diag in it, the blocks A[s], B[s] by which position
+    s enters the next node of its front (s + 2, or the twist from the last
+    two), the first pair and the forward steps (positions, sources), two
+    positions each; the backward sweep runs them in reverse."""
     lower, upper, diag = axial_blocks
-    grid, tau, n = quad.grid, quad.tau, quad.grid.shape[-1]
-    eye, pivot_inv = np.eye(2)[:, :, None], np.empty((n, 2, 2, grid.n_nodes // n))
-    # mu is held in place, in pivot_inv[:, :, 0]: row k is read before pivot_inv[k] is written
+    j = np.arange(n := diag.shape[0])
+    perm = np.where(j % 2, n - 1 - j // 2, j // 2)
+    top, edge = (perm[:-1] < n // 2)[:, None, None], perm[:-1] - (perm[:-1] > n // 2)
+    A, B = (np.where(top, x[edge], y[edge]) for x, y in ((lower, upper), (upper, lower)))
+    forward = [(slice(j, min(j + 2, n - 1)), slice(j - 2, min(j, n - 3)))
+               for j in range(2, n - 1, 2)] + [(slice(n - 1, n), slice(max(n - 3, 0), n - 1))]
+    return perm, diag[perm], A, B, slice(0, min(2, n - 1)), forward
+
+
+def _factor_modes(fold, coeffs: BackgroundCoeffs, quad: Quadrature, cross_modes) -> np.ndarray:
+    """Two-ended block LU, without pivoting, of all mode systems (`_fold`) in
+    one pass, vectorized over the modes, kept as its inverted pivot blocks
+    P_j^-1 (n, 2, 2, n_modes) in folded order: P_j = D_j - A[j-2] P_j-2^-1
+    B[j-2], less both fronts' terms at the twist. D_j = diag + mu[j], mu the
+    cross eigenvalue times the axial mass on the free rows. A singular or
+    non-finite pivot (an overflow is singular) is refused after the pass,
+    named by the node where a front first meets one, the lower, else the twist."""
+    perm, diag, A, B, first, forward = fold
+    grid, tau, n = quad.grid, quad.tau[perm], quad.grid.shape[-1]
+    eye, pivot_inv = np.eye(2)[:, :, None], np.zeros((n, 2, 2, grid.n_nodes // n))
+    # mu is held in place, in pivot_inv[:, :, 0]: row j is read before pivot_inv[j] is written
     mu = pivot_inv.reshape((n, 2, 2) + grid.cross_shape())[:, :, 0]
-    mu[...] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a step's products in buf: fresh ones past malloc's mmap threshold fault in at every step
+    good, buf = np.empty(n, dtype=bool), np.empty((3, 2, 2, 2, grid.n_nodes // n))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for a, (_, lam) in enumerate(cross_modes):
             lam = lam.reshape([-1 if b == a else 1 for b in range(grid.dim - 1)])
             axial = (n,) + (1,) * (grid.dim - 1)
-            mu[:, 0] += (tau * coeffs.aii[:, a]).reshape(axial) * lam
+            mu[:, 0] += (tau * coeffs.aii[perm, a]).reshape(axial) * lam
             mu[:, 1] += tau.reshape(axial) * lam
-        mu[_dirichlet_rows(n)] = 0.0
-        for k in range(n):
-            S = diag[k][..., None] + eye * mu[k].reshape(2, 1, -1)
-            if k:
-                M = np.einsum("ij,jlm->ilm", lower[k - 1], pivot_inv[k - 1])
-                S -= np.einsum("ijm,jl->ilm", M, upper[k - 1])
-            det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-            if not np.all(np.isfinite(det) & (det != 0.0)):
-                raise SingularAssemblyError("banded factorization of the mode systems failed "
-                                            f"(singular pivot block at axial node {k})")
-            out = pivot_inv[k]
-            out[0, 0], out[0, 1], out[1, 0], out[1, 1] = S[1, 1], -S[0, 1], -S[1, 0], S[0, 0]
-            out /= det
+        mu[_dirichlet_rows(n)[perm]] = 0.0
+        for at, src in [(first, None)] + forward:
+            S = np.multiply(eye, pivot_inv[at, :, :1], out=buf[0, :len(diag[at])])
+            S += diag[at][..., None]
+            if src is not None:
+                M = np.einsum("kij,kjlm->kilm", A[src], pivot_inv[src], out=buf[1, :len(A[src])])
+                M = np.einsum("kijm,kjl->kilm", M, B[src], out=buf[2, :len(M)])
+                S -= M.sum(0) if len(M) > len(S) else M
+            det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
+            good[at] = np.all(np.isfinite(det) & (det != 0.0), axis=-1)
+            out = pivot_inv[at]
+            out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = \
+                S[:, 1, 1], -S[:, 0, 1], -S[:, 1, 0], S[:, 0, 0]
+            out /= det[:, None, None]
+    if not good.all():
+        bad = perm[~good]
+        node = bad.min() if bad.min() < n // 2 else bad.max()
+        raise SingularAssemblyError("banded factorization of the mode systems failed "
+                                    f"(singular pivot block at axial node {node})")
     return pivot_inv
 
 
-def _sweep(pivot_inv, axial_blocks, R):
-    """Block-Thomas solve of all mode systems in place for R (n, 2, n_modes):
-    row k reads lower[k-1] x_k-1 + diag_k x_k + upper[k] x_k+1 = r_k, forward
-    y_k = S_k^-1 (r_k - lower[k-1] y_k-1), backward x_k = y_k - S_k^-1 upper[k] x_k+1."""
-    lower, upper, _ = axial_blocks
-    R[0] = np.einsum("ijm,jm->im", pivot_inv[0], R[0])
-    for k in range(1, R.shape[0]):
-        R[k] = np.einsum("ijm,jm->im", pivot_inv[k], R[k] - lower[k - 1] @ R[k - 1])
-    for k in range(R.shape[0] - 2, -1, -1):
-        R[k] -= np.einsum("ijm,jm->im", pivot_inv[k], upper[k] @ R[k + 1])
+def _sweep(pivot_inv, fold, R):
+    """Two-ended solve of all mode systems in place for R (n, 2, n_modes),
+    folded (`_fold`): y_j = P_j^-1 (r_j - A[j-2] y_j-2) from both ends, less
+    both fronts' terms at the twist, then x_j = y_j - P_j^-1 B[j] x_j+2 in reverse."""
+    _, _, A, B, first, forward = fold
+    R[first] = np.einsum("kijm,kjm->kim", pivot_inv[first], R[first])
+    buf = np.empty((2, 2) + R.shape[1:])   # as in `_factor_modes`
+    for r_at, r_src, p, a in ((R[at], R[src], pivot_inv[at], A[src]) for at, src in forward):
+        r = np.matmul(a, r_src, out=buf[0, :len(r_src)])
+        r = r.sum(0, keepdims=True) if len(r) > len(r_at) else r   # the twist: both fronts
+        np.subtract(r_at, r, out=r)
+        np.einsum("kijm,kjm->kim", p, r, out=r_at)
+    for r_at, r_nxt, p, b in ((R[src], R[at], pivot_inv[src], B[src]) for at, src in forward[::-1]):
+        r = np.matmul(b, r_nxt, out=buf[0, :len(r_at)])
+        r_at -= np.einsum("kijm,kjm->kim", p, r, out=buf[1, :len(r_at)])
     return R
 
 
@@ -688,21 +721,25 @@ def solve(op: DiscreteOperator, rhs):
     """
     grid = op.grid
     N, n = grid.n_nodes, grid.shape[-1]
-    # (v, W) over (*cross, n) to the sweep layout (n, 2, *cross), cross axis
-    # 0 last, where the first transform reads it: the one copy out of rhs
-    X = np.ascontiguousarray(np.moveaxis(rhs.reshape((2,) + grid.shape), (-1, 1), (0, -1)))
+    # (v, W) over (*cross, n) to the sweep layout (n, 2, *cross), cross axis 0
+    # last, nodes folded (`_fold`): the one copy out of rhs, by two slice copies
+    by_node = np.moveaxis(rhs.reshape((2,) + grid.shape), (-1, 1), (0, -1))
+    X = np.empty(by_node.shape)
+    X[0::2], X[1::2] = by_node[:(n + 1) // 2], by_node[::-1][:n // 2]
     # V^T T = V^-1 on the identity rows: their modes are those of the data
-    X[_dirichlet_rows(n)] *= op.quad.exit_w.T
+    X[_dirichlet_rows(n)[op.fold[0]]] *= op.quad.exit_w.T
     for a, (V, _) in enumerate(op.cross_modes):
         if a:
             X = _axis_last(X)
         X = _cross_transform(X, V, transpose=True)
-    X = _sweep(op.pivot_inv, op.axial_blocks, X.reshape(n, 2, -1)).reshape(X.shape)
+    X = _sweep(op.pivot_inv, op.fold, X.reshape(n, 2, -1)).reshape(X.shape)
     for V, _ in op.cross_modes:
         X = _axis_last(X)
         X = _cross_transform(X, V, transpose=False)
-    # back to (v, W) over (*cross, n), the one copy out of the sweep layout
-    U = np.moveaxis(X, 0, -1).reshape(-1)
+    # back to (v, W) over (*cross, n), the one copy out of the sweep layout, by slices
+    U = np.empty(2 * N)
+    by_node = np.moveaxis(U.reshape((2,) + grid.shape), -1, 0)
+    by_node[:(n + 1) // 2], by_node[::-1][:n // 2] = X[0::2], X[1::2]
     del X
     if not np.all(np.isfinite(U)):
         raise SingularAssemblyError("the banded mode solve gave no finite solution")

@@ -78,3 +78,20 @@ def test_magnitude_of_fields_and_reports(tmp_path):
     assert magnitude("report.json", ref / "report.json", here / "report.json", 2) == \
         "iterations 5 -> 6, max rel 2.00e-01 at diffs[1]"
     assert magnitude("stderr", ref / "fields.csv", None, 2) == ""
+
+
+def test_magnitude_keeps_the_largest_differences(tmp_path):
+    # the script's last line gives the largest of these over all cases
+    magnitude = _module().magnitude
+    ref, here = tmp_path / "ref", tmp_path / "here"
+    ref.mkdir()
+    here.mkdir()
+    (ref / "fields.csv").write_text("x,y,psi,Psi\n0,0,2,-4\n0,1,1,1\n")
+    (here / "fields.csv").write_text("x,y,psi,Psi\n0,0,2,-4\n0,1,1,2\n")
+    seen = {}
+    magnitude("fields.csv", ref / "fields.csv", here / "fields.csv", 2, seen)
+    assert seen == {"field": 0.25}
+    (ref / "report.json").write_text(json.dumps({"iterations": 5, "diffs": [1.0, 0.5]}))
+    (here / "report.json").write_text(json.dumps({"iterations": 5, "diffs": [0.5, 0.5]}))
+    magnitude("report.json", ref / "report.json", here / "report.json", 2, seen)
+    assert seen == {"field": 0.25, "report": 0.5}

@@ -111,6 +111,25 @@ class TestSolve:
         assert all(r < 1.0 for r in report["contraction_factors"])
         assert report["subsonic_margin"] > 0
 
+    @pytest.mark.parametrize("command, text, name", [
+        ("solve", SMALL, "report.json"),
+        ("perturb-domain", SMALL + "\n[domain_map]\neps = 0.002\n", "report_perturbed.json")],
+        ids=["solve", "perturb-domain"])
+    def test_report_carries_the_norm_summary(self, tmp_path, monkeypatch, command, text, name):
+        # the commands that write a report call `driver.pair_norms` on the
+        # fixed point, through the module attribute, once
+        calls = []
+        pair_norms = driver.pair_norms
+        monkeypatch.setattr(driver, "pair_norms",
+                            lambda *a, **k: calls.append(0) or pair_norms(*a, **k))
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(text)
+        assert run_cli(command, "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 0
+        report = json.loads((tmp_path / "o" / name).read_text())
+        assert len(calls) == 1
+        assert sorted(report["norm_summary"]) == ["Psi", "psi"]
+        assert report["norm_summary"]["psi"]["sup"] > 0.0
+
     def test_oversized_sigma_refused_exit_4(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(SMALL.replace("sigma = 0.0005", "sigma = 0.05"))

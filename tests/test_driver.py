@@ -351,19 +351,52 @@ def test_fixed_point_checks_the_remainder_ball_before_the_exit(state_small, no_s
         run_fixed_point(IterationConfig(), data, state_small, start=FieldPair(psi, Psi))
 
 
-def test_a_nan_in_one_slab_hides_no_breach_in_another(state_small, no_solve, monkeypatch):
+def test_a_nan_in_one_slab_hides_no_breach_in_another(state_small, monkeypatch):
     # a nan maximum makes the fold nan, which passes the ball checks; the walk
-    # that stopped at another slab's breach still refuses the pair, before
-    # any solve
+    # that stopped at another slab's breach still refuses the iterate, before
+    # its solve. A start pair is checked for finite values first, so the
+    # iterate comes from a solve
     g, c = state_small.grid, state_small.coeffs
     monkeypatch.setattr(gridmod, "SLAB_NODES", g.n_nodes // 3)
     assert len(list(gridmod.slabs(g, 0, halo=1))) >= 2
     Psi = np.zeros(g.shape)
     Psi[0], Psi[-1] = 3.0 * c.delta1, np.nan
+    solves = []
+
+    def solve(op, rhs):
+        solves.append(None)
+        return np.zeros(g.n_nodes), Psi.ravel().copy(), 0.0
+
+    monkeypatch.setattr(elliptic, "solve", solve)
     data = perturb_data(state_small.background, g, 0.0)
     with pytest.raises(AdmissibilityError, match="remainder-definition ball"):
-        run_fixed_point(IterationConfig(), data, state_small,
-                        start=FieldPair(np.zeros(g.n_nodes), Psi.ravel()))
+        run_fixed_point(IterationConfig(), data, state_small)
+    assert len(solves) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field, value", [("Psi", np.nan), ("psi", -np.inf)])
+def test_fixed_point_refuses_a_start_that_is_not_finite(state_small, no_solve, field, value):
+    # a nan fails every ball comparison, so without this check a nan start
+    # ran into the density floor of the first step's remainders
+    g = state_small.grid
+    start = FieldPair(np.zeros(g.n_nodes), np.zeros(g.n_nodes))
+    getattr(start, field)[g.n_nodes // 2:] = value
+    data = perturb_data(state_small.background, g, 0.0)
+    with pytest.raises(DomainError, match="start pair"):
+        run_fixed_point(IterationConfig(), data, state_small, start=start)
+
+
+def test_fixed_point_leaves_the_norms_to_the_commands(state_small, monkeypatch):
+    # the ladders read no norm summary, so no rung draws its random pairs
+    def no_norms(*args, **kwargs):
+        raise AssertionError("pair_norms ran")
+
+    monkeypatch.setattr(driver, "pair_norms", no_norms)
+    data = perturb_data(state_small.background, state_small.grid, 1e-4)
+    _, report = run_fixed_point(IterationConfig(), data, state_small)
+    assert report.norm_summary is None
+    stability_sweep(IterationConfig(), state_small, [1e-4, 2e-4])
 
 
 def test_fixed_point_checks_no_ball_of_the_converged_pair(state_small, monkeypatch):

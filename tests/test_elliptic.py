@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from ep_nozzle import driver
@@ -618,15 +618,26 @@ def test_operator_holds_no_nodal_float_array(grid):
 @pytest.mark.parametrize("grid", list(GRIDS))
 def test_zero_cross_mode_is_the_axial_operator(grid):
     # mode 0 is constant over the cross-section, with eigenvalue 0, so its
-    # pivot blocks are those of the axial blocks alone: the block LU of the
-    # axial operator, each pivot inverted by np.linalg.inv
+    # pivot blocks are those of the axial blocks alone: the twisted block LU
+    # of the axial operator, each pivot inverted by np.linalg.inv. The top
+    # front runs down to node t - 1, the bottom front up to node t + 1, and
+    # the twist node t = n // 2 takes both; pivot_inv holds node j // 2 at
+    # even positions j, node n - 1 - j // 2 at odd ones, the twist last
     g, op = _operator(grid)
     assert all(lam[0] == 0.0 for _, lam in op.cross_modes)
     lower, upper, diag = op.axial_blocks
-    expected = [np.linalg.inv(diag[0])]
-    for k in range(1, g.shape[-1]):
-        expected.append(np.linalg.inv(diag[k] - lower[k - 1] @ expected[-1] @ upper[k - 1]))
-    expected = np.array(expected)
+    n = g.shape[-1]
+    t = n // 2
+    pivots = {0: np.linalg.inv(diag[0]), n - 1: np.linalg.inv(diag[n - 1])}
+    for k in range(1, t):
+        pivots[k] = np.linalg.inv(diag[k] - lower[k - 1] @ pivots[k - 1] @ upper[k - 1])
+    for k in range(n - 2, t, -1):
+        pivots[k] = np.linalg.inv(diag[k] - upper[k] @ pivots[k + 1] @ lower[k])
+    pivots[t] = np.linalg.inv(diag[t] - lower[t - 1] @ pivots[t - 1] @ upper[t - 1]
+                              - upper[t] @ pivots[t + 1] @ lower[t])
+    order = [j // 2 if j % 2 == 0 else n - 1 - j // 2 for j in range(n)]
+    assert sorted(order) == list(range(n)) and order[-1] == t
+    expected = np.array([pivots[k] for k in order])
     np.testing.assert_allclose(op.pivot_inv[..., 0], expected,
                                rtol=0, atol=1e-13 * np.max(np.abs(expected)))
     assert np.count_nonzero(op.pivot_inv[..., 1:] != op.pivot_inv[..., :1]) > 0
@@ -646,6 +657,27 @@ def test_non_finite_pivot_block_raises(monkeypatch):
         _operator("3d")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("nan_nodes, named", [((-2,), -2), ((3, -2), 3)],
+                         ids=["bottom-front", "both-fronts"])
+def test_non_finite_pivot_is_named_by_the_front_that_meets_it(monkeypatch, nan_nodes, named):
+    # the bottom front eliminates node n-1 first and meets node n-2 second;
+    # every pivot it forms after that one, and the twist's, are NaN too. With
+    # a NaN in each front the lower node is named
+    axial_blocks = elliptic._axial_blocks
+    n = GRIDS["3d"]["shape"][-1]
+
+    def non_finite(*args):
+        lower, upper, diag = axial_blocks(*args)
+        diag[list(nan_nodes), 1, 1] = np.nan
+        return lower, upper, diag
+
+    monkeypatch.setattr(elliptic, "_axial_blocks", non_finite)
+    with pytest.raises(SingularAssemblyError,
+                       match=f"singular pivot block at axial node {named % n}\\)"):
+        _operator("3d")
+
+
 # ---------------------------------------------------------------------------
 # the block LU of the mode systems against sparse LU of the assembled operator
 
@@ -658,6 +690,12 @@ def test_non_finite_pivot_block_raises(monkeypatch):
                      min_size=2, max_size=2),
     seed=st.integers(0, 2**32 - 1),
 )
+# nodes_axial 8 and 9: the two fronts meet with one node to spare on the
+# top front (even n) and evenly (odd n)
+@example(dim=2, shape=[10, 8, 8], extents=[1.0, 1.5], seed=0)
+@example(dim=2, shape=[10, 9, 8], extents=[1.0, 1.5], seed=1)
+@example(dim=3, shape=[9, 10, 8], extents=[1.0, 1.5], seed=2)
+@example(dim=3, shape=[9, 10, 9], extents=[1.0, 1.5], seed=3)
 def test_block_lu_solve_matches_sparse_lu(dim, shape, extents, seed):
     g = build_grid(dim=dim, cross_extents=tuple((0.0, e) for e in extents[:dim - 1]),
                    shape=tuple(shape[:dim]))
