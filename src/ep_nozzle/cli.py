@@ -22,6 +22,7 @@ from . import coeffs, domainmap, driver, elliptic, export, grid as gridmod, ode1
 from .errors import (
     AdmissibilityError,
     BreakdownError,
+    DomainError,
     EPError,
     FoldOverError,
     MaxIterationsError,
@@ -58,7 +59,11 @@ def _add_common(parser):
 def _load(args):
     """The config file's values (the template's without one) under the flags,
     checked once with the flags applied."""
-    values = cfgmod.read_values(args.config.read_text() if args.config else cfgmod.TEMPLATE)
+    try:
+        text = args.config.read_text(encoding="utf-8") if args.config else cfgmod.TEMPLATE
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"config file {args.config} is not UTF-8 text") from exc
+    values = cfgmod.read_values(text)
     output = values["output"]
     if args.out is not None:
         output["directory"] = str(args.out)

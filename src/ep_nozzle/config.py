@@ -185,6 +185,8 @@ def validated(values) -> RunConfig:
         for name, kind in schema.items():
             if kind in (float, "floats") and not np.all(np.isfinite(values[section][name])):
                 raise DomainError(f"[{section}] {name} must be finite")
+            if name.startswith("c_") and abs(values[section][name]) > 1.0:
+                raise DomainError(f"[{section}] {name} must lie in [-1, 1]")
     if values["gas"]["gamma"] < 1.0:
         raise DomainError("gamma must be >= 1")
     if values["nozzle"]["dim"] not in (2, 3):

@@ -233,16 +233,13 @@ def pushforward_residual(shear: WallShear, state: drv.PicardState, pair: drv.Fie
     The physical equations are evaluated through their exact pullback to the
     reference grid: compact conservative edge differences of the transformed
     fluxes, with the chain-rule Jacobian sampled analytically at the edge
-    midpoints. This is an independent check of the recast solve.
-
-    Per slab (`driver.residual_slabs`) it forms phi, Phi, grad phi, the two
-    divergences, the nodal J_T and the mapped source, folds the slab's
-    maxima and drops them: the whole grid's maxima, bit for bit.
+    midpoints. This is an independent check of the recast solve. One walk
+    (`grid.walk`, halo two rows, as `driver.nonlinear_residual`) forms per slab
+    phi, Phi, grad phi, the two divergences, J_T and the mapped source.
     """
     g = state.grid
     law = state.law
     c = state.coeffs
-    maxima = {}
 
     def fluxes(axis, axes_e, z_e, q_phi, q_Phi):
         # one edge Jacobian, at the midpoints of the edges along axis,
@@ -251,13 +248,13 @@ def pushforward_residual(shear: WallShear, state: drv.PicardState, pair: drv.Fie
         return (_mass_map(law, z_e, q_phi.T, JT_e, detJT_e, axis)[0],
                 _field_map(JT_e, q_Phi.T, detJT_e, axis))
 
-    for rows, _, sub, interior in drv.residual_slabs(g):
+    def part(sub, rows, own, fold):
         phi = (c.phi0 + sub.sections(g.slab(pair.psi, rows))).ravel()
         Phi = (c.Phi0 + sub.sections(g.slab(pair.Psi, rows))).ravel()
         grad_phi = gridmod.gradient(sub, phi)
         div_mass, div_field = drv.edge_divergence(sub, (phi, Phi), fluxes, z=Phi,
                                                   grads=(grad_phi, None))
-        drv._fold(maxima, "mass", np.abs(div_mass.reshape(sub.shape)[interior]))
+        fold("mass", np.abs(div_mass.reshape(sub.shape)[drv.own_interior(g, rows, own)]))
         del phi, div_mass
         JT, detJT = jacobian_JT(shear, sub.axes)
         source = law.density(Phi, _sqnorm(_JT_times(JT, grad_phi.T)))
@@ -265,10 +262,11 @@ def pushforward_residual(shear: WallShear, state: drv.PicardState, pair: drv.Fie
         source -= data.b.nodal(rows)
         source /= detJT
         div_field -= source
-        drv._fold(maxima, "poisson", np.abs(div_field.reshape(sub.shape)[interior]))
-        del source, detJT, div_field
+        del source, detJT
+        fold("poisson", np.abs(div_field.reshape(sub.shape)[drv.own_interior(g, rows, own)]))
 
-    r1, r2 = (float(np.max(maxima[name])) for name in ("mass", "poisson"))
+    maxima = gridmod.walk(g, part, halo=2)[0]
+    r1, r2 = float(maxima["mass"]), float(maxima["poisson"])
     return max(r1, r2), {"mass": r1, "poisson": r2}
 
 
@@ -287,19 +285,20 @@ def wall_sweep(config: drv.IterationConfig, state: drv.PicardState, eps) -> dict
     zero = drv.FieldPair(np.zeros(g.n_nodes), np.zeros(g.n_nodes))
 
     def sup_corrections(shear):
-        # sup |H1| and sup |H2| at the zero pair, folded per slab of cross axis 0
-        per_slab = []
-        for rows, _ in gridmod.slabs(g, 0):
+        # sup |H1| and sup |H2| at the zero pair, folded per slab (`grid.walk`)
+        def part(sub, rows, own, fold):
             corr = correction_terms(state, shear, zero, data.b, rows=rows)
-            per_slab.append((np.max(np.abs(corr.H1)), np.max(np.abs(corr.H2))))
-        return [float(np.max(column)) for column in zip(*per_slab)]
+            fold("H1", np.abs(corr.H1))
+            fold("H2", np.abs(corr.H2))
+
+        return gridmod.walk(g, part)[0]
 
     def rung(e):
         shear = shear_map(e, g.L, g.cross_extents)
-        sup_H1, sup_H2 = sup_corrections(shear)
+        sups = sup_corrections(shear)
         pair, report = solve_perturbed(shear, config, data, state)
         resid, _ = pushforward_residual(shear, state, pair, data)
-        return pair.sup(), sup_H1, sup_H2, report.iterations, resid
+        return pair.sup(), float(sups["H1"]), float(sups["H2"]), report.iterations, resid
 
     keys = ("sup_norms", "sup_H1", "sup_H2", "iterations", "pushforward_residuals")
     results = drv.ladder_map(rung, eps, drv.RUNG_BYTES_PER_NODE * g.n_nodes)

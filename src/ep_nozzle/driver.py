@@ -231,13 +231,29 @@ class PicardState:
 
     def step(self, pair: FieldPair, data: BoundaryData, corrections=None,
              iteration=None, admit=None) -> FieldPair:
-        """One application of the iteration map. One walk (`_rhs`) folds pair's
-        ball maxima and assembles the right-hand side, then admit(maxima), when
-        given (`run_fixed_point`), and `_outside` check pair before the solve.
-        corrections(pair, Dpsi, rows) (`domainmap.correction_terms`), when given,
-        is called per slab with Dpsi pair.psi's gradient there. iteration, the
-        Picard iteration this step makes, is named by the residual guard."""
-        rhs, maxima, outside = self._rhs(pair, data, corrections)
+        """One application of the iteration map. One walk (`grid.walk`, halo one
+        row) forms per slab psi's gradient, pair's ball maxima (`_maxima`, folded
+        as 0, 1 and 2) and, before the first slab outside a ball (`_outside`),
+        the right-hand side (`elliptic.assemble_rhs` of `_linear_data`). Then
+        admit(maxima), when given (`run_fixed_point`), and `_outside` check pair
+        before the solve. corrections(pair, Dpsi, rows), when given, is called
+        per slab with Dpsi psi's gradient there. iteration, the Picard iteration
+        this step makes, is named by the residual guard."""
+        g, outside = self.grid, None
+
+        def part(sub, rows, own, fold):
+            nonlocal outside
+            Psi, Dpsi = g.slab(pair.Psi, rows), gridmod.gradient(g, pair.psi, rows)
+            slab = self._maxima(sub, Psi, Dpsi)
+            for i, m in enumerate(slab):
+                fold(i, m)
+            outside = outside or self._outside(slab)
+            if not outside:
+                lin = self._linear_data(sub, rows, pair, Psi, Dpsi, data, corrections)
+                del Dpsi    # not held through the assembly, where the step peaks
+                return elliptic.assemble_rhs(self.op, lin, rows)
+
+        maxima, rhs = gridmod.walk(g, part, halo=1)
         if admit is not None:
             admit(maxima)
         outside = self._outside(maxima) or outside   # a slab's nan can hide another's breach
@@ -251,37 +267,6 @@ class PicardState:
                 f"{SOLVE_RESIDUAL_MAX:.0e}"
             )
         return FieldPair(psi=psi, Psi=Psi)
-
-    def _rhs(self, pair, data, corrections):
-        """The right-hand side of one step at pair and pair's ball maxima, per
-        slab of cross axis 0 (`grid.slabs`, halo one row): the gradient of psi
-        on the rows, its maxima (`_maxima`), then the linear data and their
-        terms (`elliptic.assemble_rhs` on the rows), whose own rows go into the
-        whole right-hand side. Every term is pointwise or reaches one row across
-        and a max over overlapping rows is the whole grid's, so the slabs keep
-        every bit. From the first slab outside a ball (`_outside`, returned) the
-        maxima alone, and no right-hand side. One slab is assembled in place."""
-        g = self.grid
-        rhs, per_slab, outside = None, [], None
-        for rows, own in gridmod.slabs(g, 0, halo=1):
-            sub, Psi, Dpsi = g.rows(rows), g.slab(pair.Psi, rows), gridmod.gradient(g, pair.psi, rows)
-            per_slab.append(self._maxima(sub, Psi, Dpsi))
-            outside = outside or self._outside(per_slab[-1])
-            if outside:
-                continue
-            lin = self._linear_data(sub, rows, pair, Psi, Dpsi, data, corrections)
-            del Dpsi    # not held through the assembly, where the step peaks
-            part = elliptic.assemble_rhs(self.op, lin, rows)
-            del lin
-            if own == slice(0, g.shape[0]):
-                rhs = part
-                continue
-            if rhs is None:
-                rhs = np.empty((2,) + g.shape)
-            span = slice(rows.start + own.start, rows.start + own.stop)
-            rhs[:, span] = part.reshape((2,) + sub.shape)[:, own]
-        maxima = tuple(np.max(column) for column in zip(*per_slab))
-        return None if outside else rhs.reshape(-1), maxima, outside
 
     def _linear_data(self, sub, rows, pair, Psi, Dpsi, data, corrections):
         """The linear data of one step on the grid sub of rows: the Taylor
@@ -306,22 +291,27 @@ class PicardState:
         return lin
 
     def maxima_and_margin(self, pair: FieldPair):
-        """The ball maxima (`_maxima`) and the margin min p'(rho) - |grad phi|^2
-        of the last iterate pair, in one walk per slab of cross axis 0; a slab
+        """The ball maxima (folded as `step` folds them) and the margin min
+        p'(rho) - |grad phi|^2 of the last iterate pair, in one walk; a slab
         outside the remainder ball, where rho need not exist, has a nan margin."""
         c, g = self.coeffs, self.grid
-        per_slab, margins = [], []
-        for rows, _ in gridmod.slabs(g, 0):
-            part, Psi, Dpsi = g.rows(rows), g.slab(pair.Psi, rows), gridmod.gradient(g, pair.psi, rows)
-            per_slab.append(self._maxima(part, Psi, Dpsi))
-            margins.append(np.nan)
-            if not per_slab[-1][1] >= 3.0 * c.delta1:
-                q_tot = part.sections(Dpsi)
+
+        def part(sub, rows, own, fold):
+            Psi, Dpsi = g.slab(pair.Psi, rows), gridmod.gradient(g, pair.psi, rows)
+            slab = self._maxima(sub, Psi, Dpsi)
+            for i, m in enumerate(slab):
+                fold(i, m)
+            deficit = np.nan
+            if not slab[1] >= 3.0 * c.delta1:
+                q_tot = sub.sections(Dpsi)
                 q_tot[..., -1] += c.u
                 speed = np.einsum("cni,cni->cn", q_tot, q_tot)
-                rho = self.law.density(c.Phi0 + part.sections(Psi), speed)
-                margins[-1] = np.min(self.law.dpressure(rho) - speed)
-        return tuple(np.max(column) for column in zip(*per_slab)), float(np.min(margins))
+                rho = self.law.density(c.Phi0 + sub.sections(Psi), speed)
+                deficit = -np.min(self.law.dpressure(rho) - speed)
+            fold("-margin", deficit)
+
+        maxima = gridmod.walk(g, part)[0]
+        return maxima, float(-maxima["-margin"])
 
     def tolerance(self, scale: float, config: IterationConfig) -> float:
         return max(config.tol_floor, config.tol_scale * scale * self._h_min ** 2)
@@ -490,23 +480,10 @@ def _compact_laplacian(grid: Nozzle, f):
     return out.ravel()
 
 
-def residual_slabs(grid: Nozzle):
-    """The slabs of a strong residual, (rows, own, sub, interior) per slab:
-    rows and own of `grid.slabs` across cross axis 0 with a two-row halo,
-    sub the grid of the rows (`Nozzle.rows`), and interior the index of the
-    grid's interior nodes on own in a field of sub shaped as sub. A stencil
-    reaches one row across (np.gradient's one-sided rule at a wall three,
-    which the halo holds), so own gets the whole grid's bits."""
-    n0 = grid.shape[0]
-    for rows, own in gridmod.slabs(grid, 0, halo=2):
-        inner = slice(max(own.start, 1 - rows.start), min(own.stop, n0 - 1 - rows.start))
-        yield rows, own, grid.rows(rows), (inner,) + (slice(1, -1),) * (grid.dim - 1)
-
-
-def _fold(maxima, name, values):
-    """Append the max of values to maxima[name], if values has any."""
-    if values.size:
-        maxima.setdefault(name, []).append(np.max(values))
+def own_interior(grid: Nozzle, rows, own):
+    """The grid's interior nodes on own, an index of a field shaped as `grid.rows(rows)`."""
+    inner = slice(max(own.start, 1 - rows.start), min(own.stop, grid.shape[0] - 1 - rows.start))
+    return (inner,) + (slice(1, -1),) * (grid.dim - 1)
 
 
 def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
@@ -516,60 +493,52 @@ def nonlinear_residual(state: PicardState, pair: FieldPair, data: BoundaryData):
     the exit pressure, the wall-normal derivatives, and the Dirichlet traces.
     Returns the max residual and a per-component dictionary.
 
-    The fields are formed per slab (`residual_slabs`), so that no nodal
-    field is the grid's: per slab phi, Phi and grad phi, the mass
-    divergence, then the density and the Poisson residual. Each field is
-    dropped once its components are folded into the slab's maxima; a max
-    is exact, so the components are the whole grid's, bit for bit.
+    One walk (`grid.walk`, halo two rows for np.gradient's wall rule) forms per
+    slab phi, Phi, grad phi, the mass divergence, the density and the Poisson
+    residual, each dropped once folded, so that no nodal field is the grid's.
     """
     g, law, c = state.grid, state.law, state.coeffs
-    n0 = g.shape[0]
     walls = [face[:2] for face in state.op.quad.wall_faces]
-    maxima = {}     # component -> the maxima of the slabs and faces that have it
 
     def mass_flux(axis, axes_e, z_e, q_e):
         flux = law.density(z_e, np.einsum("ni,ni->n", q_e, q_e))
         flux *= q_e[:, axis]
         return (flux,)
 
-    for rows, own, sub, interior in residual_slabs(g):
+    def part(sub, rows, own, fold):
         span = slice(rows.start + own.start, rows.start + own.stop)   # own, in the grid
         # the wall faces that own meets, and the part of each face of sub on own
         faces = [(axis, side, own if axis else slice(None)) for axis, side in walls
-                 if axis or (span.start == 0 if side == 0 else span.stop == n0)]
+                 if axis or (span.start == 0 if side == 0 else span.stop == g.shape[0])]
 
         phi = (c.phi0 + sub.sections(g.slab(pair.psi, rows))).ravel()
         Phi = (c.Phi0 + sub.sections(g.slab(pair.Psi, rows))).ravel()
-        _fold(maxima, "dirichlet_phi", np.abs(sub.face(phi, -1, 0)[own]))
+        fold("dirichlet_phi", np.abs(sub.face(phi, -1, 0)[own]))
         for side, datum in ((0, data.phi_en), (-1, data.phi_ex)):
-            _fold(maxima, "dirichlet_Phi",
-                  np.abs(sub.face(Phi, -1, side)[own] - (data.B0 + datum[span])))
-        for axis, side, part in faces:
-            _fold(maxima, "wall_flux_Phi",
-                  np.abs(gridmod.normal_derivative(sub, Phi, axis, side)[part]))
+            fold("dirichlet_Phi", np.abs(sub.face(Phi, -1, side)[own] - (data.B0 + datum[span])))
+        for axis, side, face in faces:
+            fold("wall_flux_Phi", np.abs(gridmod.normal_derivative(sub, Phi, axis, side)[face]))
 
         grad_phi = gridmod.gradient(sub, phi)
-        for axis, side, part in faces:
-            _fold(maxima, "wall_flux_phi",
-                  np.abs(sub.face(grad_phi, axis, side)[part][..., axis]))
+        for axis, side, face in faces:
+            fold("wall_flux_phi", np.abs(sub.face(grad_phi, axis, side)[face][..., axis]))
         mass, = edge_divergence(sub, (phi,), mass_flux, z=Phi, grads=(grad_phi,))
         del phi
-        _fold(maxima, "interior_mass", np.abs(mass.reshape(sub.shape)[interior]))
+        fold("interior_mass", np.abs(mass.reshape(sub.shape)[own_interior(g, rows, own)]))
         del mass
 
         rho = law.density(Phi, np.einsum("ni,ni->n", grad_phi, grad_phi))
         del grad_phi
-        _fold(maxima, "exit_pressure",
-              np.abs(law.pressure(sub.face(rho, -1, -1)[own]) - data.pex[span]))
+        fold("exit_pressure", np.abs(law.pressure(sub.face(rho, -1, -1)[own]) - data.pex[span]))
         poisson = _compact_laplacian(sub, Phi)
         del Phi
         rho -= data.b.nodal(rows)
         poisson -= rho                  # the Laplacian less (rho - b)
         del rho
-        _fold(maxima, "interior_poisson", np.abs(poisson.reshape(sub.shape)[interior]))
-        del poisson
+        fold("interior_poisson", np.abs(poisson.reshape(sub.shape)[own_interior(g, rows, own)]))
 
-    components = {name: float(np.max(maxima[name])) for name in (
+    maxima = gridmod.walk(g, part, halo=2)[0]
+    components = {name: float(maxima[name]) for name in (
         "interior_mass", "interior_poisson", "exit_pressure", "wall_flux_phi",
         "wall_flux_Phi", "dirichlet_phi", "dirichlet_Phi")}
     return max(components.values()), components

@@ -695,19 +695,18 @@ def _max_abs(a) -> float:
 
 
 def _residual_max(op: DiscreteOperator, U, rhs) -> float:
-    """max |K U - rhs| (`_max_abs`), folded per slab of cross axis 0
-    (`grid.slabs`, halo one row): `apply_operator` reaches one row across,
-    so a slab's own rows are the whole grid's, and no nodal residual of the
-    whole grid is formed. A max is exact, so the bits are the whole one's,
-    and a NaN anywhere gives NaN."""
+    """max |K U - rhs| (`_max_abs`), in one walk (`grid.walk`, halo one row:
+    `apply_operator` reaches one row across), so that no nodal residual of
+    the whole grid is formed."""
     shape = (2,) + op.grid.shape
-    worst = []
-    for rows, own in gridmod.slabs(op.grid, 0, halo=1):
+
+    def part(sub, rows, own, fold):
         U_rows = U.reshape(shape)[:, rows]
         res = apply_operator(op, U_rows, rows).reshape(U_rows.shape)[:, own]
         res -= rhs.reshape(shape)[:, rows][:, own]
-        worst.append(_max_abs(res))
-    return float(np.max(worst))
+        fold("residual", _max_abs(res))
+
+    return float(gridmod.walk(op.grid, part, halo=1)[0]["residual"])
 
 
 def solve(op: DiscreteOperator, rhs):

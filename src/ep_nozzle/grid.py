@@ -111,10 +111,9 @@ def slabs(grid: Nozzle, axis, halo=0):
 
     Yields (rows, own) per slab: rows, a slice of the axis, is the slab
     widened by up to halo rows on each side, within the grid, and own, a
-    slice of rows, is the slab itself. A stencil that reaches halo rows
-    across the axis gives on own what it gives on the whole grid. A slab is
-    at least four times as wide as its two halos, so the halo rows add at
-    most a quarter to the work of a pass over the slabs.
+    slice of rows, is the slab itself. A slab is at least four times as wide
+    as its two halos, so the halo rows add at most a quarter to the work of a
+    pass over the slabs (`walk`).
     """
     n = grid.shape[axis]
     step = max(1, SLAB_NODES * n // grid.n_nodes, 8 * halo)
@@ -122,6 +121,33 @@ def slabs(grid: Nozzle, axis, halo=0):
         stop = min(start + step, n)
         lo, hi = max(start - halo, 0), min(stop + halo, n)
         yield slice(lo, hi), slice(start - lo, stop - lo)
+
+
+def walk(grid: Nozzle, part, halo=0):
+    """A pass over the `slabs` of cross axis 0: part(sub, rows, own, fold) per
+    slab, sub = grid.rows(rows). fold(name, values) folds np.max(values), if
+    values has any, into the pass's maximum of that name (nan if one is nan).
+    The own rows of a nodal field of sub that part returns, scalar or stacked
+    ([v; W]), go into the pass's field, part's own array if one slab covers
+    the grid. Returns (maxima by name, field or None). A max over overlapping
+    rows is exact and only own rows are written, so a part that reaches at
+    most halo rows across gives the pass the whole grid's bits."""
+    maxima, field = {}, None
+
+    def fold(name, values):
+        if np.size(values):
+            top = np.max(values)
+            maxima[name] = np.maximum(maxima.get(name, top), top)
+
+    for rows, own in slabs(grid, 0, halo):
+        out = part(sub := grid.rows(rows), rows, own, fold)
+        if out is None or own == slice(0, grid.shape[0]):
+            field = field if out is None else out
+            continue
+        if field is None:
+            field = np.empty(out.size // sub.n_nodes * grid.n_nodes)
+        field.reshape((-1,) + grid.shape)[:, rows][:, own] = out.reshape((-1,) + sub.shape)[:, own]
+    return maxima, field
 
 
 def gradient(grid: Nozzle, field, rows=slice(None)) -> np.ndarray:

@@ -554,7 +554,7 @@ PROBES = [
                  id="length-1e-300", marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     pytest.param("solve", edited("perturbation", "sigma", "0.05"), (), 4, "admissibility",
                  id="oversized-sigma"),
-    pytest.param("solve", edited("perturbation", "c_pex", "2"), (), 4, "admissibility",
+    pytest.param("solve", edited("perturbation", "c_pex", "2"), (), 1, "error",
                  id="amplitude-above-one"),
 ]
 
@@ -573,6 +573,23 @@ class TestExitCodes:
         if label is not None:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"{label}: "), err
+
+    @pytest.mark.parametrize("key, value", [("c_phi_en", "2.0"), ("c_charge", "-1.5")])
+    def test_amplitude_above_one_is_refused_at_parse_time(self, tmp_path, capsys, key, value):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(edited("perturbation", key, value))
+        assert run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: [perturbation] {key} must lie in [-1, 1]"], err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_bytes(SMALL.encode() + b"; \xff\n")
+        assert run_cli("solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: config file {cfgfile} is not UTF-8 text"], err
+        assert not (tmp_path / "o").exists()
 
     def test_memory_error_propagates(self, tmp_path, monkeypatch):
         def out_of_memory(*args, **kwargs):

@@ -469,7 +469,7 @@ class TestSolvePerturbed:
         results, widths = [], []
         for slab in (1, 1000, gridmod.SLAB_NODES, 10 * g.n_nodes):
             monkeypatch.setattr(gridmod, "SLAB_NODES", slab)
-            widths.append(len(list(driver.residual_slabs(g))))
+            widths.append(len(list(gridmod.slabs(g, 0, halo=2))))
             results.append(bits())
         monkeypatch.setattr(gridmod, "slabs", one_row_slabs)
         results.append(bits())

@@ -508,7 +508,7 @@ def test_fixed_point_forms_each_gradient_once(state, slabs, request, monkeypatch
     _, report = run_fixed_point(IterationConfig(), data, state)
     assert report.iterations >= 2
     assert len(calls) == (report.iterations * step_slabs + len(list(gridmod.slabs(g, 0)))
-                          + len(list(driver.residual_slabs(g))))
+                          + len(list(gridmod.slabs(g, 0, halo=2))))
 
 
 def test_incompatible_end_planes_warn_once_per_solve(state_small):

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ep_nozzle import grid as gridmod
 from ep_nozzle.errors import DomainError
 from ep_nozzle.export import export_deformed_vtk, export_field_csv, export_field_vtk
-from ep_nozzle.grid import build_grid, corner_distance, gradient, normal_derivative
+from ep_nozzle.grid import build_grid, corner_distance, gradient, normal_derivative, walk
 
-from gridpoints import node_coords
+from gridpoints import node_coords, one_row_slabs
 
 AWKWARD = np.array([-0.0, 5e-324, np.inf, -np.inf, np.nan, 1.7976931348623157e308, 0.1, -1 / 3])
 
@@ -227,6 +228,74 @@ class TestCornerDistance:
         k = np.argmax(mid)
         assert np.all(np.diff(mid[: k + 1]) >= 0)
         assert np.all(np.diff(mid[k:]) <= 0)
+
+
+class TestWalk:
+    def test_fold_keeps_the_max_per_name_skips_empty_values_and_passes_nan_on(self,
+                                                                              monkeypatch):
+        g = build_grid(dim=2, shape=(17, 33))
+        monkeypatch.setattr(gridmod, "SLAB_NODES", g.n_nodes // 3)
+        assert len(list(gridmod.slabs(g, 0, halo=1))) >= 3
+        values = np.random.default_rng(3).standard_normal(g.n_nodes)
+
+        def part(sub, rows, own, fold):
+            mine = g.slab(values, rows).reshape(sub.shape)[own]
+            fold("values", mine)
+            fold("negated", -mine)
+            fold("empty", mine[:0])
+            fold("last row", mine[-1:] if rows.start + own.stop == g.shape[0] else mine[:0])
+            fold("nan", np.nan if rows.start == 0 else mine)
+            fold("nan late", mine if rows.start == 0 else np.nan)
+
+        maxima, field = walk(g, part, halo=1)
+        assert field is None
+        assert maxima["values"] == np.max(values) and maxima["negated"] == np.max(-values)
+        assert "empty" not in maxima
+        assert maxima["last row"] == np.max(values.reshape(g.shape)[-1])
+        assert np.isnan(maxima["nan"]) and np.isnan(maxima["nan late"])
+
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_one_slab_returns_the_parts_own_array(self, kind):
+        g = build_grid(**GRIDS[kind])
+        assert len(list(gridmod.slabs(g, 0, halo=1))) == 1
+        made = []
+
+        def part(sub, rows, own, fold):
+            made.append(np.zeros((2, sub.n_nodes)))
+            return made[-1]
+
+        assert walk(g, part, halo=1)[1] is made[0]
+
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_own_rows_of_every_slab_give_the_one_slab_field(self, kind, monkeypatch):
+        # a stacked field of the gradient's components, whose halo rows the
+        # part spoils: only own rows are written, so the bits are the one
+        # slab's for one-row slabs too
+        g = build_grid(**GRIDS[kind])
+        f = np.sin(7.0 * node_coords(g)).sum(axis=1)
+
+        def part(sub, rows, own, fold):
+            out = gradient(g, f, rows).T.copy()
+            spoiled = np.ones(sub.shape[0], dtype=bool)
+            spoiled[own] = False
+            out.reshape((g.dim,) + sub.shape)[:, spoiled] = np.nan
+            return out
+
+        whole = walk(g, part, halo=1)[1]
+        assert np.array_equal(whole, gradient(g, f).T)
+        monkeypatch.setattr(gridmod, "slabs", one_row_slabs)
+        sliced = walk(g, part, halo=1)[1]
+        assert sliced.shape == (g.dim * g.n_nodes,)
+        assert sliced.tobytes() == whole.tobytes()
+
+    def test_slabs_are_looked_up_at_call_time(self, monkeypatch):
+        # the slab-independence tests patch `grid.slabs`; the walk must see it
+        g = build_grid(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.0)), shape=(9, 8, 17))
+        calls = []
+        monkeypatch.setattr(gridmod, "slabs", one_row_slabs)
+        walk(g, lambda sub, rows, own, fold: calls.append((rows, own)), halo=2)
+        assert len(calls) == g.shape[0]
+        assert calls[3] == (slice(1, 6), slice(2, 3))
 
 
 class TestExport:
