@@ -12,24 +12,12 @@ import configparser
 import gc
 import json
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
-from . import coeffs, domainmap, driver, elliptic, export, grid as gridmod, ode1d
-from .errors import (
-    AdmissibilityError,
-    BreakdownError,
-    DomainError,
-    EPError,
-    FoldOverError,
-    MaxIterationsError,
-    NonContractionError,
-    NotSubsonicError,
-    VacuumError,
-)
+from . import domainmap, driver, export, grid as gridmod, ode1d
+from .errors import (AdmissibilityError, BreakdownError, DomainError, EPError, FoldOverError,
+                     MaxIterationsError, NonContractionError, NotSubsonicError, VacuumError)
 from .gas import GasLaw
 
 EXIT_OK = 0
@@ -263,180 +251,13 @@ def cmd_perturb_domain(cfg) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# invariant checks, shared by `verify` and the acceptance tests (criteria 01
-# to 06) at the acceptance sizes, seeds and tolerances; each returns
-# (passed, detail)
-
-_LAW = GasLaw(gamma=2.0, k0=1.0)
-_EQUILIBRIUM = ode1d.OneDParams(J0=0.5, rho0=1.0, E0=0.0, L=1.0, b=1.0)
-_MONOTONE = ode1d.OneDParams(J0=0.5, rho0=1.2, E0=0.1, L=1.0, b=1.0)
-
-
-def check_structural_identity():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for gamma in (1.0, 1.4, 2.0):
-        law = GasLaw(gamma=gamma, k0=1.0)
-        z = rng.uniform(0.0, 2.0, size=10_000)
-        q = rng.uniform(-0.5, 0.5, size=(10_000, 2))
-        d = coeffs.derivatives(law, z, q)
-        worst = max(worst, float(np.max(np.abs(d.dA_dz + d.dB_dq))))
-    elapsed = time.perf_counter() - t0
-    return (worst < 1e-13 and elapsed < 1.0,
-            f"max |dA_dz + dB_dq| = {worst:.1e}, {elapsed:.2f} s")
-
-
-def check_enthalpy_roundtrip():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for gamma in (1.0, 1.4, 2.0):
-        law = GasLaw(gamma=gamma, k0=1.0)
-        s = rng.uniform(-1.5, 5.0, size=10_000)
-        worst = max(worst, float(np.max(np.abs(law.enthalpy(law.enthalpy_inverse(s)) - s))))
-    elapsed = time.perf_counter() - t0
-    return (worst < 1e-12 and elapsed < 1.0,
-            f"max |h(h^-1(s)) - s| = {worst:.1e}, {elapsed:.2f} s")
-
-
-def check_equilibrium_and_rk4_order():
-    t0 = time.perf_counter()
-    sol = ode1d.integrate_ivp(_LAW, _EQUILIBRIUM, 1024)
-    drift = (float(np.max(np.abs(sol.rho - 1.0))) + float(np.max(np.abs(sol.E)))
-             + float(np.max(np.abs(sol.u - 0.5))))
-    ref = ode1d.integrate_ivp(_LAW, _MONOTONE, 4096).rho[-1]
-    errs = [abs(ode1d.integrate_ivp(_LAW, _MONOTONE, n).rho[-1] - ref) for n in (32, 64, 128)]
-    orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
-    elapsed = time.perf_counter() - t0
-    return (drift < 1e-12 and all(3.7 <= p <= 4.3 for p in orders) and elapsed < 1.0,
-            f"drift = {drift:.1e}, orders = {[f'{p:.2f}' for p in orders]}, {elapsed:.2f} s")
-
-
-def check_shooting_roundtrip():
-    # shoot back to the exit density of the forward orbit from two brackets
-    t0 = time.perf_counter()
-    rho_ex = ode1d.integrate_ivp(_LAW, _MONOTONE, 1024).rho[-1]
-    s1 = ode1d.shoot_bvp(_LAW, 1.0, 1.0, 1.2, rho_ex, 0.5, n_steps=1024, bracket=(-5.0, 5.0))
-    s2 = ode1d.shoot_bvp(_LAW, 1.0, 1.0, 1.2, rho_ex, 0.5, n_steps=1024,
-                         bracket=(-2.0, 3.0), n_probe=41)
-    err = abs(s1.params.E0 - 0.1)
-    agree = abs(s1.params.E0 - s2.params.E0)
-    elapsed = time.perf_counter() - t0
-    return (err < 1e-8 and agree < 1e-8 and elapsed < 5.0,
-            f"|E0 - 0.1| = {err:.1e}, bracket agreement = {agree:.1e}, {elapsed:.2f} s")
-
-
-def _operator(params, grid):
-    background = ode1d.integrate_ivp(_LAW, params, 1024)
-    return elliptic.DiscreteOperator(elliptic.make_coeffs(_LAW, background, grid), grid)
-
-
-def check_coupling_cancellation():
-    t0 = time.perf_counter()
-    op = _operator(_MONOTONE, gridmod.build_grid(dim=2, shape=(33, 65)))
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(100):
-        xi = rng.standard_normal(op.grid.n_nodes)
-        eta = rng.standard_normal(op.grid.n_nodes)
-        elliptic.copy_dirichlet_rows(op.grid.shape[-1], (xi, eta), 0.0)
-        total, scale = elliptic.cross_term_sum(op, xi, eta)
-        worst = max(worst, abs(total) / max(scale, 1e-30))
-    elapsed = time.perf_counter() - t0
-    return (worst < 1e-12 and elapsed < 10.0,
-            f"worst relative cross-term sum = {worst:.1e} over 100 pairs, {elapsed:.2f} s")
-
-
-def check_coercivity():
-    t0 = time.perf_counter()
-    grid = gridmod.build_grid(dim=2, shape=(33, 65))
-    passed = True
-    parts = []
-    for label, params in (("equilibrium", _EQUILIBRIUM), ("monotone", _MONOTONE)):
-        op = _operator(params, grid)
-        ratio = elliptic.coercivity_check(op, trials=100, seed=42)
-        bound = 0.9 * min(op.coeffs.lam, 1.0)
-        passed = passed and ratio >= bound
-        parts.append(f"{ratio:.4f} >= {bound:.4f} {label}")
-        if params is _EQUILIBRIUM:
-            # hand value: a = diag(rho, rho (1 - u^2 / p')) = diag(1, 0.875)
-            passed = passed and abs(op.coeffs.lam - 0.875) <= 1e-12 * 0.875
-    elapsed = time.perf_counter() - t0
-    return (passed and elapsed < 30.0,
-            f"min Rayleigh ratio = {', '.join(parts)}, {elapsed:.2f} s")
-
-
-def check_separable_solve():
-    t0 = time.perf_counter()
-    grid = gridmod.build_grid(dim=3, cross_extents=((0.0, 1.0), (0.0, 1.0)), shape=(9, 9, 17))
-    op = _operator(_MONOTONE, grid)
-    rng = np.random.default_rng(42)
-    N = grid.n_nodes
-    mode = np.outer(np.cos(np.pi * grid.axes[0]), np.cos(np.pi * grid.axes[1]))
-    F = 1e-2 * rng.standard_normal((N, 3))
-    F2 = 1e-2 * rng.standard_normal((N, 3))
-    data = elliptic.LinearData(
-        W_en=0.3 + 0.02 * mode, W_ex=-0.2 - 0.01 * mode, F=F,
-        f=1e-2 * rng.standard_normal(N), g_exit=1e-2 * rng.standard_normal(mode.size), F2=F2,
-        wall_flux_v=F, wall_flux_W=F2,
-    )
-    elliptic.check_wall_compatibility(data.W_en, data.W_ex, grid)
-    rhs = elliptic.assemble_rhs(op, data)
-    v, W, residual = elliptic.solve(op, rhs)
-    ref = elliptic.splu(op.K.tocsc()).solve(rhs)
-    worst = max(float(np.max(np.abs(u - r)) / np.max(np.abs(r)))
-                for u, r in ((v, ref[:N]), (W, ref[N:])))
-    # the solve's residual applies K from the 1D factors; compare it with K
-    U = np.concatenate([v, W])
-    KU = op.K @ U
-    apply_err = float(np.max(np.abs(elliptic.apply_operator(op, U) - KU)) / np.max(np.abs(KU)))
-    elapsed = time.perf_counter() - t0
-    return (worst <= 1e-12 and residual < 1e-12 and apply_err <= 1e-13 and elapsed < 10.0,
-            f"max |U - U_splu| / sup = {worst:.1e}, residual = {residual:.1e}, "
-            f"max |apply - K U| / max |K U| = {apply_err:.1e}, {elapsed:.2f} s")
-
-
-def check_trivial_fixed_point():
-    grid = gridmod.build_grid(dim=2, shape=(17, 33))
-    background = ode1d.integrate_ivp(_LAW, _MONOTONE, 1024)
-    state = driver.PicardState(_LAW, background, grid)
-    data0 = driver.perturb_data(background, grid, 0.0)
-    pair, report = driver.run_fixed_point(driver.IterationConfig(), data0, state)
-    return (report.iterations == 1 and pair.sup() < 1e-12,
-            f"iterations = {report.iterations}, sup = {pair.sup():.2e}")
-
-
-def check_exit_pressure():
-    grid = gridmod.build_grid(dim=2, shape=(64, 128))
-    background = ode1d.integrate_ivp(_LAW, _MONOTONE, ode1d.aligned_steps(1024, 127))
-    state = driver.PicardState(_LAW, background, grid)
-    data = driver.perturb_data(background, grid, 1e-3)
-    _, report = driver.run_fixed_point(driver.IterationConfig(), data, state)
-    floor, _ = driver.residual_floor(state)
-    exit_resid = report.residual_components["exit_pressure"]
-    return (exit_resid <= 10.0 * floor,
-            f"max |p(rho) - pex| on the exit = {exit_resid:.2e} <= 10 x floor {floor:.2e}")
-
-
-CHECKS = {
-    "structural identity": check_structural_identity,
-    "enthalpy roundtrip": check_enthalpy_roundtrip,
-    "1D equilibrium and RK4 order": check_equilibrium_and_rk4_order,
-    "shooting/forward roundtrip": check_shooting_roundtrip,
-    "discrete coupling cancellation": check_coupling_cancellation,
-    "discrete coercivity": check_coercivity,
-    "trivial fixed point": check_trivial_fixed_point,
-    "separable solve agrees with sparse LU": check_separable_solve,
-    "exit-pressure faithfulness": check_exit_pressure,
-}
-
-
 def cmd_verify(cfg) -> int:
-    # the checks use fixed data; `main` still validates --config
+    # the checks use fixed data; `main` still validates --config. Imported
+    # here, so that no other command compiles them
+    from . import checks
+
     failed = 0
-    for name, check in CHECKS.items():
+    for name, check in checks.CHECKS.items():
         ok, detail = check()
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failed += 0 if ok else 1

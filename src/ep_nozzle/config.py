@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +197,10 @@ def validated(values) -> RunConfig:
     for key in ("nodes_cross", "nodes_cross2", "nodes_axial"):
         if values["nozzle"][key] < 8:
             raise DomainError(f"{key} must be at least 8")
+    n = values["nozzle"]
+    nodes = n["nodes_cross"] * n["nodes_axial"] * (n["nodes_cross2"] if n["dim"] == 3 else 1)
+    if nodes > sys.maxsize // 16:  # numpy's size limit for one float pair per node
+        raise DomainError(f"a grid of {nodes} nodes is more than numpy can address")
     if values["background"]["ode_steps"] < 16:
         raise DomainError("ode_steps must be at least 16")
     if values["perturbation"]["sigma"] < 0.0:

@@ -576,23 +576,38 @@ def apply_operator(op: DiscreteOperator, U, rows=slice(None)) -> np.ndarray:
     identity. Equal to `op.K @ U` up to the rounding of the summation order.
     Each product and each cross-axis flux is formed in one nodal scratch
     buffer and added to out from there.
+
+    The block entries are laid out as (2, 2, n_axial) rows: diag[k], and
+    lower[k] and upper[k] at node k and k+1, their source nodes, with zero
+    where a band has no entry. A band's product is formed over the whole
+    contiguous field and added through a shift of one element of the flat
+    field, so every operand is contiguous; the shift carries the zero of an
+    axial end into the next cross row's other end.
     """
     q = op.quad.rows(rows)
     grid = q.grid
+    n = grid.shape[-1]
     lower, upper, diag = op.axial_blocks
+    entries = np.zeros((3, 2, 2, n))
+    entries[0] = diag.transpose(1, 2, 0)
+    entries[1, ..., :-1] = lower.transpose(1, 2, 0)
+    entries[2, ..., 1:] = upper.transpose(1, 2, 0)
     x = U.reshape((2,) + grid.shape)
-    out = np.empty_like(x)
+    out = np.empty((2,) + grid.shape)
     scratch = np.empty(grid.shape)
-    bands = ((lower, slice(1, None), slice(None, -1)), (upper, slice(None, -1), slice(1, None)))
+    flat_out, flat_scratch = out.reshape(2, -1), scratch.reshape(-1)
+    # lower acts on the row after its node, upper on the row before
+    bands = ((entries[1], slice(1, None), slice(None, -1)),
+             (entries[2], slice(None, -1), slice(1, None)))
     for i in range(2):
-        np.multiply(diag[:, i, 0], x[0], out=out[i])
-        out[i] += np.multiply(diag[:, i, 1], x[1], out=scratch)
+        np.multiply(entries[0, i, 0], x[0], out=out[i])
+        out[i] += np.multiply(entries[0, i, 1], x[1], out=scratch)
         # a band's two products are added one at a time, so one scratch
         # buffer serves them
         for band, dst, src in bands:
             for j in range(2):
-                out[i, ..., dst] += np.multiply(band[:, i, j], x[j, ..., src],
-                                                out=scratch[..., src])
+                np.multiply(band[i, j], x[j], out=scratch)
+                flat_out[i, dst] += flat_scratch[src]
     out *= q.exit_w[..., None]
     # out_j += flux_j-1 - flux_j along a cross axis, no flux beyond the ends
     for ax in range(grid.dim - 1):

@@ -1,13 +1,8 @@
-"""Grid helpers for tests: per-node coordinates, for tests that evaluate
-fields at the nodes, and one-row slabs, for tests that a pass over the slabs
-changes no bit."""
+"""Grid helpers for tests: per-node coordinates (the checks' own), for tests
+that evaluate fields at the nodes, and one-row slabs, for tests that a pass
+over the slabs changes no bit."""
 
-import numpy as np
-
-
-def node_coords(g):
-    """(n_nodes, dim) coordinates in node order (C order of the axes)."""
-    return np.stack([m.ravel() for m in np.meshgrid(*g.axes, indexing="ij")], axis=1)
+from ep_nozzle.checks import node_coords  # noqa: F401
 
 
 def one_row_slabs(grid, axis, halo=0):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ep_nozzle import cli, driver, elliptic, export, pool
+from ep_nozzle import checks, cli, driver, elliptic, export, pool
 from ep_nozzle.config import TEMPLATE, parse_config, serialize_config
 from ep_nozzle.errors import DomainError
 
@@ -398,7 +398,7 @@ class TestVerify:
         code, out, _ = verify_run
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("PASS") >= 6
+        assert len(out.splitlines()) == len(checks.CHECKS) == 20
 
     def test_runs_the_shared_checks_with_one_factorization(self, verify_run):
         # only the cross-check of the separable solve factors K by sparse LU;
@@ -407,7 +407,7 @@ class TestVerify:
         assert factorizations == 1
         lines = out.splitlines()
         assert lines == [line for line in lines if line.startswith("PASS ")]
-        assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in cli.CHECKS]
+        assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in checks.CHECKS]
 
 
 class TestSnapshots:
@@ -439,8 +439,9 @@ class TestSnapshots:
 # no command but `verify` loads scipy: `scipy.optimize` (brentq, in
 # `shoot_bvp`), `scipy.sparse` (the reference maps and K) and
 # `scipy.sparse.linalg` (the sparse-LU cross-check); "scipy" itself stands
-# for every scipy module
-ON_DEMAND = ("scipy", "scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
+# for every scipy module. Nor does any other command load the checks
+ON_DEMAND = ("scipy", "scipy.integrate", "scipy.optimize", "scipy.sparse.linalg",
+             "ep_nozzle.checks")
 
 
 class TestImports:
@@ -556,6 +557,9 @@ PROBES = [
                  id="oversized-sigma"),
     pytest.param("solve", edited("perturbation", "c_pex", "2"), (), 1, "error",
                  id="amplitude-above-one"),
+    # more nodes than numpy can address: refused before np.linspace raises
+    pytest.param("solve", edited("nozzle", "nodes_cross", str(10 ** 21)), (), 1, "error",
+                 id="nodes-cross-1e21"),
 ]
 
 

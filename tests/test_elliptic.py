@@ -21,6 +21,7 @@ from ep_nozzle.elliptic import (
     solve,
 )
 from ep_nozzle import elliptic
+from ep_nozzle.checks import manufactured, manufactured_rhs, mms_solve
 from ep_nozzle.errors import NotSubsonicError, SingularAssemblyError
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
@@ -231,86 +232,11 @@ class TestSystemStructure:
 # method of manufactured solutions on the constant background
 
 
-C_EN, C_EX = 0.3, 0.2
-
-
-def _product(factors):
-    """prod_a f_a(x_a) and its partials, from (f_a, f_a') pairs."""
-    values = [f for f, _ in factors]
-    partials = [np.prod(values[:a] + [df] + values[a + 1:], axis=0)
-                for a, (_, df) in enumerate(factors)]
-    return np.prod(values, axis=0), partials
-
-
-def _mms_terms(*x):
-    """v = sin(pi x) [cos(pi y)] z^2 and W = cos(pi x) [cos(pi y)] P(z), with
-    P(z) = C_EN (1 - z) + C_EX z + z (1 - z), at points with cross coordinates
-    x[:-1] and axial coordinate z = x[-1]; returns v, W, their gradients and
-    the cross factors of v and W."""
-    *cross, z = x
-    sv, dsv = _product([(np.sin(np.pi * c), np.pi * np.cos(np.pi * c)) if a == 0
-                        else (np.cos(np.pi * c), -np.pi * np.sin(np.pi * c))
-                        for a, c in enumerate(cross)])
-    cw, dcw = _product([(np.cos(np.pi * c), -np.pi * np.sin(np.pi * c)) for c in cross])
-    P = C_EN * (1 - z) + C_EX * z + z * (1 - z)
-    grad_v = [d * z ** 2 for d in dsv] + [2 * z * sv]
-    grad_W = [d * P for d in dcw] + [cw * (-C_EN + C_EX + 1 - 2 * z)]
-    return sv * z ** 2, cw * P, grad_v, grad_W, sv, cw
-
-
-def manufactured(*x):
-    return _mms_terms(*x)[:2]
-
-
-def manufactured_data(g):
-    """The linear data of the manufactured problem, and s1, the volume
-    source of its v equation, which `LinearData` has no field for."""
-    # constant background: a = diag(1, .., 1, 0.875), dzB = 0.5, dzA = (0, .., 0, 0.25)
-    a11, ann, dzB, dzA_n, J0, pp = 1.0, 0.875, 0.5, 0.25, 0.5, 2.0
-    dc = g.dim - 1
-    v, W, grad_v, grad_W, sv, cw = _mms_terms(*node_coords(g).T)
-    s1 = a11 * (-dc * np.pi ** 2 * v) + ann * 2 * sv + dzA_n * grad_W[-1]
-    f = -dc * np.pi ** 2 * W - 2 * cw - dzB * W + dzA_n * grad_v[-1]
-    cross = [c.ravel() for c in np.meshgrid(*g.axes[:-1], indexing="ij")]
-    W_en = _mms_terms(*cross, 0.0)[1]
-    _, W_ex, grad_v_ex, *_ = _mms_terms(*cross, 1.0)
-    # the walls are normal to the cross axes, where the conormal of v is a11 grad v
-    return LinearData(
-        W_en=W_en, W_ex=W_ex, f=f, g_exit=-(J0 / pp) * grad_v_ex[-1],
-        wall_flux_v=a11 * np.stack(grad_v, axis=1), wall_flux_W=np.stack(grad_W, axis=1),
-    ), s1
-
-
-def manufactured_rhs(op):
-    """The manufactured data and right-hand side: `assemble_rhs` less the
-    trapezoid mass of s1 on the free rows of v."""
-    g = op.grid
-    data, s1 = manufactured_data(g)
-    rhs = assemble_rhs(op, data)
-    bv = rhs[:g.n_nodes]
-    bv -= elliptic._lumped_mass(op.quad, s1).ravel()
-    g.face(bv, -1, 0)[...] = 0.0
-    return data, rhs
-
-
-def _mms_solve(shape):
-    """Manufactured solve on the constant background; dim 2 or 3 from the shape."""
-    dim = len(shape)
-    g = build_grid(dim=dim, cross_extents=((0.0, 1.0),) * (dim - 1), shape=shape)
-    bg = _background(shape[-1] - 1, CONST_PARAMS)
-    coeffs = make_coeffs(LAW, bg, g)
-    op = DiscreteOperator(coeffs, g)
-    data, rhs = manufactured_rhs(op)
-    v, W, residual = solve(op, rhs)
-    v_exact, W_exact = manufactured(*node_coords(g).T)
-    return g, op, data, v, W, v_exact, W_exact, residual
-
-
 class TestManufactured:
     def test_convergence_order(self):
         errs = []
         for shape in [(17, 33), (33, 65)]:
-            _, _, _, v, W, v_exact, W_exact, residual = _mms_solve(shape)
+            _, _, _, v, W, v_exact, W_exact, residual = mms_solve(shape)
             errs.append(max(np.max(np.abs(v - v_exact)), np.max(np.abs(W - W_exact))))
             assert residual < 1e-11
         order = np.log2(errs[0] / errs[1])
@@ -321,7 +247,7 @@ class TestManufactured:
         # second order on interior rows
         res = []
         for shape in [(17, 33), (33, 65)]:
-            g, op, *_ = _mms_solve(shape)
+            g, op, *_ = mms_solve(shape)
             _, rhs = manufactured_rhs(op)
             v_exact, W_exact = manufactured(*node_coords(g).T)
             U = np.concatenate([v_exact, W_exact])
@@ -337,7 +263,7 @@ class TestManufactured:
     def test_wall_conormal_residual_refines(self):
         resid = []
         for shape in [(17, 33), (33, 65)]:
-            g, op, data, v, W, *_ = _mms_solve(shape)
+            g, op, data, v, W, *_ = mms_solve(shape)
             from ep_nozzle.grid import gradient
 
             # the walls x = 0 and x = 1, where a11 = 1 and the normal is axis 0

@@ -62,10 +62,12 @@ def _rises(shape):
 
 
 # rise per node measured with this code (one BLAS thread); the 128x256 solve
-# is the sweep-2d grid, where one residual slab is the whole grid
+# is the sweep-2d grid, where one residual slab is the whole grid and the
+# guard's `apply_operator` sets the step's peak (62.8 with numpy's iteration
+# buffers on its axial views)
 MEASURED = {
-    (128, 256): {"step": 62.8, "nonlinear_residual": 81.3, "GasLaw.density": 9.1},
-    (33, 33, 65): {"step": 73.0, "nonlinear_residual": 49.8, "GasLaw.density": 9.0},
+    (128, 256): {"step": 59.7, "nonlinear_residual": 81.3, "GasLaw.density": 9.1},
+    (33, 33, 65): {"step": 63.4, "nonlinear_residual": 49.8, "GasLaw.density": 5.3},
 }
 
 
@@ -81,7 +83,7 @@ def test_step_and_residual_stay_within_their_budget(shape):
 # The solve forms J_T on each step slab's rows: 204.0 when it held the nodal
 # J_T and its determinant. The residual runs in slabs of 16, 16 and 1 rows
 # and their halos: 144.6 when it was formed on the whole grid
-PERTURBED_MEASURED = {"solve_perturbed": 184.6, "pushforward_residual": 110.7}
+PERTURBED_MEASURED = {"solve_perturbed": 184.2, "pushforward_residual": 110.7}
 
 
 def test_pushforward_residual_stays_within_its_budget():
