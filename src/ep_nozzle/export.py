@@ -1,9 +1,13 @@
 """Field writers: CSV and legacy VTK, all through one 17-digit table writer.
 
-Coordinate columns are text columns built from the grid axes: each axis
-value is formatted once, not once per node. The deformed writers take only
-the mapped cross coordinates, because the wall shear keeps x_n: their axial
-column is the grid axis too.
+A table's rows are built with numpy, a block of rows at a time
+(`rowtext.Layout`): every float value as "%.17g" % v prints it, byte for
+byte, and every text column from a table of its distinct strings. The bytes
+go to the file's binary buffer, without a str for the rows. Coordinate
+columns are text columns built from the grid axes: each axis value is
+formatted once, not once per node, and gathered by its index. The deformed
+writers take only the mapped cross coordinates, because the wall shear
+keeps x_n: their axial column is the grid axis too.
 
 A file's tables (a CSV's one, a VTK file's geometry and scalar blocks) are
 formatted on every usable CPU as one run of rows: w contiguous shares, w =
@@ -17,6 +21,7 @@ nothing but the output is left on disk.
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,24 +29,32 @@ from . import pool
 from .errors import DomainError
 from .grid import Nozzle
 
-# rows per `%` call: bounds the size of the temporary strings
-BLOCK_ROWS = 4096
+# bytes of each of a block's two (rows, row width) buffers, so that the
+# buffers and the block's temporaries stay the same size whatever the grid
+BLOCK_BYTES = 1 << 18
 
-# float values per process at least: "%.17g" costs about 0.25 us per value
-# and a share's child (fork, copy-on-write faults, append) about 3 ms at
-# 40 MiB, so a share is several children long
+# float values per process at least: a value costs about 0.2 us to format
+# (0.18-0.24 us on solve-2d's fields as VTK, in one process, on a 2-vCPU
+# host) and a share's child about 3-4 ms (an empty share of `fork_shares` at
+# 40 MiB: 2.9-4.1 ms), so a share of 2^15 values, 6-8 ms, is about two
+# children long
 MIN_SHARE_VALUES = 1 << 15
 
 
-def _format_rows(fh, row, columns, start, stop):
-    """Rows start:stop of the columns, BLOCK_ROWS rows per `%` call."""
-    k = len(columns)
-    for begin in range(start, stop, BLOCK_ROWS):
-        end = min(begin + BLOCK_ROWS, stop)
-        values = [None] * ((end - begin) * k)
-        for j, c in enumerate(columns):
-            values[j::k] = c.flat[begin:end].tolist()
-        fh.write(row * (end - begin) % tuple(values))
+class Text(NamedTuple):
+    """A text column: row i reads strings[codes.flat[i]], so codes may be a
+    broadcast view and each string is formatted once."""
+    strings: list
+    codes: np.ndarray
+
+
+def _format_rows(out, layout, columns, start, stop):
+    """Rows start:stop of the columns into the binary file out, a block of
+    rows per `rowtext.Layout.render`, through one pair of block buffers."""
+    block = max(1, BLOCK_BYTES // layout.width)
+    chars, kept = layout.buffers(min(block, stop - start))
+    for begin in range(start, stop, block):
+        out.write(layout.render(columns, begin, min(begin + block, stop), chars, kept))
 
 
 def _unnamed_files(directory, count):
@@ -59,24 +72,25 @@ def _unnamed_files(directory, count):
     return fds
 
 
-def _append(fh, fd):
-    """The whole of file fd after what fh holds."""
-    fh.flush()
+def _append(out, fd):
+    """The whole of file fd after what the binary file out holds."""
+    out.flush()
     offset = 0
-    while sent := os.sendfile(fh.fileno(), fd, offset, 1 << 30):
+    while sent := os.sendfile(out.fileno(), fd, offset, 1 << 30):
         offset += sent
 
 
 def _write_tables(fh, tables, sep):
     """(leading text, columns) tables, one after another: each table's text,
-    then its columns, of equal length, as rows joined by sep.
+    then its columns, of equal length, as rows joined by sep, one character.
 
-    A float column is printed with "%.17g". A text column (an object array of
-    str) is printed as it is, so a value formatted once may serve many rows.
-    Every column is read in its `.flat` order, BLOCK_ROWS rows at a time, so
-    a text column may be a broadcast view of a few strings: it is never
-    expanded to one object per row. A table may have no columns, and so no
-    rows: its text is written alone.
+    A float column is printed as "%.17g" prints it, by `rowtext`. A text
+    column, a `Text` or an object array of str, is printed as it is, and each
+    of its distinct strings is encoded once (an object array's by
+    `np.unique`). Every column is read in its `.flat` order, so a text
+    column's codes may be a broadcast view. A table may have no columns, and
+    so no rows: its text is written alone. The bytes go to fh's binary
+    buffer, in fh's encoding.
 
     The pool width is decided once per file: the rows of all the tables are
     split into w contiguous shares, w = `pool.width` of the file's float
@@ -89,56 +103,71 @@ def _write_tables(fh, tables, sep):
     not finish is formatted here. A row's text does not depend on its share,
     so the bytes do not depend on w.
     """
-    parts = []           # (first row in the file, rows, text, row format, columns)
+    from . import rowtext    # here: only a command that writes a table compiles it
+    encoding = fh.encoding
+    parts = []           # (first row in the file, rows, text, layout, columns)
     n = n_float = 0
     for text, columns in tables:
-        columns = [c if isinstance(c, np.ndarray) and c.dtype == object
-                   else np.asarray(c, dtype=float).ravel() for c in columns]
-        rows = columns[0].size if columns else 0
-        row = sep.join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
-        parts.append((n, rows, text, row, columns))
+        texts, arrays = [], []
+        for c in columns:
+            if isinstance(c, np.ndarray) and c.dtype == object:
+                strings, codes = np.unique(c, return_inverse=True)
+                c = Text(strings.tolist(), codes.reshape(c.shape))
+            if isinstance(c, Text):
+                texts.append([s.encode(encoding) for s in c.strings])
+                arrays.append(c.codes)
+            else:
+                texts.append(None)
+                arrays.append(np.asarray(c, dtype=float).ravel())
+        rows = arrays[0].size if arrays else 0
+        parts.append((n, rows, text.encode(encoding),
+                      rowtext.Layout(texts, sep.encode(encoding)), arrays))
         n += rows
-        n_float += rows * sum(c.dtype != object for c in columns)
+        n_float += rows * texts.count(None)
 
     def share(out, start, stop):
         """Rows start:stop of the file, with the texts of the tables they open."""
-        for first, rows, text, row, columns in parts:
+        for first, rows, text, layout, columns in parts:
             if start <= first < stop or first == stop == n:
                 out.write(text)
             lo, hi = max(start, first), min(stop, first + rows)
             if lo < hi:
-                _format_rows(out, row, columns, lo - first, hi - first)
+                _format_rows(out, layout, columns, lo - first, hi - first)
 
+    fh.flush()
+    out = fh.buffer
     w = pool.width(n_float // MIN_SHARE_VALUES)
     spills = _unnamed_files(os.path.dirname(fh.name) or ".", w - 1)
     if not spills:
-        share(fh, 0, n)
+        share(out, 0, n)
         return
     bounds = [n * j // w for j in range(w + 1)]
 
     def child(j):
-        with open(spills[j - 1], "w", encoding=fh.encoding, closefd=False) as out:
-            share(out, bounds[j], bounds[j + 1])
+        with open(spills[j - 1], "wb", closefd=False) as spill:
+            share(spill, bounds[j], bounds[j + 1])
 
     try:
-        _, done = pool.fork_shares(w, child, lambda: share(fh, 0, bounds[1]))
+        _, done = pool.fork_shares(w, child, lambda: share(out, 0, bounds[1]))
         for j in range(1, w):
             if j in done:
-                _append(fh, spills[j - 1])
+                _append(out, spills[j - 1])
             else:
-                share(fh, bounds[j], bounds[j + 1])
+                share(out, bounds[j], bounds[j + 1])
     finally:
         for fd in spills:
             os.close(fd)
 
 
-def _axis_text(grid: Nozzle, axis):
-    """Coordinate `axis` of every node as a text column in C node order: the
-    axis values formatted once and broadcast over the grid, not copied."""
+def _axis_text(grid: Nozzle, axis, order="C"):
+    """Coordinate `axis` of every node as a text column in the given node
+    order: the axis values formatted once, and their codes broadcast over
+    the grid, not copied."""
     shape = [1] * grid.dim
     shape[axis] = -1
-    text = np.array(["%.17g" % v for v in grid.axes[axis].tolist()], dtype=object)
-    return np.broadcast_to(text.reshape(shape), grid.shape)
+    codes = np.broadcast_to(np.arange(grid.shape[axis]).reshape(shape), grid.shape)
+    return Text(["%.17g" % v for v in grid.axes[axis].tolist()],
+                codes if order == "C" else codes.T)
 
 
 def _conforming(grid: Nozzle, name, values, order="C"):
@@ -231,8 +260,7 @@ def export_deformed_vtk(grid: Nozzle, cross, fields: dict, path):
     cross holds the deformed cross coordinates (n_nodes, dim - 1) in node
     order; the axial coordinate is the grid axis. A 2D grid gets z = 0.
     """
-    # the transposed view reads the axial text in F order, the first axis fastest
-    points = [*_cross_columns(grid, cross, "F"), _axis_text(grid, grid.dim - 1).T]
-    points += [np.broadcast_to(np.array("0", dtype=object), grid.shape)] * (3 - grid.dim)
+    points = [*_cross_columns(grid, cross, "F"), _axis_text(grid, grid.dim - 1, "F")]
+    points += [Text(["0"], np.broadcast_to(0, grid.shape))] * (3 - grid.dim)
     _write_vtk(grid, path, "deformed nozzle", "STRUCTURED_GRID",
                [(f"POINTS {grid.n_nodes} double\n", points)], fields)

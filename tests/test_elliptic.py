@@ -233,14 +233,8 @@ class TestSystemStructure:
 
 
 class TestManufactured:
-    def test_convergence_order(self):
-        errs = []
-        for shape in [(17, 33), (33, 65)]:
-            _, _, _, v, W, v_exact, W_exact, residual = mms_solve(shape)
-            errs.append(max(np.max(np.abs(v - v_exact)), np.max(np.abs(W - W_exact))))
-            assert residual < 1e-11
-        order = np.log2(errs[0] / errs[1])
-        assert 1.7 <= order <= 2.3
+    # the convergence order of the manufactured solve is criterion 07
+    # (tests/test_acceptance.py, `checks.check_manufactured_convergence`)
 
     def test_assembled_residual_of_interpolant(self):
         # applying the operator to the nodal interpolant reproduces the rhs at

@@ -1,12 +1,13 @@
-"""Memory budget of a Picard step and of the strong residuals.
+"""Memory budget of a Picard step, of the strong residuals and of the field writers.
 
 The rise of `PicardState.step`, of `nonlinear_residual` and of
 `GasLaw.density` over their entry, in bytes per grid node, is measured under
 tracemalloc by the `PhaseMeter` of `scripts/phase_memory.py` on one small 2D
 and one small 3D solve, and that of `domainmap.solve_perturbed` and of
-`domainmap.pushforward_residual` on one small 3D perturbed solve. The bounds
-are the measured figures plus about 10%, so a whole-grid temporary that
-comes back into any of them fails here.
+`domainmap.pushforward_residual` on one small 3D perturbed solve, and that
+of `export_field_csv` and `export_field_vtk` on that 3D solve's fields. The
+bounds are the measured figures plus about 10%, so a whole-grid temporary
+that comes back into any of them fails here.
 """
 
 import importlib.util
@@ -16,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from ep_nozzle import domainmap, driver
+from ep_nozzle import domainmap, driver, export, pool, rowtext  # noqa: F401 (rowtext: see below)
 from ep_nozzle.gas import GasLaw
 from ep_nozzle.grid import build_grid
 from ep_nozzle.ode1d import OneDParams, integrate_ivp
@@ -97,6 +98,36 @@ def test_pushforward_residual_stays_within_its_budget():
                                      "pushforward_residual": domainmap.pushforward_residual},
                       solve)
     for phase, measured in PERTURBED_MEASURED.items():
+        assert meter.calls[phase] == 1
+        rise = meter.rise[phase] / n
+        assert rise <= 1.1 * measured, (phase, rise)
+
+
+# rise per node at 33x33x65 of the writers of a solve's four fields, all the
+# rows in this process, measured with this code (one BLAS thread). The table
+# writer is imported above, so its import is not counted. Its two block
+# buffers are export.BLOCK_BYTES each, and its temporaries are at most about
+# as much again, whatever the grid: 0.5-1.3 MB, 7-19 B per node here. The
+# VTK writer holds its fields in VTK node order too, 32 B per node. With the
+# `%` formatter, 4096 rows per call, the figures were 21.6 and 36.7
+EXPORT_MEASURED = {"export_field_csv": 13.6, "export_field_vtk": 47.0}
+
+
+def test_field_writers_stay_within_their_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)
+
+    def solve(state, data):
+        pair, _ = driver.run_fixed_point(driver.IterationConfig(), data, state)
+        g, c = state.grid, state.coeffs
+        fields = {"psi": pair.psi, "Psi": pair.Psi,
+                  "phi": (c.phi0 + g.sections(pair.psi)).ravel(),
+                  "Phi": (c.Phi0 + g.sections(pair.Psi)).ravel()}
+        export.export_field_csv(g, fields, tmp_path / "fields.csv")
+        export.export_field_vtk(g, fields, tmp_path / "fields.vtk")
+
+    meter, n = _meter((33, 33, 65), {name: getattr(export, name) for name in EXPORT_MEASURED},
+                      solve)
+    for phase, measured in EXPORT_MEASURED.items():
         assert meter.calls[phase] == 1
         rise = meter.rise[phase] / n
         assert rise <= 1.1 * measured, (phase, rise)
