@@ -63,12 +63,14 @@ def _fixed_table():
               9.9999999999999991e-06, 1.0000000000000001e-05, 1.5e-5, 1.5e-4]
     ties = [1049 / 2 ** 20, 4000000000000001 / 4, 800000000000001 / 8,
             7999999999999999 / 8, 160000000000001 / 16, 880000000000001 / 16]
-    # the largest doubles below the powers of ten of the fast range: no
-    # rounding of theirs carries into the next decade
+    # the largest doubles below the powers of ten of the digit range: no
+    # rounding of theirs carries into the next decade; these four doubles lie
+    # within 5e-18 below their power of ten, so their 17 digits carry
     below = [math.nextafter(float(f"1e{j}"), 0.0) for j in range(-6, 18)]
+    carries = [1e-14, 1e-79, 1e98, 1e153]
     short = [0.5, 0.125, 1.0, 2.0, 10.0, 0.1, 0.3, 1 / 3, 123456.0, 1.5e16, 1e16 + 2]
     special = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
-    values = powers + near + switch + ties + below + short + special
+    values = powers + near + switch + ties + below + carries + short + special
     return values + [-v for v in values]
 
 
@@ -78,7 +80,8 @@ def test_fixed_table_prints_as_percent_17g():
     text = _floats(values).decode()
     for expected in ("0.0010004043579101562\n", "1000000000000000.2\n", "-0\n", "nan\n",
                      "-inf\n", "1.0000000000000001e-05\n", "0.0001\n", "1e-05\n",
-                     "4.9406564584124654e-324\n", "9.9999999999999995e-07\n"):
+                     "4.9406564584124654e-324\n", "9.9999999999999995e-07\n", "1e-14\n",
+                     "1e+98\n"):
         assert expected in text
 
 
