@@ -36,8 +36,8 @@ formatted by `"%.17g" % v` itself, the format's own definition, into bytes
 Digits are written as 4-byte words from a table of the 10 000 groups of four
 digits, so a float's slot is 12 words and every slot starts on a word; a
 text slot is padded to whole words. The tables are built with numpy, in
-well under a millisecond, and only a command that writes a table imports
-this module.
+about a millisecond, and only a command that writes a table imports this
+module.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 SLOT = 48                  # bytes of a float's slot
 _WORDS = SLOT // 4
 _SPLIT = 134217729.0       # 2^27 + 1: Veltkamp's split of a double into two halves
-_RARE_AT = np.r_[4:24, 28:48]   # where a value formatted by `%` goes in its slot
+_RARE_AT = np.concatenate([np.arange(4, 24), np.arange(28, 48)])   # a `%` value's bytes
 
 
 def _split(x):
@@ -62,10 +62,18 @@ def _words(chars):
     return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32)
 
 
-_GROUPS = np.arange(10000)
-_DIGITS4 = _words(_GROUPS[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).ravel()
-# trailing zeros of a group of four digits, 4 for 0000
-_ZEROS4 = sum((_GROUPS % 10 ** j == 0).astype(np.int64) for j in range(1, 5))
+def _digit_groups():
+    """The groups 0000 ... 9999 as words, and the trailing zeros of each (4
+    for 0000): a group's four digits are the axes of a (10, 10, 10, 10) array."""
+    chars = np.empty((10,) * 4 + (4,), np.uint8)
+    for j in range(4):
+        chars[..., j] = np.arange(ord("0"), ord("0") + 10).reshape((10,) + (1,) * (3 - j))
+    z = np.arange(10) == 0
+    zeros = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
+    return chars.view(np.uint32).ravel(), zeros.ravel()
+
+
+_DIGITS4, _ZEROS4 = _digit_groups()
 # the word of bytes 4-7: "000" and the first digit
 _LEAD = _words(np.column_stack([np.full((10, 3), ord("0")), ord("0") + np.arange(10)])).ravel()
 # the word of bytes 44-47 by t = 16 - X, for X = -5 and -6 (t = 21, 22)
