@@ -31,7 +31,7 @@ Numer. Math. 18, 1971). So k is corrected by exact comparisons of (p, e)
 with 1e16 and 1e17, and p + e is rounded to an integer exactly. Every other
 nonzero value (subnormals, |v| <= 1e-6, |v| >= 1e17, inf and nan) is
 formatted by `"%.17g" % v` itself, the format's own definition, into bytes
-4-23 and 28-47 of its slot.
+4-23 and 28-31 of its slot.
 
 Digits are written as 4-byte words from a table of the 10 000 groups of four
 digits, so a float's slot is 12 words and every slot starts on a word; a
@@ -47,7 +47,9 @@ import numpy as np
 SLOT = 48                  # bytes of a float's slot
 _WORDS = SLOT // 4
 _SPLIT = 134217729.0       # 2^27 + 1: Veltkamp's split of a double into two halves
-_RARE_AT = np.concatenate([np.arange(4, 24), np.arange(28, 48)])   # a `%` value's bytes
+# where the text of a value printed by `%`, at most 24 characters
+# ("-2.2250738585072014e-308"), goes in its slot: bytes 4-23 and 28-31
+_RARE_AT = np.concatenate([np.arange(4, 24), np.arange(28, 32)])
 
 
 def _split(x):
@@ -110,9 +112,9 @@ _SIGNED_ZEROS[:, [0, 2]] = True
 _SIGNED_ZEROS[1, 1] = True
 _PATTERNS = _words(np.concatenate([_patterns(), _SIGNED_ZEROS]))
 # a value formatted by `%`: the separator and its first n characters
-_RARE = np.zeros((41, SLOT), bool)
+_RARE = np.zeros((25, SLOT), bool)
 _RARE[:, 0] = True
-_RARE[:, _RARE_AT] = np.arange(40) < np.arange(41)[:, None]
+_RARE[:, _RARE_AT] = np.arange(24) < np.arange(25)[:, None]
 _RARE = _words(_RARE)
 
 
@@ -132,8 +134,8 @@ def _float_slots(values, words, chars, kept):
     """Write the slots of float columns into the rows of a block.
 
     values (n, c) holds n rows of c columns, and column j's slot starts at
-    word words[j] of a row. chars and kept are the block's (n, row words)
-    uint32 views of its bytes and kept bytes."""
+    word words[j] of a row. chars and kept are the block's contiguous (n,
+    row words) uint32 views of its bytes and kept bytes."""
     n, c = values.shape
     v = values.ravel()
     a = np.abs(v)
@@ -196,12 +198,11 @@ def _float_slots(values, words, chars, kept):
     del pattern
     if rare.size:
         texts = ("%.17g " * rare.size % tuple(v[rare].tolist())).split()
-        row, at = rare[:, None] // c, words[rare % c][:, None] + np.arange(_WORDS)
-        slots = chars[row, at]
-        slots.view(np.uint8)[:, _RARE_AT] = (
-            np.array(texts, dtype="S40").view(np.uint8).reshape(-1, 40))
-        chars[row, at] = slots
-        kept[row, at] = _RARE[[len(s) for s in texts]]
+        row, word = rare // c, words[rare % c]
+        start = 4 * (row * chars.shape[1] + word)
+        chars.view(np.uint8).reshape(-1)[start[:, None] + _RARE_AT] = (
+            np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24))
+        kept[row[:, None], word[:, None] + np.arange(_WORDS)] = _RARE[[len(s) for s in texts]]
 
 
 def _text_table(strings, sep, words):
