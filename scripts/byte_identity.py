@@ -16,10 +16,12 @@ An item that differs gets a magnitude too:
 - a JSON report or sweep, and stdout, which prints one: the Picard counts
   (`iterations`) of both sides and the largest relative difference of the
   numeric entries, with where it is.
-Its last line says whether all items are identical and gives the largest of
-these field differences and the largest of these relative report
-differences over all cases, each with its case. It exits 0 when all items
-are identical, and 1 otherwise.
+Its second-to-last line says whether all items are identical and gives the
+largest of these field differences and the largest of these relative report
+differences over all cases, each with its case. Its last line gives both
+sides' `src/ep_nozzle` line counts (`line_counts`): the physical lines, and
+the code lines without docstrings, comments or blank lines. It exits 0 when
+all items are identical, and 1 otherwise.
 
 The cases are the four benchmark workloads of `perfbench/workloads.py` at
 seeds 0-3, a 3D `perturb-domain` with snapshots, a 3D `perturb-domain` on a
@@ -33,6 +35,7 @@ reads.
 """
 
 import argparse
+import ast
 import configparser
 import hashlib
 import io
@@ -41,6 +44,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +174,31 @@ def magnitude(item, ref_path, here_path, dim, seen=None):
     return ""
 
 
+def line_counts(package):
+    """(physical lines, code lines) of the `.py` files in the directory
+    package. A code line holds a token that is not a comment and lies in no
+    docstring (the leading string of a module, class or function)."""
+    physical = code = 0
+    for path in sorted(Path(package).glob("*.py")):
+        text = path.read_text()
+        physical += len(text.splitlines())
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            body = getattr(node, "body", None)
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                docstrings.update(range(body[0].lineno, body[0].end_lineno + 1))
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                                tokenize.DEDENT, tokenize.ENDMARKER):
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        code += len(lines - docstrings)
+    return physical, code
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("ref", help="git revision to compare with")
@@ -198,9 +227,12 @@ def main():
                         if value > largest[kind][0]:
                             largest[kind] = (value, name)
                 print(line.rstrip())
+        counts = [line_counts(src / "ep_nozzle") for src in (ref_src, ROOT / "src")]
     print(f"{'all identical' if all_same else 'some outputs differ'}; largest field difference "
           "over the sup {:.2e} ({}), largest relative report difference {:.2e} ({})".format(
               *largest["field"], *largest["report"]))
+    print("src/ep_nozzle: {} {} physical lines, {} code lines; this tree {} physical lines, "
+          "{} code lines".format(args.ref, *counts[0], *counts[1]))
     return 0 if all_same else 1
 
 

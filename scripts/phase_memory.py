@@ -119,7 +119,7 @@ def main():
         state = driver.PicardState(law, background, grid)
         itcfg = cli._iteration_config(cfg)
         pair, report = driver.run_fixed_point(itcfg, data, state)
-        driver.pair_norms(pair, grid, state.op.quad, seed=itcfg.seed)
+        driver.pair_norms(pair, grid, state.op.quad, seed=cfg.values["output"]["seed"])
     finally:
         sys.setprofile(None)
         tracemalloc.stop()

@@ -105,7 +105,6 @@ def _iteration_config(cfg):
     return driver.IterationConfig(
         ball_multiplier=it["ball_multiplier"], max_iter=it["max_iter"],
         tol_floor=it["tol_floor"], tol_scale=it["tol_scale"],
-        seed=cfg.values["output"]["seed"],
     )
 
 
@@ -171,7 +170,8 @@ def _solve_common(cfg, law, grid, background, corrections_map=None, outdir=None)
     else:
         pair, report = domainmap.solve_perturbed(corrections_map, itcfg, data, state,
                                                  on_iterate=on_iterate)
-    report.norm_summary = driver.pair_norms(pair, grid, state.op.quad, seed=itcfg.seed)
+    report.norm_summary = driver.pair_norms(pair, grid, state.op.quad,
+                                            seed=cfg.values["output"]["seed"])
     return state, data, pair, report
 
 
@@ -211,17 +211,8 @@ def cmd_sweep(cfg) -> int:
     _echo_config(cfg, outdir)
     state = driver.PicardState(law, background, grid)
     itcfg = _iteration_config(cfg)
-    sweep = driver.stability_sweep(itcfg, state, cfg.values["sweep"]["sigmas"],
-                                   _amplitudes(cfg))
-    payload = {
-        "sigmas": sweep.sigmas,
-        "sup_norms": sweep.sup_norms,
-        "contraction_factors": sweep.contraction,
-        "iterations": [r.iterations for r in sweep.reports],
-        "nonlinear_residuals": [r.nonlinear_residual for r in sweep.reports],
-        "slope_norm": sweep.slope_norm,
-        "slope_contraction": sweep.slope_contraction,
-    }
+    payload = driver.stability_sweep(itcfg, state, cfg.values["sweep"]["sigmas"],
+                                     _amplitudes(cfg))
     eps = cfg.values["domain_map"]["eps"]
     if len(eps) > 1:
         payload["wall"] = domainmap.wall_sweep(itcfg, state, eps)

@@ -48,7 +48,6 @@ class IterationConfig:
     max_iter: int = 30
     tol_floor: float = 1e-10
     tol_scale: float = 1e-3        # tolerance = max(tol_floor, tol_scale*sigma*h^2)
-    seed: int = 42
 
 
 @dataclass(frozen=True)
@@ -701,46 +700,39 @@ def ladder_map(fn, items, rung_bytes=0):
     return out
 
 
-@dataclass
-class SweepReport:
-    sigmas: list
-    sup_norms: list
-    contraction: list
-    slope_norm: float
-    slope_contraction: float
-    reports: list
-
-
 def stability_sweep(
     config: IterationConfig,
     state: PicardState,
     sigmas,
     amplitudes: Amplitudes | None = None,
-) -> SweepReport:
-    """Fixed-point solves over a sigma ladder with log-log slope fits."""
-    sigmas = [s for s in sigmas if s > 0.0]
+) -> dict:
+    """Fixed-point solves over a sigma ladder with log-log slope fits.
+
+    Per sigma: the fixed-point sup norm, the first contraction factor (nan
+    without one), the Picard iterations and the strong residual. The norm
+    slope fits the sup norms, the contraction slope the finite positive
+    factors (nan with fewer than two).
+    """
+    sigmas = [float(s) for s in sigmas if s > 0.0]
     if len(set(sigmas)) < 2:
         raise DomainError("a slope fit needs at least two distinct positive sigmas")
 
     def rung(sigma):
         data = perturb_data(state.background, state.grid, sigma, amplitudes)
         pair, report = run_fixed_point(config, data, state)
-        return pair.sup(), report
+        factors = report.contraction_factors
+        return (pair.sup(), factors[0] if factors else np.nan,
+                report.iterations, report.nonlinear_residual)
 
-    sups, reports = zip(*ladder_map(rung, sigmas, RUNG_BYTES_PER_NODE * state.grid.n_nodes))
-    contractions = [r.contraction_factors[0] if r.contraction_factors else np.nan
-                    for r in reports]
-    contr = np.asarray(contractions, dtype=float)
+    keys = ("sup_norms", "contraction_factors", "iterations", "nonlinear_residuals")
+    results = ladder_map(rung, sigmas, RUNG_BYTES_PER_NODE * state.grid.n_nodes)
+    rows = {key: list(column) for key, column in zip(keys, zip(*results))}
+    contr = np.asarray(rows["contraction_factors"], dtype=float)
     good = np.isfinite(contr) & (contr > 0.0)
     if np.sum(good) >= 2:
         slope_contraction = loglog_slope(np.asarray(sigmas)[good], contr[good])
     else:
         slope_contraction = float("nan")
-    return SweepReport(
-        sigmas=list(map(float, sigmas)),
-        sup_norms=list(map(float, sups)),
-        contraction=list(map(float, contractions)),
-        slope_norm=loglog_slope(sigmas, sups),
-        slope_contraction=slope_contraction,
-        reports=list(reports),
-    )
+    return {"sigmas": sigmas, **rows,
+            "slope_norm": loglog_slope(sigmas, rows["sup_norms"]),
+            "slope_contraction": slope_contraction}

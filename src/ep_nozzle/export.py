@@ -85,9 +85,8 @@ def _write_tables(fh, tables, sep):
     then its columns, of equal length, as rows joined by sep, one character.
 
     A float column is printed as "%.17g" prints it, by `rowtext`. A text
-    column, a `Text` or an object array of str, is printed as it is, and each
-    of its distinct strings is encoded once (an object array's by
-    `np.unique`). Every column is read in its `.flat` order, so a text
+    column, a `Text`, is printed as it is, and each of its strings is
+    encoded once. Every column is read in its `.flat` order, so a text
     column's codes may be a broadcast view. A table may have no columns, and
     so no rows: its text is written alone. The bytes go to fh's binary
     buffer, in fh's encoding.
@@ -110,9 +109,6 @@ def _write_tables(fh, tables, sep):
     for text, columns in tables:
         texts, arrays = [], []
         for c in columns:
-            if isinstance(c, np.ndarray) and c.dtype == object:
-                strings, codes = np.unique(c, return_inverse=True)
-                c = Text(strings.tolist(), codes.reshape(c.shape))
             if isinstance(c, Text):
                 texts.append([s.encode(encoding) for s in c.strings])
                 arrays.append(c.codes)

@@ -304,5 +304,5 @@ def write_atlas(path, law: GasLaw, L: float, b, cases, n_steps: int = 1024):
             rows.append((J0, rho0, E0, *[math.nan] * 4, f"{exc.kind}@x={exc.x:.6g}"))
     names = ("J0", "rho0", "E0", "Phi_en0", "B00", "pex0", "nu0", "status")
     columns = [list(c) for c in zip(*rows)] or [[] for _ in names]
-    columns[-1] = np.array(columns[-1], dtype=object)
+    columns[-1] = export.Text(columns[-1], np.arange(len(columns[-1])))
     export.write_csv(path, list(zip(names, columns)))

@@ -95,3 +95,23 @@ def test_magnitude_keeps_the_largest_differences(tmp_path):
     (here / "report.json").write_text(json.dumps({"iterations": 5, "diffs": [0.5, 0.5]}))
     magnitude("report.json", ref / "report.json", here / "report.json", 2, seen)
     assert seen == {"field": 0.25, "report": 0.5}
+
+
+def test_line_counts_of_a_small_module(tmp_path):
+    # code lines leave out docstrings, comments and blank lines, but keep a
+    # string that is no docstring and every line of a continued statement
+    (tmp_path / "a.py").write_text(
+        '"""A module\n'
+        'docstring."""\n'
+        "\n"
+        "# a comment\n"
+        'X = """not a\n'
+        'docstring"""\n'
+        "\n"
+        "def f(x):  # a trailing comment\n"
+        '    """One line."""\n'
+        "    return (x +\n"
+        "            1)\n")
+    (tmp_path / "b.py").write_text("class C:\n    'doc'\n    y = 1\n")
+    (tmp_path / "c.txt").write_text("not python\n")
+    assert _module().line_counts(tmp_path) == (11 + 3, 5 + 2)

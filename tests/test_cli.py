@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ep_nozzle import checks, cli, driver, elliptic, export, pool
+from ep_nozzle import checks, cli, domainmap, driver, elliptic, export, pool
 from ep_nozzle.config import TEMPLATE, parse_config, serialize_config
 from ep_nozzle.errors import DomainError
 
@@ -225,6 +225,24 @@ class TestSweep:
                                                    "iterations", "pushforward_residuals"))
         assert 0.85 <= wall["slope_response"] <= 1.15
         assert 0.85 <= wall["slope_corrections"] <= 1.15
+
+    @pytest.mark.parametrize("eps", ["0.001", "0.001,0.002,0.004"])
+    def test_writes_the_payload_of_the_ladders(self, tmp_path, capsys, eps):
+        # the file is the sigma ladder's return, plus the wall ladder's for a list of eps
+        text = SMALL + f"\n[sweep]\nsigmas = 0.0002,0.0004\n[domain_map]\neps = {eps}\n"
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(text)
+        assert run_cli("sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 0
+        cfg = parse_config(text)
+        law, grid, background = cli._inputs(cfg)
+        state = driver.PicardState(law, background, grid)
+        itcfg = cli._iteration_config(cfg)
+        payload = driver.stability_sweep(itcfg, state, cfg.values["sweep"]["sigmas"],
+                                         cli._amplitudes(cfg))
+        if "," in eps:
+            payload["wall"] = domainmap.wall_sweep(itcfg, state, cfg.values["domain_map"]["eps"])
+        [written] = (tmp_path / "o").glob("sweep_*.json")
+        assert written.read_text() == json.dumps(payload, indent=2, sort_keys=True)
 
 
 LADDERS = {

@@ -123,24 +123,31 @@ def _tables(m, w):
     ends the file: w shares of m rows, the first boundary on the first row
     of a table of one row, and three tables shorter than a share."""
     n_last = m * (w - 1) - 3
-    text = np.array(["a", "bb", "-0"], dtype=object)
-    return [("T0\n", [test_grid._awkward(m), text[np.arange(m) % 3]]),
+    strings = ["a", "bb", "-0"]
+    return [("T0\n", [test_grid._awkward(m), export.Text(strings, np.arange(m) % 3)]),
             ("T1 ", [test_grid._awkward(1, 4)]),
             ("T2\n", []),
             ("T3\n", [test_grid._awkward(2, 1), test_grid._awkward(2, 7)]),
-            ("T4\n", [np.broadcast_to(text[1:2], (n_last,)), test_grid._awkward(n_last, 2)]),
+            ("T4\n", [export.Text(strings, np.broadcast_to(1, (n_last,))),
+                      test_grid._awkward(n_last, 2)]),
             ("END\n", [])]
+
+
+def _cells(column):
+    """A column's printed values, one per row."""
+    if isinstance(column, export.Text):
+        return [column.strings[k] for k in column.codes.flat]
+    return [format(float(v), ".17g") for v in column]
 
 
 @pytest.mark.parametrize("w", [2, 3, 4, 5])
 def test_shares_cross_tables_with_the_bytes_of_one_process(tmp_path, monkeypatch, w):
     m = 7
     tables = _tables(m, w)
-    assert sum(c[0].size for _, c in tables if c) == m * w
+    assert sum(len(_cells(c[0])) for _, c in tables if c) == m * w
     assert m in [m * w * j // w for j in range(w + 1)]     # a boundary on T1's row
-    oracle = "".join(text + "".join(
-        " ".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row) + "\n"
-        for row in zip(*columns)) for text, columns in tables)
+    oracle = "".join(text + "".join(" ".join(row) + "\n" for row in zip(*map(_cells, columns)))
+                     for text, columns in tables)
     written = []
     for processes in (1, w):
         _processes(monkeypatch, processes)
